@@ -14,6 +14,7 @@ from sintdyn import _kernel
 from sintdyn.cyclofactor import _cyclotomic_factors, _cyclotomic_coeffs
 from sintdyn.ffpoly import PrimeField, factorize
 from sintdyn.limitset import verify_construction
+from sintdyn.orders import _irreducible_order
 
 
 def _random_poly(rng, p, degree):
@@ -65,6 +66,7 @@ def bench_end_to_end(repeats):
             with _kernel.backend(name):
                 _cyclotomic_factors.cache_clear()
                 _cyclotomic_coeffs.cache_clear()
+                _irreducible_order.cache_clear()
                 timings[name] = _time(workload, repeats)
         rows.append((label, "", "", timings))
     return rows

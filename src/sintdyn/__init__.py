@@ -43,7 +43,6 @@ from .system import (
     example85_system,
     full_shift,
     inverted_places_dividing,
-    omega_mark,
     periodic_count,
     periodic_exponent,
     preset_system,
@@ -94,7 +93,6 @@ __all__ = [
     "is_irreducible",
     "kernel_backend",
     "multiplicative_order",
-    "omega_mark",
     "orbit_counts",
     "ord_brute",
     "ord_in_tn_minus_1",

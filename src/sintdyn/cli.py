@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import SCHEMA_VERSION, __version__
+from . import SCHEMA_VERSION, __version__, intmath
 from .cyclofactor import factor_tn_minus_1
 from .ffpoly import PrimeField, Poly
 from .limitset import (
@@ -154,7 +154,7 @@ def _cmd_count(args):
     if args.n < 1:
         raise CliError(f"--n must be positive: got {args.n}")
     e = periodic_exponent(spec, args.n).e
-    count = str(field.p**e)
+    count = intmath.decimal(field.p**e)
     if args.format == "json":
         return _dump_json({"n": args.n, "e": e, "count": count}), 0
     if args.format == "csv":
@@ -201,15 +201,16 @@ def _cmd_zeta(args):
             None if recurrence is None else [_frac_json(c) for c in recurrence]
         )
     if args.orbits:
-        doc["orbit_counts"] = [str(o) for o in orbit_counts(counts_from_series(series))]
+        doc["orbit_counts"] = [intmath.decimal(o) for o in orbit_counts(counts_from_series(series))]
     if args.format == "json":
         return _dump_json(doc), 0
+    coefficients = doc["coefficients"]
     if args.format == "csv":
         lines = ["m,a_m"]
-        lines += [f"{m},{a}" for m, a in enumerate(series.terms)]
+        lines += [f"{m},{a}" for m, a in enumerate(coefficients)]
         return "\n".join(lines), 0
     lines = [f"zeta series for {spec.label} over F_{field.p}, N={series.truncation_order}:"]
-    lines += [f"a_{m} = {a}" for m, a in enumerate(series.terms)]
+    lines += [f"a_{m} = {a}" for m, a in enumerate(coefficients)]
     if args.max_order is not None:
         lines.append(f"recurrence (max order {args.max_order}): {doc['recurrence']}")
     return "\n".join(lines), 0

@@ -51,12 +51,6 @@ class CycloFactorization:
                     acc = acc * v
         return acc
 
-    def iter_factors(self):
-        """Yield (irreducible, multiplicity) over all parts."""
-        for part in self.parts:
-            for v in part.factors:
-                yield v, part.multiplicity
-
     def to_json(self) -> dict:
         return {"n": self.n, "parts": [part.to_json() for part in self.parts]}
 

@@ -50,11 +50,7 @@ class PrimeField:
 
     def poly(self, coeffs) -> "Poly":
         """Polynomial from any integer coefficient sequence (low degree first)."""
-        p = self.p
-        c = [int(x) % p for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        return Poly(self, tuple(c), _canonical=True)
+        return Poly(self, coeffs)
 
     def from_code(self, code: int) -> "Poly":
         """Polynomial whose coefficients are the base-p digits of code."""
@@ -292,9 +288,6 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def sort_key(self) -> tuple[int, int]:
-        return (len(self.coeffs), self.code)
-
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 
@@ -475,4 +468,4 @@ def factorize(f: Poly) -> list[tuple[Poly, int]]:
     rng = random.Random(_CZ_SEED)
     counts: dict[Poly, int] = {}
     _factor_into(f.monic(), 1, counts, rng)
-    return sorted(counts.items(), key=lambda item: item[0].sort_key())
+    return sorted(counts.items(), key=lambda item: item[0])

@@ -13,6 +13,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXACT_BOUND = 3317044064679887385961981
 _MR_EXTRA_WITNESSES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _TRIAL_BOUND = 10**6
+# decimal() hands str() pieces below 10**512: CPython's int->str digit
+# limit is at least 640 digits whenever it is set
+_PIECE_DIGITS = 512
+_PIECE = 10**_PIECE_DIGITS
 
 
 def is_prime(n: int) -> bool:
@@ -165,3 +169,16 @@ def coprime_part(n: int, p: int) -> tuple[int, int]:
         n //= p
         e += 1
     return n, e
+
+
+def decimal(n: int) -> str:
+    """Exact decimal string of n >= 0 of any length: str() refuses ints longer
+    than sys.get_int_max_str_digits() (4300 digits by default), so n is split
+    with divmod into pieces below that limit, which is left unchanged."""
+    if n < _PIECE:
+        return str(n)
+    digits = _PIECE_DIGITS
+    while n >= 10 ** (2 * digits):
+        digits *= 2
+    high, low = divmod(n, 10**digits)
+    return decimal(high) + decimal(low).zfill(digits)

@@ -71,10 +71,14 @@ def poly_order(g: Poly) -> int:
     return result
 
 
-def ord_in_tn_minus_1(v: Poly, n: int) -> int:
-    """Exact multiplicity of the monic irreducible v (v != t) in t**n - 1."""
+def _validate_n(n: int):
     if not 1 <= n <= _N_LIMIT:
         raise ValueError(f"n must be in [1, 2**31 - 1]: got {n}")
+
+
+def ord_in_tn_minus_1(v: Poly, n: int) -> int:
+    """Exact multiplicity of the monic irreducible v (v != t) in t**n - 1."""
+    _validate_n(n)
     if v.is_zero or v.degree < 1:
         raise ValueError("expected a nonconstant polynomial")
     if v == v.field.t:

@@ -13,7 +13,8 @@ sum to zero (the product formula).
 
 from dataclasses import dataclass
 
-from .ffpoly import Poly, PrimeField, factorize, is_irreducible, poly_divmod
+from .ffpoly import Poly, PrimeField, factorize, is_irreducible
+from .orders import ord_brute
 
 
 @dataclass(frozen=True)
@@ -92,16 +93,6 @@ def enumerate_places(field: PrimeField, max_degree: int) -> list[Place]:
     return places
 
 
-def _multiplicity(v: Poly, f: Poly) -> int:
-    count = 0
-    while True:
-        q, r = poly_divmod(f, v)
-        if not r.is_zero:
-            return count
-        count += 1
-        f = q
-
-
 def valuation_exponent(place: Place, numerator: Poly, denominator: Poly) -> int:
     """Exact exponent e with |numerator/denominator| = p**(-e) at the place."""
     if numerator.is_zero or denominator.is_zero:
@@ -113,7 +104,7 @@ def valuation_exponent(place: Place, numerator: Poly, denominator: Poly) -> int:
     v = place.poly
     if v.field != numerator.field:
         raise ValueError("place and operands over different fields")
-    return (_multiplicity(v, numerator) - _multiplicity(v, denominator)) * v.degree
+    return (ord_brute(v, numerator) - ord_brute(v, denominator)) * v.degree
 
 
 def product_formula_sum(numerator: Poly, denominator: Poly) -> int:

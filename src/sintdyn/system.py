@@ -6,6 +6,15 @@ inverted, so its valuation of t**n - 1 enters the count:
 
     log_p |F_n| = n - sum over marked v of ord_v(t**n - 1) * deg(v).
 
+With n = n' * p**k and p not dividing n', every factor of the cyclotomic
+pi_d (d | n') has multiplicity p**k in t**n - 1, so
+
+    e_n = n - p**k * sum over d | n' of D(d),
+
+D(d) the total degree of the marked factors of pi_d.  All-zero marks none,
+an explicit set the places of order d, random marks the factors of pi_d
+drawn 1; all-one marks all of them, D(d) = phi(d), and is never factored.
+
 Mark sources: all-zero (full shift on p symbols), all-one (trivial system,
 one point per period), an explicit finite set of places, or i.i.d. random
 marks.  Random marks are a pure function of (seed, canonical encoding of
@@ -20,12 +29,12 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cyclofactor import factor_tn_minus_1
+from . import intmath
+from .cyclofactor import _cyclotomic_factors
 from .ffpoly import Poly, PrimeField, is_irreducible
-from .orders import ord_in_tn_minus_1
+from .orders import _irreducible_order, _validate_n
 from .places import Place
 
-_N_LIMIT = 2**31 - 1
 _MARK_SCALE = 2**64
 
 
@@ -102,7 +111,7 @@ class OmegaSource:
         if self.mode == "explicit":
             return {
                 "mode": "explicit",
-                "places": [v.to_json() for v in sorted(self.places, key=Poly.sort_key)],
+                "places": [v.to_json() for v in sorted(self.places)],
             }
         if self.mode == "random":
             return {
@@ -176,51 +185,31 @@ class PeriodicExponent(NamedTuple):
     e: int
 
 
-def omega_mark(source: OmegaSource, v: Poly) -> int:
-    """The 0/1 mark of the finite place v (v != t) under the source."""
-    return source.mark(v)
-
-
-def _validate_n(n: int):
-    if not 1 <= n <= _N_LIMIT:
-        raise ValueError(f"n must be in [1, 2**31 - 1]: got {n}")
-
-
-def _marked_contributions(spec: SystemSpec, n: int) -> list[tuple[Poly, int, int]]:
-    # (place polynomial, multiplicity in t**n - 1, degree) for marked places,
-    # sorted canonically
+def _marked_factors(spec: SystemSpec, d: int) -> list[Poly]:
+    # the marked irreducible factors of pi_d (d coprime to p)
     omega = spec.omega
     if omega.mode == "all_zero":
         return []
     if omega.mode == "explicit":
-        # only the finitely many marked places can contribute; their
-        # multiplicity comes from the order rule, no factorization needed
-        out = []
-        for v in sorted(omega.places, key=Poly.sort_key):
-            mult = ord_in_tn_minus_1(v, n)
-            if mult:
-                out.append((v, mult, v.degree))
-        return out
-    out = []
-    for v, mult in factor_tn_minus_1(spec.field, n).iter_factors():
-        if v == spec.field.t:
-            continue
-        if omega.mode == "all_one" or omega.mark(v) == 1:
-            out.append((v, mult, v.degree))
-    out.sort(key=lambda item: item[0].sort_key())
-    return out
+        # places are irreducible (checked at construction) and an irreducible
+        # other than t divides pi_d exactly when its order is d
+        return [v for v in omega.places if _irreducible_order(v) == d]
+    return [v for v in _cyclotomic_factors(spec.field.p, d) if omega.mark(v)]
+
+
+def _marked_degree(spec: SystemSpec, d: int) -> int:
+    # D(d): pi_d has degree phi(d), all of it marked in the all-one system
+    if spec.omega.mode == "all_one":
+        return intmath.euler_phi(d)
+    return sum(v.degree for v in _marked_factors(spec, d))
 
 
 def periodic_exponent(spec: SystemSpec, n: int) -> PeriodicExponent:
-    """e with |F_n| = p**e: n minus the marked valuations of t**n - 1."""
+    """e with |F_n| = p**e: e = n - p**k * sum over d | n' of D(d)."""
     _validate_n(n)
-    mode = spec.omega.mode
-    if mode == "all_zero":
-        return PeriodicExponent(n, n)
-    if mode == "all_one":
-        # every factor is marked and the multiplicities sum to deg(t**n - 1) = n
-        return PeriodicExponent(n, 0)
-    e = n - sum(mult * deg for _, mult, deg in _marked_contributions(spec, n))
+    n_coprime, k = intmath.coprime_part(n, spec.field.p)
+    marked = sum(_marked_degree(spec, d) for d in intmath.divisors(n_coprime))
+    e = n - spec.field.p**k * marked
     if not 0 <= e <= n:
         raise ArithmeticError(f"periodic exponent out of range: n={n}, e={e}")
     return PeriodicExponent(n, e)
@@ -233,8 +222,14 @@ def periodic_count(spec: SystemSpec, n: int) -> int:
 
 def inverted_places_dividing(spec: SystemSpec, n: int) -> list[tuple[Place, int, int]]:
     """The marked places with positive multiplicity in t**n - 1, each with
-    its multiplicity and degree (the terms of the exponent sum)."""
+    its multiplicity and degree (the terms of the exponent sum), sorted
+    canonically."""
     _validate_n(n)
-    return [
-        (Place.finite(v), mult, deg) for v, mult, deg in _marked_contributions(spec, n)
+    n_coprime, k = intmath.coprime_part(n, spec.field.p)
+    mult = spec.field.p**k
+    rows = [
+        (Place.finite(v), mult, v.degree)
+        for d in intmath.divisors(n_coprime)
+        for v in _marked_factors(spec, d)
     ]
+    return sorted(rows, key=lambda row: row[0].poly)

@@ -2,8 +2,9 @@
 
 The zeta function exp(sum of c_n z**n / n) is expanded with the exact
 logarithmic-derivative recurrence m * a_m = sum_{k=1..m} c_k * a_{m-k},
-a_0 = 1, carried out in rational arithmetic; every coefficient of a genuine
-count sequence must come out a non-negative integer, and a violation raises
+a_0 = 1, carried out in integer arithmetic: each step divides the integer
+sum by m with divmod, so every coefficient of a genuine count sequence
+comes out a non-negative integer, and a non-zero remainder raises
 InvalidCountsError.  Orbit counts invert the same data: n * O_n =
 sum_{d | n} mu(n/d) * c_d.
 
@@ -15,6 +16,7 @@ rational zeta function of bounded denominator degree; None is evidence
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import intmath
 from .system import SystemSpec, periodic_count
@@ -40,7 +42,7 @@ class ZetaSeries:
             "p": self.source.field.p if self.source else None,
             "label": self.source.label if self.source else None,
             "N": self.truncation_order,
-            "coefficients": [str(a) for a in self.terms],
+            "coefficients": [intmath.decimal(a) for a in self.terms],
         }
 
 
@@ -49,19 +51,18 @@ def zeta_coefficients(counts, source: SystemSpec | None = None) -> ZetaSeries:
     counts = list(counts)
     if not all(isinstance(c, int) and c > 0 for c in counts):
         raise InvalidCountsError("counts must be positive integers")
-    terms = [Fraction(1)]
+    terms = [1]
     for m in range(1, len(counts) + 1):
-        acc = Fraction(0)
-        for k in range(1, m + 1):
-            acc += counts[k - 1] * terms[m - k]
-        a_m = acc / m
-        if a_m.denominator != 1 or a_m < 0:
+        # sum of c_k * a_{m-k} for k = 1..m; positive since every c_k is
+        acc = sum(map(mul, counts, reversed(terms)))
+        a_m, remainder = divmod(acc, m)
+        if remainder:
             raise InvalidCountsError(
-                f"zeta coefficient a_{m} = {a_m} is not a non-negative integer; "
-                "the count sequence is invalid"
+                f"zeta coefficient a_{m} = {Fraction(acc, m)} is not a non-negative "
+                "integer; the count sequence is invalid"
             )
         terms.append(a_m)
-    return ZetaSeries(tuple(int(a) for a in terms), source)
+    return ZetaSeries(tuple(terms), source)
 
 
 def counts_from_series(series: ZetaSeries) -> list[int]:

@@ -42,6 +42,71 @@ class TestCountCommand:
         assert json.loads(out)["count"] == str(3**200)
 
 
+def _parse_decimal(text: str) -> int:
+    # int(text) meets the same digit limit as str(); parse in short pieces
+    value = 0
+    for i in range(0, len(text), 1000):
+        piece = text[i : i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+@pytest.fixture
+def default_digit_limit():
+    # pin CPython's default int->str limit and check it is left as it was
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(previous)
+    assert limit == 4300
+
+
+@pytest.mark.usefixtures("default_digit_limit")
+class TestAboveDigitLimit:
+    @pytest.mark.parametrize(
+        "fmt, last_field",
+        (
+            ("json", lambda out: json.loads(out)["count"]),
+            ("csv", lambda out: out.strip().rsplit(",", 1)[1]),
+            ("text", lambda out: out.strip().rsplit(" = ", 1)[1]),
+        ),
+    )
+    def test_count(self, capsys, fmt, last_field):
+        status, out, err = run_cli(
+            capsys, "count", "--p", "2", "--system", "full", "--n", "20000", "--format", fmt
+        )
+        assert status == 0, err
+        digits = last_field(out)
+        assert len(digits) == 6021
+        assert _parse_decimal(digits) == 2**20000
+
+    def test_zeta_coefficients_and_orbits(self, capsys):
+        p = 2147483647
+        status, out, err = run_cli(
+            capsys, "zeta", "--p", str(p), "--system", "full", "--terms", "470", "--orbits"
+        )
+        assert status == 0, err
+        doc = json.loads(out)
+        # full shift: a_m = p**m, and 470 * O_470 = sum over d | 470 of mu(470/d) p**d
+        assert len(doc["coefficients"][-1]) == 4387
+        assert [_parse_decimal(a) for a in doc["coefficients"]] == [p**m for m in range(471)]
+        orbits = 470 * _parse_decimal(doc["orbit_counts"][-1])
+        assert len(doc["orbit_counts"][-1]) > 4300
+        assert orbits == p**470 - p**235 - p**94 - p**10 + p**47 + p**5 + p**2 - p
+
+    def test_zeta_text(self, capsys):
+        p = 2147483647
+        status, out, err = run_cli(
+            capsys, "zeta", "--p", str(p), "--system", "full", "--terms", "470",
+            "--format", "text",
+        )
+        assert status == 0, err
+        last = out.strip().split("\n")[-1]
+        assert last.startswith("a_470 = ")
+        assert _parse_decimal(last.removeprefix("a_470 = ")) == p**470
+
+
 class TestGrowthCommand:
     def test_spec_example_csv(self, capsys):
         status, out, _ = run_cli(

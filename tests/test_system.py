@@ -11,7 +11,6 @@ from sintdyn.system import (
     example85_system,
     full_shift,
     inverted_places_dividing,
-    omega_mark,
     periodic_count,
     periodic_exponent,
     preset_system,
@@ -37,8 +36,8 @@ def brute_exponent(spec, n):
 class TestOmegaMark:
     def test_constant_sources(self, F2):
         v = F2.from_string("t^2+t+1")
-        assert omega_mark(OmegaSource.all_zero(), v) == 0
-        assert omega_mark(OmegaSource.all_one(), v) == 1
+        assert OmegaSource.all_zero().mark(v) == 0
+        assert OmegaSource.all_one().mark(v) == 1
 
     def test_explicit_membership(self, F3):
         v = F3.from_string("t+2")
@@ -49,7 +48,7 @@ class TestOmegaMark:
     def test_t_is_excluded(self, F2):
         for source in (OmegaSource.all_zero(), OmegaSource.all_one()):
             with pytest.raises(ValueError):
-                omega_mark(source, F2.t)
+                source.mark(F2.t)
         with pytest.raises(ValueError):
             OmegaSource.explicit([F2.t])
 
@@ -162,20 +161,29 @@ class TestPeriodicCounts:
         with pytest.raises(ValueError):
             periodic_exponent(spec, 2**31)
 
+    # explicit places of degree 2-4, and periods with a p-power part
+    _SEVERAL = {
+        2: (("t^2+t+1", "t^3+t+1", "t^4+t+1", "t^4+t^3+t^2+t+1"), (24, 48, 64, 96)),
+        3: (("t^2+1", "t^2+t+2", "t^3+2*t+1", "t^4+t+2"), (27, 54, 72, 81)),
+    }
+
     @pytest.mark.parametrize("p", (2, 3))
     def test_all_modes_match_brute_oracle(self, p):
         field = PrimeField(p)
         v1 = field.from_string("t+1")
+        places, p_power_ns = self._SEVERAL[p]
+        several = OmegaSource.explicit(field.from_string(v) for v in places)
         specs = [
             full_shift(field),
             trivial_system(field),
             example85_system(field),
             SystemSpec(field, OmegaSource.explicit([v1]), "one"),
+            SystemSpec(field, several, "several"),
             random_system(field, Fraction(1, 2), 11),
             random_system(field, Fraction(1, 4), 5),
         ]
         for spec in specs:
-            for n in range(1, 41):
+            for n in list(range(1, 41)) + list(p_power_ns):
                 assert periodic_exponent(spec, n).e == brute_exponent(spec, n), (
                     spec.label, n,
                 )
@@ -233,6 +241,27 @@ class TestPeriodicCounts:
 
 
 class TestInvertedPlaces:
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_all_modes_match_factorization(self, p):
+        # rows straight from the generic factorization of t^n - 1, marks
+        # straight from the source; factorize sorts like the rows do
+        field = PrimeField(p)
+        pi7 = field.from_string("t^3+t+1" if p == 2 else "t^3+2*t+1")
+        specs = [
+            full_shift(field),
+            trivial_system(field),
+            SystemSpec(field, OmegaSource.explicit([field.from_string("t+1"), pi7]), "x"),
+            random_system(field, Fraction(1, 2), 3),
+        ]
+        for spec in specs:
+            for n in list(range(1, 31)) + [36, 54, 63, 64, 81]:
+                expected = [
+                    (Place.finite(v), mult, v.degree)
+                    for v, mult in factorize(field.tn_minus_1(n))
+                    if spec.omega.mark(v) == 1
+                ]
+                assert inverted_places_dividing(spec, n) == expected, (spec.label, n)
+
     def test_full_shift_empty(self, F5):
         assert inverted_places_dividing(full_shift(F5), 30) == []
 

@@ -46,8 +46,8 @@ class TestZetaCoefficients:
         assert series.terms == tuple(int(x) for x in oracle)
 
     def test_rejects_invalid_sequences(self):
-        with pytest.raises(InvalidCountsError):
-            zeta_coefficients([2, 1])  # a_2 = 5/2
+        with pytest.raises(InvalidCountsError, match="a_2 = 5/2"):
+            zeta_coefficients([2, 1])
         with pytest.raises(InvalidCountsError):
             zeta_coefficients([0, 1])
         with pytest.raises(InvalidCountsError):
