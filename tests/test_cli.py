@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sintdyn
 from sintdyn import SCHEMA_VERSION, __version__
 from sintdyn.cli import main
 
@@ -290,8 +293,11 @@ class TestEndToEndProcess:
     def test_module_invocation_byte_identical(self):
         argv = [sys.executable, "-m", "sintdyn", "zeta", "--p", "2", "--system",
                 "random", "--rho", "1/3", "--seed", "11", "--terms", "20"]
-        first = subprocess.run(argv, capture_output=True)
-        second = subprocess.run(argv, capture_output=True)
+        # the child must import the package under test, wherever pytest found it
+        paths = [str(Path(sintdyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        first = subprocess.run(argv, capture_output=True, env=env)
+        second = subprocess.run(argv, capture_output=True, env=env)
         assert first.returncode == 0
         assert first.stdout == second.stdout
         doc = json.loads(first.stdout)
