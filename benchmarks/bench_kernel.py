@@ -1,7 +1,10 @@
 """Benchmark the compiled kernel against the pure-Python fallback.
 
 Times the four hot kernel primitives at several degrees and characteristics,
-plus two end-to-end library workloads running entirely on each backend.
+plus end-to-end library workloads running entirely on each backend: the
+cyclotomic splitting of every pi_d with d <= 200, t^1023 - 1 over F_2, a
+general factorization and a construction check.  The library caches are
+cleared before every repetition, so these rows time cold runs.
 
     python benchmarks/bench_kernel.py [--repeats N]
 """
@@ -11,7 +14,7 @@ import random
 import time
 
 from sintdyn import _kernel
-from sintdyn.cyclofactor import _cyclotomic_factors, _cyclotomic_coeffs
+from sintdyn.cyclofactor import _cyclotomic_coeffs, _cyclotomic_factors, factor_tn_minus_1
 from sintdyn.ffpoly import PrimeField, factorize
 from sintdyn.limitset import verify_construction
 from sintdyn.orders import _irreducible_order
@@ -21,9 +24,10 @@ def _random_poly(rng, p, degree):
     return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
 
 
-def _time(fn, repeats):
+def _time(fn, repeats, setup=lambda: None):
     best = float("inf")
     for _ in range(repeats):
+        setup()
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -54,20 +58,34 @@ def bench_kernel_ops(repeats):
     return rows
 
 
+def _clear_caches():
+    _cyclotomic_factors.cache_clear()
+    _cyclotomic_coeffs.cache_clear()
+    _irreducible_order.cache_clear()
+
+
+def _split_all(p, bound):
+    for d in range(1, bound + 1):
+        if d % p:
+            _cyclotomic_factors(p, d)
+
+
 def bench_end_to_end(repeats):
     rows = []
     workloads = {
+        f"_cyclotomic_factors(p={p}, d<=200)": lambda p=p: _split_all(p, 200)
+        for p in (2, 3, 5)
+    }
+    workloads.update({
+        "factor_tn_minus_1(F_2, 1023)": lambda: factor_tn_minus_1(PrimeField(2), 1023),
         "factorize(t^105-1) over F_2": lambda: factorize(PrimeField(2).tn_minus_1(105)),
         "verify_construction(2, 7, 37)": lambda: verify_construction(2, 7, 37),
-    }
+    })
     for label, workload in workloads.items():
         timings = {}
         for name in _kernel.available_backends():
             with _kernel.backend(name):
-                _cyclotomic_factors.cache_clear()
-                _cyclotomic_coeffs.cache_clear()
-                _irreducible_order.cache_clear()
-                timings[name] = _time(workload, repeats)
+                timings[name] = _time(workload, repeats, _clear_caches)
         rows.append((label, "", "", timings))
     return rows
 

@@ -38,7 +38,6 @@ from .system import (
 )
 from .zeta import (
     InvalidCountsError,
-    counts_from_series,
     find_linear_recurrence,
     orbit_counts,
     zeta_for_system,
@@ -201,7 +200,7 @@ def _cmd_zeta(args):
             None if recurrence is None else [_frac_json(c) for c in recurrence]
         )
     if args.orbits:
-        doc["orbit_counts"] = [intmath.decimal(o) for o in orbit_counts(counts_from_series(series))]
+        doc["orbit_counts"] = [intmath.decimal(o) for o in orbit_counts(series.counts)]
     if args.format == "json":
         return _dump_json(doc), 0
     coefficients = doc["coefficients"]

@@ -87,7 +87,7 @@ def ord_in_tn_minus_1(v: Poly, n: int) -> int:
         raise ValueError(f"expected a monic irreducible polynomial: got {v}")
     p = v.field.p
     n_coprime, e = intmath.coprime_part(n, p)
-    if n_coprime % poly_order(v) == 0:
+    if n_coprime % _irreducible_order(v) == 0:
         return p**e
     return 0
 

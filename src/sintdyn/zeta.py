@@ -14,7 +14,7 @@ rational zeta function of bounded denominator degree; None is evidence
 (never proof) that no such rational function exists.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from operator import mul
 
@@ -28,10 +28,13 @@ class InvalidCountsError(ValueError):
 
 @dataclass(frozen=True)
 class ZetaSeries:
-    """Exact coefficients a_0..a_N of the zeta series."""
+    """Exact coefficients a_0..a_N of the zeta series, with the counts
+    c_1..c_N they were built from (None when built from terms alone)."""
 
     terms: tuple[int, ...]
     source: SystemSpec | None = None
+    # determined by the terms, so left out of equality
+    counts: tuple[int, ...] | None = dataclass_field(default=None, compare=False)
 
     @property
     def truncation_order(self) -> int:
@@ -62,7 +65,7 @@ def zeta_coefficients(counts, source: SystemSpec | None = None) -> ZetaSeries:
                 "integer; the count sequence is invalid"
             )
         terms.append(a_m)
-    return ZetaSeries(tuple(terms), source)
+    return ZetaSeries(tuple(terms), source, tuple(counts))
 
 
 def counts_from_series(series: ZetaSeries) -> list[int]:

@@ -1,8 +1,9 @@
 import pytest
 
-from sintdyn import intmath
+from sintdyn import cyclofactor, intmath
 from sintdyn.cyclofactor import (
     CycloFactorization,
+    _cyclotomic_factors,
     cyclotomic_poly,
     factor_tn_minus_1,
     splitting_count,
@@ -80,6 +81,71 @@ class TestSplittingCount:
             pairs = factorize(cyclotomic_poly(field, n))
             assert len(pairs) == count
             assert all(v.degree == degree and mult == 1 for v, mult in pairs)
+
+
+MERSENNE_31 = 2**31 - 1
+
+
+class TestCyclotomicSplit:
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_structure_upto_300(self, p):
+        # every irreducible factor of pi_d has degree r = ord_d(p), so
+        # phi(d)/r distinct monic factors of degree r multiplying to pi_d
+        # are its factorization
+        field = PrimeField(p)
+        for d in range(2, 301):
+            if d % p == 0:
+                continue
+            count, degree = splitting_count(field, d)
+            factors = _cyclotomic_factors(p, d)
+            assert len(factors) == count, (p, d)
+            assert len(set(factors)) == count, (p, d)
+            assert all(v.is_monic and v.degree == degree for v in factors), (p, d)
+            product = field.one
+            for v in factors:
+                product = product * v
+            assert product == cyclotomic_poly(field, d), (p, d)
+
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_equals_factorize_upto_100(self, p):
+        field = PrimeField(p)
+        for d in range(1, 101):
+            if d % p == 0:
+                continue
+            pairs = factorize(cyclotomic_poly(field, d))
+            assert _cyclotomic_factors(p, d) == tuple(v for v, _ in pairs), (p, d)
+
+    @pytest.mark.parametrize("d", (7, 9, 13, 16, 27, 29, 35, 41))
+    def test_equals_factorize_large_p(self, d):
+        # ord_d(2**31 - 1) is 1, 1, 6, 2, 3, 7, 4, 8 for these d
+        pairs = factorize(cyclotomic_poly(PrimeField(MERSENNE_31), d))
+        assert _cyclotomic_factors(MERSENNE_31, d) == tuple(v for v, _ in pairs)
+
+    @pytest.mark.parametrize(
+        "p, d", ((2, 105), (3, 91), (5, 62), (7, 48), (MERSENNE_31, 13))
+    )
+    def test_matches_sympy(self, p, d):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        field = PrimeField(p)
+        pi = cyclotomic_poly(field, d)
+        expr = sum(c * t**i for i, c in enumerate(pi.coeffs))
+        _, pairs = sympy.Poly(expr, t, modulus=p).factor_list()
+        expected = sorted(
+            field.poly(reversed([int(c) for c in v.all_coeffs()])).monic() for v, _ in pairs
+        )
+        assert all(mult == 1 for _, mult in pairs)
+        assert list(_cyclotomic_factors(p, d)) == expected
+
+    def test_wrong_count_raises(self, monkeypatch):
+        count, degree = splitting_count(PrimeField(2), 21)
+        monkeypatch.setattr(cyclofactor, "splitting_count", lambda field, d: (count + 1, degree))
+        _cyclotomic_factors.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="pi_21 mod 2"):
+                _cyclotomic_factors(2, 21)
+        finally:
+            _cyclotomic_factors.cache_clear()
 
 
 class TestFactorTnMinus1:

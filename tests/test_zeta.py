@@ -62,6 +62,14 @@ class TestZetaCoefficients:
             periodic_count(spec, n) for n in range(1, 31)
         ]
 
+    def test_series_keeps_its_counts(self, F3):
+        spec = random_system(F3, Fraction(1, 2), 5)
+        series = zeta_for_system(spec, 30)
+        assert list(series.counts) == counts_from_series(series)
+        # the counts follow from the terms and take no part in equality
+        assert ZetaSeries(series.terms, spec) == series
+        assert ZetaSeries(series.terms).counts is None
+
     @pytest.mark.parametrize("p", (2, 3))
     def test_radius_bound(self, p):
         # counts are at most p^n, so a_m is at most p^m (radius >= 1/p)
