@@ -4,7 +4,9 @@ Times the four hot kernel primitives at several degrees and characteristics,
 plus end-to-end library workloads running entirely on each backend: the
 cyclotomic splitting of every pi_d with d <= 200, t^1023 - 1 over F_2, a
 general factorization and a construction check.  The library caches are
-cleared before every repetition, so these rows time cold runs.
+cleared before every repetition, so these rows time cold runs.  The series
+rows time Berlekamp-Massey (find_linear_recurrence) alone on prebuilt zeta
+series: two without a short recurrence and one that has one.
 
     python benchmarks/bench_kernel.py [--repeats N]
 """
@@ -18,6 +20,8 @@ from sintdyn.cyclofactor import _cyclotomic_coeffs, _cyclotomic_factors, factor_
 from sintdyn.ffpoly import PrimeField, factorize
 from sintdyn.limitset import verify_construction
 from sintdyn.orders import _irreducible_order
+from sintdyn.system import OmegaSource, SystemSpec, example85_system, full_shift
+from sintdyn.zeta import find_linear_recurrence, zeta_for_system
 
 
 def _random_poly(rng, p, degree):
@@ -90,6 +94,23 @@ def bench_end_to_end(repeats):
     return rows
 
 
+def bench_series(repeats):
+    F2, F3 = PrimeField(2), PrimeField(3)
+    explicit = SystemSpec(F2, OmegaSource.explicit([F2.poly([1, 1, 1]), F2.poly([1, 1, 0, 1])]))
+    cases = {
+        "recurrence example85 p=3 N=110 max 20": (example85_system(F3), 110, 20),
+        "recurrence {t^2+t+1, t^3+t+1} p=2 N=130 max 30": (explicit, 130, 30),
+        "recurrence full p=3 N=300 max 100": (full_shift(F3), 300, 100),
+    }
+    rows = []
+    for label, (spec, n_terms, max_order) in cases.items():
+        series = zeta_for_system(spec, n_terms)
+        timing = _time(lambda: find_linear_recurrence(series, max_order), repeats)
+        # no kernel call: the same timing serves every backend column
+        rows.append((label, "", "", dict.fromkeys(_kernel.available_backends(), timing)))
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N timing")
@@ -101,14 +122,15 @@ def main():
         print("compiled backend not built; timing the pure backend only")
 
     rows = bench_kernel_ops(args.repeats) + bench_end_to_end(args.repeats)
-    header = f"{'case':40s} {'op':8s}" + "".join(f" {name:>12s}" for name in backends)
+    rows += bench_series(args.repeats)
+    header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in backends)
     if len(backends) == 2:
         header += f" {'speedup':>9s}"
     print(header)
     print("-" * len(header))
     for case, size, op, timings in rows:
         label = f"{case} {size}".strip()
-        line = f"{label:40s} {op:8s}"
+        line = f"{label:48s} {op:8s}"
         for name in backends:
             line += f" {timings[name] * 1e3:10.3f}ms"
         if len(backends) == 2:

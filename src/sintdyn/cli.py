@@ -38,6 +38,7 @@ from .system import (
 )
 from .zeta import (
     InvalidCountsError,
+    check_max_order,
     find_linear_recurrence,
     orbit_counts,
     zeta_for_system,
@@ -187,15 +188,18 @@ def _cmd_zeta(args):
     spec = _system(field, args)
     if args.terms < 1:
         raise CliError(f"--terms must be positive: got {args.terms}")
-    series = zeta_for_system(spec, args.terms)
-    doc = series.to_json()
     if args.max_order is not None:
+        # refused before the series is built: its cost grows with --terms
         if args.max_order < 1:
             raise CliError(f"--max-order must be positive: got {args.max_order}")
         try:
-            recurrence = find_linear_recurrence(series, args.max_order)
+            check_max_order(args.max_order, args.terms + 1)
         except ValueError as exc:
             raise CliError(f"--max-order: {exc}") from None
+    series = zeta_for_system(spec, args.terms)
+    doc = series.to_json()
+    if args.max_order is not None:
+        recurrence = find_linear_recurrence(series, args.max_order)
         doc["recurrence"] = (
             None if recurrence is None else [_frac_json(c) for c in recurrence]
         )

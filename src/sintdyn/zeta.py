@@ -8,7 +8,12 @@ comes out a non-negative integer, and a non-zero remainder raises
 InvalidCountsError.  Orbit counts invert the same data: n * O_n =
 sum_{d | n} mu(n/d) * c_d.
 
-find_linear_recurrence runs exact Berlekamp-Massey over the rationals.  A
+find_linear_recurrence runs Berlekamp-Massey fraction-free: the connection
+polynomial C is a primitive integer multiple of the rational one, updated
+as C <- b*C - d*x^gap*B (d the discrepancy, b the one stored with B) and
+divided by the gcd of its coefficients, so -C[i]/C[0] are exactly the
+rational coefficients.  The linear complexity L never decreases as terms
+are added, so the run stops with None as soon as L exceeds max_order.  A
 returned recurrence only says the truncated series is consistent with a
 rational zeta function of bounded denominator degree; None is evidence
 (never proof) that no such rational function exists.
@@ -16,6 +21,7 @@ rational zeta function of bounded denominator degree; None is evidence
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from . import intmath
@@ -104,37 +110,36 @@ def orbit_counts(counts) -> tuple[int, ...]:
     return tuple(orbits)
 
 
-def _berlekamp_massey(seq: list[Fraction]) -> tuple[int, list[Fraction]]:
-    # connection polynomial C with C[0] = 1 and
-    # sum_{i=0..L} C[i] * seq[n-i] = 0 for L <= n < len(seq)
-    connection = [Fraction(1)]
-    previous = [Fraction(1)]
-    complexity = 0
-    gap = 1
-    last_discrepancy = Fraction(1)
+def _berlekamp_massey(seq: tuple[int, ...], max_order: int) -> list[int] | None:
+    # C with sum_{i=0..L} C[i] * seq[n-i] = 0 for L <= n < len(seq), or None
+    connection, previous = [1], [1]
+    complexity, gap, last_discrepancy = 0, 0, 1
     for n in range(len(seq)):
-        discrepancy = seq[n] + sum(
-            connection[i] * seq[n - i] for i in range(1, complexity + 1)
-        )
+        gap += 1
+        discrepancy = sum(map(mul, connection, reversed(seq[n - complexity : n + 1])))
         if discrepancy == 0:
-            gap += 1
             continue
-        scale = discrepancy / last_discrepancy
-        updated = connection + [Fraction(0)] * max(
-            0, len(previous) + gap - len(connection)
-        )
-        for i, coeff in enumerate(previous):
-            updated[i + gap] -= scale * coeff
-        if 2 * complexity <= n:
-            previous = connection
-            complexity = n + 1 - complexity
-            last_discrepancy = discrepancy
-            gap = 1
-        else:
-            gap += 1
-        connection = updated
-    connection += [Fraction(0)] * max(0, complexity + 1 - len(connection))
-    return complexity, connection[: complexity + 1]
+        lengthens = 2 * complexity <= n
+        if lengthens and n + 1 - complexity > max_order:
+            return None  # L never decreases
+        updated = [last_discrepancy * c for c in connection]
+        updated += [0] * (len(previous) + gap - len(updated))
+        for i, coeff in enumerate(previous, gap):
+            updated[i] -= discrepancy * coeff
+        if lengthens:
+            previous, last_discrepancy = connection, discrepancy
+            complexity, gap = n + 1 - complexity, 0
+        content = gcd(*updated)
+        connection = [c // content for c in updated]
+    return (connection + [0] * complexity)[: complexity + 1]
+
+
+def check_max_order(max_order: int, n_terms: int) -> None:
+    """Raise ValueError unless n_terms terms determine a max_order fit."""
+    if max_order < 1:
+        raise ValueError(f"max_order must be positive: got {max_order}")
+    if n_terms < 2 * max_order + 2:
+        raise ValueError(f"need at least {2 * max_order + 2} series terms, got {n_terms}")
 
 
 def find_linear_recurrence(series: ZetaSeries, max_order: int):
@@ -143,19 +148,13 @@ def find_linear_recurrence(series: ZetaSeries, max_order: int):
 
     Requires at least 2 * max_order + 2 terms so the fit is determined.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be positive: got {max_order}")
     terms = series.terms
-    if len(terms) < 2 * max_order + 2:
-        raise ValueError(
-            f"need at least {2 * max_order + 2} series terms, got {len(terms)}"
-        )
-    seq = [Fraction(a) for a in terms]
-    order, connection = _berlekamp_massey(seq)
-    if order > max_order:
+    check_max_order(max_order, len(terms))
+    connection = _berlekamp_massey(terms, max_order)
+    if connection is None:
         return None
-    coeffs = tuple(-c for c in connection[1:])
+    order = len(connection) - 1
     for n in range(order, len(terms)):
-        if seq[n] != sum(coeffs[i] * seq[n - 1 - i] for i in range(order)):
+        if sum(map(mul, connection, reversed(terms[n - order : n + 1]))):
             return None
-    return coeffs
+    return tuple(Fraction(-c, connection[0]) for c in connection[1:])

@@ -115,3 +115,47 @@ def irreducible_count(p: int, m: int) -> int:
     total = sum(mu(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0)
     assert total % m == 0
     return total // m
+
+
+def minimal_recurrence(terms, max_order: int):
+    """Shortest recurrence a_n = sum_{i=1..L} c_i * a_{n-i}, holding for
+    every n >= L, with L <= max_order, as (c_1, ..., c_L); None if none.
+
+    Each order L = 0, 1, ... solves its Hankel system by Gaussian
+    elimination over Fraction and is then checked against every term; no
+    shift-register synthesis is involved.
+    """
+    a = [Fraction(x) for x in terms]
+    for order in range(max_order + 1):
+        coeffs = _solve_hankel(a, order)
+        if coeffs is not None and all(
+            a[n] == sum(c * a[n - i] for i, c in enumerate(coeffs, start=1))
+            for n in range(order, len(a))
+        ):
+            return tuple(coeffs)
+    return None
+
+
+def _solve_hankel(a, order):
+    # rows [a_{n-1}, ..., a_{n-order} | a_n] for n >= order, each reduced by
+    # the pivot rows so far until `order` pivots are found; free unknowns
+    # are 0, and None means a row reduced to 0 = non-zero
+    pivots = []  # (column, row with row[column] == 1)
+    for n in range(order, len(a)):
+        if len(pivots) == order:
+            break
+        row = [a[n - i] for i in range(1, order + 1)] + [a[n]]
+        for col, pivot_row in pivots:
+            factor = row[col]
+            if factor:
+                row = [x - factor * y for x, y in zip(row, pivot_row)]
+        col = next((j for j in range(order) if row[j]), None)
+        if col is None:
+            if row[-1]:
+                return None
+            continue
+        pivots.append((col, [x / row[col] for x in row]))
+    x = [Fraction(0)] * order
+    for col, row in reversed(pivots):
+        x[col] = row[-1] - sum(row[j] * x[j] for j in range(order) if j != col)
+    return x

@@ -159,6 +159,32 @@ class TestZetaCommand:
         assert json.loads(out)["orbit_counts"] == ["2", "1", "2", "3"]
 
 
+class TestMaxOrderRefusedUpFront:
+    """A bad --max-order exits 2 before the series is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_series(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("zeta_for_system must not be called")
+
+        monkeypatch.setattr("sintdyn.cli.zeta_for_system", fail)
+
+    @pytest.mark.parametrize(
+        "terms, max_order, message",
+        [
+            ("3000", "0", "--max-order must be positive: got 0"),
+            ("3000", "2000", "--max-order: need at least 4002 series terms, got 3001"),
+            ("4", "2", "--max-order: need at least 6 series terms, got 5"),
+        ],
+    )
+    def test_refused(self, capsys, terms, max_order, message):
+        status, out, err = run_cli(
+            capsys, "zeta", "--p", "2", "--system", "full", "--terms", terms,
+            "--max-order", max_order,
+        )
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestOtherCommands:
     def test_places(self, capsys):
         _, out, _ = run_cli(capsys, "places", "--p", "2", "--max-degree", "2")

@@ -1,9 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from sintdyn.ffpoly import PrimeField
-from sintdyn.system import example85_system, full_shift, random_system, trivial_system
+from sintdyn.system import (
+    OmegaSource,
+    SystemSpec,
+    example85_system,
+    full_shift,
+    random_system,
+    trivial_system,
+)
 from sintdyn.zeta import (
     InvalidCountsError,
     ZetaSeries,
@@ -14,7 +22,7 @@ from sintdyn.zeta import (
     zeta_for_system,
 )
 
-from oracles import exact_period_orbits, series_exponential
+from oracles import exact_period_orbits, minimal_recurrence, series_exponential
 
 
 class TestZetaCoefficients:
@@ -148,3 +156,63 @@ class TestFindLinearRecurrence:
         terms = [2**m for m in range(14)]
         terms[-1] += 1
         assert find_linear_recurrence(ZetaSeries(tuple(terms)), 5) is None
+
+
+def _recurrent_terms(rng, order, n_terms):
+    # a_n = sum c_i a_{n-i} with c_order != 0 and random initial terms
+    coeffs = [rng.randint(-4, 4) for _ in range(order)]
+    if order:
+        coeffs[-1] = rng.choice((-3, -1, 1, 2))
+    terms = [rng.randint(-9, 9) for _ in range(order)]
+    while len(terms) < n_terms:
+        terms.append(sum(c * terms[-i] for i, c in enumerate(coeffs, start=1)))
+    return terms[:n_terms]
+
+
+class TestRecurrenceAgainstOracle:
+    """find_linear_recurrence against the Hankel-elimination oracle."""
+
+    @pytest.mark.parametrize("order", range(9))
+    def test_seeded_recurrences(self, order):
+        rng = random.Random(9000 + order)
+        for trial in range(8):
+            max_order = rng.randint(max(order, 1), 10)
+            terms = _recurrent_terms(rng, order, 2 * max_order + 2 + rng.randrange(12))
+            if trial % 2:
+                terms[rng.randrange(len(terms))] += rng.choice((-5, -1, 1, 3))
+            found = find_linear_recurrence(ZetaSeries(tuple(terms)), max_order)
+            assert found == minimal_recurrence(terms, max_order)
+            if trial % 2 == 0:
+                assert found is not None and len(found) <= order
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_early_stop_boundary(self, order):
+        # exactly 2 * max_order + 2 terms, max_order just below, at and above L
+        rng = random.Random(9100 + order)
+        below = []
+        for _ in range(6):
+            for max_order in range(max(order - 1, 1), order + 2):
+                terms = _recurrent_terms(rng, order, 2 * max_order + 2)
+                found = find_linear_recurrence(ZetaSeries(tuple(terms)), max_order)
+                assert found == minimal_recurrence(terms, max_order)
+                if max_order < order:
+                    below.append(found)
+                else:
+                    assert found is not None
+        assert order == 1 or None in below
+
+    @pytest.mark.parametrize(
+        "p, places, n_terms, max_order",
+        [
+            (3, ((-1, 1),), 110, 20),
+            (2, ((1, 1, 1), (1, 1, 0, 1)), 130, 30),
+            (2, ((1, 1, 1), (1, 0, 1, 1)), 130, 30),
+        ],
+    )
+    def test_no_short_recurrence(self, p, places, n_terms, max_order):
+        # example85 at p = 3 and explicit {t^2+t+1, one cubic} at p = 2
+        field = PrimeField(p)
+        spec = SystemSpec(field, OmegaSource.explicit(field.poly(v) for v in places))
+        series = zeta_for_system(spec, n_terms)
+        assert find_linear_recurrence(series, max_order) is None
+        assert minimal_recurrence(series.terms, max_order) is None
