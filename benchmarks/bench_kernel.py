@@ -12,16 +12,26 @@ series: two without a short recurrence and one that has one.
 """
 
 import argparse
+import contextlib
 import random
 import time
 
 from sintdyn import _kernel
+from sintdyn._kernel import _pypoly
 from sintdyn.cyclofactor import _cyclotomic_coeffs, _cyclotomic_factors, factor_tn_minus_1
 from sintdyn.ffpoly import PrimeField, factorize
 from sintdyn.limitset import verify_construction
 from sintdyn.orders import _irreducible_order
 from sintdyn.system import OmegaSource, SystemSpec, example85_system, full_shift
 from sintdyn.zeta import find_linear_recurrence, zeta_for_system
+
+try:
+    from sintdyn._kernel import _cypoly
+except ImportError:
+    BACKENDS = {"python": _pypoly}
+else:
+    BACKENDS = {"cython": _cypoly, "python": _pypoly}
+KERNEL_OPS = ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd")
 
 
 def _random_poly(rng, p, degree):
@@ -55,11 +65,23 @@ def bench_kernel_ops(repeats):
             }
             for op, call in cases.items():
                 timings = {}
-                for name in _kernel.available_backends():
-                    impl = _kernel._module_for(name)
+                for name, impl in BACKENDS.items():
                     timings[name] = _time(lambda: call(impl), repeats)
                 rows.append((f"p={p}", f"deg={degree}", op, timings))
     return rows
+
+
+@contextlib.contextmanager
+def _kernel_from(module):
+    """Route every sintdyn._kernel call through module, then restore."""
+    active = {op: getattr(_kernel, op) for op in KERNEL_OPS}
+    for op in KERNEL_OPS:
+        setattr(_kernel, op, getattr(module, op))
+    try:
+        yield
+    finally:
+        for op, fn in active.items():
+            setattr(_kernel, op, fn)
 
 
 def _clear_caches():
@@ -87,8 +109,8 @@ def bench_end_to_end(repeats):
     })
     for label, workload in workloads.items():
         timings = {}
-        for name in _kernel.available_backends():
-            with _kernel.backend(name):
+        for name, module in BACKENDS.items():
+            with _kernel_from(module):
                 timings[name] = _time(workload, repeats, _clear_caches)
         rows.append((label, "", "", timings))
     return rows
@@ -107,7 +129,7 @@ def bench_series(repeats):
         series = zeta_for_system(spec, n_terms)
         timing = _time(lambda: find_linear_recurrence(series, max_order), repeats)
         # no kernel call: the same timing serves every backend column
-        rows.append((label, "", "", dict.fromkeys(_kernel.available_backends(), timing)))
+        rows.append((label, "", "", dict.fromkeys(BACKENDS, timing)))
     return rows
 
 
@@ -116,24 +138,23 @@ def main():
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N timing")
     args = parser.parse_args()
 
-    backends = _kernel.available_backends()
-    print(f"available backends: {', '.join(backends)} (active: {_kernel.backend_name()})")
-    if "cython" not in backends:
+    print(f"available backends: {', '.join(BACKENDS)} (active: {_kernel.backend_name()})")
+    if "cython" not in BACKENDS:
         print("compiled backend not built; timing the pure backend only")
 
     rows = bench_kernel_ops(args.repeats) + bench_end_to_end(args.repeats)
     rows += bench_series(args.repeats)
-    header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in backends)
-    if len(backends) == 2:
+    header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in BACKENDS)
+    if len(BACKENDS) == 2:
         header += f" {'speedup':>9s}"
     print(header)
     print("-" * len(header))
     for case, size, op, timings in rows:
         label = f"{case} {size}".strip()
         line = f"{label:48s} {op:8s}"
-        for name in backends:
+        for name in BACKENDS:
             line += f" {timings[name] * 1e3:10.3f}ms"
-        if len(backends) == 2:
+        if len(BACKENDS) == 2:
             line += f" {timings['python'] / timings['cython']:8.1f}x"
         print(line)
 

@@ -1,35 +1,15 @@
-"""Build script: compiles the optional polynomial kernel extension.
+"""Build script: compiles the polynomial kernel from the committed C.
 
-The package is fully functional without the extension (a pure-Python
-kernel is selected at import time), so a failed compile is tolerated.
-Set SINTDYN_NO_EXT=1 to skip the extension build entirely.
+``_cypoly.c`` is generated from ``_cypoly.pyx`` by Cython and committed, so
+the build needs only a C compiler.  The extension is optional: when it does
+not compile, the package imports the pure-Python kernel instead.
 """
-
-import os
 
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("SINTDYN_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext = Extension(
-            "sintdyn._kernel._cypoly",
-            sources=["src/sintdyn/_kernel/_cypoly.pyx"],
-            extra_compile_args=["-O3"],
-        )
-        ext.optional = True
-        ext_modules = cythonize(
-            [ext],
-            compiler_directives={
-                "language_level": "3",
-                "boundscheck": False,
-                "wraparound": False,
-                "cdivision": True,
-            },
-        )
-    except ImportError:
-        pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension(
+    "sintdyn._kernel._cypoly",
+    sources=["src/sintdyn/_kernel/_cypoly.c"],
+    extra_compile_args=["-O3"],
+    optional=True,
+)])

@@ -1,74 +1,15 @@
-"""Kernel backend selection: compiled extension with pure-Python fallback.
-
-The compiled backend (_cypoly, built from Cython) is picked at import time
-when available; otherwise the pure-Python backend (_pypoly) is used.  Set
-SINTDYN_PURE_PYTHON=1 to force the fallback.  Both backends implement the
-same six functions over canonical coefficient lists and are interchangeable.
-
-``backend(name)`` temporarily swaps the active implementation; it mutates
-module-level state and exists for benchmarks and backend-equivalence tests,
-not for concurrent production use.
+"""Polynomial kernel over F_p: the compiled extension ``_cypoly`` when it
+was built, otherwise the pure-Python ``_pypoly``.  Both implement the same
+six functions over canonical coefficient lists; ``ffpoly`` looks them up
+here at call time.
 """
 
-import contextlib
-import os
-
-from . import _pypoly
-
-if os.environ.get("SINTDYN_PURE_PYTHON") == "1":
-    _cypoly = None
-else:
-    try:
-        from . import _cypoly
-    except ImportError:
-        _cypoly = None
-
-_active = _cypoly if _cypoly is not None else _pypoly
-
-mul = _active.mul
-div_rem = _active.div_rem
-rem = _active.rem
-mul_mod = _active.mul_mod
-pow_mod = _active.pow_mod
-gcd = _active.gcd
-
-_FUNCTIONS = ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd")
+try:
+    from ._cypoly import BACKEND, div_rem, gcd, mul, mul_mod, pow_mod, rem
+except ImportError:
+    from ._pypoly import BACKEND, div_rem, gcd, mul, mul_mod, pow_mod, rem
 
 
 def backend_name() -> str:
     """Name of the active backend: "cython" or "python"."""
-    return _active.BACKEND
-
-
-def available_backends() -> list[str]:
-    backends = ["python"]
-    if _cypoly is not None:
-        backends.insert(0, "cython")
-    return backends
-
-
-def _module_for(name):
-    if name == "python":
-        return _pypoly
-    if name == "cython":
-        if _cypoly is None:
-            raise ValueError("compiled backend is not available")
-        return _cypoly
-    raise ValueError(f"unknown backend {name!r}")
-
-
-@contextlib.contextmanager
-def backend(name: str):
-    """Temporarily activate the named backend (testing/benchmark hook)."""
-    global _active
-    previous = _active
-    _active = _module_for(name)
-    module_globals = globals()
-    for fn in _FUNCTIONS:
-        module_globals[fn] = getattr(_active, fn)
-    try:
-        yield
-    finally:
-        _active = previous
-        for fn in _FUNCTIONS:
-            module_globals[fn] = getattr(_active, fn)
+    return BACKEND

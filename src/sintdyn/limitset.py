@@ -188,9 +188,15 @@ def verify_construction(
     pi_irreducible = is_irreducible(pi)
     checks.append(("pi_irreducible", pi_irreducible))
 
+    marked = {pi}
+    fixed_contribution = 0
+    if mark_t_minus_1:
+        marked.add(field.poly([-1, 1]))
+        fixed_contribution = 1
     target = q * nj
     tn = field.tn_minus_1(target)
-    mult_brute = ord_brute(pi, tn)
+    mult_brute_of = {v: ord_brute(v, tn) for v in marked}
+    mult_brute = mult_brute_of[pi]
     mult_fast = ord_in_tn_minus_1(pi, target) if pi_irreducible else mult_brute
     checks.append(("multiplicity_one", mult_fast == 1 and mult_brute == 1))
 
@@ -203,14 +209,9 @@ def verify_construction(
     pi_qnj = cyclotomic_poly(field, target)
     checks.append(("squarefree", poly_gcd(pi_qnj, pi_qnj.derivative()).degree == 0))
 
-    marked = {pi}
-    fixed_contribution = 0
-    if mark_t_minus_1:
-        marked.add(field.poly([-1, 1]))
-        fixed_contribution = 1
     spec = SystemSpec(field, OmegaSource.explicit(marked), f"construction(q={q}, nj={nj})")
     e_qnj = periodic_exponent(spec, target).e
-    e_direct = target - sum(ord_brute(v, tn) * v.degree for v in marked)
+    e_direct = target - sum(m * v.degree for v, m in mult_brute_of.items())
     checks.append(("exponent_consistent", e_qnj == e_direct))
     checks.append(("exponent_value", e_qnj == target - (nj - 1) - fixed_contribution))
 

@@ -3,13 +3,14 @@ be interchangeable on identical inputs, and both must satisfy the ring
 identities checked against a dict-based reference multiplication."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from sintdyn import _kernel
 from sintdyn._kernel import _pypoly
 
-BACKENDS = _kernel.available_backends()
+BACKENDS = ("python", "cython")
 PRIMES = (2, 3, 5, 2147483647)
 
 
@@ -34,14 +35,20 @@ def _random_poly(rng, p, max_degree, nonzero=False):
     return c
 
 
-def _impl(name):
-    return _kernel._module_for(name)
+def _module(kernel_modules, name):
+    if name not in kernel_modules:
+        pytest.skip("compiled backend not built")
+    return kernel_modules[name]
+
+
+@pytest.fixture
+def impl(kernel_modules, name):
+    return _module(kernel_modules, name)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("name", BACKENDS)
-def test_mul_matches_reference(name, p):
-    impl = _impl(name)
+def test_mul_matches_reference(impl, p):
     rng = random.Random(1000 + p)
     for _ in range(150):
         a = _random_poly(rng, p, 12)
@@ -51,8 +58,7 @@ def test_mul_matches_reference(name, p):
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("name", BACKENDS)
-def test_div_rem_identity(name, p):
-    impl = _impl(name)
+def test_div_rem_identity(impl, p):
     rng = random.Random(2000 + p)
     for _ in range(150):
         a = _random_poly(rng, p, 14)
@@ -70,10 +76,8 @@ def test_div_rem_identity(name, p):
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
-def test_backends_agree_everywhere(p):
-    if "cython" not in BACKENDS:
-        pytest.skip("compiled backend not built")
-    cy = _impl("cython")
+def test_backends_agree_everywhere(kernel_modules, p):
+    cy = _module(kernel_modules, "cython")
     rng = random.Random(3000 + p)
     for _ in range(120):
         a = _random_poly(rng, p, 16)
@@ -89,8 +93,7 @@ def test_backends_agree_everywhere(p):
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-def test_pow_mod_matches_repeated_multiplication(name):
-    impl = _impl(name)
+def test_pow_mod_matches_repeated_multiplication(impl):
     p = 5
     rng = random.Random(4)
     for _ in range(40):
@@ -105,8 +108,7 @@ def test_pow_mod_matches_repeated_multiplication(name):
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-def test_pow_mod_huge_exponent(name):
-    impl = _impl(name)
+def test_pow_mod_huge_exponent(impl):
     # t has order 15 modulo t^4+t+1 over F_2
     m = [1, 1, 0, 0, 1]
     t = [0, 1]
@@ -116,8 +118,7 @@ def test_pow_mod_huge_exponent(name):
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-def test_gcd_monic_and_divides(name):
-    impl = _impl(name)
+def test_gcd_monic_and_divides(impl):
     p = 3
     rng = random.Random(5)
     for _ in range(80):
@@ -130,8 +131,7 @@ def test_gcd_monic_and_divides(name):
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-def test_edge_cases(name):
-    impl = _impl(name)
+def test_edge_cases(impl):
     with pytest.raises(ZeroDivisionError):
         impl.div_rem([1, 1], [], 2)
     with pytest.raises(ZeroDivisionError):
@@ -143,3 +143,17 @@ def test_edge_cases(name):
     assert impl.pow_mod([0, 1], 0, [1, 1, 1], 2) == [1]
     assert impl.pow_mod([0, 1], 7, [4], 5) == []
     assert impl.div_rem([1], [0, 1], 2) == ([], [1])
+
+
+def test_committed_c_matches_pyx():
+    """Each block of _cypoly.c quotes one line of _cypoly.pyx, marked
+    "# <<<<<<<<<<<<<<"; every quote must equal that line of the current .pyx,
+    so a .pyx edit without regenerating the C fails here."""
+    kernel_dir = Path(_pypoly.__file__).parent
+    pyx = (kernel_dir / "_cypoly.pyx").read_text().splitlines()
+    c_source = (kernel_dir / "_cypoly.c").read_text()
+    block = r'/\* "sintdyn/_kernel/_cypoly\.pyx":(\d+)\n'
+    quotes = re.findall(block + r"(?: \*.*\n)*? \* (.*?) *# <{14}\n", c_source)
+    assert quotes and len(quotes) == len(re.findall(block, c_source))
+    for n, quoted in quotes:
+        assert pyx[int(n) - 1].rstrip() == quoted, f"_cypoly.pyx line {n}"
