@@ -1,12 +1,20 @@
-"""Benchmark the compiled kernel against the pure-Python fallback.
+"""Benchmark the list kernels (compiled and pure Python) against each other
+and against the packed p = 2 kernel.
 
 Times the four hot kernel primitives at several degrees and characteristics,
-plus end-to-end library workloads running entirely on each backend: the
+plus end-to-end library workloads running entirely on each list backend: the
 cyclotomic splitting of every pi_d with d <= 200, t^1023 - 1 over F_2, a
-general factorization and a construction check.  The library caches are
-cleared before every repetition, so these rows time cold runs.  The series
-rows time Berlekamp-Massey (find_linear_recurrence) alone on prebuilt zeta
-series: two without a short recurrence and one that has one.
+general factorization and a construction check.  The "kernel" column is
+sintdyn._kernel as the library calls it: the packed kernel at p = 2 (list
+conversion included) and the list backend that was built at odd p; it is
+timed on the p = 2 primitive rows and on every end-to-end row.  The p = 2
+rows at degree 128 to 2048 time gcd, rem and pow_mod, and one cold row
+splits pi_d for every odd d <= 2000 (not run on the pure list kernel,
+which needs nearly three minutes).  The library caches are cleared before
+every repetition, so the end-to-end rows time cold runs.  The series rows
+time Berlekamp-Massey (find_linear_recurrence) alone on prebuilt zeta
+series: two without a short recurrence and one that has one.  A cell that
+takes over a second is timed once.
 
     python benchmarks/bench_kernel.py [--repeats N]
 """
@@ -32,6 +40,8 @@ except ImportError:
 else:
     BACKENDS = {"cython": _cypoly, "python": _pypoly}
 KERNEL_OPS = ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd")
+# the list backends, then the dispatching kernel (packed at p = 2)
+COLUMNS = (*BACKENDS, "kernel")
 
 
 def _random_poly(rng, p, degree):
@@ -45,6 +55,8 @@ def _time(fn, repeats, setup=lambda: None):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
+        if best > 1.0:
+            break
     return best
 
 
@@ -67,7 +79,31 @@ def bench_kernel_ops(repeats):
                 timings = {}
                 for name, impl in BACKENDS.items():
                     timings[name] = _time(lambda: call(impl), repeats)
+                if p == 2:
+                    timings["kernel"] = _time(lambda: call(_kernel), repeats)
                 rows.append((f"p={p}", f"deg={degree}", op, timings))
+    return rows
+
+
+def bench_packed_ops(repeats):
+    # p = 2 at the degrees the cyclotomic split and the Rabin tests reach;
+    # pow_mod raises to 2**16 as a Rabin test does (Frobenius powers)
+    rows = []
+    for degree in (128, 512, 1024, 2048):
+        rng = random.Random(degree)
+        a, b, m = (_random_poly(rng, 2, degree) for _ in range(3))
+        ab = _pypoly.mul(a, b, 2)
+        cases = {
+            "gcd": lambda impl: impl.gcd(a, b, 2),
+            "rem": lambda impl: impl.rem(ab, m, 2),
+            "pow_mod": lambda impl: impl.pow_mod(a, 2**16, m, 2),
+        }
+        for op, call in cases.items():
+            timings = {
+                name: _time(lambda: call(impl), repeats)
+                for name, impl in (*BACKENDS.items(), ("kernel", _kernel))
+            }
+            rows.append(("p=2", f"deg={degree}", op, timings))
     return rows
 
 
@@ -112,7 +148,15 @@ def bench_end_to_end(repeats):
         for name, module in BACKENDS.items():
             with _kernel_from(module):
                 timings[name] = _time(workload, repeats, _clear_caches)
+        timings["kernel"] = _time(workload, repeats, _clear_caches)
         rows.append((label, "", "", timings))
+    # the pure list kernel needs nearly three minutes for this row
+    split = lambda: _split_all(2, 2000)
+    timings = {"kernel": _time(split, repeats, _clear_caches)}
+    if "cython" in BACKENDS:
+        with _kernel_from(_cypoly):
+            timings["cython"] = _time(split, repeats, _clear_caches)
+    rows.append(("_cyclotomic_factors(p=2, odd d<=2000)", "", "", timings))
     return rows
 
 
@@ -128,8 +172,8 @@ def bench_series(repeats):
     for label, (spec, n_terms, max_order) in cases.items():
         series = zeta_for_system(spec, n_terms)
         timing = _time(lambda: find_linear_recurrence(series, max_order), repeats)
-        # no kernel call: the same timing serves every backend column
-        rows.append((label, "", "", dict.fromkeys(BACKENDS, timing)))
+        # no kernel call: the same timing serves every column
+        rows.append((label, "", "", dict.fromkeys(COLUMNS, timing)))
     return rows
 
 
@@ -138,24 +182,29 @@ def main():
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N timing")
     args = parser.parse_args()
 
-    print(f"available backends: {', '.join(BACKENDS)} (active: {_kernel.backend_name()})")
+    print(f"list backends: {', '.join(BACKENDS)} (built: {_kernel.backend_name()})")
     if "cython" not in BACKENDS:
-        print("compiled backend not built; timing the pure backend only")
+        print("compiled backend not built; timing the pure list backend only")
 
-    rows = bench_kernel_ops(args.repeats) + bench_end_to_end(args.repeats)
-    rows += bench_series(args.repeats)
-    header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in BACKENDS)
-    if len(BACKENDS) == 2:
-        header += f" {'speedup':>9s}"
+    rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
+    rows += bench_end_to_end(args.repeats) + bench_series(args.repeats)
+    header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in COLUMNS)
+    if "cython" in BACKENDS:
+        header += f" {'py/cy':>9s}"
+    header += f" {'list/kernel':>12s}"
     print(header)
     print("-" * len(header))
     for case, size, op, timings in rows:
         label = f"{case} {size}".strip()
         line = f"{label:48s} {op:8s}"
-        for name in BACKENDS:
-            line += f" {timings[name] * 1e3:10.3f}ms"
-        if len(BACKENDS) == 2:
-            line += f" {timings['python'] / timings['cython']:8.1f}x"
+        for name in COLUMNS:
+            line += f" {timings[name] * 1e3:10.3f}ms" if name in timings else f" {'-':>12s}"
+        if "cython" in BACKENDS:
+            ratio = timings["python"] / timings["cython"] if "python" in timings else None
+            line += f" {ratio:8.1f}x" if ratio else f" {'-':>9s}"
+        fastest_list = min((timings[name] for name in BACKENDS if name in timings), default=None)
+        if fastest_list and "kernel" in timings:
+            line += f" {fastest_list / timings['kernel']:11.1f}x"
         print(line)
 
 

@@ -1,9 +1,9 @@
 """Exact periodic-point counts, dynamical zeta series, and growth-rate
 limit points for S-integer dynamical systems over F_p(t).
 
-The heavy polynomial kernels run on a compiled extension when it is
-available and fall back to pure Python otherwise; kernel_backend() reports
-which one is active.
+The polynomial kernel runs packed into Python ints at p = 2; at odd p it
+runs on a compiled extension when it is available and falls back to pure
+Python otherwise, and kernel_backend() reports which of those two is active.
 """
 
 from ._kernel import backend_name as kernel_backend

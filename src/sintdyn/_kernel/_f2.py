@@ -1,0 +1,114 @@
+"""The polynomial kernel at p = 2, on polynomials packed into Python ints.
+
+Bit i of an int is the coefficient of t**i, so addition is ``^`` and every
+operation is a sequence of shifts and xors that CPython runs word by word
+in C (Brent, Gaudry, Thome & Zimmermann, "Faster multiplication in
+GF(2)[x]", ANTS 2008).  The six public functions take and return the
+coefficient lists of ``_pypoly`` (without the p argument) with the same
+semantics; ``pack`` and ``unpack`` convert at that boundary, in C through
+``bytes.translate``.
+"""
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def pack(a: list) -> int:
+    """The int whose bit i is a[i] (a a canonical list over F_2)."""
+    return int(bytes(reversed(a)).translate(_TO_DIGITS), 2) if a else 0
+
+
+def unpack(x: int) -> list:
+    """The canonical coefficient list of x, lowest degree first."""
+    return list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS)) if x else []
+
+
+def _mul(x: int, y: int) -> int:
+    if x.bit_length() > y.bit_length():
+        x, y = y, x
+    r = 0
+    for i, bit in enumerate(bin(x)[:1:-1]):
+        if bit == "1":
+            r ^= y << i
+    return r
+
+
+def _square(x: int) -> int:
+    # squaring over F_2 moves bit i to bit 2i: the binary digits of x read
+    # as base-4 digits
+    return int(format(x, "b"), 4)
+
+
+def _rem(x: int, m: int) -> int:
+    dm = m.bit_length()
+    if not dm:
+        raise ZeroDivisionError("division by zero polynomial")
+    shift = x.bit_length() - dm
+    while shift >= 0:
+        x ^= m << shift
+        shift = x.bit_length() - dm
+    return x
+
+
+def _div_rem(x: int, m: int) -> tuple[int, int]:
+    dm = m.bit_length()
+    if not dm:
+        raise ZeroDivisionError("division by zero polynomial")
+    shift = x.bit_length() - dm
+    if shift < 0:
+        return 0, x
+    q = bytearray(shift + 1)  # q[i] is the coefficient of t**i
+    while shift >= 0:
+        q[shift] = 1
+        x ^= m << shift
+        shift = x.bit_length() - dm
+    return pack(q), x
+
+
+def _gcd(x: int, y: int) -> int:
+    while y:
+        x, y = y, _rem(x, y)
+    return x
+
+
+def _pow_mod(x: int, exp: int, m: int) -> int:
+    if not m:
+        raise ZeroDivisionError("division by zero polynomial")
+    if exp < 0:
+        raise ValueError("negative exponent")
+    if m == 1:
+        return 0
+    if exp == 0:
+        return 1
+    x = _rem(x, m)
+    r = 1
+    for bit in bin(exp)[2:]:
+        r = _rem(_square(r), m)
+        if bit == "1":
+            r = _rem(_mul(r, x), m)
+    return r
+
+
+def mul(a: list, b: list) -> list:
+    return unpack(_mul(pack(a), pack(b)))
+
+
+def div_rem(a: list, b: list) -> tuple[list, list]:
+    q, r = _div_rem(pack(a), pack(b))
+    return unpack(q), unpack(r)
+
+
+def rem(a: list, b: list) -> list:
+    return unpack(_rem(pack(a), pack(b)))
+
+
+def mul_mod(a: list, b: list, m: list) -> list:
+    return unpack(_rem(_mul(pack(a), pack(b)), pack(m)))
+
+
+def pow_mod(base: list, exp: int, m: list) -> list:
+    return unpack(_pow_mod(pack(base), exp, pack(m)))
+
+
+def gcd(a: list, b: list) -> list:
+    return unpack(_gcd(pack(a), pack(b)))

@@ -132,7 +132,9 @@ def _coset_sums(field: PrimeField, d: int):
         while not seen[i]:
             seen[i] = coeffs[i] = 1
             i = i * p % d
-        yield Poly(field, coeffs)
+        while not coeffs[-1]:
+            coeffs.pop()
+        yield Poly(field, tuple(coeffs), _canonical=True)
 
 
 def _frobenius_fixed(field: PrimeField, d: int, pi: Poly, rng: random.Random):

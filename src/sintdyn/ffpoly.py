@@ -2,9 +2,10 @@
 
 A Poly is an immutable canonical coefficient vector (lowest degree first,
 residues in [0, p), no trailing zeros; the zero polynomial has an empty
-vector and no defined degree).  Dense arithmetic is delegated to the
-kernel backend; everything else (gcd structure, irreducibility, full
-factorization) lives here.
+vector and no defined degree).  Dense arithmetic is delegated to
+``_kernel``, which runs it packed into ints at p = 2 and on coefficient
+lists (compiled or pure Python) at odd p; everything else (gcd structure,
+irreducibility, full factorization) lives here.
 
 Factorization uses squarefree/distinct-degree splitting followed by
 Cantor-Zassenhaus equal-degree splitting.  The equal-degree step is
@@ -129,7 +130,7 @@ class PrimeField:
         """The polynomial t**n - 1."""
         if n < 1:
             raise ValueError(f"n must be positive: got {n}")
-        return self.poly([-1] + [0] * (n - 1) + [1])
+        return Poly(self, (self.p - 1,) + (0,) * (n - 1) + (1,), _canonical=True)
 
 
 class Poly:

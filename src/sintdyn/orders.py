@@ -1,17 +1,24 @@
 """Multiplicative orders of integers and polynomials, and the exact
 multiplicity of an irreducible in t**n - 1.
 
-The order of a polynomial g with g(0) != 0 is the least e with g | t**e - 1.
-For irreducible v of degree m it divides p**m - 1 and is found by factoring
-that group order and descending through its prime factors; for a power
-v**b it is order(v) * p**d with d minimal such that p**d >= b (the standard
-order-of-a-power rule for finite fields); orders of coprime parts combine
-by lcm.
-
+A polynomial v divides t**m - 1 exactly when t**m = 1 mod v: one modular
+power with about log2(m) squarings.  ord_in_tn_minus_1 and the explicit
+places of system ask only that question, never for the order of v.
 ord_in_tn_minus_1 uses the decomposition n = n' * p**e: since t**n - 1 =
 (t**n' - 1)**(p**e) and t**n' - 1 is squarefree, the multiplicity of v is
-p**e when order(v) divides n' and 0 otherwise.  ord_brute is the
-independent repeated-division oracle guarding that rule.
+p**e when t**n' = 1 mod v and 0 otherwise.  ord_brute is the independent
+repeated-division oracle guarding that rule.
+
+The order of a polynomial g with g(0) != 0 is the least e with g | t**e - 1
+(poly_order).  For irreducible v of degree m it divides p**m - 1 and is
+found by factoring that group order and descending through its prime
+factors; for a power v**b it is order(v) * p**d with d minimal such that
+p**d >= b (the standard order-of-a-power rule for finite fields); orders of
+coprime parts combine by lcm.  Factoring p**m - 1 is Pollard rho on an
+integer of m log2(p) bits, whose cost grows with its second-largest prime
+factor: at p = 2, poly_order of 1 + t + ... + t**268 took 2.3 s and that
+of 1 + t + ... + t**316 did not finish in 40 s (x86-64, Python 3.11).  Only
+poly_order pays it.
 """
 
 import functools
@@ -37,9 +44,15 @@ def multiplicative_order(a: int, m: int) -> int:
     return order
 
 
+def _divides_t_power_minus_1(v: Poly, m: int) -> bool:
+    # v | t**m - 1 exactly when t**m = 1 mod v (v nonconstant)
+    return poly_powmod(v.field.t, m, v) == v.field.one
+
+
 @functools.lru_cache(maxsize=None)
 def _irreducible_order(v: Poly) -> int:
-    # order of t in the field F_p[t]/<v>; divides p**deg(v) - 1
+    # order of t in the field F_p[t]/<v>; divides p**deg(v) - 1, which is
+    # factored with Pollard rho (see the module docstring for its cost)
     field = v.field
     p = field.p
     group = p**v.degree - 1
@@ -87,9 +100,7 @@ def ord_in_tn_minus_1(v: Poly, n: int) -> int:
         raise ValueError(f"expected a monic irreducible polynomial: got {v}")
     p = v.field.p
     n_coprime, e = intmath.coprime_part(n, p)
-    if n_coprime % _irreducible_order(v) == 0:
-        return p**e
-    return 0
+    return p**e if _divides_t_power_minus_1(v, n_coprime) else 0
 
 
 def ord_brute(v: Poly, f: Poly) -> int:

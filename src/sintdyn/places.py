@@ -20,20 +20,11 @@ from .orders import ord_brute
 @dataclass(frozen=True)
 class Place:
     """The infinite place (poly=None) or a finite place given by a monic
-    irreducible polynomial."""
+    irreducible polynomial.  Place.finite and Place.from_json check the
+    polynomial; the constructor trusts it, for callers that already know it
+    is a monic irreducible."""
 
     poly: Poly | None = None
-
-    def __post_init__(self):
-        v = self.poly
-        if v is None:
-            return
-        if v.is_zero or v.degree < 1:
-            raise ValueError("a finite place needs a nonconstant polynomial")
-        if not v.is_monic:
-            raise ValueError(f"finite place polynomial must be monic: got {v}")
-        if not is_irreducible(v):
-            raise ValueError(f"finite place polynomial must be irreducible: got {v}")
 
     @classmethod
     def infinite(cls) -> "Place":
@@ -41,6 +32,12 @@ class Place:
 
     @classmethod
     def finite(cls, v: Poly) -> "Place":
+        if v.is_zero or v.degree < 1:
+            raise ValueError("a finite place needs a nonconstant polynomial")
+        if not v.is_monic:
+            raise ValueError(f"finite place polynomial must be monic: got {v}")
+        if not is_irreducible(v):
+            raise ValueError(f"finite place polynomial must be irreducible: got {v}")
         return cls(v)
 
     @property
@@ -63,7 +60,7 @@ class Place:
         if obj["kind"] == "infinite":
             return cls(None)
         if obj["kind"] == "finite":
-            return cls(field.poly(obj["poly"]))
+            return cls.finite(field.poly(obj["poly"]))
         raise ValueError(f"unknown place kind {obj.get('kind')!r}")
 
     def __str__(self):
@@ -81,7 +78,7 @@ def enumerate_places(field: PrimeField, max_degree: int) -> list[Place]:
         raise ValueError(f"max_degree must be positive: got {max_degree}")
     p = field.p
     t = field.t
-    places = [Place.infinite(), Place.finite(t)]
+    places = [Place.infinite(), Place(t)]
     for degree in range(1, max_degree + 1):
         lead = field.monomial(degree)
         for low_code in range(p**degree):
@@ -89,7 +86,7 @@ def enumerate_places(field: PrimeField, max_degree: int) -> list[Place]:
             if v == t:
                 continue
             if is_irreducible(v):
-                places.append(Place.finite(v))
+                places.append(Place(v))
     return places
 
 

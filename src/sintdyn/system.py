@@ -32,7 +32,7 @@ from typing import NamedTuple
 from . import intmath
 from .cyclofactor import _cyclotomic_factors
 from .ffpoly import Poly, PrimeField, is_irreducible
-from .orders import _irreducible_order, _validate_n
+from .orders import _divides_t_power_minus_1, _validate_n
 from .places import Place
 
 _MARK_SCALE = 2**64
@@ -191,10 +191,22 @@ def _marked_factors(spec: SystemSpec, d: int) -> list[Poly]:
     if omega.mode == "all_zero":
         return []
     if omega.mode == "explicit":
-        # places are irreducible (checked at construction) and an irreducible
-        # other than t divides pi_d exactly when its order is d
-        return [v for v in omega.places if _irreducible_order(v) == d]
+        return [v for v in omega.places if _has_order(v, d)]
     return [v for v in _cyclotomic_factors(spec.field.p, d) if omega.mark(v)]
+
+
+def _has_order(v: Poly, d: int) -> bool:
+    # an irreducible v != t (explicit places are checked at construction)
+    # divides pi_d exactly when its order is d: t**d = 1 mod v, and
+    # t**(d/l) != 1 mod v for every prime l | d.  Only t - 1 has order 1;
+    # any other order divides p**deg(v) - 1, an integer test that rules out
+    # most d before a modular power is taken.
+    p = v.field.p
+    if d == 1:
+        return v.coeffs == (p - 1, 1)
+    if pow(p, v.degree, d) != 1 or not _divides_t_power_minus_1(v, d):
+        return False
+    return not any(_divides_t_power_minus_1(v, d // ell) for ell in intmath.factorint(d))
 
 
 def _marked_degree(spec: SystemSpec, d: int) -> int:
@@ -228,7 +240,7 @@ def inverted_places_dividing(spec: SystemSpec, n: int) -> list[tuple[Place, int,
     n_coprime, k = intmath.coprime_part(n, spec.field.p)
     mult = spec.field.p**k
     rows = [
-        (Place.finite(v), mult, v.degree)
+        (Place(v), mult, v.degree)
         for d in intmath.divisors(n_coprime)
         for v in _marked_factors(spec, d)
     ]

@@ -315,17 +315,48 @@ class TestReproducibility:
         assert out.strip() == f"sintdyn {__version__} (schema {SCHEMA_VERSION})"
 
 
+def run_child(*argv, timeout=None):
+    """`python -m sintdyn argv` in a child process that imports the package
+    under test, wherever pytest found it."""
+    paths = [str(Path(sintdyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, "-m", "sintdyn", *argv], capture_output=True, env=env, timeout=timeout
+    )
+
+
 class TestEndToEndProcess:
     def test_module_invocation_byte_identical(self):
-        argv = [sys.executable, "-m", "sintdyn", "zeta", "--p", "2", "--system",
-                "random", "--rho", "1/3", "--seed", "11", "--terms", "20"]
-        # the child must import the package under test, wherever pytest found it
-        paths = [str(Path(sintdyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        first = subprocess.run(argv, capture_output=True, env=env)
-        second = subprocess.run(argv, capture_output=True, env=env)
+        argv = ["zeta", "--p", "2", "--system", "random", "--rho", "1/3", "--seed", "11",
+                "--terms", "20"]
+        first = run_child(*argv)
+        second = run_child(*argv)
         assert first.returncode == 0
         assert first.stdout == second.stdout
         doc = json.loads(first.stdout)
         assert doc["N"] == 20
         assert all(isinstance(c, str) for c in doc["coefficients"])
+
+
+class TestHighDegreePlaces:
+    """Places of degree 1018 and 652 are decided by modular powers alone.
+    Both requests once ran for minutes factoring 2**deg - 1; they run in a
+    child process with a timeout, so a return to that cost fails the test
+    instead of hanging the suite."""
+
+    def test_verify_nj_1019(self):
+        result = run_child("verify", "--p", "2", "--q", "3", "--nj", "1019", timeout=60)
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        assert doc["pass"] is True
+        assert doc["multiplicity_in_qnj"] == 1
+        assert doc["qnj_min_factor_degree"] == 1018
+
+    def test_count_explicit_place_of_degree_652(self):
+        # 1 + t + ... + t^652 is irreducible over F_2 (2 is primitive mod
+        # 653) and has order 653, so it divides t^1959 - 1 exactly once
+        place = ",".join(["1"] * 653)
+        result = run_child("count", "--p", "2", "--system", "explicit", "--place", place,
+                           "--n", "1959", timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"n": 1959, "e": 1307, "count": str(2**1307)}

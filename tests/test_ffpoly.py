@@ -251,3 +251,41 @@ class TestFactorize:
             for op in ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd"):
                 monkeypatch.setattr(_kernel, op, getattr(module, op))
             assert factorize(f) == first
+
+
+
+class TestAgainstSympyAtP2:
+    """At p = 2 every kernel call takes the packed path; is_irreducible and
+    factorize must still agree with sympy on seeded random polynomials of
+    degree <= 64: products with repeated factors, arbitrary ones, and ones
+    of degree <= 20 with no root in F_2, a third of which are irreducible."""
+
+    def test_is_irreducible_and_factorize(self, F2):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(64)
+        irreducible = 0
+        for case in range(150):
+            if case % 3 == 0:
+                f = F2.one
+                for _ in range(3):
+                    g = _random_poly(F2, rng, 7, nonzero=True)
+                    for _ in range(rng.randrange(1, 4)):
+                        f = f * g
+            elif case % 3 == 1:
+                f = _random_poly(F2, rng, 64)
+            else:
+                f = F2.poly([1] + [rng.randrange(2) for _ in range(rng.randrange(1, 20))] + [1])
+                if sum(f.coeffs) % 2 == 0:
+                    f = f + F2.t
+            if f.is_zero or f.degree < 1:
+                continue
+            reference = sympy.Poly(sum(c * t**i for i, c in enumerate(f.coeffs)), t, modulus=2)
+            _, pairs = reference.factor_list()
+            expected = sorted(
+                (F2.poly(reversed([int(c) for c in v.all_coeffs()])), mult) for v, mult in pairs
+            )
+            assert factorize(f) == expected, str(f)
+            assert is_irreducible(f) == reference.is_irreducible, str(f)
+            irreducible += reference.is_irreducible
+        assert irreducible >= 15

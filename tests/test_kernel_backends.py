@@ -1,6 +1,8 @@
-"""Backend equivalence: the compiled kernel and the pure-Python kernel must
-be interchangeable on identical inputs, and both must satisfy the ring
-identities checked against a dict-based reference multiplication."""
+"""Backend equivalence: the compiled kernel, the pure-Python kernel and the
+packed p = 2 kernel must be interchangeable on identical inputs, and all
+must satisfy the ring identities checked against a dict-based reference
+multiplication.  "kernel" is the dispatching sintdyn._kernel, which sends
+p = 2 to the packed kernel."""
 
 import random
 import re
@@ -8,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from sintdyn._kernel import _pypoly
+from sintdyn import _kernel
+from sintdyn._kernel import _f2, _pypoly
 
-BACKENDS = ("python", "cython")
+BACKENDS = ("python", "cython", "kernel")
 PRIMES = (2, 3, 5, 2147483647)
 
 
@@ -36,6 +39,8 @@ def _random_poly(rng, p, max_degree, nonzero=False):
 
 
 def _module(kernel_modules, name):
+    if name == "kernel":
+        return _kernel
     if name not in kernel_modules:
         pytest.skip("compiled backend not built")
     return kernel_modules[name]
@@ -157,3 +162,67 @@ def test_committed_c_matches_pyx():
     assert quotes and len(quotes) == len(re.findall(block, c_source))
     for n, quoted in quotes:
         assert pyx[int(n) - 1].rstrip() == quoted, f"_cypoly.pyx line {n}"
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+
+
+def _packed_matches_pure(op, *args):
+    assert _outcome(getattr(_f2, op), *args) == _outcome(getattr(_pypoly, op), *args, 2), (
+        op, args,
+    )
+
+
+def test_packed_matches_pure_kernel():
+    # degrees 0..2048, most of them small; pow_mod moduli stay below degree
+    # 64 so that the list kernel finishes, with exponents of up to 130 bits
+    rng = random.Random(2048)
+    top = 0
+    for _ in range(60):
+        a, b = (_random_poly(rng, 2, int(2 ** rng.uniform(0, 11))) for _ in range(2))
+        top = max(top, len(a) - 1, len(b) - 1)
+        m = _random_poly(rng, 2, rng.randrange(64))
+        exp = rng.getrandbits(rng.randrange(131))
+        _packed_matches_pure("mul", a, b)
+        _packed_matches_pure("div_rem", a, b)
+        _packed_matches_pure("rem", a, b)
+        _packed_matches_pure("gcd", a, b)
+        _packed_matches_pure("mul_mod", a, b, m)
+        _packed_matches_pure("pow_mod", a, exp, m)
+    assert top > 1024
+
+
+def test_packed_edge_cases():
+    a, m = [1, 0, 1, 1], [1, 1, 0, 0, 1]
+    for op, args in (
+        ("mul", ([], a)), ("mul", (a, [])), ("mul", ([], [])),
+        ("rem", ([], a)), ("rem", (a, [1])), ("rem", (a, [])),
+        ("div_rem", ([], a)), ("div_rem", (a, [1])), ("div_rem", (a, [])),
+        ("div_rem", ([1], a)),
+        ("gcd", ([], [])), ("gcd", ([], a)), ("gcd", (a, [])), ("gcd", (a, a)),
+        ("mul_mod", ([], a, m)), ("mul_mod", (a, a, [1])), ("mul_mod", (a, a, [])),
+        ("pow_mod", (a, 0, m)), ("pow_mod", ([], 0, m)), ("pow_mod", ([], 5, m)),
+        ("pow_mod", (a, 0, [1])), ("pow_mod", (a, 7, [1])),
+        ("pow_mod", (a, 2**64 + 1, m)), ("pow_mod", ([0, 1], 15 * 2**100, m)),
+        ("pow_mod", (a, -1, m)), ("pow_mod", (a, 2, [])), ("pow_mod", (a, -1, [])),
+    ):
+        _packed_matches_pure(op, *args)
+    with pytest.raises(ZeroDivisionError):
+        _f2.pow_mod(a, -1, [])  # the zero modulus is checked first
+    with pytest.raises(ValueError):
+        _f2.pow_mod(a, -1, m)
+    assert _f2.pow_mod([0, 1], 15 * 2**100, m) == [1]  # t has order 15 mod m
+
+
+def test_pack_round_trip():
+    rng = random.Random(11)
+    for degree in (0, 1, 7, 8, 9, 63, 64, 65, 1000, 2048):
+        a = [rng.randrange(2) for _ in range(degree)] + [1]
+        x = _f2.pack(a)
+        assert x == sum(c << i for i, c in enumerate(a))
+        assert _f2.unpack(x) == a
+    assert _f2.pack([]) == 0 and _f2.unpack(0) == []

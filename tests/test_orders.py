@@ -4,13 +4,15 @@ import random
 import pytest
 
 from sintdyn import intmath
-from sintdyn.ffpoly import PrimeField, poly_divmod
+from sintdyn.ffpoly import PrimeField, is_irreducible, poly_divmod
 from sintdyn.orders import (
+    _divides_t_power_minus_1,
     multiplicative_order,
     ord_brute,
     ord_in_tn_minus_1,
     poly_order,
 )
+from sintdyn.system import _has_order
 
 from oracles import sieve_irreducibles
 
@@ -134,6 +136,60 @@ class TestOrdInTnMinus1:
                 assert ord_in_tn_minus_1(v, n) == ord_brute(v, field.tn_minus_1(n)), (
                     str(v), n,
                 )
+
+
+def _rule_places(field):
+    # every monic irreducible of degree <= 10 at p = 2; at p = 3 every one of
+    # degree <= 4 plus two seeded ones of each degree 5..10 (all 6.6k of
+    # degree <= 10 would take minutes of repeated division)
+    if field.p == 2:
+        return sieve_irreducibles(field, 10)
+    places = sieve_irreducibles(field, 4)
+    rng = random.Random(300)
+    for degree in range(5, 11):
+        found = 0
+        while found < 2:
+            v = field.poly([rng.randrange(3) for _ in range(degree)] + [1])
+            if v.constant_term and is_irreducible(v):
+                places.append(v)
+                found += 1
+    return places
+
+
+class TestDivisibilityRule:
+    """ord_in_tn_minus_1 and the explicit places of system decide v | t**m - 1
+    by one modular power, t**m = 1 mod v, and never compute the order of v;
+    both rules are checked against repeated division for every n <= 300."""
+
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_matches_ord_brute(self, p):
+        field = PrimeField(p)
+        tn = [None] + [field.tn_minus_1(n) for n in range(1, 301)]
+        dividing = 0
+        for v in _rule_places(field):
+            if v == field.t:
+                continue
+            brute = [None] + [ord_brute(v, tn[n]) for n in range(1, 301)]
+            order = next((n for n in range(1, 301) if brute[n]), None)
+            for n in range(1, 301):
+                assert _divides_t_power_minus_1(v, n) == (brute[n] > 0), (str(v), n)
+                if brute[n]:
+                    dividing += 1
+                    assert ord_in_tn_minus_1(v, n) == brute[n], (str(v), n)
+                if n % p:
+                    # v divides pi_n exactly when its order is n
+                    assert _has_order(v, n) == (n == order), (str(v), n)
+        assert dividing > 300
+
+    def test_place_of_degree_1018(self, F2):
+        # pi = 1 + t + ... + t^1018 is irreducible (2 is primitive mod 1019)
+        # and has order 1019; finding that order by factoring 2^1018 - 1 with
+        # Pollard rho does not finish in minutes
+        pi = F2.poly([1] * 1019)
+        assert ord_in_tn_minus_1(pi, 3 * 1019 * 4) == 4
+        assert ord_in_tn_minus_1(pi, 3 * 1018) == 0
+        assert _has_order(pi, 1019)
+        assert not _has_order(pi, 3 * 1019)
 
 
 class TestOrdBrute:
