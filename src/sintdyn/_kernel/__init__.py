@@ -1,12 +1,15 @@
 """Polynomial kernel over F_p: six functions over canonical coefficient
 lists, which ``ffpoly`` looks up here at call time.
 
-p = 2 always takes the packed kernel ``_f2``, whatever backend is built.
-Every other p goes to the backend: the compiled extension ``_cypoly`` when
-it was built, otherwise the pure-Python ``_pypoly``.
+p = 2 always takes the packed kernel ``_f2``, whatever backend is built:
+each function packs its list operands into ints, calls ``_f2`` and unpacks
+the result, and this is the only place that converts.  Every other p goes
+to the backend: the compiled extension ``_cypoly`` when it was built,
+otherwise the pure-Python ``_pypoly``.
 """
 
 from . import _f2
+from ._f2 import pack, unpack
 
 try:
     from . import _cypoly as _backend
@@ -15,27 +18,34 @@ except ImportError:
 
 
 def mul(a: list, b: list, p: int) -> list:
-    return _f2.mul(a, b) if p == 2 else _backend.mul(a, b, p)
+    return unpack(_f2.mul(pack(a), pack(b))) if p == 2 else _backend.mul(a, b, p)
 
 
 def div_rem(a: list, b: list, p: int) -> tuple[list, list]:
-    return _f2.div_rem(a, b) if p == 2 else _backend.div_rem(a, b, p)
+    if p != 2:
+        return _backend.div_rem(a, b, p)
+    q, r = _f2.div_rem(pack(a), pack(b))
+    return unpack(q), unpack(r)
 
 
 def rem(a: list, b: list, p: int) -> list:
-    return _f2.rem(a, b) if p == 2 else _backend.rem(a, b, p)
+    return unpack(_f2.rem(pack(a), pack(b))) if p == 2 else _backend.rem(a, b, p)
 
 
 def mul_mod(a: list, b: list, m: list, p: int) -> list:
-    return _f2.mul_mod(a, b, m) if p == 2 else _backend.mul_mod(a, b, m, p)
+    if p != 2:
+        return _backend.mul_mod(a, b, m, p)
+    return unpack(_f2.rem(_f2.mul(pack(a), pack(b)), pack(m)))
 
 
 def pow_mod(base: list, exp: int, m: list, p: int) -> list:
-    return _f2.pow_mod(base, exp, m) if p == 2 else _backend.pow_mod(base, exp, m, p)
+    if p != 2:
+        return _backend.pow_mod(base, exp, m, p)
+    return unpack(_f2.pow_mod(pack(base), exp, pack(m)))
 
 
 def gcd(a: list, b: list, p: int) -> list:
-    return _f2.gcd(a, b) if p == 2 else _backend.gcd(a, b, p)
+    return unpack(_f2.gcd(pack(a), pack(b))) if p == 2 else _backend.gcd(a, b, p)
 
 
 def backend_name() -> str:

@@ -3,10 +3,11 @@
 Bit i of an int is the coefficient of t**i, so addition is ``^`` and every
 operation is a sequence of shifts and xors that CPython runs word by word
 in C (Brent, Gaudry, Thome & Zimmermann, "Faster multiplication in
-GF(2)[x]", ANTS 2008).  The six public functions take and return the
-coefficient lists of ``_pypoly`` (without the p argument) with the same
-semantics; ``pack`` and ``unpack`` convert at that boundary, in C through
-``bytes.translate``.
+GF(2)[x]", ANTS 2008).  ``mul``, ``div_rem``, ``rem``, ``pow_mod`` and
+``gcd`` work on packed ints with the semantics of ``_pypoly`` at p = 2 (the
+same errors, in the same order).  ``pack`` and ``unpack`` convert from and to
+canonical coefficient lists, in C through ``bytes.translate``; ``_kernel``
+converts at its boundary, so nothing else here sees a list.
 """
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -23,7 +24,7 @@ def unpack(x: int) -> list:
     return list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS)) if x else []
 
 
-def _mul(x: int, y: int) -> int:
+def mul(x: int, y: int) -> int:
     if x.bit_length() > y.bit_length():
         x, y = y, x
     r = 0
@@ -39,7 +40,7 @@ def _square(x: int) -> int:
     return int(format(x, "b"), 4)
 
 
-def _rem(x: int, m: int) -> int:
+def rem(x: int, m: int) -> int:
     dm = m.bit_length()
     if not dm:
         raise ZeroDivisionError("division by zero polynomial")
@@ -50,7 +51,7 @@ def _rem(x: int, m: int) -> int:
     return x
 
 
-def _div_rem(x: int, m: int) -> tuple[int, int]:
+def div_rem(x: int, m: int) -> tuple[int, int]:
     dm = m.bit_length()
     if not dm:
         raise ZeroDivisionError("division by zero polynomial")
@@ -65,13 +66,13 @@ def _div_rem(x: int, m: int) -> tuple[int, int]:
     return pack(q), x
 
 
-def _gcd(x: int, y: int) -> int:
+def gcd(x: int, y: int) -> int:
     while y:
-        x, y = y, _rem(x, y)
+        x, y = y, rem(x, y)
     return x
 
 
-def _pow_mod(x: int, exp: int, m: int) -> int:
+def pow_mod(x: int, exp: int, m: int) -> int:
     if not m:
         raise ZeroDivisionError("division by zero polynomial")
     if exp < 0:
@@ -80,35 +81,10 @@ def _pow_mod(x: int, exp: int, m: int) -> int:
         return 0
     if exp == 0:
         return 1
-    x = _rem(x, m)
+    x = rem(x, m)
     r = 1
     for bit in bin(exp)[2:]:
-        r = _rem(_square(r), m)
+        r = rem(_square(r), m)
         if bit == "1":
-            r = _rem(_mul(r, x), m)
+            r = rem(mul(r, x), m)
     return r
-
-
-def mul(a: list, b: list) -> list:
-    return unpack(_mul(pack(a), pack(b)))
-
-
-def div_rem(a: list, b: list) -> tuple[list, list]:
-    q, r = _div_rem(pack(a), pack(b))
-    return unpack(q), unpack(r)
-
-
-def rem(a: list, b: list) -> list:
-    return unpack(_rem(pack(a), pack(b)))
-
-
-def mul_mod(a: list, b: list, m: list) -> list:
-    return unpack(_rem(_mul(pack(a), pack(b)), pack(m)))
-
-
-def pow_mod(base: list, exp: int, m: list) -> list:
-    return unpack(_pow_mod(pack(base), exp, pack(m)))
-
-
-def gcd(a: list, b: list) -> list:
-    return unpack(_gcd(pack(a), pack(b)))

@@ -287,7 +287,8 @@ class Poly:
     def __lt__(self, other):
         if not isinstance(other, Poly) or other.field != self.field:
             return NotImplemented
-        return (len(self.coeffs), self.code) < (len(other.coeffs), other.code)
+        # by degree, then by code: same-length base-p digits, top digit first
+        return (len(self.coeffs), self.coeffs[::-1]) < (len(other.coeffs), other.coeffs[::-1])
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -404,9 +405,7 @@ def _equal_degree_split(u: Poly, d: int, rng: random.Random) -> list[Poly]:
                 acc = h
                 sq = h
                 for _ in range(d - 1):
-                    sq = field.poly(
-                        _kernel.mul_mod(list(sq.coeffs), list(sq.coeffs), list(u.coeffs), p)
-                    )
+                    sq = sq * sq % u
                     acc = acc + sq
                 g = poly_gcd(acc, u) if not acc.is_zero else field.one
             else:

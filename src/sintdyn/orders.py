@@ -1,24 +1,28 @@
 """Multiplicative orders of integers and polynomials, and the exact
 multiplicity of an irreducible in t**n - 1.
 
-A polynomial v divides t**m - 1 exactly when t**m = 1 mod v: one modular
-power with about log2(m) squarings.  ord_in_tn_minus_1 and the explicit
-places of system ask only that question, never for the order of v.
-ord_in_tn_minus_1 uses the decomposition n = n' * p**e: since t**n - 1 =
+A monic irreducible v != t divides t**m - 1 exactly when t**m = 1 mod v
+(Lidl & Niederreiter, Finite Fields, Sec. 3.1).  _divides_t_power_minus_1
+decides it with at most one modular power of about log2(m) squarings: the
+order of v divides p**deg(v) - 1, so m is first reduced to its gcd with that
+number, and a gcd of 1 leaves only v = t - 1.  ord_in_tn_minus_1 and the
+explicit places of system ask only that question, never for the order of
+v.  ord_in_tn_minus_1 uses the decomposition n = n' * p**e: since t**n - 1 =
 (t**n' - 1)**(p**e) and t**n' - 1 is squarefree, the multiplicity of v is
 p**e when t**n' = 1 mod v and 0 otherwise.  ord_brute is the independent
 repeated-division oracle guarding that rule.
 
 The order of a polynomial g with g(0) != 0 is the least e with g | t**e - 1
 (poly_order).  For irreducible v of degree m it divides p**m - 1 and is
-found by factoring that group order and descending through its prime
-factors; for a power v**b it is order(v) * p**d with d minimal such that
-p**d >= b (the standard order-of-a-power rule for finite fields); orders of
-coprime parts combine by lcm.  Factoring p**m - 1 is Pollard rho on an
-integer of m log2(p) bits, whose cost grows with its second-largest prime
-factor: at p = 2, poly_order of 1 + t + ... + t**268 took 2.3 s and that
-of 1 + t + ... + t**316 did not finish in 40 s (x86-64, Python 3.11).  Only
-poly_order pays it.
+found by factoring that group order and dividing out its prime factors
+while the power stays 1, the same descent multiplicative_order runs from
+the Carmichael exponent; for a power v**b it is order(v) * p**d with d
+minimal such that p**d >= b (the standard order-of-a-power rule for finite
+fields); orders of coprime parts combine by lcm.  Factoring p**m - 1 is
+Pollard rho on an integer of m log2(p) bits, whose cost grows with its
+second-largest prime factor: at p = 2, poly_order of 1 + t + ... + t**268
+took 2.3 s and that of 1 + t + ... + t**316 did not finish in 40 s (x86-64,
+Python 3.11).  Only poly_order pays it.
 """
 
 import functools
@@ -30,6 +34,16 @@ from .ffpoly import Poly, factorize, is_irreducible, poly_divmod, poly_powmod
 _N_LIMIT = 2**31 - 1
 
 
+def _order_descent(group: int, is_one) -> int:
+    # the order of an element x whose order divides group: start from group
+    # and divide out each prime q of it while is_one(e // q), i.e. x**(e/q) = 1
+    order = group
+    for q in intmath.factorint(group):
+        while order % q == 0 and is_one(order // q):
+            order //= q
+    return order
+
+
 def multiplicative_order(a: int, m: int) -> int:
     """Least r >= 1 with a**r = 1 mod m; requires gcd(a, m) = 1."""
     if m < 2:
@@ -37,15 +51,17 @@ def multiplicative_order(a: int, m: int) -> int:
     a %= m
     if math.gcd(a, m) != 1:
         raise ValueError(f"multiplicative order needs gcd(a, m) = 1: got a={a}, m={m}")
-    order = intmath.carmichael_lambda(m)
-    for q in intmath.factorint(order):
-        while order % q == 0 and pow(a, order // q, m) == 1:
-            order //= q
-    return order
+    return _order_descent(intmath.carmichael_lambda(m), lambda e: pow(a, e, m) == 1)
 
 
 def _divides_t_power_minus_1(v: Poly, m: int) -> bool:
-    # v | t**m - 1 exactly when t**m = 1 mod v (v nonconstant)
+    # v | t**m - 1 exactly when t**m = 1 mod v (v monic irreducible, v != t).
+    # The order of t mod v divides p**deg(v) - 1, so m shrinks to its gcd
+    # with that number; at 1 only t - 1 divides, with no modular power.
+    p = v.field.p
+    m = math.gcd(m, pow(p, v.degree, m) - 1)
+    if m == 1:
+        return v.coeffs == (p - 1, 1)
     return poly_powmod(v.field.t, m, v) == v.field.one
 
 
@@ -53,16 +69,8 @@ def _divides_t_power_minus_1(v: Poly, m: int) -> bool:
 def _irreducible_order(v: Poly) -> int:
     # order of t in the field F_p[t]/<v>; divides p**deg(v) - 1, which is
     # factored with Pollard rho (see the module docstring for its cost)
-    field = v.field
-    p = field.p
-    group = p**v.degree - 1
-    t = field.t
-    one = field.one
-    order = group
-    for q in intmath.factorint(group):
-        while order % q == 0 and poly_powmod(t, order // q, v) == one:
-            order //= q
-    return order
+    t, one = v.field.t, v.field.one
+    return _order_descent(v.field.p**v.degree - 1, lambda e: poly_powmod(t, e, v) == one)
 
 
 def poly_order(g: Poly) -> int:

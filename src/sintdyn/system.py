@@ -6,14 +6,16 @@ inverted, so its valuation of t**n - 1 enters the count:
 
     log_p |F_n| = n - sum over marked v of ord_v(t**n - 1) * deg(v).
 
-With n = n' * p**k and p not dividing n', every factor of the cyclotomic
-pi_d (d | n') has multiplicity p**k in t**n - 1, so
+With n = n' * p**k and p not dividing n', t**n - 1 = (t**n' - 1)**(p**k)
+and t**n' - 1 is squarefree, so every marked factor has multiplicity p**k:
 
-    e_n = n - p**k * sum over d | n' of D(d),
+    e_n = n - p**k * (total degree of the marked factors of t**n' - 1).
 
-D(d) the total degree of the marked factors of pi_d.  All-zero marks none,
-an explicit set the places of order d, random marks the factors of pi_d
-drawn 1; all-one marks all of them, D(d) = phi(d), and is never factored.
+All-zero marks none.  An explicit place v is a factor exactly when
+t**n' = 1 mod v, one modular power (Lidl & Niederreiter, Finite Fields,
+Sec. 3.1); its order is never computed.  Random marks are drawn on the
+factors of the cyclotomic pi_d, d | n'.  All-one marks every factor, total
+degree n', and is never factored.
 
 Mark sources: all-zero (full shift on p symbols), all-one (trivial system,
 one point per period), an explicit finite set of places, or i.i.d. random
@@ -185,42 +187,30 @@ class PeriodicExponent(NamedTuple):
     e: int
 
 
-def _marked_factors(spec: SystemSpec, d: int) -> list[Poly]:
-    # the marked irreducible factors of pi_d (d coprime to p)
+def _marked_places(spec: SystemSpec, n_coprime: int) -> list[Poly]:
+    # the marked irreducible factors of t**n' - 1 (n' coprime to p)
     omega = spec.omega
     if omega.mode == "all_zero":
         return []
     if omega.mode == "explicit":
-        return [v for v in omega.places if _has_order(v, d)]
-    return [v for v in _cyclotomic_factors(spec.field.p, d) if omega.mark(v)]
-
-
-def _has_order(v: Poly, d: int) -> bool:
-    # an irreducible v != t (explicit places are checked at construction)
-    # divides pi_d exactly when its order is d: t**d = 1 mod v, and
-    # t**(d/l) != 1 mod v for every prime l | d.  Only t - 1 has order 1;
-    # any other order divides p**deg(v) - 1, an integer test that rules out
-    # most d before a modular power is taken.
-    p = v.field.p
-    if d == 1:
-        return v.coeffs == (p - 1, 1)
-    if pow(p, v.degree, d) != 1 or not _divides_t_power_minus_1(v, d):
-        return False
-    return not any(_divides_t_power_minus_1(v, d // ell) for ell in intmath.factorint(d))
-
-
-def _marked_degree(spec: SystemSpec, d: int) -> int:
-    # D(d): pi_d has degree phi(d), all of it marked in the all-one system
-    if spec.omega.mode == "all_one":
-        return intmath.euler_phi(d)
-    return sum(v.degree for v in _marked_factors(spec, d))
+        return [v for v in omega.places if _divides_t_power_minus_1(v, n_coprime)]
+    p = spec.field.p
+    return [
+        v
+        for d in intmath.divisors(n_coprime)
+        for v in _cyclotomic_factors(p, d)
+        if omega.mark(v)
+    ]
 
 
 def periodic_exponent(spec: SystemSpec, n: int) -> PeriodicExponent:
-    """e with |F_n| = p**e: e = n - p**k * sum over d | n' of D(d)."""
+    """e with |F_n| = p**e: e = n - p**k * (marked degree of t**n' - 1)."""
     _validate_n(n)
     n_coprime, k = intmath.coprime_part(n, spec.field.p)
-    marked = sum(_marked_degree(spec, d) for d in intmath.divisors(n_coprime))
+    if spec.omega.mode == "all_one":
+        marked = n_coprime
+    else:
+        marked = sum(v.degree for v in _marked_places(spec, n_coprime))
     e = n - spec.field.p**k * marked
     if not 0 <= e <= n:
         raise ArithmeticError(f"periodic exponent out of range: n={n}, e={e}")
@@ -239,9 +229,5 @@ def inverted_places_dividing(spec: SystemSpec, n: int) -> list[tuple[Place, int,
     _validate_n(n)
     n_coprime, k = intmath.coprime_part(n, spec.field.p)
     mult = spec.field.p**k
-    rows = [
-        (Place(v), mult, v.degree)
-        for d in intmath.divisors(n_coprime)
-        for v in _marked_factors(spec, d)
-    ]
+    rows = [(Place(v), mult, v.degree) for v in _marked_places(spec, n_coprime)]
     return sorted(rows, key=lambda row: row[0].poly)

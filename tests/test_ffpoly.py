@@ -61,6 +61,15 @@ class TestPolyCanonicalForm:
             f = _random_poly(F5, rng, 6)
             assert F5.from_code(f.code) == f
 
+    def test_order_is_degree_then_code(self, F3):
+        # every nonzero polynomial of degree <= 3 at p = 3, pair by pair
+        polys = [F3.from_code(code) for code in range(1, 3**4)]
+        random.Random(13).shuffle(polys)
+        for f in polys:
+            for g in polys:
+                assert (f < g) == ((f.degree, f.code) < (g.degree, g.code)), (str(f), str(g))
+        assert sorted(polys) == sorted(polys, key=lambda f: (f.degree, f.code))
+
     def test_string_round_trip(self, F5):
         rng = random.Random(12)
         for _ in range(50):

@@ -2,7 +2,8 @@
 packed p = 2 kernel must be interchangeable on identical inputs, and all
 must satisfy the ring identities checked against a dict-based reference
 multiplication.  "kernel" is the dispatching sintdyn._kernel, which sends
-p = 2 to the packed kernel."""
+p = 2 to the packed kernel; the packed checks reach it that way, so they
+cover the list conversion too."""
 
 import random
 import re
@@ -172,9 +173,9 @@ def _outcome(fn, *args):
 
 
 def _packed_matches_pure(op, *args):
-    assert _outcome(getattr(_f2, op), *args) == _outcome(getattr(_pypoly, op), *args, 2), (
-        op, args,
-    )
+    # at p = 2 _kernel packs the lists, runs _f2 on ints and unpacks
+    packed = _outcome(getattr(_kernel, op), *args, 2)
+    assert packed == _outcome(getattr(_pypoly, op), *args, 2), (op, args)
 
 
 def test_packed_matches_pure_kernel():
@@ -212,10 +213,10 @@ def test_packed_edge_cases():
     ):
         _packed_matches_pure(op, *args)
     with pytest.raises(ZeroDivisionError):
-        _f2.pow_mod(a, -1, [])  # the zero modulus is checked first
+        _kernel.pow_mod(a, -1, [], 2)  # the zero modulus is checked first
     with pytest.raises(ValueError):
-        _f2.pow_mod(a, -1, m)
-    assert _f2.pow_mod([0, 1], 15 * 2**100, m) == [1]  # t has order 15 mod m
+        _kernel.pow_mod(a, -1, m, 2)
+    assert _kernel.pow_mod([0, 1], 15 * 2**100, m, 2) == [1]  # t has order 15 mod m
 
 
 def test_pack_round_trip():

@@ -12,7 +12,7 @@ from sintdyn.orders import (
     ord_in_tn_minus_1,
     poly_order,
 )
-from sintdyn.system import _has_order
+from sintdyn.system import OmegaSource, SystemSpec, inverted_places_dividing, periodic_exponent
 
 from oracles import sieve_irreducibles
 
@@ -159,7 +159,9 @@ def _rule_places(field):
 class TestDivisibilityRule:
     """ord_in_tn_minus_1 and the explicit places of system decide v | t**m - 1
     by one modular power, t**m = 1 mod v, and never compute the order of v;
-    both rules are checked against repeated division for every n <= 300."""
+    both are checked against repeated division for every n <= 300, the
+    explicit places through the public inverted_places_dividing and
+    periodic_exponent of the system {v}."""
 
     @pytest.mark.parametrize("p", (2, 3))
     def test_matches_ord_brute(self, p):
@@ -169,16 +171,15 @@ class TestDivisibilityRule:
         for v in _rule_places(field):
             if v == field.t:
                 continue
+            spec = SystemSpec(field, OmegaSource.explicit([v]))
             brute = [None] + [ord_brute(v, tn[n]) for n in range(1, 301)]
-            order = next((n for n in range(1, 301) if brute[n]), None)
             for n in range(1, 301):
                 assert _divides_t_power_minus_1(v, n) == (brute[n] > 0), (str(v), n)
+                assert bool(inverted_places_dividing(spec, n)) == (brute[n] > 0), (str(v), n)
+                assert periodic_exponent(spec, n).e == n - brute[n] * v.degree, (str(v), n)
                 if brute[n]:
                     dividing += 1
                     assert ord_in_tn_minus_1(v, n) == brute[n], (str(v), n)
-                if n % p:
-                    # v divides pi_n exactly when its order is n
-                    assert _has_order(v, n) == (n == order), (str(v), n)
         assert dividing > 300
 
     def test_place_of_degree_1018(self, F2):
@@ -188,8 +189,9 @@ class TestDivisibilityRule:
         pi = F2.poly([1] * 1019)
         assert ord_in_tn_minus_1(pi, 3 * 1019 * 4) == 4
         assert ord_in_tn_minus_1(pi, 3 * 1018) == 0
-        assert _has_order(pi, 1019)
-        assert not _has_order(pi, 3 * 1019)
+        spec = SystemSpec(F2, OmegaSource.explicit([pi]))
+        assert periodic_exponent(spec, 1019).e == 1
+        assert periodic_exponent(spec, 3 * 1018).e == 3054
 
 
 class TestOrdBrute:

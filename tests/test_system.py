@@ -167,23 +167,33 @@ class TestPeriodicCounts:
         3: (("t^2+1", "t^2+t+2", "t^3+2*t+1", "t^4+t+2"), (27, 54, 72, 81)),
     }
 
+    # a place of degree >= 7 and its order: most n <= 40 are coprime to
+    # p**deg - 1 (127, and 6560 = 2**5 * 5 * 41), where the divisibility
+    # test answers without a modular power
+    _HIGH_DEGREE = {
+        2: ("t^7+t+1", 127),
+        3: ("t^8+t^6+t^5+2*t^4+t^3+t^2+1", 41),
+    }
+
     @pytest.mark.parametrize("p", (2, 3))
     def test_all_modes_match_brute_oracle(self, p):
         field = PrimeField(p)
         v1 = field.from_string("t+1")
         places, p_power_ns = self._SEVERAL[p]
         several = OmegaSource.explicit(field.from_string(v) for v in places)
+        high, order = self._HIGH_DEGREE[p]
         specs = [
             full_shift(field),
             trivial_system(field),
             example85_system(field),
             SystemSpec(field, OmegaSource.explicit([v1]), "one"),
             SystemSpec(field, several, "several"),
+            SystemSpec(field, OmegaSource.explicit([field.from_string(high)]), "high"),
             random_system(field, Fraction(1, 2), 11),
             random_system(field, Fraction(1, 4), 5),
         ]
         for spec in specs:
-            for n in list(range(1, 41)) + list(p_power_ns):
+            for n in list(range(1, 41)) + list(p_power_ns) + [order, p * order]:
                 assert periodic_exponent(spec, n).e == brute_exponent(spec, n), (
                     spec.label, n,
                 )
