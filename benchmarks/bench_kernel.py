@@ -9,13 +9,16 @@ general factorization and a construction check.  The "kernel" column is
 sintdyn._kernel as the library calls it: the packed kernel at p = 2 (list
 conversion included) and the list backend that was built at odd p; it is
 timed on the p = 2 primitive rows and on every end-to-end row.  The p = 2
-rows at degree 128 to 2048 time gcd, rem and pow_mod, and one cold row
-splits pi_d for every odd d <= 2000 (not run on the pure list kernel,
-which needs nearly three minutes).  The library caches are cleared before
-every repetition, so the end-to-end rows time cold runs.  The series rows
-time Berlekamp-Massey (find_linear_recurrence) alone on prebuilt zeta
-series: two without a short recurrence and one that has one.  A cell that
-takes over a second is timed once.
+rows at degree 128 to 2048 time gcd, rem and pow_mod (pow_mod at degree
+1024 and 2048 not on the pure list kernel, which needs seconds per cell),
+and one cold row splits pi_d for every odd d <= 2000 (not run on the pure
+list kernel, which needs nearly three minutes).  The library caches are
+cleared before every repetition, so the end-to-end rows time cold runs.
+The construction rows time artin_primes and enumerate_places in the
+"kernel" column only, at the sizes of the CLI workloads and above.  The
+series rows time Berlekamp-Massey (find_linear_recurrence) alone on
+prebuilt zeta series: two without a short recurrence and one that has one.
+A cell that takes over a second is timed once.
 
     python benchmarks/bench_kernel.py [--repeats N]
 """
@@ -29,8 +32,9 @@ from sintdyn import _kernel
 from sintdyn._kernel import _pypoly
 from sintdyn.cyclofactor import _cyclotomic_coeffs, _cyclotomic_factors, factor_tn_minus_1
 from sintdyn.ffpoly import PrimeField, factorize
-from sintdyn.limitset import verify_construction
+from sintdyn.limitset import artin_primes, verify_construction
 from sintdyn.orders import _irreducible_order
+from sintdyn.places import enumerate_places
 from sintdyn.system import OmegaSource, SystemSpec, example85_system, full_shift
 from sintdyn.zeta import find_linear_recurrence, zeta_for_system
 
@@ -102,10 +106,12 @@ def bench_packed_ops(repeats):
             "pow_mod": lambda impl: impl.pow_mod(a, 2**16, m, 2),
         }
         for op, call in cases.items():
-            timings = {
-                name: _time(lambda: call(impl), repeats)
-                for name, impl in (*BACKENDS.items(), ("kernel", _kernel))
-            }
+            impls = {**BACKENDS, "kernel": _kernel}
+            if op == "pow_mod" and degree >= 1024:
+                # the pure list kernel needs seconds here, and _kernel never
+                # sends p = 2 to a list backend
+                del impls["python"]
+            timings = {name: _time(lambda: call(impl), repeats) for name, impl in impls.items()}
             rows.append(("p=2", f"deg={degree}", op, timings))
     return rows
 
@@ -163,6 +169,22 @@ def bench_end_to_end(repeats):
     return rows
 
 
+def bench_construction(repeats):
+    # timed only as the library runs them: artin_primes makes no kernel call
+    # and enumerate_places makes its Rabin tests through _kernel
+    cases = {
+        f"artin_primes(F_2, {bound})": lambda bound=bound: artin_primes(PrimeField(2), bound)
+        for bound in (20000, 200000)
+    }
+    cases.update({
+        f"enumerate_places(F_{p}, {k})": lambda p=p, k=k: enumerate_places(PrimeField(p), k)
+        for p, k in ((2, 10), (2, 12), (3, 6), (5, 4))
+    })
+    return [
+        (label, "", "", {"kernel": _time(call, repeats)}) for label, call in cases.items()
+    ]
+
+
 def bench_series(repeats):
     F2, F3 = PrimeField(2), PrimeField(3)
     explicit = SystemSpec(F2, OmegaSource.explicit([F2.poly([1, 1, 1]), F2.poly([1, 1, 0, 1])]))
@@ -190,7 +212,8 @@ def main():
         print("compiled backend not built; timing the pure list backend only")
 
     rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
-    rows += bench_end_to_end(args.repeats) + bench_series(args.repeats)
+    rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)
+    rows += bench_series(args.repeats)
     header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in COLUMNS)
     if "cython" in BACKENDS:
         header += f" {'py/cy':>9s}"

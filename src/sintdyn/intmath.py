@@ -95,7 +95,12 @@ def factorint(n: int) -> dict[int, int]:
             n //= q
         q += wheel[i]
         i = (i + 1) % 8
-    stack = [n] if n > 1 else []
+    if q * q > n:
+        # every prime below q is divided out, so n has no factor <= sqrt(n)
+        if n > 1:
+            out[n] = 1
+        return out
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:

@@ -136,15 +136,28 @@ def cluster_limits(
 
 
 def artin_primes(field: PrimeField, bound: int) -> list[int]:
-    """Primes q <= bound (q != p) with p a primitive root mod q, ascending."""
+    """Primes q <= bound (q != p) with p a primitive root mod q, ascending.
+
+    Sieved over the primes ell below bound: p is a primitive root mod a
+    prime q != p exactly when p**((q-1)/ell) != 1 mod q for every prime
+    ell dividing q - 1 (Lidl & Niederreiter, Finite Fields, Sec. 3.1), since
+    a proper divisor of q - 1 divides some (q-1)/ell.  So each prime q keeps
+    its flag unless the walk over q = 1 mod ell finds one such power equal
+    to 1; q = 2 has no ell and stays flagged for odd p, as ord_2(p) = 1."""
     if bound < 3:
         raise ValueError(f"bound must be at least 3: got {bound}")
     p = field.p
-    return [
-        q
-        for q in intmath.primes_upto(bound)
-        if q != p and multiplicative_order(p, q) == q - 1
-    ]
+    primes = intmath.primes_upto(bound)
+    flags = bytearray(bound + 1)
+    for q in primes:
+        flags[q] = 1
+    if p <= bound:
+        flags[p] = 0
+    for ell in primes:
+        for q in range(ell + 1, bound + 1, ell):
+            if flags[q] and pow(p, (q - 1) // ell, q) == 1:
+                flags[q] = 0
+    return [q for q in primes if flags[q]]
 
 
 def _construction_preconditions(p: int, q: int, nj: int):

@@ -11,6 +11,7 @@ With these normalizations the exponents at all places of any nonzero f
 sum to zero (the product formula).
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .ffpoly import Poly, PrimeField, factorize, is_irreducible
@@ -73,20 +74,30 @@ def enumerate_places(field: PrimeField, max_degree: int) -> list[Place]:
 
     The list position i corresponds to index i - 1 in the standard labeling
     that starts the count at -1 for the infinite place and 0 for t.
+
+    Every t + c with c != 0 is a place.  From degree 2 on, a candidate v
+    with v(0) = 0 is a multiple of t and one with v(1) = 0 a multiple of
+    t - 1, so neither is irreducible; both values are read off the base-p
+    digits of the code (v(0) is the lowest digit, v(1) the digit sum plus
+    the leading 1, mod p), and only the remaining candidates get the Rabin
+    test.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be positive: got {max_degree}")
     p = field.p
-    t = field.t
-    places = [Place.infinite(), Place(t)]
-    for degree in range(1, max_degree + 1):
-        lead = field.monomial(degree)
-        for low_code in range(p**degree):
-            v = field.from_code(low_code) + lead
-            if v == t:
-                continue
-            if is_irreducible(v):
-                places.append(Place(v))
+    places = [Place.infinite(), Place(field.t)]
+    places.extend(Place(Poly(field, (c, 1), _canonical=True)) for c in range(1, p))
+    for degree in range(2, max_degree + 1):
+        # codes ascend with the digits above the lowest one, most significant
+        # first, and then with the lowest digit c0 = v(0), which skips 0
+        for high in itertools.product(range(p), repeat=degree - 1):
+            top = high[::-1] + (1,)
+            at_one = -sum(top) % p  # the c0 with v(1) = 0
+            for c0 in range(1, p):
+                if c0 != at_one:
+                    v = Poly(field, (c0, *top), _canonical=True)
+                    if is_irreducible(v):
+                        places.append(Place(v))
     return places
 
 

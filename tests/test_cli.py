@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -237,6 +238,32 @@ class TestOtherCommands:
         assert all(doc["checks"].values())
         assert doc["e_qnj"] == 11
         assert doc["b_exponent"] == 1
+
+
+class TestPinnedDocuments:
+    """sha256 of stdout: places and artin documents stay byte-identical."""
+
+    @pytest.mark.parametrize(
+        "argv, fmt, digest",
+        (
+            (("places", "--p", "3", "--max-degree", "4"), "json",
+             "33662a05b47acc18bbf436728ef12711b892834012f8fe9ff990d416d196010e"),
+            (("places", "--p", "3", "--max-degree", "4"), "text",
+             "3f37a1ff54ebcedce933cb6b562455ce94a38e33bfd69aef2ec1b97cee3a276f"),
+            (("artin", "--p", "5", "--bound", "500"), "json",
+             "9cf403b326d8f815bcbae2a22e998931978f6e5cc9a6146e87d266574f56ae94"),
+            (("artin", "--p", "5", "--bound", "500"), "text",
+             "b1eb166a4ec2d67f8c79fd39c0fce0bb0e9683f5100714a241641cece0e40625"),
+            (("artin", "--p", "2", "--bound", "20000"), "json",
+             "eaf76b383a6b4848231f0bfda86eb65b7291224bb0f2d848fee790f1a02c2e71"),
+            (("artin", "--p", "2", "--bound", "20000"), "text",
+             "36dd09663e6bb2368697cb5528dde37d39ed7f309b635133184a77a5937a847e"),
+        ),
+    )
+    def test_stdout_digest(self, capsys, argv, fmt, digest):
+        status, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (status, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestExitCodes:

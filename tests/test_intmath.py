@@ -50,6 +50,29 @@ def test_factorint_mersenne_style():
     assert all(intmath.is_prime(q) for q in factors)
 
 
+@pytest.mark.parametrize(
+    "factors",
+    (
+        # squares and products of primes on both sides of the 10**6 trial bound
+        {999983: 2},
+        {1000003: 2},
+        {999979: 1, 999983: 1},
+        {999983: 1, 1000003: 1},
+        {2: 1, 1000003: 1},
+        {3: 2, 999983: 1, 1000033: 1},
+        # semiprimes and a prime above 10**12, past trial division
+        {1000003: 1, 1000033: 1},
+        {2147483647: 1, 2305843009213693951: 1},
+        {1000000000039: 1},
+    ),
+)
+def test_factorint_near_trial_bound(factors):
+    n = math.prod(q**e for q, e in factors.items())
+    result = intmath.factorint(n)
+    assert result == factors
+    assert all(intmath.is_prime(q) for q in result)
+
+
 def test_factorint_rejects_zero():
     with pytest.raises(ValueError):
         intmath.factorint(0)

@@ -141,6 +141,18 @@ class TestArtinPrimes:
     def test_density_sanity(self, F2):
         assert len(artin_primes(F2, 1000)) >= 60
 
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 2**31 - 1))
+    def test_matches_multiplicative_order(self, p):
+        # bounds around p itself only where a sieve to p + 1 is small
+        bounds = {3, 4, 3000} | ({p - 1, p, p + 1} if p < 3000 else set())
+        field = PrimeField(p)
+        for bound in sorted(b for b in bounds if b >= 3):
+            expected = [
+                q for q in intmath.primes_upto(bound)
+                if q != p and multiplicative_order(p, q) == q - 1
+            ]
+            assert artin_primes(field, bound) == expected, bound
+
     def test_validation(self, F2):
         with pytest.raises(ValueError):
             artin_primes(F2, 2)

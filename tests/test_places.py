@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sintdyn.ffpoly import PrimeField
+from sintdyn.ffpoly import PrimeField, is_irreducible
 from sintdyn.places import (
     Place,
     enumerate_places,
@@ -10,7 +10,7 @@ from sintdyn.places import (
     valuation_exponent,
 )
 
-from oracles import irreducible_count
+from oracles import all_monic, irreducible_count
 
 
 def _random_nonzero(field, rng, max_degree):
@@ -58,13 +58,28 @@ class TestEnumeratePlaces:
     @pytest.mark.parametrize("p", (2, 3, 5))
     def test_counts_match_necklace_formula(self, p):
         field = PrimeField(p)
-        places = enumerate_places(field, 5)
+        max_degree = {2: 10, 3: 5, 5: 5}[p]
+        places = enumerate_places(field, max_degree)
         assert places[0].is_infinite
         assert places[1].poly == field.t
         finite = places[1:]
-        for m in range(1, 6):
+        for m in range(1, max_degree + 1):
             observed = sum(1 for pl in finite if pl.degree == m)
             assert observed == irreducible_count(p, m)
+
+    @pytest.mark.parametrize("p, max_degree", ((2, 10), (3, 5), (5, 3)))
+    def test_matches_rabin_on_every_candidate(self, p, max_degree):
+        # no candidate skipped: the Rabin test on every monic polynomial
+        field = PrimeField(p)
+        brute = [Place.infinite(), Place(field.t)] + [
+            Place(v)
+            for degree in range(1, max_degree + 1)
+            for v in all_monic(field, degree)
+            if v != field.t and is_irreducible(v)
+        ]
+        for k in range(1, max_degree + 1):
+            expected = [pl for pl in brute if pl.is_infinite or pl.degree <= k]
+            assert enumerate_places(field, k) == expected, k
 
     def test_codes_ascending_within_degree(self, F5):
         places = enumerate_places(F5, 3)[2:]  # beyond the pinned infinity, t
