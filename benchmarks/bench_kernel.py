@@ -18,7 +18,11 @@ The construction rows time artin_primes and enumerate_places in the
 "kernel" column only, at the sizes of the CLI workloads and above.  The
 series rows time Berlekamp-Massey (find_linear_recurrence) alone on
 prebuilt zeta series: two without a short recurrence and one that has one.
-A cell that takes over a second is timed once.
+The system rows time, for each omega mode at p = 2, 3 and 5, the exponent
+table periodic_exponents(spec, N) ("table") against one periodic_exponent
+call per n ("per-n"), with the factor cache warmed first, so they time
+marking and summing and no factoring.  A cell that takes over a second is
+timed once.
 
     python benchmarks/bench_kernel.py [--repeats N]
 """
@@ -27,6 +31,7 @@ import argparse
 import contextlib
 import random
 import time
+from fractions import Fraction
 
 from sintdyn import _kernel
 from sintdyn._kernel import _pypoly
@@ -35,7 +40,16 @@ from sintdyn.ffpoly import PrimeField, factorize
 from sintdyn.limitset import artin_primes, verify_construction
 from sintdyn.orders import _irreducible_order
 from sintdyn.places import enumerate_places
-from sintdyn.system import OmegaSource, SystemSpec, example85_system, full_shift
+from sintdyn.system import (
+    OmegaSource,
+    SystemSpec,
+    example85_system,
+    full_shift,
+    periodic_exponent,
+    periodic_exponents,
+    random_system,
+    trivial_system,
+)
 from sintdyn.zeta import find_linear_recurrence, zeta_for_system
 
 try:
@@ -202,6 +216,29 @@ def bench_series(repeats):
     return rows
 
 
+def bench_system(repeats):
+    max_n = 200
+    rows = []
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        specs = (
+            full_shift(field),
+            trivial_system(field),
+            example85_system(field),
+            random_system(field, Fraction(1, 2), 1),
+        )
+        for spec in specs:
+            periodic_exponents(spec, max_n)  # warms the factor cache
+            paths = {
+                "table": lambda: periodic_exponents(spec, max_n),
+                "per-n": lambda: [periodic_exponent(spec, n).e for n in range(1, max_n + 1)],
+            }
+            label = f"system {spec.omega.mode} p={p} N={max_n}"
+            for op, call in paths.items():
+                rows.append((label, "", op, {"kernel": _time(call, repeats)}))
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N timing")
@@ -213,7 +250,7 @@ def main():
 
     rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)
-    rows += bench_series(args.repeats)
+    rows += bench_series(args.repeats) + bench_system(args.repeats)
     header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in COLUMNS)
     if "cython" in BACKENDS:
         header += f" {'py/cy':>9s}"

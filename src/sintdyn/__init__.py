@@ -45,6 +45,7 @@ from .system import (
     inverted_places_dividing,
     periodic_count,
     periodic_exponent,
+    periodic_exponents,
     preset_system,
     random_system,
     trivial_system,
@@ -98,6 +99,7 @@ __all__ = [
     "ord_in_tn_minus_1",
     "periodic_count",
     "periodic_exponent",
+    "periodic_exponents",
     "poly_divmod",
     "poly_gcd",
     "poly_order",

@@ -24,7 +24,7 @@ from . import intmath
 from .cyclofactor import _cyclotomic_factors, cyclotomic_poly
 from .ffpoly import PrimeField, is_irreducible, poly_gcd
 from .orders import multiplicative_order, ord_brute, ord_in_tn_minus_1
-from .system import OmegaSource, SystemSpec, periodic_exponent
+from .system import OmegaSource, SystemSpec, periodic_exponent, periodic_exponents
 
 
 class GrowthPoint(NamedTuple):
@@ -85,11 +85,8 @@ def growth_sequence(spec: SystemSpec, max_n: int) -> list[GrowthPoint]:
     """Exact growth points (n, e_n, e_n/n) for every n up to max_n."""
     if max_n < 1:
         raise ValueError(f"max_n must be positive: got {max_n}")
-    out = []
-    for n in range(1, max_n + 1):
-        e = periodic_exponent(spec, n).e
-        out.append(GrowthPoint(n, e, Fraction(e, n)))
-    return out
+    exponents = periodic_exponents(spec, max_n)
+    return [GrowthPoint(n, e, Fraction(e, n)) for n, e in enumerate(exponents, 1)]
 
 
 def example85_reference(field: PrimeField, q_bound: int) -> set[Fraction]:

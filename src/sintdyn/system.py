@@ -17,6 +17,16 @@ Sec. 3.1); its order is never computed.  Random marks are drawn on the
 factors of the cyclotomic pi_d, d | n'.  All-one marks every factor, total
 degree n', and is never factored.
 
+periodic_exponent answers one n.  periodic_exponents fills e_1..e_N at
+once from a table of the marked degree M(n') for every n' <= N coprime to
+p.  For random marks, t**n' - 1 is the product of the pi_d with d | n', so
+M(n') = sum over d | n' of D(d), D(d) being the degree of the marked
+factors of pi_d: each pi_d is factored and each of its factors marked once,
+and D(d) is added to every multiple of d, a divisor sieve of about
+N log N additions.  Asking each n in turn would mark the factors of pi_d
+again for every multiple of d.  The other modes take M(n') from the
+single-n rule.
+
 Mark sources: all-zero (full shift on p symbols), all-one (trivial system,
 one point per period), an explicit finite set of places, or i.i.d. random
 marks.  Random marks are a pure function of (seed, canonical encoding of
@@ -203,18 +213,58 @@ def _marked_places(spec: SystemSpec, n_coprime: int) -> list[Poly]:
     ]
 
 
+def _marked_degree(spec: SystemSpec, n_coprime: int) -> int:
+    if spec.omega.mode == "all_one":
+        return n_coprime
+    return sum(v.degree for v in _marked_places(spec, n_coprime))
+
+
+def _exponent(n: int, p_power: int, marked: int) -> int:
+    e = n - p_power * marked
+    if not 0 <= e <= n:
+        raise ArithmeticError(f"periodic exponent out of range: n={n}, e={e}")
+    return e
+
+
 def periodic_exponent(spec: SystemSpec, n: int) -> PeriodicExponent:
     """e with |F_n| = p**e: e = n - p**k * (marked degree of t**n' - 1)."""
     _validate_n(n)
     n_coprime, k = intmath.coprime_part(n, spec.field.p)
-    if spec.omega.mode == "all_one":
-        marked = n_coprime
-    else:
-        marked = sum(v.degree for v in _marked_places(spec, n_coprime))
-    e = n - spec.field.p**k * marked
-    if not 0 <= e <= n:
-        raise ArithmeticError(f"periodic exponent out of range: n={n}, e={e}")
-    return PeriodicExponent(n, e)
+    marked = _marked_degree(spec, n_coprime)
+    return PeriodicExponent(n, _exponent(n, spec.field.p**k, marked))
+
+
+def _marked_degrees(spec: SystemSpec, max_n: int) -> list[int]:
+    # M(n') at index n' for every n' <= max_n coprime to p; the entries at
+    # multiples of p are never read
+    omega, p = spec.omega, spec.field.p
+    if omega.mode != "random":
+        return [_marked_degree(spec, m) if m % p else 0 for m in range(max_n + 1)]
+    marked = [0] * (max_n + 1)
+    for d in range(1, max_n + 1):
+        if d % p:
+            degree = sum(v.degree for v in _cyclotomic_factors(p, d) if omega.mark(v))
+            if degree:
+                for m in range(d, max_n + 1, d):
+                    marked[m] += degree
+    return marked
+
+
+def periodic_exponents(spec: SystemSpec, max_n: int) -> list[int]:
+    """e_1..e_max_n (e_n at index n - 1), equal to periodic_exponent(spec,
+    n).e for each n, with each marked factor found once (module docstring).
+    Allocates O(max_n) up front."""
+    _validate_n(max_n)
+    p = spec.field.p
+    marked = _marked_degrees(spec, max_n)
+    exponents = [0] * max_n
+    for m in range(1, max_n + 1):
+        if m % p:
+            n, p_power = m, 1
+            while n <= max_n:
+                exponents[n - 1] = _exponent(n, p_power, marked[m])
+                n, p_power = n * p, p_power * p
+    return exponents
 
 
 def periodic_count(spec: SystemSpec, n: int) -> int:

@@ -25,7 +25,7 @@ from math import gcd
 from operator import mul
 
 from . import intmath
-from .system import SystemSpec, periodic_count
+from .system import SystemSpec, periodic_exponents
 
 
 class InvalidCountsError(ValueError):
@@ -88,7 +88,7 @@ def zeta_for_system(spec: SystemSpec, n_terms: int) -> ZetaSeries:
     """Zeta series of a system truncated after z**n_terms."""
     if n_terms < 1:
         raise ValueError(f"n_terms must be positive: got {n_terms}")
-    counts = [periodic_count(spec, n) for n in range(1, n_terms + 1)]
+    counts = [spec.field.p**e for e in periodic_exponents(spec, n_terms)]
     return zeta_coefficients(counts, spec)
 
 

@@ -241,7 +241,8 @@ class TestOtherCommands:
 
 
 class TestPinnedDocuments:
-    """sha256 of stdout: places and artin documents stay byte-identical."""
+    """sha256 of stdout: places, artin, growth, zeta and limits documents
+    stay byte-identical."""
 
     @pytest.mark.parametrize(
         "argv, fmt, digest",
@@ -258,6 +259,34 @@ class TestPinnedDocuments:
              "eaf76b383a6b4848231f0bfda86eb65b7291224bb0f2d848fee790f1a02c2e71"),
             (("artin", "--p", "2", "--bound", "20000"), "text",
              "36dd09663e6bb2368697cb5528dde37d39ed7f309b635133184a77a5937a847e"),
+            (("growth", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "42",
+              "--max-n", "200"), "json",
+             "9f0f56f1ea9d53b7e7e290ce863f5a19cbbf655364d43ce4e7898378941500a9"),
+            (("growth", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "42",
+              "--max-n", "200"), "text",
+             "b71f4c4a68d02cfd1a4e83dc3944bb796d82f9ea4a5ce84af5000d47bfb3dd85"),
+            (("growth", "--p", "3", "--system", "random", "--rho", "1/3", "--seed", "7",
+              "--max-n", "120"), "json",
+             "09a7a1d0871b9315afb0933758a4e79150005ebf9893382a1a822862117484c0"),
+            (("growth", "--p", "3", "--system", "random", "--rho", "1/3", "--seed", "7",
+              "--max-n", "120"), "text",
+             "d13405be53e3bfe8706a2df769118398a6b62a72927ef19df9945e26cbfc0ffc"),
+            (("growth", "--p", "5", "--system", "random", "--rho", "2/5", "--seed", "9",
+              "--max-n", "100"), "json",
+             "58c3d98a78ed6aad83bb73248fe5377ac89a7bccc2c4329445b838bf25d12fe6"),
+            (("growth", "--p", "5", "--system", "random", "--rho", "2/5", "--seed", "9",
+              "--max-n", "100"), "text",
+             "f841b10fa7d85e7247eb253d98be98c4d887e694bf2deed5f4256b519c31750e"),
+            (("zeta", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "4",
+              "--terms", "60", "--max-order", "20", "--orbits"), "json",
+             "87f570ee9abf38cb91602e108285f102fe20445a8663aec29d65a374c5f2881a"),
+            (("zeta", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "4",
+              "--terms", "60", "--max-order", "20", "--orbits"), "text",
+             "e2ffd1660f68099fe176557e2bebe46918d013a2d56a21202a9642e0108070d0"),
+            (("limits", "--p", "2", "--system", "example85", "--max-n", "3000"), "json",
+             "b3173bac7d4d762a443384c81ecd7491875b2c3603eec75fca6e9e5450e8db34"),
+            (("limits", "--p", "2", "--system", "example85", "--max-n", "3000"), "text",
+             "6106bd23b925c67b74e99feeee11eb0563f2d8475ce0201cd7ec4253431df05d"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, fmt, digest):

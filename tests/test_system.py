@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from sintdyn.ffpoly import PrimeField, factorize
+from sintdyn.cyclofactor import _cyclotomic_factors
+from sintdyn.ffpoly import PrimeField, factorize, is_irreducible
+from sintdyn.limitset import growth_sequence
 from sintdyn.places import Place
 from sintdyn.system import (
     OmegaSource,
@@ -13,10 +15,12 @@ from sintdyn.system import (
     inverted_places_dividing,
     periodic_count,
     periodic_exponent,
+    periodic_exponents,
     preset_system,
     random_system,
     trivial_system,
 )
+from sintdyn.zeta import zeta_for_system
 
 from oracles import sieve_irreducibles
 
@@ -248,6 +252,102 @@ class TestPeriodicCounts:
         first = [periodic_exponent(spec, n).e for n in range(1, 30)]
         again = [periodic_exponent(spec, n).e for n in range(1, 30)]
         assert first == again
+
+
+def _one_place_per_degree(field, max_degree):
+    # a seeded monic irreducible other than t of each degree 1..max_degree
+    rng = random.Random(field.p)
+    places = []
+    for degree in range(1, max_degree + 1):
+        while True:
+            v = field.poly([rng.randrange(field.p) for _ in range(degree)] + [1])
+            if v != field.t and is_irreducible(v):
+                places.append(v)
+                break
+    return places
+
+
+def _table_specs(field):
+    return [
+        full_shift(field),
+        trivial_system(field),
+        example85_system(field),
+        SystemSpec(field, OmegaSource.explicit(_one_place_per_degree(field, 8)), "deg1-8"),
+        random_system(field, Fraction(1, 2), 11),
+        random_system(field, Fraction(1, 4), 5),
+    ]
+
+
+class TestPeriodicExponents:
+    """The table e_1..e_N against the single-n path."""
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_matches_single_n(self, p):
+        # N = 300 covers n with p-power parts up to 256, 243 and 125
+        for spec in _table_specs(PrimeField(p)):
+            expected = [periodic_exponent(spec, n).e for n in range(1, 301)]
+            assert periodic_exponents(spec, 300) == expected, spec.label
+
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_max_n_one(self, p):
+        for spec in _table_specs(PrimeField(p)):
+            assert periodic_exponents(spec, 1) == [periodic_exponent(spec, 1).e]
+
+    def test_max_n_refused_up_front(self, F2):
+        # the table allocates O(max_n), so the limit is checked before any work
+        spec = random_system(F2, Fraction(1, 2), 11)
+        limit = r"n must be in \[1, 2\*\*31 - 1\]: got "
+        for bad in (0, -1, 2**31):
+            with pytest.raises(ValueError, match=f"{limit}{bad}$"):
+                periodic_exponents(spec, bad)
+        for build in (growth_sequence, zeta_for_system):
+            with pytest.raises(ValueError, match=f"{limit}{2**31}$"):
+                build(spec, 2**31)
+
+    def test_callers_keep_their_messages(self, F2):
+        spec = random_system(F2, Fraction(1, 2), 11)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=f"max_n must be positive: got {bad}"):
+                growth_sequence(spec, bad)
+            with pytest.raises(ValueError, match=f"n_terms must be positive: got {bad}"):
+                zeta_for_system(spec, bad)
+
+    @pytest.mark.parametrize("p, max_n", ((2, 120), (3, 80), (5, 60)))
+    def test_random_growth_marks_each_factor_once(self, monkeypatch, p, max_n):
+        spec = random_system(PrimeField(p), Fraction(1, 3), 8)
+        calls = []
+        mark = OmegaSource.mark
+
+        def counted(source, v):
+            calls.append(v)
+            return mark(source, v)
+
+        monkeypatch.setattr(OmegaSource, "mark", counted)
+        growth_sequence(spec, max_n)
+        expected = sum(len(_cyclotomic_factors(p, d)) for d in range(1, max_n + 1) if d % p)
+        assert len(calls) == expected
+        assert len(set(calls)) == expected
+
+    def test_random_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None)
+        @hypothesis.given(
+            p=st.sampled_from((2, 3, 5)),
+            rho=st.fractions(min_value=0, max_value=1, max_denominator=64).filter(
+                lambda r: 0 < r < 1
+            ),
+            seed=st.integers(min_value=0, max_value=2**64 - 1),
+            max_n=st.integers(min_value=1, max_value=72),
+        )
+        def check(p, rho, seed, max_n):
+            spec = random_system(PrimeField(p), rho, seed)
+            table = periodic_exponents(spec, max_n)
+            assert all(0 <= e <= n for n, e in enumerate(table, 1))
+            assert table == [periodic_exponent(spec, n).e for n in range(1, max_n + 1)]
+
+        check()
 
 
 class TestInvertedPlaces:
