@@ -185,7 +185,7 @@ def bench_end_to_end(repeats):
 
 def bench_construction(repeats):
     # timed only as the library runs them: artin_primes makes no kernel call
-    # and enumerate_places makes its Rabin tests through _kernel
+    # and enumerate_places sieves with products through _kernel.mul
     cases = {
         f"artin_primes(F_2, {bound})": lambda bound=bound: artin_primes(PrimeField(2), bound)
         for bound in (20000, 200000)

@@ -13,6 +13,7 @@ construction check).
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -336,6 +337,10 @@ def _add_system_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--label", help="override the system label in output")
 
 
+# one parser per process: building it costs milliseconds (argparse makes a
+# help formatter for every argument), and parse_args returns a fresh
+# Namespace each call, copying the --place default list before appending
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sintdyn",

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -379,6 +380,69 @@ def run_child(*argv, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "sintdyn", *argv], capture_output=True, env=env, timeout=timeout
     )
+
+
+class TestOneParserPerProcess:
+    """main reuses one parser: a call sees nothing of the calls before it,
+    so its output equals that of a fresh process."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # argparse wraps usage lines to the terminal width; pin it for both
+        # this process and the child
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("count", "--p", "2", "--system", "example85", "--n", "12"),
+            ("count", "--p", "2", "--system", "explicit", "--n", "12"),
+        ),
+    )
+    def test_places_do_not_carry_over(self, capsys, argv):
+        first = run_cli(
+            capsys, "count", "--p", "2", "--system", "explicit", "--place", "t^3+t+1",
+            "--place", "t^2+t+1", "--n", "12",
+        )
+        assert first == (0, '{"n":12,"e":4,"count":"16"}\n', "")
+        fresh = run_child(*argv)
+        assert run_cli(capsys, *argv) == (
+            fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()
+        )
+
+    def test_invalid_call_after_valid_one(self, capsys):
+        argv = ("places", "--p", "2", "--max-degree", "two")
+        fresh = run_child(*argv)
+        assert fresh.returncode == 2
+        assert b"invalid int value: 'two'" in fresh.stderr
+        assert run_cli(capsys, "places", "--p", "2", "--max-degree", "3")[0] == 0
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(list(argv))
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", fresh.stderr.decode())
+
+
+class TestPlacesRefusedUpFront:
+    @pytest.mark.parametrize("max_degree", ("1", "2"))
+    def test_refused(self, capsys, max_degree):
+        start = time.perf_counter()
+        status, out, err = run_cli(
+            capsys, "places", "--p", "2147483647", "--max-degree", max_degree
+        )
+        assert time.perf_counter() - start < 1
+        assert (status, out) == (2, "")
+        assert err == (
+            f"error: places: p**max_degree must be at most 262144: "
+            f"got 2147483647**{max_degree}\n"
+        )
+
+    def test_largest_baseline_request_admitted(self, capsys):
+        status, out, err = run_cli(capsys, "places", "--p", "2", "--max-degree", "12")
+        assert (status, err) == (0, "")
+        # infinity and the 747 monic irreducibles of degree <= 12 over F_2
+        assert len(json.loads(out)["places"]) == 748
 
 
 class TestEndToEndProcess:

@@ -1,9 +1,12 @@
 import random
+import re
+import time
 
 import pytest
 
 from sintdyn.ffpoly import PrimeField, is_irreducible
 from sintdyn.places import (
+    MAX_CANDIDATES,
     Place,
     enumerate_places,
     product_formula_sum,
@@ -55,10 +58,10 @@ class TestEnumeratePlaces:
         with pytest.raises(ValueError):
             enumerate_places(F2, 0)
 
-    @pytest.mark.parametrize("p", (2, 3, 5))
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
     def test_counts_match_necklace_formula(self, p):
         field = PrimeField(p)
-        max_degree = {2: 10, 3: 5, 5: 5}[p]
+        max_degree = {2: 14, 3: 5, 5: 5, 7: 4}[p]
         places = enumerate_places(field, max_degree)
         assert places[0].is_infinite
         assert places[1].poly == field.t
@@ -67,7 +70,9 @@ class TestEnumeratePlaces:
             observed = sum(1 for pl in finite if pl.degree == m)
             assert observed == irreducible_count(p, m)
 
-    @pytest.mark.parametrize("p, max_degree", ((2, 10), (3, 5), (5, 3)))
+    @pytest.mark.parametrize(
+        "p, max_degree", ((2, 10), (3, 5), (5, 3), (2, 12), (3, 6), (7, 3))
+    )
     def test_matches_rabin_on_every_candidate(self, p, max_degree):
         # no candidate skipped: the Rabin test on every monic polynomial
         field = PrimeField(p)
@@ -80,6 +85,35 @@ class TestEnumeratePlaces:
         for k in range(1, max_degree + 1):
             expected = [pl for pl in brute if pl.is_infinite or pl.degree <= k]
             assert enumerate_places(field, k) == expected, k
+
+    def test_no_irreducibility_test(self, monkeypatch):
+        # the sieve decides every candidate from products of smaller places
+        def fail(f):
+            raise AssertionError(f"is_irreducible called on {f}")
+
+        cases = ((2, 10), (3, 5), (5, 3))
+        expected = [enumerate_places(PrimeField(p), k) for p, k in cases]
+        monkeypatch.setattr("sintdyn.places.is_irreducible", fail)
+        monkeypatch.setattr("sintdyn.ffpoly.is_irreducible", fail)
+        assert [enumerate_places(PrimeField(p), k) for p, k in cases] == expected
+
+    @pytest.mark.parametrize(
+        "p, max_degree",
+        ((2147483647, 1), (2147483647, 2), (2, 19), (3, 12), (2, 10**18)),
+    )
+    def test_oversized_request_refused_up_front(self, p, max_degree):
+        message = re.escape(f"at most {MAX_CANDIDATES}: got {p}**{max_degree}")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            enumerate_places(PrimeField(p), max_degree)
+        assert time.perf_counter() - start < 1
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr("sintdyn.places.MAX_CANDIDATES", 27)
+        assert len(enumerate_places(PrimeField(3), 3)) == 1 + 3 + 3 + 8
+        for p, max_degree in ((3, 4), (29, 1), (2, 5)):
+            with pytest.raises(ValueError, match="at most 27"):
+                enumerate_places(PrimeField(p), max_degree)
 
     def test_codes_ascending_within_degree(self, F5):
         places = enumerate_places(F5, 3)[2:]  # beyond the pinned infinity, t
