@@ -16,6 +16,8 @@ list kernel, which needs nearly three minutes).  The library caches are
 cleared before every repetition, so the end-to-end rows time cold runs.
 The construction rows time artin_primes and enumerate_places in the
 "kernel" column only, at the sizes of the CLI workloads and above.  The
+cyclotomic rows build pi_n by cyclotomic_poly for every n <= 2000 coprime
+to 2 and every n <= 600 coprime to 3, "kernel" column only.  The
 series rows time Berlekamp-Massey (find_linear_recurrence) alone on
 prebuilt zeta series: two without a short recurrence and one that has one.
 The system rows time, for each omega mode at p = 2, 3 and 5, the exponent
@@ -35,7 +37,7 @@ from fractions import Fraction
 
 from sintdyn import _kernel
 from sintdyn._kernel import _pypoly
-from sintdyn.cyclofactor import _cyclotomic_coeffs, _cyclotomic_factors, factor_tn_minus_1
+from sintdyn.cyclofactor import _cyclotomic_factors, cyclotomic_poly, factor_tn_minus_1
 from sintdyn.ffpoly import PrimeField, factorize
 from sintdyn.limitset import artin_primes, verify_construction
 from sintdyn.orders import _irreducible_order
@@ -145,7 +147,6 @@ def _kernel_from(module):
 
 def _clear_caches():
     _cyclotomic_factors.cache_clear()
-    _cyclotomic_coeffs.cache_clear()
     _irreducible_order.cache_clear()
 
 
@@ -194,6 +195,19 @@ def bench_construction(repeats):
         f"enumerate_places(F_{p}, {k})": lambda p=p, k=k: enumerate_places(PrimeField(p), k)
         for p, k in ((2, 10), (2, 12), (3, 6), (5, 4))
     })
+    return [
+        (label, "", "", {"kernel": _time(call, repeats)}) for label, call in cases.items()
+    ]
+
+
+def bench_cyclotomic(repeats):
+    # the Moebius product works on integer lists and makes no kernel call
+    cases = {
+        f"cyclotomic_poly(F_{p}, n<={bound})": lambda p=p, bound=bound: [
+            cyclotomic_poly(PrimeField(p), n) for n in range(1, bound + 1) if n % p
+        ]
+        for p, bound in ((2, 2000), (3, 600))
+    }
     return [
         (label, "", "", {"kernel": _time(call, repeats)}) for label, call in cases.items()
     ]
@@ -250,6 +264,7 @@ def main():
 
     rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)
+    rows += bench_cyclotomic(args.repeats)
     rows += bench_series(args.repeats) + bench_system(args.repeats)
     header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in COLUMNS)
     if "cython" in BACKENDS:

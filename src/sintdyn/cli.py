@@ -442,7 +442,11 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, document)
+    try:
+        _emit(args, document)
+    except OSError as exc:
+        print(f"error: --output: {exc}", file=sys.stderr)
+        return 2
     return status
 
 

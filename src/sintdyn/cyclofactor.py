@@ -6,8 +6,10 @@ Write n = n' * p**e with gcd(n', p) = 1.  Then
 
 where pi_d is the d-th cyclotomic polynomial reduced mod p.  Each pi_d
 (d >= 2) splits into phi(d)/r distinct irreducibles of equal degree
-r = multiplicative order of p mod d.  pi_n is computed by exact division
-of t**n - 1 by the lower cyclotomics, never via roots of unity.
+r = multiplicative order of p mod d.  pi_n is the Moebius product of
+(t**d - 1) ** mu(n/d) over d | n, formed over the integers and reduced mod
+p once (Lidl & Niederreiter, ch. 3): the t**d - 1 with mu = 1 multiply to
+pi_n times the monic t**d - 1 with mu = -1, so dividing those out is exact.
 
 pi_d is split from the coset sums e_C(t) = sum of t**i over a cyclotomic
 coset C = {j, jp, jp**2, ...} of p on Z/d (Berlekamp, Math. Comp. 24,
@@ -85,29 +87,25 @@ class CycloFactorization:
         return cls(field, obj["n"], parts)
 
 
-@functools.lru_cache(maxsize=None)
-def _cyclotomic_coeffs(p: int, n: int) -> tuple[int, ...]:
-    field = PrimeField(p)
-    if n == 1:
-        return field.poly([-1, 1]).coeffs
-    result = field.tn_minus_1(n)
-    for d in intmath.divisors(n):
-        if d == n:
-            continue
-        quotient, remainder = poly_divmod(result, field.poly(_cyclotomic_coeffs(p, d)))
-        if not remainder.is_zero:
-            raise ArithmeticError(f"cyclotomic division left a remainder at n={n}, d={d}")
-        result = quotient
-    return result.coeffs
-
-
 def cyclotomic_poly(field: PrimeField, n: int) -> Poly:
     """The n-th cyclotomic polynomial reduced mod p; requires gcd(n, p) = 1."""
     if n < 1:
         raise ValueError(f"n must be positive: got {n}")
     if n % field.p == 0:
         raise ValueError(f"cyclotomic index must be coprime to p: got n={n}, p={field.p}")
-    return Poly(field, _cyclotomic_coeffs(field.p, n), _canonical=True)
+    up, down = [n], []  # the d | n with mu(n/d) = 1 and with mu(n/d) = -1
+    for q in intmath.factorint(n):
+        up, down = up + [d // q for d in down], down + [d // q for d in up]
+    c = [1]
+    for d in up:  # times t**d - 1: c[i] becomes c[i - d] - c[i]
+        c[:0] = [0] * d
+        for i in range(len(c) - d):
+            c[i] -= c[i + d]
+    for d in down:  # exact quotient by t**d - 1: q[i] = q[i - d] - c[i]
+        for i in range(len(c) - d):
+            c[i] = (c[i - d] if i >= d else 0) - c[i]
+        del c[-d:]
+    return field.poly(c)
 
 
 def splitting_count(field: PrimeField, n: int) -> tuple[int, int]:
@@ -176,10 +174,7 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
                 h = poly_gcd(u, poly_powmod(g + rng.randrange(p), half, u) - 1)
             parts = [u]
             if 0 < h.degree < u.degree:
-                rest, remainder = poly_divmod(u, h)
-                if not remainder.is_zero:
-                    raise ArithmeticError(f"split of pi_{d} mod {p} left a remainder")
-                parts = [h, rest]
+                parts = [h, poly_divmod(u, h)[0]]  # h is a gcd with u, so it divides u
             for v in parts:
                 (factors if v.degree == r else pending).append(v)
     if pending or len(factors) != count or not all(v.is_monic for v in factors):

@@ -51,6 +51,23 @@ def brute_factorize(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
+_CYCLOTOMIC_MEMO: dict[tuple[int, int], Poly] = {}
+
+
+def cyclotomic_by_division(field: PrimeField, n: int) -> Poly:
+    """pi_n mod p as t**n - 1 divided by pi_d, by the same route, for every
+    proper divisor d of n found by trial division; memoised on (p, n)."""
+    key = (field.p, n)
+    if key not in _CYCLOTOMIC_MEMO:
+        result = field.tn_minus_1(n)
+        for d in range(1, n):
+            if n % d == 0:
+                result, remainder = poly_divmod(result, cyclotomic_by_division(field, d))
+                assert remainder.is_zero, (field.p, n, d)
+        _CYCLOTOMIC_MEMO[key] = result
+    return _CYCLOTOMIC_MEMO[key]
+
+
 def exact_period_orbits(p: int, n: int) -> int:
     """Orbits of exact period n of the shift on p symbols, by enumerating
     all p**n words and computing each word's least cyclic period."""

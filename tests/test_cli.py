@@ -326,6 +326,17 @@ class TestExitCodes:
         assert status == 2
         assert "Artin" in err
 
+    def test_unwritable_output_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        status, out, err = run_cli(
+            capsys, "count", "--p", "2", "--system", "full", "--n", "5", "--output", str(path)
+        )
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: --output: ")
+        assert str(path) in err
+        assert not path.exists()
+
     def test_unknown_subcommand_is_exit_2(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

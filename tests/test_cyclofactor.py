@@ -11,6 +11,10 @@ from sintdyn.cyclofactor import (
 from sintdyn.ffpoly import PrimeField, factorize, poly_divmod
 from sintdyn.orders import multiplicative_order
 
+from oracles import cyclotomic_by_division
+
+MERSENNE_31 = 2**31 - 1
+
 
 class TestCyclotomicPoly:
     def test_index_one_is_t_minus_1(self, F2, F3, F5):
@@ -45,16 +49,36 @@ class TestCyclotomicPoly:
         with pytest.raises(ValueError):
             cyclotomic_poly(F3, 0)
 
-    @pytest.mark.parametrize("p", (2, 3))
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, MERSENNE_31))
     def test_product_over_divisors_is_tn_minus_1(self, p):
+        # by induction on n this pins every pi_n with n <= 300
         field = PrimeField(p)
-        for n in range(1, 40):
+        for n in range(1, 301):
             if n % p == 0:
                 continue
             product = field.one
             for d in intmath.divisors(n):
                 product = product * cyclotomic_poly(field, d)
-            assert product == field.tn_minus_1(n)
+            assert product == field.tn_minus_1(n), (p, n)
+
+    @pytest.mark.parametrize("p, bound", ((2, 1000), (3, 400), (5, 400), (7, 400)))
+    def test_equals_division_oracle(self, p, bound):
+        field = PrimeField(p)
+        for n in range(1, bound + 1):
+            if n % p:
+                assert cyclotomic_poly(field, n) == cyclotomic_by_division(field, n), (p, n)
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, MERSENNE_31))
+    def test_matches_sympy_mod_p(self, p):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        field = PrimeField(p)
+        # 105 is the first index whose integer coefficients leave {-1, 0, 1}
+        for n in [*range(1, 101), 105, 165, 195, 385]:
+            if n % p == 0:
+                continue
+            expected = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()
+            assert cyclotomic_poly(field, n) == field.poly(reversed(expected)), (p, n)
 
 
 class TestSplittingCount:
@@ -81,9 +105,6 @@ class TestSplittingCount:
             pairs = factorize(cyclotomic_poly(field, n))
             assert len(pairs) == count
             assert all(v.degree == degree and mult == 1 for v, mult in pairs)
-
-
-MERSENNE_31 = 2**31 - 1
 
 
 class TestCyclotomicSplit:
