@@ -14,12 +14,14 @@ rows at degree 128 to 2048 time gcd, rem and pow_mod (pow_mod at degree
 and one cold row splits pi_d for every odd d <= 2000 (not run on the pure
 list kernel, which needs nearly three minutes).  The library caches are
 cleared before every repetition, so the end-to-end rows time cold runs.
-The construction rows time artin_primes and enumerate_places in the
-"kernel" column only, at the sizes of the CLI workloads and above.  The
-cyclotomic rows build pi_n by cyclotomic_poly for every n <= 2000 coprime
-to 2 and every n <= 600 coprime to 3, "kernel" column only.  The
-series rows time Berlekamp-Massey (find_linear_recurrence) alone on
-prebuilt zeta series: two without a short recurrence and one that has one.
+The construction rows time artin_primes, example85_reference and
+enumerate_places in the "kernel" column only, at the sizes of the CLI
+workloads and above, and artin_primes and example85_reference at their
+admitted limits.  The cyclotomic rows build pi_n by cyclotomic_poly for
+every n <= 2000 coprime to 2 and every n <= 600 coprime to 3, "kernel"
+column only.  The series rows time Berlekamp-Massey
+(find_linear_recurrence) alone on prebuilt zeta series: two without a
+short recurrence and one that has one.
 The system rows time, for each omega mode at p = 2, 3 and 5, the exponent
 table periodic_exponents(spec, N) ("table") against one periodic_exponent
 call per n ("per-n"), with the factor cache warmed first, so they time
@@ -39,7 +41,13 @@ from sintdyn import _kernel
 from sintdyn._kernel import _pypoly
 from sintdyn.cyclofactor import _cyclotomic_factors, cyclotomic_poly, factor_tn_minus_1
 from sintdyn.ffpoly import PrimeField, factorize
-from sintdyn.limitset import artin_primes, verify_construction
+from sintdyn.limitset import (
+    MAX_ARTIN_BOUND,
+    MAX_Q_BOUND,
+    artin_primes,
+    example85_reference,
+    verify_construction,
+)
 from sintdyn.orders import _irreducible_order
 from sintdyn.places import enumerate_places
 from sintdyn.system import (
@@ -185,12 +193,19 @@ def bench_end_to_end(repeats):
 
 
 def bench_construction(repeats):
-    # timed only as the library runs them: artin_primes makes no kernel call
-    # and enumerate_places sieves with products through _kernel.mul
+    # timed only as the library runs them: artin_primes and
+    # example85_reference make no kernel call and enumerate_places sieves
+    # with products through _kernel.mul
     cases = {
         f"artin_primes(F_2, {bound})": lambda bound=bound: artin_primes(PrimeField(2), bound)
-        for bound in (20000, 200000)
+        for bound in (20000, 200000, MAX_ARTIN_BOUND)
     }
+    cases.update({
+        f"example85_reference(F_2, {bound})": lambda bound=bound: example85_reference(
+            PrimeField(2), bound
+        )
+        for bound in (1000, MAX_Q_BOUND)
+    })
     cases.update({
         f"enumerate_places(F_{p}, {k})": lambda p=p, k=k: enumerate_places(PrimeField(p), k)
         for p, k in ((2, 10), (2, 12), (3, 6), (5, 4))

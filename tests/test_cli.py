@@ -456,6 +456,23 @@ class TestPlacesRefusedUpFront:
         assert len(json.loads(out)["places"]) == 748
 
 
+class TestWorkBoundsRefusedUpFront:
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (("artin", "--p", "2", "--bound", "10000001"),
+             "error: artin: bound must be at most 10000000: got 10000001\n"),
+            (("example85", "--p", "2", "--q-bound", "1000001"),
+             "error: example85: q_bound must be at most 1000000: got 1000001\n"),
+        ),
+    )
+    def test_refused_at_limit_plus_one(self, capsys, argv, message):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (status, out, err) == (2, "", message)
+
+
 class TestEndToEndProcess:
     def test_module_invocation_byte_identical(self):
         argv = ["zeta", "--p", "2", "--system", "random", "--rho", "1/3", "--seed", "11",

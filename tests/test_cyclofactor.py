@@ -16,6 +16,13 @@ from oracles import cyclotomic_by_division
 MERSENNE_31 = 2**31 - 1
 
 
+@pytest.fixture
+def cold_split_cache():
+    _cyclotomic_factors.cache_clear()
+    yield
+    _cyclotomic_factors.cache_clear()
+
+
 class TestCyclotomicPoly:
     def test_index_one_is_t_minus_1(self, F2, F3, F5):
         assert cyclotomic_poly(F2, 1) == F2.from_string("t+1")
@@ -158,15 +165,24 @@ class TestCyclotomicSplit:
         assert all(mult == 1 for _, mult in pairs)
         assert list(_cyclotomic_factors(p, d)) == expected
 
-    def test_wrong_count_raises(self, monkeypatch):
+    def test_wrong_count_raises(self, monkeypatch, cold_split_cache):
         count, degree = splitting_count(PrimeField(2), 21)
         monkeypatch.setattr(cyclofactor, "splitting_count", lambda field, d: (count + 1, degree))
-        _cyclotomic_factors.cache_clear()
-        try:
-            with pytest.raises(ArithmeticError, match="pi_21 mod 2"):
-                _cyclotomic_factors(2, 21)
-        finally:
-            _cyclotomic_factors.cache_clear()
+        with pytest.raises(ArithmeticError, match="pi_21 mod 2"):
+            _cyclotomic_factors(2, 21)
+
+    def test_no_splitting_element_raises(self, monkeypatch, cold_split_cache):
+        # pi_21 mod 2 (two factors of degree 6) stays one pending piece
+        monkeypatch.setattr(cyclofactor, "_frobenius_fixed", lambda *args: iter(()))
+        with pytest.raises(ArithmeticError, match="pi_21 mod 2 did not split into 2 "):
+            _cyclotomic_factors(2, 21)
+
+    def test_coset_sums_alone_can_run_out(self, monkeypatch, cold_split_cache):
+        # at the fixed seed the shifted powers of the coset sums t and t^2
+        # leave pi_3 = t^2 + t + 1 mod 7 whole; the combinations would split it
+        monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
+        with pytest.raises(ArithmeticError, match="pi_3 mod 7 did not split into 2 "):
+            _cyclotomic_factors(7, 3)
 
 
 class TestFactorTnMinus1:

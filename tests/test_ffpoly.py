@@ -298,3 +298,60 @@ class TestAgainstSympyAtP2:
             assert is_irreducible(f) == reference.is_irreducible, str(f)
             irreducible += reference.is_irreducible
         assert irreducible >= 15
+
+
+class TestAgainstSympyAtOddP:
+    """At odd p factorize, is_irreducible and poly_gcd must agree with
+    sympy on seeded draws of four kinds: products with repeated factors
+    (the squarefree path), h(t^p) times a cofactor (the p-th root; left out
+    at 2^31 - 1, where t^p is out of reach), arbitrary polynomials, and
+    monic ones of degree 2 or 3, which give at least ten irreducible cases
+    per p.  sympy keeps symmetric residues, so its factors are reduced mod
+    p and made monic before the comparison."""
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 2**31 - 1))
+    def test_factorize_is_irreducible_and_gcd(self, p):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        field = PrimeField(p)
+        rng = random.Random(p)
+        max_degree = 10 if p > 7 else 16
+
+        def to_sympy(f):
+            return sympy.Poly(f.coeffs[::-1], t, modulus=p)
+
+        def from_sympy(v):
+            return field.poly(int(c) % p for c in reversed(v.all_coeffs())).monic()
+
+        irreducible = 0
+        for case in range(72):
+            kind = min(case % 6, 3)
+            if kind == 1 and p > 7:
+                continue
+            if kind == 0:
+                f = field.one
+                for _ in range(2):
+                    g = _random_poly(field, rng, 4, nonzero=True)
+                    for _ in range(rng.randrange(1, 4)):
+                        f = f * g
+            elif kind == 1:
+                h = _random_poly(field, rng, 12 // p + 1, nonzero=True)
+                coeffs = [0] * (p * len(h.coeffs))
+                coeffs[::p] = h.coeffs
+                f = field.poly(coeffs) * _random_poly(field, rng, 3, nonzero=True)
+            elif kind == 2:
+                f = _random_poly(field, rng, max_degree)
+            else:
+                f = field.poly([rng.randrange(p) for _ in range(rng.randrange(2, 4))] + [1])
+            if f.is_zero or f.degree < 1:
+                continue
+            reference = to_sympy(f)
+            _, pairs = reference.factor_list()
+            expected = sorted((from_sympy(v), mult) for v, mult in pairs)
+            assert factorize(f) == expected, str(f)
+            assert is_irreducible(f) == reference.is_irreducible, str(f)
+            irreducible += reference.is_irreducible
+            common = _random_poly(field, rng, 4, nonzero=True)
+            a, b = f * common, _random_poly(field, rng, max_degree, nonzero=True) * common
+            assert poly_gcd(a, b) == from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))), str(f)
+        assert irreducible >= 10

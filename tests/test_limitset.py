@@ -60,6 +60,12 @@ class TestExample85Reference:
         assert example85_reference(F2, 1) == {Fraction(0), Fraction(1)}
         assert example85_reference(F5, 1) == {Fraction(0), Fraction(1)}
 
+    def test_limit_is_inclusive(self, F3, monkeypatch):
+        monkeypatch.setattr("sintdyn.limitset.MAX_Q_BOUND", 4)
+        assert len(example85_reference(F3, 4)) == 4
+        with pytest.raises(ValueError, match="q_bound must be at most 4: got 5"):
+            example85_reference(F3, 5)
+
     def test_multiples_of_p_excluded(self, F3):
         rates = example85_reference(F3, 12)
         assert 1 - Fraction(1, 3) not in rates
@@ -124,6 +130,13 @@ class TestArtinPrimes:
 
     def test_p3_bound_3(self, F3):
         assert artin_primes(F3, 3) == [2]
+
+    def test_limit_is_inclusive(self, F2, monkeypatch):
+        monkeypatch.setattr("sintdyn.limitset.MAX_ARTIN_BOUND", 30)
+        assert artin_primes(F2, 30) == [3, 5, 11, 13, 19, 29]
+        for bound in (31, 10**18):
+            with pytest.raises(ValueError, match=f"bound must be at most 30: got {bound}"):
+                artin_primes(F2, bound)
 
     @pytest.mark.parametrize("p", (2, 3, 5))
     def test_against_brute_force_orders(self, p):
