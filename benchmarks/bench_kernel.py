@@ -5,7 +5,9 @@ Times the four hot kernel primitives at several degrees and characteristics
 (pow_mod with one fixed 64-bit exponent, so no cell runs for seconds),
 plus end-to-end library workloads running entirely on each list backend: the
 cyclotomic splitting of every pi_d with d <= 200, t^1023 - 1 over F_2, a
-general factorization and a construction check.  The "kernel" column is
+general factorization of t^105 - 1 over F_2, the deep equal-degree splits
+of t^n - 1 at (n, p) = (255, 2), (511, 2), (242, 3), (124, 5) and (342, 7),
+and a construction check.  The "kernel" column is
 sintdyn._kernel as the library calls it: the packed kernel at p = 2 (list
 conversion included) and the list backend that was built at odd p; it is
 timed on the p = 2 primitive rows and on every end-to-end row.  The p = 2
@@ -25,20 +27,25 @@ short recurrence and one that has one.
 The system rows time, for each omega mode at p = 2, 3 and 5, the exponent
 table periodic_exponents(spec, N) ("table") against one periodic_exponent
 call per n ("per-n"), with the factor cache warmed first, so they time
-marking and summing and no factoring.  A cell that takes over a second is
-timed once.
+marking and summing and no factoring.  The limit rows time the largest
+requests zeta and count admit: zeta_for_system of the full shift at p = 2
+and p = 2**31 - 1 with n_terms**2 * p.bit_length() at MAX_ZETA_WORK, and
+the decimal of 2**MAX_COUNT_BITS, "kernel" column only.  A cell that takes
+over a second is timed once.
 
     python benchmarks/bench_kernel.py [--repeats N]
 """
 
 import argparse
 import contextlib
+import math
 import random
 import time
 from fractions import Fraction
 
-from sintdyn import _kernel
+from sintdyn import _kernel, intmath
 from sintdyn._kernel import _pypoly
+from sintdyn.cli import MAX_COUNT_BITS
 from sintdyn.cyclofactor import _cyclotomic_factors, cyclotomic_poly, factor_tn_minus_1
 from sintdyn.ffpoly import PrimeField, factorize
 from sintdyn.limitset import (
@@ -60,7 +67,7 @@ from sintdyn.system import (
     random_system,
     trivial_system,
 )
-from sintdyn.zeta import find_linear_recurrence, zeta_for_system
+from sintdyn.zeta import MAX_ZETA_WORK, find_linear_recurrence, zeta_for_system
 
 try:
     from sintdyn._kernel import _cypoly
@@ -172,8 +179,12 @@ def bench_end_to_end(repeats):
     }
     workloads.update({
         "factor_tn_minus_1(F_2, 1023)": lambda: factor_tn_minus_1(PrimeField(2), 1023),
-        "factorize(t^105-1) over F_2": lambda: factorize(PrimeField(2).tn_minus_1(105)),
         "verify_construction(2, 7, 37)": lambda: verify_construction(2, 7, 37),
+    })
+    # the general factorizer on inputs whose equal-degree splits run deep
+    workloads.update({
+        f"factorize(t^{n}-1) over F_{p}": lambda n=n, p=p: factorize(PrimeField(p).tn_minus_1(n))
+        for n, p in ((105, 2), (255, 2), (511, 2), (242, 3), (124, 5), (342, 7))
     })
     for label, workload in workloads.items():
         timings = {}
@@ -245,6 +256,21 @@ def bench_series(repeats):
     return rows
 
 
+def bench_limits(repeats):
+    # the largest zeta series and count the CLI admits; neither calls the
+    # kernel, and the count row prints p**e of MAX_COUNT_BITS bits at p = 2
+    cases = {}
+    for p in (2, 2147483647):
+        n_terms = math.isqrt(MAX_ZETA_WORK // p.bit_length())
+        cases[f"zeta_for_system(full F_{p}, {n_terms})"] = lambda p=p, n=n_terms: zeta_for_system(
+            full_shift(PrimeField(p)), n
+        )
+    cases[f"count decimal(2**{MAX_COUNT_BITS})"] = lambda: intmath.decimal(2**MAX_COUNT_BITS)
+    return [
+        (label, "", "", {"kernel": _time(call, repeats)}) for label, call in cases.items()
+    ]
+
+
 def bench_system(repeats):
     max_n = 200
     rows = []
@@ -281,6 +307,7 @@ def main():
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)
     rows += bench_cyclotomic(args.repeats)
     rows += bench_series(args.repeats) + bench_system(args.repeats)
+    rows += bench_limits(args.repeats)
     header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in COLUMNS)
     if "cython" in BACKENDS:
         header += f" {'py/cy':>9s}"

@@ -17,6 +17,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import log2
 
 from . import SCHEMA_VERSION, __version__, intmath
 from .cyclofactor import factor_tn_minus_1
@@ -45,6 +46,11 @@ from .zeta import (
     orbit_counts,
     zeta_for_system,
 )
+
+# count refuses p**e > 2**MAX_COUNT_BITS before forming it: printing p**e
+# takes 3.4-3.7 s at the limit, p = 2, 3, 2**31-1 (2-vCPU Xeon, Python 3.11)
+MAX_COUNT_BITS = 2**21
+
 
 class CliError(ValueError):
     """Invalid command-line input; maps to exit status 2."""
@@ -155,6 +161,8 @@ def _cmd_count(args):
     spec = _system(field, args)
     _require_positive("--n", args.n)
     e = periodic_exponent(spec, args.n).e
+    if e * log2(field.p) > MAX_COUNT_BITS:
+        raise CliError(f"count: p**e must be at most 2**{MAX_COUNT_BITS}: got {field.p}**{e}")
     count = intmath.decimal(field.p**e)
     if args.format == "json":
         return _dump_json({"n": args.n, "e": e, "count": count}), 0

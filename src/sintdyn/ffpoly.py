@@ -378,75 +378,56 @@ def _pth_root(f: Poly) -> Poly:
 
 
 def _equal_degree_split(u: Poly, d: int, rng: random.Random) -> list[Poly]:
-    # u: monic product of distinct irreducibles, all of degree d
+    # u: monic product of distinct irreducibles, all of degree d.  A draw h
+    # whose candidate w has gcd 1 or u with u (a constant h, say) is redrawn
     if u.degree == d:
         return [u]
     field = u.field
     p = field.p
-    one = field.one
     while True:
         h = field.poly([rng.randrange(p) for _ in range(u.degree)])
-        if h.is_zero or h.degree == 0:
-            continue
-        g = poly_gcd(h, u)
-        if g.degree == 0:
-            if p == 2:
-                # trace map of h over the degree-d extension
-                acc = h
-                sq = h
-                for _ in range(d - 1):
-                    sq = sq * sq % u
-                    acc = acc + sq
-                g = poly_gcd(acc, u) if not acc.is_zero else field.one
-            else:
-                w = poly_powmod(h, (p**d - 1) // 2, u)
-                g = poly_gcd(w - one, u) if w != one else field.one
-        if 0 < (g.degree if not g.is_zero else 0) < u.degree:
-            rest = poly_divmod(u, g)[0]
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(rest, d, rng)
+        if p == 2:
+            # trace map of h over the degree-d extension
+            w = h
+            for _ in range(d - 1):
+                h = h * h % u
+                w = w + h
+        else:
+            w = poly_powmod(h, (p**d - 1) // 2, u) - 1
+        g = poly_gcd(w, u)
+        if 0 < g.degree < u.degree:
+            return _equal_degree_split(g, d, rng) + _equal_degree_split(u // g, d, rng)
 
 
 def _squarefree_factors(g: Poly, rng: random.Random) -> list[Poly]:
-    # g: monic squarefree, deg >= 1; distinct-degree then equal-degree split
-    field = g.field
-    p = field.p
-    t = field.t
+    # g: monic squarefree, deg >= 1; distinct-degree then equal-degree split.
+    # h = t^(p^i) mod the g of step i (poly_powmod reduces it after g shrinks)
+    t = g.field.t
     out = []
     h = t
-    current = g
     i = 0
-    while not current.is_zero and current.degree > 0:
+    while 2 * (i + 1) <= g.degree:
         i += 1
-        if 2 * i > current.degree:
-            out.append(current)
-            break
-        h = poly_powmod(h, p, current)
-        d = poly_gcd(h - t, current) if h != t else current
+        h = poly_powmod(h, g.field.p, g)
+        d = poly_gcd(h - t, g)
         if d.degree > 0:
             out.extend(_equal_degree_split(d, i, rng))
-            current = poly_divmod(current, d)[0]
-            if current.degree == 0:
-                break
-            h = h % current
+            g = g // d
+    if g.degree > 0:  # no factor of degree <= i and deg g < 2(i + 1): irreducible
+        out.append(g)
     return out
 
 
 def _factor_into(g: Poly, multiplicity: int, counts: dict, rng: random.Random):
-    if g.degree == 0:
-        return
-    d = g.derivative()
-    if d.is_zero:
-        _factor_into(_pth_root(g), multiplicity * g.field.p, counts, rng)
-        return
-    w = poly_gcd(g, d)
-    if w.degree == 0:
-        for v in _squarefree_factors(g, rng):
-            counts[v] = counts.get(v, 0) + multiplicity
-        return
-    squarefree_part = poly_divmod(g, w)[0]
-    for v in _squarefree_factors(squarefree_part, rng):
-        counts[v] = counts.get(v, 0) + multiplicity
-    _factor_into(w, multiplicity, counts, rng)
+    while g.degree > 0:
+        d = g.derivative()
+        if d.is_zero:
+            g, multiplicity = _pth_root(g), multiplicity * g.field.p
+        else:
+            w = poly_gcd(g, d)
+            for v in _squarefree_factors(g // w, rng):
+                counts[v] = counts.get(v, 0) + multiplicity
+            g = w
 
 
 def factorize(f: Poly) -> list[tuple[Poly, int]]:

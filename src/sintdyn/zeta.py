@@ -25,6 +25,7 @@ from math import gcd
 from operator import mul
 
 from . import intmath
+from .orders import _validate_n
 from .system import SystemSpec, periodic_exponents
 
 
@@ -84,10 +85,20 @@ def counts_from_series(series: ZetaSeries) -> list[int]:
     return counts
 
 
+# larger n_terms**2 * p.bit_length() is refused: at the limit the full shift
+# takes 4 s at p = 2, 8-10 s at p = 3 or 2**31-1 (2-vCPU Xeon, Python 3.11)
+MAX_ZETA_WORK = 2 * 10**7
+
+
 def zeta_for_system(spec: SystemSpec, n_terms: int) -> ZetaSeries:
-    """Zeta series of a system truncated after z**n_terms."""
+    """Zeta series of a system truncated after z**n_terms (MAX_ZETA_WORK)."""
     if n_terms < 1:
         raise ValueError(f"n_terms must be positive: got {n_terms}")
+    _validate_n(n_terms)  # an n out of range is refused as such, not as costly
+    work = n_terms**2 * spec.field.p.bit_length()
+    if work > MAX_ZETA_WORK:
+        raise ValueError(f"zeta: n_terms**2 * p.bit_length() must be at most "
+                         f"{MAX_ZETA_WORK}: got {work}")
     counts = [spec.field.p**e for e in periodic_exponents(spec, n_terms)]
     return zeta_coefficients(counts, spec)
 

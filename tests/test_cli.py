@@ -229,6 +229,25 @@ class TestOtherCommands:
         assert doc["method"] == "empirical"
         assert doc["clusters"] == [{"rate": {"num": 1, "den": 1}, "count": 25}]
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("growth", "--p", "2", "--system", "full", "--max-n", "4"),
+            ("zeta", "--p", "2", "--system", "example85", "--terms", "4"),
+            ("limits", "--p", "3", "--system", "random", "--rho", "1/2", "--seed", "7",
+             "--max-n", "8"),
+        ),
+    )
+    def test_label_flag(self, capsys, argv):
+        default = json.loads(run_cli(capsys, *argv)[1])["label"]
+        expected = "random(rho=1/2, seed=7)" if "random" in argv else argv[4]
+        assert default == expected
+        labeled = argv + ("--label", "X")
+        assert json.loads(run_cli(capsys, *labeled)[1])["label"] == "X"
+        if argv[0] == "zeta":
+            header = run_cli(capsys, *labeled, "--format", "text")[1].split("\n")[0]
+            assert header == "zeta series for X over F_2, N=4:"
+
     def test_verify_all_checks_true(self, capsys):
         status, out, _ = run_cli(
             capsys, "verify", "--p", "2", "--q", "3", "--nj", "5", "--format", "json"
@@ -464,6 +483,16 @@ class TestWorkBoundsRefusedUpFront:
              "error: artin: bound must be at most 10000000: got 10000001\n"),
             (("example85", "--p", "2", "--q-bound", "1000001"),
              "error: example85: q_bound must be at most 1000000: got 1000001\n"),
+            (("count", "--p", "2", "--system", "full", "--n", str(2**21 + 1)),
+             f"error: count: p**e must be at most 2**{2**21}: got 2**{2**21 + 1}\n"),
+            (("count", "--p", "2147483647", "--system", "full", "--n", "67651"),
+             f"error: count: p**e must be at most 2**{2**21}: got 2147483647**67651\n"),
+            (("zeta", "--p", "2", "--system", "full", "--terms", "3163"),
+             "error: zeta: n_terms**2 * p.bit_length() must be at most 20000000: "
+             "got 20009138\n"),
+            (("zeta", "--p", "2147483647", "--system", "full", "--terms", "804"),
+             "error: zeta: n_terms**2 * p.bit_length() must be at most 20000000: "
+             "got 20038896\n"),
         ),
     )
     def test_refused_at_limit_plus_one(self, capsys, argv, message):
@@ -471,6 +500,64 @@ class TestWorkBoundsRefusedUpFront:
         status, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1
         assert (status, out, err) == (2, "", message)
+
+    def test_count_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr("sintdyn.cli.MAX_COUNT_BITS", 10)
+        assert run_cli(capsys, "count", "--p", "2", "--system", "full", "--n", "10") == (
+            0, '{"n":10,"e":10,"count":"1024"}\n', ""
+        )
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "count", "--p", "2", "--system", "full", "--n", "11")
+        assert time.perf_counter() - start < 1
+        assert (status, out, err) == (
+            2, "", "error: count: p**e must be at most 2**10: got 2**11\n"
+        )
+
+    def test_count_bounds_e_not_n(self, capsys):
+        # the trivial system has e = 0 at every n, so |F_n| = 1 however large n is
+        status, out, err = run_cli(
+            capsys, "count", "--p", "2", "--system", "trivial", "--n", str(2**31 - 1)
+        )
+        assert (status, err) == (0, "")
+        assert json.loads(out) == {"n": 2**31 - 1, "e": 0, "count": "1"}
+
+    def test_zeta_limit_is_inclusive(self, capsys, monkeypatch):
+        # 10 terms at p = 2 is 10**2 * 2 = 200
+        argv = ("zeta", "--p", "2", "--system", "full", "--terms", "10")
+        monkeypatch.setattr("sintdyn.zeta.MAX_ZETA_WORK", 200)
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, err) == (0, "")
+        assert json.loads(out)["coefficients"][-1] == "1024"
+        monkeypatch.setattr("sintdyn.zeta.MAX_ZETA_WORK", 199)
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (status, out, err) == (
+            2, "", "error: zeta: n_terms**2 * p.bit_length() must be at most 199: got 200\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("count", "--p", "2", "--system", "full", "--n", str(2**21)),
+            ("count", "--p", "2147483647", "--system", "full", "--n", "67650"),
+            ("zeta", "--p", "2", "--system", "full", "--terms", "3162"),
+            ("zeta", "--p", "2147483647", "--system", "full", "--terms", "803"),
+        ),
+    )
+    def test_admitted_at_the_real_limits(self, capsys, monkeypatch, argv):
+        # the costly step after each check is replaced by a marker, so the
+        # unpatched limits are checked without seconds of work
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr("sintdyn.intmath.decimal", admitted)
+        monkeypatch.setattr("sintdyn.zeta.periodic_exponents", admitted)
+        with pytest.raises(Admitted):
+            main(list(argv))
 
 
 class TestEndToEndProcess:

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -261,6 +263,38 @@ class TestFactorize:
                 monkeypatch.setattr(_kernel, op, getattr(module, op))
             assert factorize(f) == first
 
+
+
+class TestDeepEqualDegreeSplit:
+    """A product of many distinct irreducibles of one degree makes the
+    equal-degree split recurse deepest.  The trial-division sieve supplies
+    the factors, so this oracle needs no sympy."""
+
+    @staticmethod
+    def _check(factors):
+        factors = sorted(factors)
+        product = functools.reduce(operator.mul, factors)
+        assert factorize(product) == [(v, 1) for v in factors]
+        if product.field.p != 2:
+            # the squared product reaches the gcd(g, g') != 1 branch
+            assert factorize(product * product) == [(v, 2) for v in factors]
+
+    @pytest.mark.parametrize(
+        "p, d, count", ((2, 4, 3), (2, 6, 9), (3, 3, 8), (5, 2, 10), (7, 2, 21))
+    )
+    def test_every_irreducible_of_one_degree(self, p, d, count):
+        field = PrimeField(p)
+        factors = [v for v in sieve_irreducibles(field, d) if v.degree == d]
+        assert len(factors) == count
+        self._check(factors)
+
+    def test_linear_factors_at_large_p(self):
+        field = PrimeField(2**31 - 1)
+        rng = random.Random(0xD1CE)
+        roots = set()
+        while len(roots) < 12:
+            roots.add(rng.randrange(field.p))
+        self._check(field.t - c for c in roots)
 
 
 class TestAgainstSympyAtP2:
