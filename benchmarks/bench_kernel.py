@@ -1,16 +1,24 @@
 """Benchmark the list kernels (compiled and pure Python) against each other
-and against the packed p = 2 kernel.
+and against the packed kernels, _f2 at p = 2 and _fp at odd p.
 
+The compiled kernel is built into a temporary directory and loaded from
+there, as the tests do, so its column is present wherever setup.py can
+compile the committed C, whichever kernel the package itself imports.
 Times the four hot kernel primitives at several degrees and characteristics
-(pow_mod with one fixed 64-bit exponent, so no cell runs for seconds),
+(pow_mod with one fixed 64-bit exponent, so no cell runs for seconds):
+at p = 2 on the list backends and the "kernel" column, and at p = 3, 5 and
+2**31 - 1 at degree 32 to 1024 on the list backends and the "packed" column
+(_fp; pow_mod above degree 256 not on the pure list kernel, which needs
+tens of seconds per cell), with the packed/compiled ratio,
 plus end-to-end library workloads running entirely on each list backend: the
 cyclotomic splitting of every pi_d with d <= 200, t^1023 - 1 over F_2, a
 general factorization of t^105 - 1 over F_2, the deep equal-degree splits
 of t^n - 1 at (n, p) = (255, 2), (511, 2), (242, 3), (124, 5) and (342, 7),
 and a construction check.  The "kernel" column is
 sintdyn._kernel as the library calls it: the packed kernel at p = 2 (list
-conversion included) and the list backend that was built at odd p; it is
-timed on the p = 2 primitive rows and on every end-to-end row.  The p = 2
+conversion included) and, at odd p, the compiled kernel when the package
+itself was built with it, else _fp; it is timed on the p = 2 primitive
+rows and on every end-to-end row.  The p = 2
 rows at degree 128 to 2048 time gcd, rem and pow_mod (pow_mod at degree
 1024 and 2048 not on the pure list kernel, which needs seconds per cell),
 and one cold row splits pi_d for every odd d <= 2000 (not run on the pure
@@ -38,13 +46,18 @@ over a second is timed once.
 
 import argparse
 import contextlib
+import importlib.util
 import math
 import random
+import subprocess
+import sys
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from sintdyn import _kernel, intmath
-from sintdyn._kernel import _pypoly
+from sintdyn._kernel import _fp, _pypoly
 from sintdyn.cli import MAX_COUNT_BITS
 from sintdyn.cyclofactor import _cyclotomic_factors, cyclotomic_poly, factor_tn_minus_1
 from sintdyn.ffpoly import PrimeField, factorize
@@ -69,18 +82,36 @@ from sintdyn.system import (
 )
 from sintdyn.zeta import MAX_ZETA_WORK, find_linear_recurrence, zeta_for_system
 
-try:
-    from sintdyn._kernel import _cypoly
-except ImportError:
-    BACKENDS = {"python": _pypoly}
-else:
-    BACKENDS = {"cython": _cypoly, "python": _pypoly}
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _compiled_kernel():
+    """The compiled kernel, built by setup.py into a temporary directory and
+    loaded from there; None when it does not compile."""
+    with tempfile.TemporaryDirectory() as build:
+        done = subprocess.run(
+            [sys.executable, "setup.py", "build_ext", "--build-lib", build,
+             "--build-temp", str(Path(build) / "t")],
+            cwd=ROOT, capture_output=True,
+        )
+        paths = list(Path(build, "sintdyn", "_kernel").glob("_cypoly.*"))
+        if done.returncode or not paths:
+            return None
+        spec = importlib.util.spec_from_file_location("sintdyn._kernel._cypoly", paths[0])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # the loaded library outlives the directory
+        return module
+
+
+_cypoly = _compiled_kernel()
+BACKENDS = {"python": _pypoly} if _cypoly is None else {"cython": _cypoly, "python": _pypoly}
 KERNEL_OPS = ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd")
 # the fixed 64-bit pow_mod exponent of the primitive rows (2**64 / golden
 # ratio, 38 bits set): 64 squarings and 38 products at any p and degree
 POW_EXP = 0x9E3779B97F4A7C15
-# the list backends, then the dispatching kernel (packed at p = 2)
-COLUMNS = (*BACKENDS, "kernel")
+# the list backends, the packed odd-p kernel, then the dispatching kernel
+# (packed at p = 2)
+COLUMNS = (*BACKENDS, "packed", "kernel")
 
 
 def _random_poly(rng, p, degree):
@@ -101,25 +132,25 @@ def _time(fn, repeats, setup=lambda: None):
 
 def bench_kernel_ops(repeats):
     rows = []
-    for p in (2, 5, 2147483647):
-        for degree in (32, 128, 256):
-            rng = random.Random(degree * p % 100003)
-            a = _random_poly(rng, p, degree)
-            b = _random_poly(rng, p, degree)
-            m = _random_poly(rng, p, degree)
-            cases = {
-                "mul": lambda impl: impl.mul(a, b, p),
-                "rem": lambda impl: impl.rem(impl.mul(a, b, p), m, p),
-                "pow_mod": lambda impl: impl.pow_mod(a, POW_EXP, m, p),
-                "gcd": lambda impl: impl.gcd(a, b, p),
-            }
-            for op, call in cases.items():
-                timings = {}
-                for name, impl in BACKENDS.items():
-                    timings[name] = _time(lambda: call(impl), repeats)
-                if p == 2:
-                    timings["kernel"] = _time(lambda: call(_kernel), repeats)
-                rows.append((f"p={p}", f"deg={degree}", op, timings))
+    cells = [(2, degree) for degree in (32, 128, 256)]
+    cells += [(p, degree) for p in (3, 5, 2147483647) for degree in (32, 128, 256, 512, 1024)]
+    for p, degree in cells:
+        rng = random.Random(degree * p % 100003)
+        a = _random_poly(rng, p, degree)
+        b = _random_poly(rng, p, degree)
+        m = _random_poly(rng, p, degree)
+        cases = {
+            "mul": lambda impl: impl.mul(a, b, p),
+            "rem": lambda impl: impl.rem(impl.mul(a, b, p), m, p),
+            "pow_mod": lambda impl: impl.pow_mod(a, POW_EXP, m, p),
+            "gcd": lambda impl: impl.gcd(a, b, p),
+        }
+        for op, call in cases.items():
+            impls = {**BACKENDS, "kernel": _kernel} if p == 2 else {**BACKENDS, "packed": _fp}
+            if op == "pow_mod" and degree > 256:
+                del impls["python"]
+            timings = {name: _time(lambda: call(impl), repeats) for name, impl in impls.items()}
+            rows.append((f"p={p}", f"deg={degree}", op, timings))
     return rows
 
 
@@ -299,9 +330,9 @@ def main():
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N timing")
     args = parser.parse_args()
 
-    print(f"list backends: {', '.join(BACKENDS)} (built: {_kernel.backend_name()})")
+    print(f"list backends: {', '.join(BACKENDS)} (package imports: {_kernel.backend_name()})")
     if "cython" not in BACKENDS:
-        print("compiled backend not built; timing the pure list backend only")
+        print("compiled backend does not build; timing the pure list backend only")
 
     rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)
@@ -310,7 +341,7 @@ def main():
     rows += bench_limits(args.repeats)
     header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in COLUMNS)
     if "cython" in BACKENDS:
-        header += f" {'py/cy':>9s}"
+        header += f" {'py/cy':>9s} {'packed/cy':>10s}"
     header += f" {'list/kernel':>12s}"
     print(header)
     print("-" * len(header))
@@ -322,6 +353,8 @@ def main():
         if "cython" in BACKENDS:
             ratio = timings["python"] / timings["cython"] if "python" in timings else None
             line += f" {ratio:8.1f}x" if ratio else f" {'-':>9s}"
+            packed = timings["packed"] / timings["cython"] if "packed" in timings else None
+            line += f" {packed:9.2f}x" if packed else f" {'-':>10s}"
         fastest_list = min((timings[name] for name in BACKENDS if name in timings), default=None)
         if fastest_list and "kernel" in timings:
             line += f" {fastest_list / timings['kernel']:11.1f}x"

@@ -2,8 +2,9 @@
 limit points for S-integer dynamical systems over F_p(t).
 
 The polynomial kernel runs packed into Python ints at p = 2; at odd p it
-runs on a compiled extension when it is available and falls back to pure
-Python otherwise, and kernel_backend() reports which of those two is active.
+runs on a compiled extension when it is available and otherwise packed
+into Python ints as well, and kernel_backend() reports which of those two
+is active.
 """
 
 from ._kernel import backend_name as kernel_backend
@@ -30,6 +31,7 @@ from .limitset import (
     GrowthPoint,
     artin_primes,
     cluster_limits,
+    example85_rates,
     example85_reference,
     growth_sequence,
     verify_construction,
@@ -83,6 +85,7 @@ __all__ = [
     "counts_from_series",
     "cyclotomic_poly",
     "enumerate_places",
+    "example85_rates",
     "example85_reference",
     "example85_system",
     "factor_tn_minus_1",

@@ -5,7 +5,9 @@ p = 2 always takes the packed kernel ``_f2``, whatever backend is built:
 each function packs its list operands into ints, calls ``_f2`` and unpacks
 the result, and this is the only place that converts.  Every other p goes
 to the backend: the compiled extension ``_cypoly`` when it was built,
-otherwise the pure-Python ``_pypoly``.
+otherwise ``_fp``, which packs odd-p operands into ints itself.  The list
+kernel ``_pypoly`` is the reference both mirror; the tests use it as the
+oracle, and no call from the library reaches it.
 """
 
 from . import _f2
@@ -14,7 +16,7 @@ from ._f2 import pack, unpack
 try:
     from . import _cypoly as _backend
 except ImportError:
-    from . import _pypoly as _backend
+    from . import _fp as _backend
 
 
 def mul(a: list, b: list, p: int) -> list:
@@ -49,5 +51,6 @@ def gcd(a: list, b: list, p: int) -> list:
 
 
 def backend_name() -> str:
-    """Name of the backend for p != 2: "cython" or "python"."""
+    """Name of the backend for p != 2: "cython" (compiled) or "python" (the
+    packed _fp)."""
     return _backend.BACKEND

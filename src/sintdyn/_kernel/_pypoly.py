@@ -1,11 +1,11 @@
 """Pure-Python coefficient-vector kernels for dense polynomials over F_p.
 
 Polynomials are lists of residues in [0, p), lowest degree first, with no
-trailing zeros ([] is the zero polynomial).  The compiled backend in
-_cypoly mirrors these functions exactly; both are interchangeable.
+trailing zeros ([] is the zero polynomial).  This is the reference: the
+compiled _cypoly and the packed _fp mirror these functions exactly, and
+the tests check both against them.  The library calls _fp or _cypoly at
+odd p and _f2 at p = 2, never these loops.
 """
-
-BACKEND = "python"
 
 
 def mul(a: list, b: list, p: int) -> list:

@@ -26,7 +26,7 @@ from .limitset import (
     ConstructionRejected,
     artin_primes,
     cluster_limits,
-    example85_reference,
+    example85_rates,
     growth_sequence,
     verify_construction,
 )
@@ -300,7 +300,7 @@ def _cmd_verify(args):
 def _cmd_example85(args):
     field = _field(args)
     _require_positive("--q-bound", args.q_bound)
-    rates = sorted(example85_reference(field, args.q_bound))
+    rates = example85_rates(field, args.q_bound)
     if args.format == "json":
         doc = {
             "p": field.p,

@@ -3,8 +3,9 @@
 A Poly is an immutable canonical coefficient vector (lowest degree first,
 residues in [0, p), no trailing zeros; the zero polynomial has an empty
 vector and no defined degree).  Dense arithmetic is delegated to
-``_kernel``, which runs it packed into ints at p = 2 and on coefficient
-lists (compiled or pure Python) at odd p; everything else (gcd structure,
+``_kernel``, which runs it on polynomials packed into ints (bits at p = 2,
+wider slots at odd p), or at odd p on coefficient lists in the compiled
+extension when that is built; everything else (gcd structure,
 irreducibility, full factorization) lives here.
 
 Factorization uses squarefree/distinct-degree splitting followed by

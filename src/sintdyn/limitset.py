@@ -92,24 +92,27 @@ def growth_sequence(spec: SystemSpec, max_n: int) -> list[GrowthPoint]:
 # larger requests are refused: at p = 2 and these limits (a 2-vCPU x86-64
 # host, Python 3.11) artin_primes takes 6.2 s and 40 MB for its two flag
 # bytes per integer and its list of primes, example85_reference 4.2 s and
-# 70 MB for its 500,001 Fractions (the CLI document 14 s, mostly sorting)
+# 70 MB for its 500,001 Fractions
 MAX_ARTIN_BOUND = 10**7
 MAX_Q_BOUND = 10**6
 
 
-def example85_reference(field: PrimeField, q_bound: int) -> set[Fraction]:
-    """The limit rate set {1 - 1/q : q <= q_bound, p does not divide q}
-    together with 1, in units of log p.  q_bound > MAX_Q_BOUND (10**6) is
-    refused with ValueError before any work starts."""
+def example85_rates(field: PrimeField, q_bound: int) -> list[Fraction]:
+    """The limit rates 1 - 1/q = (q - 1)/q for q <= q_bound not divisible
+    by p, then 1, in units of log p: ascending, as 1 - 1/q ascends with q.
+    q_bound > MAX_Q_BOUND (10**6) is refused with ValueError before any work
+    starts."""
     if q_bound < 1:
         raise ValueError(f"q_bound must be positive: got {q_bound}")
     if q_bound > MAX_Q_BOUND:
         raise ValueError(f"example85: q_bound must be at most {MAX_Q_BOUND}: got {q_bound}")
-    rates = {Fraction(1)}
-    for q in range(1, q_bound + 1):
-        if q % field.p:
-            rates.add(1 - Fraction(1, q))
-    return rates
+    return [Fraction(q - 1, q) for q in range(1, q_bound + 1) if q % field.p] + [Fraction(1)]
+
+
+def example85_reference(field: PrimeField, q_bound: int) -> set[Fraction]:
+    """The limit rate set {1 - 1/q : q <= q_bound, p does not divide q}
+    together with 1, in units of log p (example85_rates as a set)."""
+    return set(example85_rates(field, q_bound))
 
 
 def cluster_limits(

@@ -315,6 +315,56 @@ class TestPinnedDocuments:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestExample85Documents:
+    """The example85 rates ascend with 1 last in every format: byte for byte
+    at --q-bound 7 and by sha256 at --q-bound 1000, for p = 2, 3 and 5."""
+
+    @pytest.mark.parametrize(
+        "p, fmt, doc",
+        (
+            (2, "json", '{"p":2,"q_bound":7,"rates":[{"num":0,"den":1},{"num":2,"den":3},'
+             '{"num":4,"den":5},{"num":6,"den":7},{"num":1,"den":1}]}\n'),
+            (2, "csv", "rate_num,rate_den\n0,1\n2,3\n4,5\n6,7\n1,1\n"),
+            (2, "text", "reference rates (in units of log p): 0, 2/3, 4/5, 6/7, 1\n"),
+            (3, "json", '{"p":3,"q_bound":7,"rates":[{"num":0,"den":1},{"num":1,"den":2},'
+             '{"num":3,"den":4},{"num":4,"den":5},{"num":6,"den":7},{"num":1,"den":1}]}\n'),
+            (3, "csv", "rate_num,rate_den\n0,1\n1,2\n3,4\n4,5\n6,7\n1,1\n"),
+            (3, "text", "reference rates (in units of log p): 0, 1/2, 3/4, 4/5, 6/7, 1\n"),
+            (5, "json", '{"p":5,"q_bound":7,"rates":[{"num":0,"den":1},{"num":1,"den":2},'
+             '{"num":2,"den":3},{"num":3,"den":4},{"num":5,"den":6},{"num":6,"den":7},'
+             '{"num":1,"den":1}]}\n'),
+            (5, "csv", "rate_num,rate_den\n0,1\n1,2\n2,3\n3,4\n5,6\n6,7\n1,1\n"),
+            (5, "text", "reference rates (in units of log p): 0, 1/2, 2/3, 3/4, 5/6, 6/7, 1\n"),
+        ),
+    )
+    def test_small_bound(self, capsys, p, fmt, doc):
+        status, out, err = run_cli(
+            capsys, "example85", "--p", str(p), "--q-bound", "7", "--format", fmt
+        )
+        assert (status, out, err) == (0, doc, "")
+
+    @pytest.mark.parametrize(
+        "p, fmt, digest",
+        (
+            (2, "json", "9ff26e65d53dbb23427442a22e1f5898e81fc5f69d1071b59593faff63d523d2"),
+            (2, "csv", "30602bd2e44d87a8e4365c3424a19d35b90a00e4a6dde3d617b397339a7b1854"),
+            (2, "text", "7155f690ddc27006687dad588550ecbf6bbefa83eb91bbf31c1dee192497d6b2"),
+            (3, "json", "9d0ea18fc990592ca64530f3304e4711d1ddf65be91a330f68f1f5e18f92051a"),
+            (3, "csv", "c446a676969fa7be57a4e5780c6c4eefd049c22243e938681e4aedda5c123a9d"),
+            (3, "text", "fff24d3d5195d1382d3009398eb40bdf83e1eea51fa6b0d89b4322770d965fb2"),
+            (5, "json", "2cb02c6cffd741e20b49cdc776694b3d70f706fa2f043f01ccfcefac401d3c70"),
+            (5, "csv", "37482673c1b8b8c93ccd2ebe469d3b9ae49be01ead78125eb53ae925b04bc63f"),
+            (5, "text", "85d4d3618ddc2a1c1be3654f522a88e59283393d6169578c4c508b9c591cebe2"),
+        ),
+    )
+    def test_digest_at_1000(self, capsys, p, fmt, digest):
+        status, out, err = run_cli(
+            capsys, "example85", "--p", str(p), "--q-bound", "1000", "--format", fmt
+        )
+        assert (status, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestExitCodes:
     def test_invalid_prime(self, capsys):
         status, out, err = run_cli(capsys, "count", "--p", "4", "--system", "full", "--n", "3")

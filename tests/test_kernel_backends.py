@@ -1,21 +1,27 @@
-"""Backend equivalence: the compiled kernel, the pure-Python kernel and the
-packed p = 2 kernel must be interchangeable on identical inputs, and all
-must satisfy the ring identities checked against a dict-based reference
-multiplication.  "kernel" is the dispatching sintdyn._kernel, which sends
-p = 2 to the packed kernel; the packed checks reach it that way, so they
-cover the list conversion too."""
+"""Backend equivalence: the compiled kernel, the pure-Python list kernel,
+the packed odd-p kernel _fp ("packed") and the packed p = 2 kernel must be
+interchangeable on identical inputs, and all must satisfy the ring
+identities checked against a dict-based reference multiplication.
+"kernel" is the dispatching sintdyn._kernel, which sends p = 2 to the
+packed kernel; the packed checks reach it that way, so they cover the list
+conversion too.  _fp is checked against _pypoly at odd p, at the edges of
+its slot widths and across its mid-Euclid slot reduction."""
 
+import importlib.util
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from sintdyn import _kernel
-from sintdyn._kernel import _f2, _pypoly
+from sintdyn._kernel import _f2, _fp, _pypoly
 
-BACKENDS = ("python", "cython", "kernel")
+BACKENDS = ("python", "cython", "packed", "kernel")
 PRIMES = (2, 3, 5, 2147483647)
+ODD_PRIMES = (3, 5, 7, 2147483647)
+KERNEL_OPS = ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd")
 
 
 def _reference_mul(a, b, p):
@@ -42,6 +48,8 @@ def _random_poly(rng, p, max_degree, nonzero=False):
 def _module(kernel_modules, name):
     if name == "kernel":
         return _kernel
+    if name == "packed":
+        return _fp
     if name not in kernel_modules:
         pytest.skip("compiled backend not built")
     return kernel_modules[name]
@@ -227,3 +235,131 @@ def test_pack_round_trip():
         assert x == sum(c << i for i, c in enumerate(a))
         assert _f2.unpack(x) == a
     assert _f2.pack([]) == 0 and _f2.unpack(0) == []
+
+
+def _fp_matches_pure(op, *args):
+    assert _outcome(getattr(_fp, op), *args) == _outcome(getattr(_pypoly, op), *args), (op, args)
+
+
+def _edges(c0, c1, limit):
+    """Each k <= limit for which c0 + c1*k is the largest slot value that a
+    slot width of 8, 16, 32, 64 or 128 bits holds, and k + 1 with it."""
+    for bits in (8, 16, 32, 64, 128):
+        k = (2**bits - 1 - c0) // c1
+        if 1 <= k < limit:
+            yield from (k, k + 1)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_fp_at_slot_width_edges(p):
+    top = [p - 1]
+    # a product slot holds up to min(len a, len b)*(p-1)**2; at p = 7 the
+    # 16-bit edge sits at length 1820
+    lengths = list(_edges(0, (p - 1) ** 2, 2048))
+    for k in lengths:
+        _fp_matches_pure("mul", top * k, top * k, p)
+    # a division slot holds up to (p-1) + min(nq, nb)*(p-1)**2: an all-ones
+    # quotient adds (p-1)*(p-1) to every slot it covers
+    for k in _edges(p - 1, (p - 1) ** 2, 700):
+        b = top * k
+        a = _pypoly.mul(b, [1] * (k + 1), p)
+        a[: k - 1] = [(c - 1) % p for c in a[: k - 1]]
+        _fp_matches_pure("div_rem", a, b, p)
+        _fp_matches_pure("rem", a, b, p)
+        assert _fp.div_rem(a, b, p)[0] == [1] * (k + 1)
+    # a pow_mod product slot, divided by m, holds up to (2*len(m) - 3)*(p-1)**2;
+    # squaring the residue of all p - 1 fills the middle slots first
+    for k in (*_edges(-3 * (p - 1) ** 2, 2 * (p - 1) ** 2, 64), *range(2, 40)):
+        for exp in (0, 1, 2, 3, (p - 1) // 2, 2**64 - 1):
+            _fp_matches_pure("pow_mod", top * (k - 1), exp, top * k, p)
+    assert lengths  # every p here has an edge below length 2048
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_fp_matches_pure_kernel(p):
+    # degrees 0..2048, most of them small; pow_mod moduli stay below degree
+    # 32 so that the list kernel finishes
+    rng = random.Random(p)
+    for i in range(40):
+        a = _random_poly(rng, p, int(2 ** rng.uniform(0, 11)))
+        b = _random_poly(rng, p, int(2 ** rng.uniform(0, 7)))
+        if i % 3 == 0:  # a common factor
+            g = _random_poly(rng, p, rng.randrange(1, 40), nonzero=True)
+            a, b = _pypoly.mul(a, g, p), _pypoly.mul(b, g, p)
+        m = _random_poly(rng, p, rng.randrange(32))
+        exp = rng.choice((0, 1, (p - 1) // 2, rng.getrandbits(64)))
+        for op, args in (
+            ("mul", (a, b)), ("div_rem", (a, b)), ("rem", (a, b)), ("gcd", (a, b)),
+            ("gcd", (b, a)), ("mul_mod", (a, b, m)), ("pow_mod", (a, exp, m)),
+            ("pow_mod", (b, exp, m)),
+        ):
+            _fp_matches_pure(op, *args, p)
+    a = [rng.randrange(p) for _ in range(2048)] + [1]
+    b = _random_poly(rng, p, 60, nonzero=True)
+    for op in ("mul", "div_rem", "rem", "gcd"):
+        _fp_matches_pure(op, a, b, p)
+
+
+def test_fp_gcd_crosses_slot_reduction(monkeypatch):
+    # at p = 7 a division grows the slot bound by about 3.6 bits, so Euclid
+    # on degree 300 reduces its 64-bit slots mod p every 16 or so divisions
+    p = 7
+    rng = random.Random(300)
+    unpacked = []
+    unpack = _fp._unpack
+    monkeypatch.setattr(_fp, "_unpack", lambda *args: unpacked.append(args) or unpack(*args))
+    for degree in (300, 301, 320):
+        g = _random_poly(rng, p, 6, nonzero=True) + [1]
+        a = _pypoly.mul([rng.randrange(p) for _ in range(degree)] + [1], g, p)
+        b = _pypoly.mul([rng.randrange(p) for _ in range(degree - 1)] + [2], g, p)
+        unpacked.clear()
+        assert _fp.gcd(a, b, p) == _pypoly.gcd(a, b, p)
+        assert len(_fp.gcd(a, b, p)) > 1
+        # each reduction unpacks both operands; the result is one more unpack
+        assert 2 * 5 + 1 <= len(unpacked) <= 2 * degree // 8 + 1
+
+
+def _failure(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES)
+def test_fp_errors_match_pure(p):
+    a, m = [1, 2, 1], [2, 0, 1]
+    for op, args in (
+        ("div_rem", (a, [])), ("div_rem", ([], [])), ("rem", (a, [])), ("rem", ([], [])),
+        # the zero modulus first, then the negative exponent, then the
+        # constant modulus
+        ("pow_mod", (a, 2, [])), ("pow_mod", (a, -1, [])), ("pow_mod", (a, -1, m)),
+        ("pow_mod", (a, -1, [2])), ("pow_mod", (a, 0, [2])), ("pow_mod", (a, 5, [2])),
+        ("pow_mod", (a, 0, m)), ("pow_mod", ([], 0, m)), ("pow_mod", ([], 3, m)),
+        ("mul_mod", (a, a, [])), ("mul_mod", (a, a, [2])),
+        ("gcd", ([], [])), ("gcd", ([], a)), ("gcd", (a, [])), ("gcd", ([2], a)),
+        ("gcd", (a, a)), ("mul", ([], a)), ("div_rem", ([1], a)), ("div_rem", (a, [2])),
+        ("rem", (a, [2])),
+    ):
+        assert _failure(getattr(_fp, op), *args, p) == _failure(getattr(_pypoly, op), *args, p)
+
+
+def test_kernel_dispatches_odd_p_to_fp_without_compiled_kernel(monkeypatch):
+    # a fresh copy of sintdyn._kernel, imported while _cypoly cannot be
+    monkeypatch.setitem(sys.modules, "sintdyn._kernel._cypoly", None)
+    monkeypatch.delattr(_kernel, "_cypoly", raising=False)
+    path = Path(_kernel.__file__)
+    spec = importlib.util.spec_from_file_location(
+        "sintdyn._kernel", path, submodule_search_locations=[str(path.parent)]
+    )
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert fresh.backend_name() == "python"
+    for op in KERNEL_OPS:
+        monkeypatch.setattr(_fp, op, lambda *args, op=op: op)
+    a, m = [1, 0, 1], [1, 1, 0, 1]
+    args = {"mul": (a, a), "div_rem": (a, m), "rem": (a, m), "mul_mod": (a, a, m),
+            "pow_mod": (a, 3, m), "gcd": (a, m)}
+    for op in KERNEL_OPS:
+        assert getattr(fresh, op)(*args[op], 3) == op
+        assert getattr(fresh, op)(*args[op], 2) == getattr(_pypoly, op)(*args[op], 2)
