@@ -4,8 +4,10 @@ and against the packed kernels, _f2 at p = 2 and _fp at odd p.
 The compiled kernel is built into a temporary directory and loaded from
 there, as the tests do, so its column is present wherever setup.py can
 compile the committed C, whichever kernel the package itself imports.
-Times the four hot kernel primitives at several degrees and characteristics
-(pow_mod with one fixed 64-bit exponent, so no cell runs for seconds):
+Prints the size of src/ (lines of Python), then times the hot kernel
+primitives at several degrees and characteristics (rem and div_rem of one
+precomputed product, pow_mod with one fixed 64-bit exponent, so no cell
+runs for seconds):
 at p = 2 on the list backends and the "kernel" column, and at p = 3, 5 and
 2**31 - 1 at degree 32 to 1024 on the list backends and the "packed" column
 (_fp; pow_mod above degree 256 not on the pure list kernel, which needs
@@ -139,9 +141,11 @@ def bench_kernel_ops(repeats):
         a = _random_poly(rng, p, degree)
         b = _random_poly(rng, p, degree)
         m = _random_poly(rng, p, degree)
+        ab = _pypoly.mul(a, b, p)
         cases = {
             "mul": lambda impl: impl.mul(a, b, p),
-            "rem": lambda impl: impl.rem(impl.mul(a, b, p), m, p),
+            "rem": lambda impl: impl.rem(ab, m, p),
+            "div_rem": lambda impl: impl.div_rem(ab, m, p),
             "pow_mod": lambda impl: impl.pow_mod(a, POW_EXP, m, p),
             "gcd": lambda impl: impl.gcd(a, b, p),
         }
@@ -325,11 +329,18 @@ def bench_system(repeats):
     return rows
 
 
+def src_lines():
+    """Lines of Python in src/sintdyn, _kernel/*.py included (not the .pyx
+    or the generated .c)."""
+    return sum(len(path.read_text().splitlines()) for path in ROOT.glob("src/sintdyn/**/*.py"))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N timing")
     args = parser.parse_args()
 
+    print(f"src/ size: {src_lines()} lines of Python")
     print(f"list backends: {', '.join(BACKENDS)} (package imports: {_kernel.backend_name()})")
     if "cython" not in BACKENDS:
         print("compiled backend does not build; timing the pure list backend only")

@@ -5,9 +5,9 @@ p = 2 always takes the packed kernel ``_f2``, whatever backend is built:
 each function packs its list operands into ints, calls ``_f2`` and unpacks
 the result, and this is the only place that converts.  Every other p goes
 to the backend: the compiled extension ``_cypoly`` when it was built,
-otherwise ``_fp``, which packs odd-p operands into ints itself.  The list
-kernel ``_pypoly`` is the reference both mirror; the tests use it as the
-oracle, and no call from the library reaches it.
+otherwise ``_fp``, which packs odd-p operands into ints itself.  ``mul_mod``
+is ``rem`` after ``mul`` at every p.  The list kernel ``_pypoly`` is the
+reference both backends mirror; the tests use it as the oracle.
 """
 
 from . import _f2
@@ -35,9 +35,7 @@ def rem(a: list, b: list, p: int) -> list:
 
 
 def mul_mod(a: list, b: list, m: list, p: int) -> list:
-    if p != 2:
-        return _backend.mul_mod(a, b, m, p)
-    return unpack(_f2.rem(_f2.mul(pack(a), pack(b)), pack(m)))
+    return rem(mul(a, b, p), m, p)
 
 
 def pow_mod(base: list, exp: int, m: list, p: int) -> list:

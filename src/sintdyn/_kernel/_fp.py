@@ -89,21 +89,9 @@ def mul(a: list, b: list, p: int) -> list:
     return _canonical(_unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1, p))
 
 
-def div_rem(a: list, b: list, p: int) -> tuple[list, list]:
-    nb = len(b)
-    if nb == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    nq = len(a) - nb + 1
-    if nq <= 0:
-        return [], list(a)
-    w = _width(p - 1 + min(nq, nb) * (p - 1) ** 2)
-    q = []
-    x = _divide(_pack(a[::-1], w), _pack(b[::-1], w), nq, w, p, pow(b[-1], -1, p), q)
-    q.reverse()
-    return q, _canonical(_unpack(x, w, nb - 1, p)[::-1])
-
-
-def rem(a: list, b: list, p: int) -> list:
+def _rem(a: list, b: list, p: int, q=None) -> list:
+    """The remainder of a by b; the quotient coefficients, leading first,
+    are appended to q when it is given."""
     nb = len(b)
     if nb == 0:
         raise ZeroDivisionError("division by zero polynomial")
@@ -111,8 +99,18 @@ def rem(a: list, b: list, p: int) -> list:
     if nq <= 0:
         return list(a)
     w = _width(p - 1 + min(nq, nb) * (p - 1) ** 2)
-    x = _divide(_pack(a[::-1], w), _pack(b[::-1], w), nq, w, p, pow(b[-1], -1, p))
+    x = _divide(_pack(a[::-1], w), _pack(b[::-1], w), nq, w, p, pow(b[-1], -1, p), q)
     return _canonical(_unpack(x, w, nb - 1, p)[::-1])
+
+
+def div_rem(a: list, b: list, p: int) -> tuple[list, list]:
+    q = []
+    r = _rem(a, b, p, q)
+    return q[::-1], r
+
+
+def rem(a: list, b: list, p: int) -> list:
+    return _rem(a, b, p)
 
 
 def mul_mod(a: list, b: list, m: list, p: int) -> list:

@@ -135,6 +135,22 @@ class PrimeField:
         return Poly(self, (self.p - 1,) + (0,) * (n - 1) + (1,), _canonical=True)
 
 
+def _operands(op):
+    """op as a Poly operator: an int other is taken as a constant, any other
+    non-Poly gives NotImplemented, and mixed fields raise FieldMismatchError."""
+
+    def method(self, other):
+        if isinstance(other, Poly):
+            _check_fields(self, other)
+        elif isinstance(other, int):
+            other = self.field.poly([other])
+        else:
+            return NotImplemented
+        return op(self, other)
+
+    return method
+
+
 class Poly:
     """Canonical polynomial over F_p.  Immutable value type."""
 
@@ -194,18 +210,8 @@ class Poly:
             c.pop()
         return Poly(self.field, tuple(c), _canonical=True)
 
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            _check_fields(self, other)
-            return other
-        if isinstance(other, int):
-            return self.field.poly([other])
-        return None
-
+    @_operands
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         p = self.field.p
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -223,45 +229,21 @@ class Poly:
         p = self.field.p
         return Poly(self.field, tuple(p - c if c else 0 for c in self.coeffs), _canonical=True)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+    __sub__ = _operands(lambda self, other: self + (-other))
+    __rsub__ = _operands(lambda self, other: other + (-self))
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
+    @_operands
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         c = _kernel.mul(list(self.coeffs), list(other.coeffs), self.field.p)
         return Poly(self.field, tuple(c), _canonical=True)
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return poly_divmod(self, other)
+    __divmod__ = _operands(lambda self, other: poly_divmod(self, other))
+    __floordiv__ = _operands(lambda self, other: poly_divmod(self, other)[0])
 
-    def __floordiv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return poly_divmod(self, other)[0]
-
+    @_operands
     def __mod__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
         c = _kernel.rem(list(self.coeffs), list(other.coeffs), self.field.p)
         return Poly(self.field, tuple(c), _canonical=True)
 
@@ -314,10 +296,8 @@ def _check_fields(a: Poly, b: Poly):
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with deg r < deg b (or r = 0)."""
+    """Quotient and remainder with deg r < deg b (or r = 0); b = 0 raises ZeroDivisionError."""
     _check_fields(a, b)
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
     q, r = _kernel.div_rem(list(a.coeffs), list(b.coeffs), a.field.p)
     return (
         Poly(a.field, tuple(q), _canonical=True),

@@ -8,6 +8,7 @@ between runs) and Pollard rho sweeps its parameters in a fixed order.
 """
 
 import math
+from itertools import compress
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXACT_BOUND = 3317044064679887385961981
@@ -153,16 +154,20 @@ def mobius(n: int) -> int:
     return mu
 
 
-def primes_upto(bound: int) -> list[int]:
-    """All primes <= bound by sieve of Eratosthenes."""
-    if bound < 2:
-        return []
+def prime_flags(bound: int) -> bytearray:
+    """Sieve of Eratosthenes: bound + 1 bytes, byte i 1 exactly when i is
+    prime (bound >= 1)."""
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for q in range(2, math.isqrt(bound) + 1):
         if sieve[q]:
-            sieve[q * q :: q] = bytearray(len(sieve[q * q :: q]))
-    return [i for i, flag in enumerate(sieve) if flag]
+            sieve[q * q :: q] = bytes(len(range(q * q, bound + 1, q)))
+    return sieve
+
+
+def primes_upto(bound: int) -> list[int]:
+    """All primes <= bound, ascending."""
+    return list(compress(range(bound + 1), prime_flags(bound))) if bound >= 2 else []
 
 
 def coprime_part(n: int, p: int) -> tuple[int, int]:

@@ -18,6 +18,7 @@ labeled as empirical in all outputs.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple
 
 from . import intmath
@@ -90,8 +91,8 @@ def growth_sequence(spec: SystemSpec, max_n: int) -> list[GrowthPoint]:
 
 
 # larger requests are refused: at p = 2 and these limits (a 2-vCPU x86-64
-# host, Python 3.11) artin_primes takes 6.2 s and 40 MB for its two flag
-# bytes per integer and its list of primes, example85_rates 0.9 s and 61 MB
+# host, Python 3.11) artin_primes takes 5 s and 23 MB for its flag byte
+# per integer and its list of Artin primes, example85_rates 0.9 s and 61 MB
 # for its 500,001 Fractions, and example85_reference 2.1 s and 83 MB
 MAX_ARTIN_BOUND = 10**7
 MAX_Q_BOUND = 10**6
@@ -153,7 +154,7 @@ def artin_primes(field: PrimeField, bound: int) -> list[int]:
     prime q != p exactly when p**((q-1)/ell) != 1 mod q for every prime
     ell dividing q - 1 (Lidl & Niederreiter, Finite Fields, Sec. 3.1), since
     a proper divisor of q - 1 divides some (q-1)/ell.  So each prime q keeps
-    its flag unless the walk over q = 1 mod ell finds one such power equal
+    flag 1 unless the walk over q = 1 mod ell finds one such power equal
     to 1; q = 2 has no ell and stays flagged for odd p, as ord_2(p) = 1.
     A bound > MAX_ARTIN_BOUND (10**7) is refused with ValueError before any
     work starts."""
@@ -162,17 +163,16 @@ def artin_primes(field: PrimeField, bound: int) -> list[int]:
     if bound > MAX_ARTIN_BOUND:
         raise ValueError(f"artin: bound must be at most {MAX_ARTIN_BOUND}: got {bound}")
     p = field.p
-    primes = intmath.primes_upto(bound)
-    flags = bytearray(bound + 1)
-    for q in primes:
-        flags[q] = 1
+    # the prime sieve, each prime that is not kept set from 1 to 2 so that
+    # it still serves as an ell
+    flags = intmath.prime_flags(bound)
     if p <= bound:
-        flags[p] = 0
-    for ell in primes:
+        flags[p] = 2
+    for ell in compress(range(bound + 1), flags):
         for q in range(ell + 1, bound + 1, ell):
-            if flags[q] and pow(p, (q - 1) // ell, q) == 1:
-                flags[q] = 0
-    return [q for q in primes if flags[q]]
+            if flags[q] == 1 and pow(p, (q - 1) // ell, q) == 1:
+                flags[q] = 2
+    return [q for q in compress(range(bound + 1), flags) if flags[q] == 1]
 
 
 def _construction_preconditions(p: int, q: int, nj: int):

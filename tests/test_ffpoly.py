@@ -97,6 +97,74 @@ class TestPolyCanonicalForm:
             poly_gcd(F2.t, F3.t)
 
 
+class TestOperatorContract:
+    """Every binary operator of Poly takes an int as a constant (on either
+    side, where the operator has a reflected form), leaves any other non-Poly
+    operand to Python's TypeError, rejects mixed fields before anything else,
+    and leaves a zero divisor to the kernel's ZeroDivisionError."""
+
+    NAMES = ("__add__", "__sub__", "__rsub__", "__mul__", "__divmod__", "__floordiv__", "__mod__")
+    OPERATORS = (operator.add, operator.sub, operator.mul, divmod, operator.floordiv, operator.mod)
+    DIVISIONS = (divmod, operator.floordiv, operator.mod)
+
+    def test_int_operand_is_a_constant(self, F3):
+        f = F3.from_string("2*t^2+t+1")
+        assert 3 - f == -f and 1 - f == F3.from_string("t^2+2*t")
+        assert 2 * f == f * 2 == f + f
+        assert divmod(f, 1) == (f, F3.zero)
+        for n in (1, 2, 4, -1, True):
+            c = F3.poly([n])
+            assert f + n == n + f == f + c
+            assert f - n == f - c and n - f == c - f
+            assert f * n == n * f == f * c
+            assert divmod(f, n) == divmod(f, c) == poly_divmod(f, c)
+            assert f // n == f // c and f % n == f % c
+
+    @pytest.mark.parametrize("other", ("x", 1.5, None))
+    def test_non_number_operand_raises_type_error(self, F3, other):
+        f = F3.t + 1
+        for name in self.NAMES:
+            assert getattr(f, name)(other) is NotImplemented
+        for op in self.OPERATORS:
+            with pytest.raises(TypeError):
+                op(f, other)
+            with pytest.raises(TypeError):
+                op(other, f)
+
+    def test_mixed_fields_raise(self, F2, F3):
+        f, g = F2.t + 1, F3.t + 2
+        for name in self.NAMES:
+            with pytest.raises(FieldMismatchError):
+                getattr(f, name)(g)
+        for op in self.OPERATORS:
+            with pytest.raises(FieldMismatchError):
+                op(g, f)
+        for op in self.DIVISIONS:  # the field check comes before the zero divisor
+            with pytest.raises(FieldMismatchError):
+                op(f, F3.zero)
+        with pytest.raises(FieldMismatchError):
+            poly_divmod(f, F3.zero)
+
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_zero_divisor(self, p, kernel_modules, monkeypatch):
+        field = PrimeField(p)
+
+        def check():
+            for f in (field.from_string("t^2+t+1"), field.one, field.zero):
+                for zero in (field.zero, 0, p):
+                    for op in self.DIVISIONS:
+                        with pytest.raises(ZeroDivisionError, match="^division by zero polynomial$"):
+                            op(f, zero)
+                with pytest.raises(ZeroDivisionError, match="^division by zero polynomial$"):
+                    poly_divmod(f, field.zero)
+
+        check()
+        for module in kernel_modules.values():
+            for op in ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd"):
+                monkeypatch.setattr(_kernel, op, getattr(module, op))
+            check()
+
+
 class TestDivmod:
     def test_spec_examples(self, F2, F3):
         q, r = poly_divmod(F2.from_string("t^3+1"), F2.from_string("t+1"))

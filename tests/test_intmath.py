@@ -125,6 +125,17 @@ def test_primes_upto():
     assert intmath.primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+@pytest.mark.parametrize("bound", (0, 1, 2, 3, 10**4))
+def test_primes_upto_matches_trial_division(bound):
+    primes = [n for n in range(2, bound + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert intmath.primes_upto(bound) == primes
+    if bound >= 1:
+        flags = intmath.prime_flags(bound)
+        assert len(flags) == bound + 1
+        assert [n for n, flag in enumerate(flags) if flag] == primes
+        assert set(flags) <= {0, 1}
+
+
 def test_coprime_part():
     assert intmath.coprime_part(6, 2) == (3, 1)
     assert intmath.coprime_part(6, 3) == (2, 1)
