@@ -33,14 +33,18 @@ admitted limits.  The cyclotomic rows build pi_n by cyclotomic_poly for
 every n <= 2000 coprime to 2 and every n <= 600 coprime to 3, "kernel"
 column only.  The series rows time Berlekamp-Massey
 (find_linear_recurrence) alone on prebuilt zeta series: two without a
-short recurrence and one that has one.
+short recurrence and one that has one.  The zeta rows time
+zeta_coefficients alone on precomputed counts: the full shift at p = 2,
+whose sum is all geometric, the explicit {t^2+t+1, t^3+t+1}, with residues
+on the multiples of 3 and 7, and a random system at p = 2, dense.
 The system rows time, for each omega mode at p = 2, 3 and 5, the exponent
 table periodic_exponents(spec, N) ("table") against one periodic_exponent
 call per n ("per-n"), with the factor cache warmed first, so they time
 marking and summing and no factoring.  The limit rows time the largest
 requests zeta and count admit: zeta_for_system of the full shift at p = 2
-and p = 2**31 - 1 with n_terms**2 * p.bit_length() at MAX_ZETA_WORK, and
-the decimal of 2**MAX_COUNT_BITS, "kernel" column only.  A cell that takes
+and p = 2**31 - 1 and of example85 at p = 2 (dense counts) with
+n_terms**2 * p.bit_length() at MAX_ZETA_WORK, and the decimal of
+2**MAX_COUNT_BITS, "kernel" column only.  A cell that takes
 over a second is timed once.
 
     python benchmarks/bench_kernel.py [--repeats N]
@@ -82,7 +86,12 @@ from sintdyn.system import (
     random_system,
     trivial_system,
 )
-from sintdyn.zeta import MAX_ZETA_WORK, find_linear_recurrence, zeta_for_system
+from sintdyn.zeta import (
+    MAX_ZETA_WORK,
+    find_linear_recurrence,
+    zeta_coefficients,
+    zeta_for_system,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -291,14 +300,32 @@ def bench_series(repeats):
     return rows
 
 
+def bench_zeta(repeats):
+    # the coefficient recurrence alone, on counts computed beforehand
+    F2 = PrimeField(2)
+    explicit = SystemSpec(F2, OmegaSource.explicit([F2.poly([1, 1, 1]), F2.poly([1, 1, 0, 1])]))
+    cases = [("full", full_shift(F2), n_terms) for n_terms in (700, 3162)]
+    cases.append(("{t^2+t+1, t^3+t+1}", explicit, 700))
+    cases += [("random rho=1/2 seed=1", random_system(F2, Fraction(1, 2), 1), n_terms)
+              for n_terms in (120, 700)]
+    rows = []
+    for name, spec, n_terms in cases:
+        counts = [2**e for e in periodic_exponents(spec, n_terms)]
+        timing = _time(lambda: zeta_coefficients(counts), repeats)
+        rows.append((f"zeta_coefficients({name} p=2 N={n_terms})", "", "", {"kernel": timing}))
+    return rows
+
+
 def bench_limits(repeats):
     # the largest zeta series and count the CLI admits; neither calls the
     # kernel, and the count row prints p**e of MAX_COUNT_BITS bits at p = 2
     cases = {}
-    for p in (2, 2147483647):
+    systems = (("full", full_shift, 2), ("full", full_shift, 2147483647),
+               ("example85", example85_system, 2))
+    for name, system, p in systems:
         n_terms = math.isqrt(MAX_ZETA_WORK // p.bit_length())
-        cases[f"zeta_for_system(full F_{p}, {n_terms})"] = lambda p=p, n=n_terms: zeta_for_system(
-            full_shift(PrimeField(p)), n
+        cases[f"zeta_for_system({name} F_{p}, {n_terms})"] = lambda p=p, system=system, n=n_terms: (
+            zeta_for_system(system(PrimeField(p)), n)
         )
     cases[f"count decimal(2**{MAX_COUNT_BITS})"] = lambda: intmath.decimal(2**MAX_COUNT_BITS)
     return [
@@ -348,7 +375,7 @@ def main():
     rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)
     rows += bench_cyclotomic(args.repeats)
-    rows += bench_series(args.repeats) + bench_system(args.repeats)
+    rows += bench_series(args.repeats) + bench_zeta(args.repeats) + bench_system(args.repeats)
     rows += bench_limits(args.repeats)
     header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in COLUMNS)
     if "cython" in BACKENDS:

@@ -122,7 +122,12 @@ def cluster_limits(
     """Empirical limit-point candidates: restrict to the trailing
     tail_fraction of the sequence, greedily merge rates within epsilon of
     the lowest rate in the cluster, and report (median rate, support count)
-    sorted ascending.  Deterministic; an empirical stand-in only."""
+    sorted ascending.  Deterministic; an empirical stand-in only.
+
+    Works on the integers e and n: with L the largest n in the tail, two
+    rates e/n != e'/n' differ by at least 1/(n n') >= 1/L**2, so the key
+    e * L**2 // n sorts them in rate order, and e/n - e0/n0 <= epsilon is
+    tested by cross-multiplication."""
     epsilon = Fraction(epsilon)
     tail_fraction = Fraction(tail_fraction)
     if epsilon <= 0:
@@ -132,18 +137,23 @@ def cluster_limits(
     tail_size = int(len(points) * tail_fraction)
     if tail_size < 1:
         raise ValueError("the requested tail is empty")
-    rates = sorted(gp.rate for gp in points[len(points) - tail_size :])
-    clusters: list[list[Fraction]] = []
-    for rate in rates:
-        if clusters and rate - clusters[-1][0] <= epsilon:
-            clusters[-1].append(rate)
-        else:
-            clusters.append([rate])
+    tail = points[len(points) - tail_size :]
+    scale = max(gp.n for gp in tail) ** 2
+    eps_num, eps_den = epsilon.numerator, epsilon.denominator
+    clusters: list[list[GrowthPoint]] = []
+    for gp in sorted(tail, key=lambda gp: gp.e * scale // gp.n):
+        if clusters:
+            first = clusters[-1][0]
+            if (gp.e * first.n - first.e * gp.n) * eps_den <= eps_num * gp.n * first.n:
+                clusters[-1].append(gp)
+                continue
+        clusters.append([gp])
     out = []
     for cluster in clusters:
         mid, odd = divmod(len(cluster), 2)
-        median = cluster[mid] if odd else (cluster[mid - 1] + cluster[mid]) / 2
-        out.append((median, len(cluster)))
+        # the mean of the middle two rates, or the middle rate twice
+        lo, hi = cluster[mid - 1 + odd], cluster[mid]
+        out.append((Fraction(lo.e * hi.n + hi.e * lo.n, 2 * lo.n * hi.n), len(cluster)))
     return out
 
 

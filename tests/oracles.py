@@ -111,6 +111,44 @@ def series_exponential(counts, n_terms: int) -> list[Fraction]:
     return acc
 
 
+def zeta_by_convolution(counts) -> tuple[int, ...]:
+    """Coefficients a_0..a_N of exp(sum c_k z**k / k) by the plain
+    convolution m * a_m = sum_{k=1..m} c_k * a_{m-k}, one product per term;
+    raises ValueError with the library's message on an invalid sequence."""
+    counts = list(counts)
+    if not all(isinstance(c, int) and c > 0 for c in counts):
+        raise ValueError("counts must be positive integers")
+    terms = [1]
+    for m in range(1, len(counts) + 1):
+        acc = sum(c * a for c, a in zip(counts, reversed(terms)))
+        a_m, remainder = divmod(acc, m)
+        if remainder:
+            raise ValueError(
+                f"zeta coefficient a_{m} = {Fraction(acc, m)} is not a non-negative "
+                "integer; the count sequence is invalid"
+            )
+        terms.append(a_m)
+    return tuple(terms)
+
+
+def clusters_by_fraction(rates, epsilon, tail_size: int) -> list[tuple[Fraction, int]]:
+    """Greedy clusters of the last tail_size rates: sorted as Fractions,
+    each merged into the cluster whose lowest rate it is within epsilon of,
+    reported as (median, size) in ascending order."""
+    clusters: list[list[Fraction]] = []
+    for rate in sorted(rates[len(rates) - tail_size :]):
+        if clusters and rate - clusters[-1][0] <= epsilon:
+            clusters[-1].append(rate)
+        else:
+            clusters.append([rate])
+    out = []
+    for cluster in clusters:
+        mid, odd = divmod(len(cluster), 2)
+        median = cluster[mid] if odd else (cluster[mid - 1] + cluster[mid]) / 2
+        out.append((median, len(cluster)))
+    return out
+
+
 def irreducible_count(p: int, m: int) -> int:
     """Number of monic irreducibles of degree m via the necklace formula
     (1/m) sum_{d | m} mu(d) p**(m/d), with mu by trial division."""

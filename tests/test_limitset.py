@@ -6,6 +6,7 @@ from sintdyn import intmath
 from sintdyn.ffpoly import PrimeField
 from sintdyn.limitset import (
     ConstructionRejected,
+    GrowthPoint,
     artin_primes,
     cluster_limits,
     example85_reference,
@@ -13,7 +14,9 @@ from sintdyn.limitset import (
     verify_construction,
 )
 from sintdyn.orders import multiplicative_order, ord_brute
-from sintdyn.system import example85_system, full_shift, trivial_system
+from sintdyn.system import example85_system, full_shift, random_system, trivial_system
+
+from oracles import clusters_by_fraction
 
 
 class TestGrowthSequence:
@@ -108,6 +111,49 @@ class TestClusterLimits:
         # rate 0 occurs only at n = 2^k; none of those lie in the last tenth
         clusters = cluster_limits(points, Fraction(1, 1000), Fraction(1, 10))
         assert all(rate > 0 for rate, _ in clusters)
+
+    def test_matches_fraction_oracle(self):
+        # drawn (n, e) with repeated rates (e k / n k) and, half the time,
+        # epsilon equal to the gap between two drawn rates
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        point = st.integers(min_value=1, max_value=400).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n))
+        )
+
+        @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+        @hypothesis.given(
+            pairs=st.lists(point, min_size=1, max_size=60),
+            repeats=st.lists(st.integers(min_value=2, max_value=5), max_size=8),
+            epsilon=st.fractions(min_value=0, max_value=1, max_denominator=5000).filter(
+                lambda x: x > 0
+            ),
+            gap_epsilon=st.booleans(),
+            tail_fraction=st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(2, 3))),
+        )
+        def check(pairs, repeats, epsilon, gap_epsilon, tail_fraction):
+            pairs = pairs + [(n * k, e * k) for (n, e), k in zip(pairs, repeats)]
+            points = [GrowthPoint(n, e, Fraction(e, n)) for n, e in pairs]
+            rates = sorted({gp.rate for gp in points})
+            if gap_epsilon and len(rates) > 1:
+                epsilon = rates[1] - rates[0]
+            tail_size = int(len(points) * tail_fraction)
+            hypothesis.assume(tail_size > 0)
+            assert cluster_limits(points, epsilon, tail_fraction) == clusters_by_fraction(
+                [gp.rate for gp in points], epsilon, tail_size
+            )
+
+        check()
+
+    def test_example85_and_random_match_fraction_oracle(self, F2, F3):
+        cases = ((example85_system(F2), 3000), (random_system(F3, Fraction(1, 2), 1), 400))
+        for spec, max_n in cases:
+            points = growth_sequence(spec, max_n)
+            rates = [gp.rate for gp in points]
+            for epsilon, tail in ((Fraction(1, 100), Fraction(1, 2)), (Fraction(1, 1000), 1)):
+                tail_size = int(len(points) * tail)
+                expected = clusters_by_fraction(rates, epsilon, tail_size)
+                assert cluster_limits(points, epsilon, tail) == expected
 
     def test_validation(self, F2):
         points = growth_sequence(full_shift(F2), 10)

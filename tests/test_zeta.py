@@ -15,6 +15,7 @@ from sintdyn.system import (
 from sintdyn.zeta import (
     InvalidCountsError,
     ZetaSeries,
+    _geometric_split,
     counts_from_series,
     find_linear_recurrence,
     orbit_counts,
@@ -22,7 +23,12 @@ from sintdyn.zeta import (
     zeta_for_system,
 )
 
-from oracles import exact_period_orbits, minimal_recurrence, series_exponential
+from oracles import (
+    exact_period_orbits,
+    minimal_recurrence,
+    series_exponential,
+    zeta_by_convolution,
+)
 
 
 class TestZetaCoefficients:
@@ -95,6 +101,145 @@ class TestZetaCoefficients:
             "N": 5,
             "coefficients": ["1", "2", "4", "8", "16", "32"],
         }
+
+
+def _counts_from_orbits(orbits):
+    # c_n = sum of d * O_d over d | n
+    return [
+        sum(d * orbits[d - 1] for d in range(1, n + 1) if n % d == 0)
+        for n in range(1, len(orbits) + 1)
+    ]
+
+
+def _agrees_with_convolution(counts):
+    # the same terms, or InvalidCountsError with the oracle's message
+    try:
+        expected = zeta_by_convolution(counts)
+    except ValueError as exc:
+        with pytest.raises(InvalidCountsError) as raised:
+            zeta_coefficients(counts)
+        assert str(raised.value) == str(exc)
+        return False
+    assert zeta_coefficients(counts).terms == expected
+    return True
+
+
+class TestZetaAgainstConvolution:
+    """zeta_coefficients, geometric part summed by Horner, against the plain
+    convolution of the oracle, on drawn count sequences."""
+
+    def _settings(self, hypothesis):
+        return hypothesis.settings(
+            max_examples=60, derandomize=True, deadline=None, database=None
+        )
+
+    def test_counts_from_drawn_orbits(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @self._settings(hypothesis)
+        @hypothesis.given(
+            orbits=st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=60)
+            .filter(lambda o: o[0] > 0)
+        )
+        def check(orbits):
+            assert _agrees_with_convolution(_counts_from_orbits(orbits))
+
+        check()
+
+    def test_geometric_except_on_a_sparse_set(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @self._settings(hypothesis)
+        @hypothesis.given(
+            base=st.integers(min_value=1, max_value=2**31 - 1),
+            n_terms=st.integers(min_value=1, max_value=80),
+            changes=st.dictionaries(
+                st.integers(min_value=1, max_value=80),
+                st.integers(min_value=-(2**20), max_value=2**20),
+                max_size=6,
+            ),
+        )
+        def check(base, n_terms, changes):
+            counts = [base**k for k in range(1, n_terms + 1)]
+            for k, delta in changes.items():
+                if k <= n_terms:
+                    counts[k - 1] = max(1, counts[k - 1] + delta)
+            _agrees_with_convolution(counts)
+
+        check()
+
+    def test_first_count_one(self):
+        # b = 1: orbits of length one only at the fixed point, plus a few
+        # drawn longer orbits
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @self._settings(hypothesis)
+        @hypothesis.given(
+            n_terms=st.integers(min_value=1, max_value=80),
+            orbits=st.dictionaries(
+                st.integers(min_value=2, max_value=80),
+                st.integers(min_value=1, max_value=2**64),
+                max_size=5,
+            ),
+        )
+        def check(n_terms, orbits):
+            drawn = [1] + [orbits.get(d, 0) for d in range(2, n_terms + 1)]
+            counts = _counts_from_orbits(drawn)
+            assert counts[0] == 1
+            assert _agrees_with_convolution(counts)
+
+        check()
+
+    def test_full_shift_is_geometric(self):
+        # exp(sum p^n z^n / n) = 1 / (1 - p z)
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @self._settings(hypothesis)
+        @hypothesis.given(
+            p=st.integers(min_value=1, max_value=2**61 - 1),
+            n_terms=st.integers(min_value=0, max_value=300),
+        )
+        def check(p, n_terms):
+            series = zeta_coefficients([p**n for n in range(1, n_terms + 1)])
+            assert series.terms == tuple(p**m for m in range(n_terms + 1))
+
+        check()
+
+    def test_drawn_sequences_agree_or_fail_alike(self):
+        # mostly invalid: the first failing a_m and its message must match
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @self._settings(hypothesis)
+        @hypothesis.given(
+            counts=st.lists(st.integers(min_value=-2, max_value=40), max_size=12)
+        )
+        def check(counts):
+            _agrees_with_convolution(counts)
+
+        check()
+
+    def test_empty_counts(self):
+        assert zeta_coefficients([]).terms == (1,)
+        assert zeta_by_convolution([]) == (1,)
+
+    def test_split_choice(self, F2):
+        # b = c_1 when the residues carry under half the bits of the counts
+        full = [2**n for n in range(1, 50)]
+        assert _geometric_split(full) == (2, [0] * 49)
+        assert _geometric_split([1] * 9) == (1, [0] * 9)
+        explicit = SystemSpec(
+            F2, OmegaSource.explicit([F2.poly([1, 1, 1]), F2.poly([1, 1, 0, 1])])
+        )
+        base, residues = _geometric_split(zeta_for_system(explicit, 200).counts)
+        assert base == 2 and 0 < sum(map(bool, residues)) < 100
+        for spec in (example85_system(F2), random_system(F2, Fraction(1, 2), 1)):
+            counts = list(zeta_for_system(spec, 200).counts)
+            assert _geometric_split(counts) == (0, counts)
 
 
 class TestOrbitCounts:
