@@ -37,10 +37,14 @@ short recurrence and one that has one.  The zeta rows time
 zeta_coefficients alone on precomputed counts: the full shift at p = 2,
 whose sum is all geometric, the explicit {t^2+t+1, t^3+t+1}, with residues
 on the multiples of 3 and 7, and a random system at p = 2, dense.
+The orbit rows time orbit_counts alone on the {t^2+t+1, t^3+t+1} counts
+at N = 130 and 800.
 The system rows time, for each omega mode at p = 2, 3 and 5, the exponent
 table periodic_exponents(spec, N) ("table") against one periodic_exponent
 call per n ("per-n"), with the factor cache warmed first, so they time
-marking and summing and no factoring.  The limit rows time the largest
+marking and summing and no factoring; at p = 2 the same for the explicit
+places {t^2+t+1, t^3+t+1} and 1 + t + ... + t^316 (order 317) at N = 300
+and 2000.  The limit rows time the largest
 requests zeta and count admit: zeta_for_system of the full shift at p = 2
 and p = 2**31 - 1 and of example85 at p = 2 (dense counts) with
 n_terms**2 * p.bit_length() at MAX_ZETA_WORK, and the decimal of
@@ -89,6 +93,7 @@ from sintdyn.system import (
 from sintdyn.zeta import (
     MAX_ZETA_WORK,
     find_linear_recurrence,
+    orbit_counts,
     zeta_coefficients,
     zeta_for_system,
 )
@@ -333,6 +338,15 @@ def bench_limits(repeats):
     ]
 
 
+def _system_rows(label, spec, max_n, repeats):
+    periodic_exponents(spec, max_n)  # warms the factor cache
+    paths = {
+        "table": lambda: periodic_exponents(spec, max_n),
+        "per-n": lambda: [periodic_exponent(spec, n).e for n in range(1, max_n + 1)],
+    }
+    return [(label, "", op, {"kernel": _time(call, repeats)}) for op, call in paths.items()]
+
+
 def bench_system(repeats):
     max_n = 200
     rows = []
@@ -345,14 +359,30 @@ def bench_system(repeats):
             random_system(field, Fraction(1, 2), 1),
         )
         for spec in specs:
-            periodic_exponents(spec, max_n)  # warms the factor cache
-            paths = {
-                "table": lambda: periodic_exponents(spec, max_n),
-                "per-n": lambda: [periodic_exponent(spec, n).e for n in range(1, max_n + 1)],
-            }
-            label = f"system {spec.omega.mode} p={p} N={max_n}"
-            for op, call in paths.items():
-                rows.append((label, "", op, {"kernel": _time(call, repeats)}))
+            rows += _system_rows(f"system {spec.omega.mode} p={p} N={max_n}", spec, max_n, repeats)
+    # explicit places of small order, and one of order 317, above N = 300
+    F2 = PrimeField(2)
+    places = {
+        "{t^2+t+1, t^3+t+1}": [F2.poly([1, 1, 1]), F2.poly([1, 1, 0, 1])],
+        "{1+t+...+t^316}": [F2.poly([1] * 317)],
+    }
+    for name, marked in places.items():
+        spec = SystemSpec(F2, OmegaSource.explicit(marked))
+        for max_n in (300, 2000):
+            rows += _system_rows(f"system explicit {name} p=2 N={max_n}", spec, max_n, repeats)
+    return rows
+
+
+def bench_orbits(repeats):
+    # the divisor sieve alone, on counts computed beforehand
+    F2 = PrimeField(2)
+    explicit = SystemSpec(F2, OmegaSource.explicit([F2.poly([1, 1, 1]), F2.poly([1, 1, 0, 1])]))
+    rows = []
+    for n_terms in (130, 800):
+        counts = [2**e for e in periodic_exponents(explicit, n_terms)]
+        timing = _time(lambda: orbit_counts(counts), repeats)
+        label = f"orbit_counts({{t^2+t+1, t^3+t+1}} p=2 N={n_terms})"
+        rows.append((label, "", "", {"kernel": timing}))
     return rows
 
 
@@ -375,7 +405,8 @@ def main():
     rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)
     rows += bench_cyclotomic(args.repeats)
-    rows += bench_series(args.repeats) + bench_zeta(args.repeats) + bench_system(args.repeats)
+    rows += bench_series(args.repeats) + bench_zeta(args.repeats) + bench_orbits(args.repeats)
+    rows += bench_system(args.repeats)
     rows += bench_limits(args.repeats)
     header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in COLUMNS)
     if "cython" in BACKENDS:

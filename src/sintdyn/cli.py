@@ -34,8 +34,10 @@ from .places import enumerate_places
 from .system import (
     PRESET_NAMES,
     OmegaSource,
+    PeriodicExponent,
     SystemSpec,
     periodic_exponent,
+    periodic_exponents,
     preset_system,
     random_system,
 )
@@ -231,7 +233,8 @@ def _cmd_limits(args):
     _require_positive("--max-n", args.max_n)
     epsilon = _parse_fraction("--epsilon", args.epsilon)
     tail = _parse_fraction("--tail-fraction", args.tail_fraction)
-    points = growth_sequence(spec, args.max_n)
+    exponents = periodic_exponents(spec, args.max_n)
+    points = [PeriodicExponent(n, e) for n, e in enumerate(exponents, 1)]
     try:
         clusters = cluster_limits(points, epsilon, tail)
     except ValueError as exc:

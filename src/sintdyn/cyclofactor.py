@@ -135,7 +135,7 @@ def _coset_sums(field: PrimeField, d: int):
         yield Poly(field, tuple(coeffs), _canonical=True)
 
 
-def _frobenius_fixed(field: PrimeField, d: int, pi: Poly, rng: random.Random):
+def _frobenius_fixed(field: PrimeField, d: int, pi: Poly, rng: random.Random | None):
     # the elements g that split pi_d: each coset sum mod pi_d, then, for odd
     # p only, seeded combinations of them
     sums = []
@@ -158,7 +158,7 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
     if d == 1:
         return (pi,)
     count, r = splitting_count(field, d)
-    rng = random.Random(_CZ_SEED)
+    rng = random.Random(_CZ_SEED) if p != 2 else None  # p = 2 draws nothing
     half = (p - 1) // 2
     factors, pending = ([pi], []) if pi.degree == r else ([], [pi])
     elements = _frobenius_fixed(field, d, pi, rng)

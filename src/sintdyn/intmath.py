@@ -145,15 +145,6 @@ def carmichael_lambda(n: int) -> int:
     return lam
 
 
-def mobius(n: int) -> int:
-    mu = 1
-    for _, e in factorint(n).items():
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def prime_flags(bound: int) -> bytearray:
     """Sieve of Eratosthenes: bound + 1 bytes, byte i 1 exactly when i is
     prime (bound >= 1)."""

@@ -25,7 +25,13 @@ from . import intmath
 from .cyclofactor import _cyclotomic_factors, cyclotomic_poly
 from .ffpoly import PrimeField, is_irreducible, poly_gcd
 from .orders import multiplicative_order, ord_brute, ord_in_tn_minus_1
-from .system import OmegaSource, SystemSpec, periodic_exponent, periodic_exponents
+from .system import (
+    OmegaSource,
+    PeriodicExponent,
+    SystemSpec,
+    periodic_exponent,
+    periodic_exponents,
+)
 
 
 class GrowthPoint(NamedTuple):
@@ -117,15 +123,15 @@ def example85_reference(field: PrimeField, q_bound: int) -> set[Fraction]:
 
 
 def cluster_limits(
-    points: list[GrowthPoint], epsilon, tail_fraction=Fraction(1)
+    points: list[PeriodicExponent], epsilon, tail_fraction=Fraction(1)
 ) -> list[tuple[Fraction, int]]:
     """Empirical limit-point candidates: restrict to the trailing
     tail_fraction of the sequence, greedily merge rates within epsilon of
     the lowest rate in the cluster, and report (median rate, support count)
     sorted ascending.  Deterministic; an empirical stand-in only.
 
-    Works on the integers e and n: with L the largest n in the tail, two
-    rates e/n != e'/n' differ by at least 1/(n n') >= 1/L**2, so the key
+    Reads only the integers .n and .e of each point (a GrowthPoint
+    serves as well): with L the largest n in the tail, two rates e/n != e'/n' differ by at least 1/(n n') >= 1/L**2, so the key
     e * L**2 // n sorts them in rate order, and e/n - e0/n0 <= epsilon is
     tested by cross-multiplication."""
     epsilon = Fraction(epsilon)
@@ -140,7 +146,7 @@ def cluster_limits(
     tail = points[len(points) - tail_size :]
     scale = max(gp.n for gp in tail) ** 2
     eps_num, eps_den = epsilon.numerator, epsilon.denominator
-    clusters: list[list[GrowthPoint]] = []
+    clusters: list[list[PeriodicExponent]] = []
     for gp in sorted(tail, key=lambda gp: gp.e * scale // gp.n):
         if clusters:
             first = clusters[-1][0]

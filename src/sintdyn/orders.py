@@ -5,9 +5,11 @@ A monic irreducible v != t divides t**m - 1 exactly when t**m = 1 mod v
 (Lidl & Niederreiter, Finite Fields, Sec. 3.1).  _divides_t_power_minus_1
 decides it with at most one modular power of about log2(m) squarings: the
 order of v divides p**deg(v) - 1, so m is first reduced to its gcd with that
-number, and a gcd of 1 leaves only v = t - 1.  ord_in_tn_minus_1 and the
-explicit places of system ask only that question, never for the order of
-v.  ord_in_tn_minus_1 uses the decomposition n = n' * p**e: since t**n - 1 =
+number, and a gcd of 1 leaves only v = t - 1.  _order_at_most finds the
+order of v up to a bound N by asking at each divisor m <= N of
+p**deg(v) - 1 in ascending order: each such m is the gcd reached at n = m,
+so it takes no more powers than asking every n <= N.  ord_in_tn_minus_1
+uses the decomposition n = n' * p**e: since t**n - 1 =
 (t**n' - 1)**(p**e) and t**n' - 1 is squarefree, the multiplicity of v is
 p**e when t**n' = 1 mod v and 0 otherwise.  ord_brute is the independent
 repeated-division oracle guarding that rule.
@@ -63,6 +65,19 @@ def _divides_t_power_minus_1(v: Poly, m: int) -> bool:
     if m == 1:
         return v.coeffs == (p - 1, 1)
     return poly_powmod(v.field.t, m, v) == v.field.one
+
+
+def _order_at_most(v: Poly, bound: int) -> int | None:
+    # the order of t mod v (v monic irreducible, v != t) when it is at most
+    # bound, else None: the least divisor m of p**deg(v) - 1 with
+    # t**m = 1 mod v.  The divisibility is tested as p**deg(v) = 1 mod m,
+    # whose cost hardly grows with the degree, where (p**deg(v) - 1) % m does
+    p, degree = v.field.p, v.degree
+    return next(
+        (m for m in range(1, bound + 1)
+         if pow(p, degree, m) == 1 % m and _divides_t_power_minus_1(v, m)),
+        None,
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,19 +13,23 @@ and t**n' - 1 is squarefree, so every marked factor has multiplicity p**k:
 
 All-zero marks none.  An explicit place v is a factor exactly when
 t**n' = 1 mod v, one modular power (Lidl & Niederreiter, Finite Fields,
-Sec. 3.1); its order is never computed.  Random marks are drawn on the
-factors of the cyclotomic pi_d, d | n'.  All-one marks every factor, total
-degree n', and is never factored.
+Sec. 3.1).  Random marks are drawn on the factors of the cyclotomic pi_d,
+d | n'.  All-one marks every factor, total degree n', and is never
+factored.
 
 periodic_exponent answers one n.  periodic_exponents fills e_1..e_N at
 once from a table of the marked degree M(n') for every n' <= N coprime to
-p.  For random marks, t**n' - 1 is the product of the pi_d with d | n', so
+p.  t**n' - 1 is the product of the pi_d with d | n', and the irreducible
+factors of pi_d are exactly the places of order d, so
 M(n') = sum over d | n' of D(d), D(d) being the degree of the marked
-factors of pi_d: each pi_d is factored and each of its factors marked once,
-and D(d) is added to every multiple of d, a divisor sieve of about
-N log N additions.  Asking each n in turn would mark the factors of pi_d
-again for every multiple of d.  The other modes take M(n') from the
-single-n rule.
+places of order d.  For random marks D(d) comes from factoring pi_d and
+marking each of its factors once; for explicit marks each place adds its
+degree at its order, found once up to N (orders._order_at_most), and a
+place of order above N marks nothing.  D(d) is then added to every
+multiple of d, a divisor sieve of about N log N additions.  Asking each n
+in turn would mark the factors of pi_d again, or test each explicit place
+again, for every n.  All-zero and all-one take M(n') from the single-n
+rule.
 
 Mark sources: all-zero (full shift on p symbols), all-one (trivial system,
 one point per period), an explicit finite set of places, or i.i.d. random
@@ -44,7 +48,7 @@ from typing import NamedTuple
 from . import intmath
 from .cyclofactor import _cyclotomic_factors
 from .ffpoly import Poly, PrimeField, is_irreducible
-from .orders import _divides_t_power_minus_1, _validate_n
+from .orders import _divides_t_power_minus_1, _order_at_most, _validate_n
 from .places import Place
 
 _MARK_SCALE = 2**64
@@ -239,15 +243,23 @@ def _marked_degrees(spec: SystemSpec, max_n: int) -> list[int]:
     # M(n') at index n' for every n' <= max_n coprime to p; the entries at
     # multiples of p are never read
     omega, p = spec.omega, spec.field.p
-    if omega.mode != "random":
+    if omega.mode in ("all_zero", "all_one"):
         return [_marked_degree(spec, m) if m % p else 0 for m in range(max_n + 1)]
+    by_order = [0] * (max_n + 1)  # D(d) at index d
+    if omega.mode == "explicit":
+        for v in omega.places:
+            order = _order_at_most(v, max_n)
+            if order:
+                by_order[order] += v.degree
+    else:
+        for d in range(1, max_n + 1):
+            if d % p:
+                by_order[d] = sum(v.degree for v in _cyclotomic_factors(p, d) if omega.mark(v))
     marked = [0] * (max_n + 1)
-    for d in range(1, max_n + 1):
-        if d % p:
-            degree = sum(v.degree for v in _cyclotomic_factors(p, d) if omega.mark(v))
-            if degree:
-                for m in range(d, max_n + 1, d):
-                    marked[m] += degree
+    for d, degree in enumerate(by_order):
+        if degree:
+            for m in range(d, max_n + 1, d):
+                marked[m] += degree
     return marked
 
 

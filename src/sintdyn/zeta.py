@@ -5,8 +5,8 @@ logarithmic-derivative recurrence m * a_m = sum_{k=1..m} c_k * a_{m-k},
 a_0 = 1, carried out in integer arithmetic: each step divides the integer
 sum by m with divmod, so every coefficient of a genuine count sequence
 comes out a non-negative integer, and a non-zero remainder raises
-InvalidCountsError.  Orbit counts invert the same data: n * O_n =
-sum_{d | n} mu(n/d) * c_d.
+InvalidCountsError.  Orbit counts invert the same data: c_n =
+sum_{d | n} d * O_d, solved for O_n by a divisor sieve.
 
 The sum is split as c_k = b**k + r_k.  The geometric part H_m =
 sum_{k=1..m} b**k * a_{m-k} obeys H_m = b * (H_{m-1} + a_{m-1}), one
@@ -143,20 +143,26 @@ def zeta_for_system(spec: SystemSpec, n_terms: int) -> ZetaSeries:
 
 
 def orbit_counts(counts) -> tuple[int, ...]:
-    """Numbers O_1..O_N of closed orbits of each least period, by Moebius
-    inversion of the counts; rejects sequences giving a negative or
-    fractional orbit count."""
-    counts = list(counts)
-    if not all(isinstance(c, int) and c > 0 for c in counts):
+    """Numbers O_1..O_N of closed orbits of each least period; rejects
+    sequences giving a negative or fractional orbit count.
+
+    c_m = sum over d | m of d * O_d, so a Dirichlet sieve walks n upward:
+    once every proper divisor d of n has had d * O_d taken off c_n, what is
+    left is n * O_n (the Moebius sum over d | n of mu(n/d) * c_d), and it is
+    taken off every multiple of n in turn.  About N log N subtractions."""
+    rest = list(counts)  # at step n: c_m less d * O_d for each d < n dividing m
+    if not all(isinstance(c, int) and c > 0 for c in rest):
         raise InvalidCountsError("counts must be positive integers")
     orbits = []
-    for n in range(1, len(counts) + 1):
-        total = sum(intmath.mobius(n // d) * counts[d - 1] for d in intmath.divisors(n))
+    for n in range(1, len(rest) + 1):
+        total = rest[n - 1]
         if total < 0 or total % n:
             raise InvalidCountsError(
                 f"orbit count at period {n} is {total}/{n}; the count sequence is invalid"
             )
         orbits.append(total // n)
+        for m in range(2 * n - 1, len(rest), n):
+            rest[m] -= total
     return tuple(orbits)
 
 

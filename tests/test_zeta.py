@@ -26,6 +26,7 @@ from sintdyn.zeta import (
 from oracles import (
     exact_period_orbits,
     minimal_recurrence,
+    orbit_counts_by_mobius,
     series_exponential,
     zeta_by_convolution,
 )
@@ -270,6 +271,35 @@ class TestOrbitCounts:
             orbit_counts([1, 1, 1, 2])  # period-4 points not a multiple of 4
         with pytest.raises(InvalidCountsError):
             orbit_counts([2, 1])  # fewer period-2 than period-1 points
+
+    def test_sieve_against_mobius_oracle(self):
+        # drawn orbits, then the same counts with one entry moved: the same
+        # orbits, or InvalidCountsError with the oracle's message at the
+        # same first bad period
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=80, derandomize=True, deadline=None, database=None)
+        @hypothesis.given(
+            orbits=st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=60)
+            .filter(lambda o: o[0] > 0),
+            index=st.integers(min_value=0, max_value=59),
+            delta=st.integers(min_value=-(2**20), max_value=2**20),
+        )
+        def check(orbits, index, delta):
+            counts = _counts_from_orbits(orbits)
+            assert orbit_counts(counts) == orbit_counts_by_mobius(counts) == tuple(orbits)
+            counts[index % len(counts)] += delta
+            try:
+                expected = orbit_counts_by_mobius(counts)
+            except ValueError as exc:
+                with pytest.raises(InvalidCountsError) as raised:
+                    orbit_counts(counts)
+                assert str(raised.value) == str(exc)
+            else:
+                assert orbit_counts(counts) == expected
+
+        check()
 
 
 class TestFindLinearRecurrence:
