@@ -13,7 +13,8 @@ at p = 2 on the list backends and the "kernel" column, and at p = 3, 5 and
 (_fp; pow_mod above degree 256 not on the pure list kernel, which needs
 tens of seconds per cell), with the packed/compiled ratio,
 plus end-to-end library workloads running entirely on each list backend: the
-cyclotomic splitting of every pi_d with d <= 200, t^1023 - 1 over F_2, a
+cyclotomic splitting of every pi_d with d <= 200 at p = 2, 3 and 5 and
+d <= 400 at p = 7, t^1023 - 1 over F_2, a
 general factorization of t^105 - 1 over F_2, the deep equal-degree splits
 of t^n - 1 at (n, p) = (255, 2), (511, 2), (242, 3), (124, 5) and (342, 7),
 and a construction check.  The "kernel" column is
@@ -29,7 +30,10 @@ cleared before every repetition, so the end-to-end rows time cold runs.
 The construction rows time artin_primes, example85_reference and
 enumerate_places in the "kernel" column only, at the sizes of the CLI
 workloads and above, and artin_primes and example85_reference at their
-admitted limits.  The cyclotomic rows build pi_n by cyclotomic_poly for
+admitted limits.  The verify rows time is_irreducible of
+1 + t + ... + t^(nj-1) at p = 2 for nj = 101, 1019 and 30011, and
+verify_construction(2, 3, nj) for nj = 1019 and 30011 (the latter once),
+"kernel" column only.  The cyclotomic rows build pi_n by cyclotomic_poly for
 every n <= 2000 coprime to 2 and every n <= 600 coprime to 3, "kernel"
 column only.  The series rows time Berlekamp-Massey
 (find_linear_recurrence) alone on prebuilt zeta series: two without a
@@ -70,7 +74,7 @@ from sintdyn import _kernel, intmath
 from sintdyn._kernel import _fp, _pypoly
 from sintdyn.cli import MAX_COUNT_BITS
 from sintdyn.cyclofactor import _cyclotomic_factors, cyclotomic_poly, factor_tn_minus_1
-from sintdyn.ffpoly import PrimeField, factorize
+from sintdyn.ffpoly import PrimeField, factorize, is_irreducible
 from sintdyn.limitset import (
     MAX_ARTIN_BOUND,
     MAX_Q_BOUND,
@@ -212,6 +216,7 @@ def _kernel_from(module):
 def _clear_caches():
     _cyclotomic_factors.cache_clear()
     _irreducible_order.cache_clear()
+    is_irreducible.cache_clear()
 
 
 def _split_all(p, bound):
@@ -223,8 +228,8 @@ def _split_all(p, bound):
 def bench_end_to_end(repeats):
     rows = []
     workloads = {
-        f"_cyclotomic_factors(p={p}, d<=200)": lambda p=p: _split_all(p, 200)
-        for p in (2, 3, 5)
+        f"_cyclotomic_factors(p={p}, d<={bound})": lambda p=p, bound=bound: _split_all(p, bound)
+        for p, bound in ((2, 200), (3, 200), (5, 200), (7, 400))
     }
     workloads.update({
         "factor_tn_minus_1(F_2, 1023)": lambda: factor_tn_minus_1(PrimeField(2), 1023),
@@ -272,6 +277,23 @@ def bench_construction(repeats):
     })
     return [
         (label, "", "", {"kernel": _time(call, repeats)}) for label, call in cases.items()
+    ]
+
+
+def bench_verify(repeats):
+    # Rabin tests of pi = 1 + t + ... + t^(nj-1) at p = 2 (one Frobenius
+    # chain of nj - 1 squarings each) and the construction checks around
+    # them, cold, "kernel" column only; the nj = 30011 check is timed once
+    F2 = PrimeField(2)
+    cases = {
+        f"is_irreducible(pi_{nj}, p=2)": (lambda nj=nj: is_irreducible(F2.poly([1] * nj)), repeats)
+        for nj in (101, 1019, 30011)
+    }
+    cases["verify_construction(2, 3, 1019)"] = (lambda: verify_construction(2, 3, 1019), repeats)
+    cases["verify_construction(2, 3, 30011)"] = (lambda: verify_construction(2, 3, 30011), 1)
+    return [
+        (label, "", "", {"kernel": _time(call, n, _clear_caches)})
+        for label, (call, n) in cases.items()
     ]
 
 
@@ -404,6 +426,7 @@ def main():
 
     rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)
+    rows += bench_verify(args.repeats)
     rows += bench_cyclotomic(args.repeats)
     rows += bench_series(args.repeats) + bench_zeta(args.repeats) + bench_orbits(args.repeats)
     rows += bench_system(args.repeats)

@@ -22,6 +22,15 @@ the coefficients and the shift a come from the fixed seed of ffpoly, so
 the split is deterministic and its exponent has only log2(p) bits.  Coset
 sums are formed one at a time, and the walk stops once all phi(d)/r
 factors are found.  ffpoly.factorize stays the general factorization.
+
+When a prime q has q**2 | d, pi_d(t) = pi_{d/q}(t**q), so every factor f of
+pi_{d/q} (cached, and needed by every caller that asks for all d | n)
+lifts to a factor f(t**q) of pi_d of degree q * r', r' = ord_{d/q}(p).  The
+kernel of (Z/d)* -> (Z/(d/q))* has order q, so r is r' or q * r'.  When
+r = q * r', each f(t**q) has the degree r of every irreducible factor of
+pi_d and is one, with no gcd taken.  When r = r', the lifted pieces, each a
+product of q factors, are what the split starts from in place of pi_d, and
+pi_d is formed only to reduce the coset sums.
 """
 
 import functools
@@ -151,17 +160,30 @@ def _frobenius_fixed(field: PrimeField, d: int, pi: Poly, rng: random.Random | N
         yield g
 
 
+def _lift(f: Poly, q: int) -> Poly:
+    # f(t**q)
+    coeffs = [0] * (q * f.degree + 1)
+    coeffs[::q] = f.coeffs
+    return Poly(f.field, tuple(coeffs), _canonical=True)
+
+
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
     field = PrimeField(p)
-    pi = cyclotomic_poly(field, d)
     if d == 1:
-        return (pi,)
+        return (cyclotomic_poly(field, 1),)
     count, r = splitting_count(field, d)
-    rng = random.Random(_CZ_SEED) if p != 2 else None  # p = 2 draws nothing
+    q = next((q for q in intmath.factorint(d) if d % (q * q) == 0), None)
+    if q:  # pi_d(t) = pi_{d/q}(t**q) (module docstring)
+        pieces = [_lift(f, q) for f in _cyclotomic_factors(p, d // q)]
+    else:
+        pieces = [cyclotomic_poly(field, d)]
+    factors, pending = (pieces, []) if pieces[0].degree == r else ([], pieces)
+    if pending:
+        rng = random.Random(_CZ_SEED) if p != 2 else None  # p = 2 draws nothing
+        pi = cyclotomic_poly(field, d) if q else pieces[0]
+        elements = _frobenius_fixed(field, d, pi, rng)
     half = (p - 1) // 2
-    factors, pending = ([pi], []) if pi.degree == r else ([], [pi])
-    elements = _frobenius_fixed(field, d, pi, rng)
     while pending:
         g = next(elements, None)
         if g is None:

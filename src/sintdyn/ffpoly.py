@@ -17,6 +17,7 @@ cyclotomic factors of t**n - 1 are split in cyclofactor from their coset
 sums instead, drawing from the same seed only for odd p.
 """
 
+import functools
 import random
 
 from . import _kernel, intmath
@@ -331,10 +332,17 @@ def poly_powmod(base: Poly, exp: int, modulus: Poly) -> Poly:
     return Poly(base.field, tuple(c), _canonical=True)
 
 
+@functools.lru_cache(maxsize=None)
 def is_irreducible(f: Poly) -> bool:
-    """Deterministic irreducibility test (Rabin): checks the Frobenius fixed
-    field condition t^(p^m) = t mod f together with gcd conditions at the
-    maximal proper subdegrees m/l for each prime l dividing m."""
+    """Deterministic irreducibility test (Rabin): f of degree m is
+    irreducible exactly when gcd(t^(p^k) - t, f) = 1 at every maximal proper
+    subdegree k = m/l (l a prime dividing m) and t^(p^m) = t mod f.
+
+    The powers come from one Frobenius chain: the k are visited in
+    ascending order and h = t^(p^k) is raised from the previous one,
+    h <- h^(p^(k - k_prev)) mod f, ending at k = m, so the test takes m
+    Frobenius steps in all.  The verdict is memoized per Poly, so callers
+    that validate the same place again pay for it once."""
     if f.is_zero or f.degree < 1:
         raise ValueError("irreducibility is only defined for nonconstant polynomials")
     m = f.degree
@@ -343,12 +351,14 @@ def is_irreducible(f: Poly) -> bool:
     field = f.field
     p = field.p
     g = f.monic()
-    t = field.t
-    for ell in intmath.factorint(m):
-        h = poly_powmod(t, p ** (m // ell), g)
+    t = h = field.t
+    k_prev = 0
+    for k in sorted(m // ell for ell in intmath.factorint(m)):
+        h = poly_powmod(h, p ** (k - k_prev), g)
         if poly_gcd(h - t, g).degree != 0:
             return False
-    return poly_powmod(t, p**m, g) == t
+        k_prev = k
+    return poly_powmod(h, p ** (m - k_prev), g) == t
 
 
 def _pth_root(f: Poly) -> Poly:

@@ -40,6 +40,7 @@ exact rational rho.  P(mark = 0) = rho, matching the convention that
 rho = 1 gives the full shift.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -59,7 +60,7 @@ def _check_markable(v: Poly):
         raise ValueError("marks are defined only for nonconstant polynomials")
     if not v.is_monic:
         raise ValueError(f"marks are defined only for monic polynomials: got {v}")
-    if v == v.field.t:
+    if v.coeffs == (0, 1):
         raise ValueError("the place t is excluded from the mark field")
 
 
@@ -117,11 +118,17 @@ class OmegaSource:
             return 1
         if self.mode == "explicit":
             return 1 if v in self.places else 0
-        threshold = (_MARK_SCALE * (self.rho.denominator - self.rho.numerator)) // self.rho.denominator
-        digest = hashlib.blake2b(
-            _place_key(v), digest_size=8, key=self.seed.to_bytes(8, "big")
-        ).digest()
-        return 1 if int.from_bytes(digest, "big") < threshold else 0
+        digest = hashlib.blake2b(_place_key(v), digest_size=8, key=self._key).digest()
+        return 1 if int.from_bytes(digest, "big") < self._threshold else 0
+
+    @functools.cached_property
+    def _threshold(self) -> int:
+        # floor((1 - rho) * 2**64), the one rounding of rho (random mode)
+        return (_MARK_SCALE * (self.rho.denominator - self.rho.numerator)) // self.rho.denominator
+
+    @functools.cached_property
+    def _key(self) -> bytes:
+        return self.seed.to_bytes(8, "big")
 
     def to_json(self) -> dict:
         if self.mode == "explicit":
@@ -273,10 +280,11 @@ def periodic_exponents(spec: SystemSpec, max_n: int) -> list[int]:
     exponents = [0] * max_n
     for m in range(1, max_n + 1):
         if m % p:
-            n, p_power = m, 1
+            # e_(m p**k) = p**k * e_m, in range exactly when e_m is
+            e, n = _exponent(m, 1, marked[m]), m
             while n <= max_n:
-                exponents[n - 1] = _exponent(n, p_power, marked[m])
-                n, p_power = n * p, p_power * p
+                exponents[n - 1] = e
+                e, n = e * p, n * p
     return exponents
 
 

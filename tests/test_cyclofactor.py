@@ -8,7 +8,7 @@ from sintdyn.cyclofactor import (
     factor_tn_minus_1,
     splitting_count,
 )
-from sintdyn.ffpoly import PrimeField, factorize, poly_divmod
+from sintdyn.ffpoly import PrimeField, factorize, poly_divmod, poly_gcd
 from sintdyn.orders import multiplicative_order
 
 from oracles import cyclotomic_by_division
@@ -183,6 +183,56 @@ class TestCyclotomicSplit:
         monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
         with pytest.raises(ArithmeticError, match="pi_3 mod 7 did not split into 2 "):
             _cyclotomic_factors(7, 3)
+
+
+class TestLift:
+    """When q**2 | d, pi_d(t) = pi_{d/q}(t**q), and the factors of pi_{d/q}
+    lifted to t**q either are the factors of pi_d or start its split."""
+
+    @staticmethod
+    def _gcd_args(monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(a)
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(cyclofactor, "poly_gcd", counted)
+        return calls
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_identity_below_400(self, p):
+        field = PrimeField(p)
+        for d in range(2, 400):
+            for q in intmath.factorint(d):
+                if d % p and d % (q * q) == 0:
+                    small = cyclotomic_poly(field, d // q).coeffs
+                    lifted = field.poly(c for a in small for c in [a] + [0] * (q - 1))
+                    assert lifted == cyclotomic_poly(field, d), (p, d, q)
+
+    @pytest.mark.parametrize("d, small", ((45, 15), (49, 7)))
+    def test_degree_jump_needs_no_gcd(self, cold_split_cache, monkeypatch, d, small):
+        # ord_45(2) = 12 = 3 * ord_15(2) and ord_49(2) = 21 = 7 * ord_7(2):
+        # every lifted factor already has the degree of a factor of pi_d
+        _cyclotomic_factors(2, small)
+        calls = self._gcd_args(monkeypatch)
+        factors = _cyclotomic_factors(2, d)
+        assert calls == []
+        assert factors == tuple(v for v, _ in factorize(cyclotomic_poly(PrimeField(2), d)))
+
+    def test_same_order_splits_the_lifted_pieces(self, F2, cold_split_cache, monkeypatch):
+        # ord_63(2) = ord_21(2) = 6: the two factors of pi_21, lifted to
+        # t**3, are the first pieces the split takes, not pi_63 itself
+        small = _cyclotomic_factors(2, 21)
+        calls = self._gcd_args(monkeypatch)
+        factors = _cyclotomic_factors(2, 63)
+        lifted = [F2.poly([c for a in v.coeffs for c in (a, 0, 0)]) for v in small]
+        assert len(lifted) == 2 and all(u.degree == 18 for u in lifted)
+        assert calls[:2] == lifted
+        assert cyclotomic_poly(F2, 63) not in calls
+        pairs = factorize(cyclotomic_poly(F2, 63))
+        assert len(factors) == 6
+        assert factors == tuple(v for v, _ in pairs)
 
 
 class TestFactorTnMinus1:

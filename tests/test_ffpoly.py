@@ -267,6 +267,61 @@ class TestIrreducible:
         assert is_irreducible(v)
         assert is_irreducible(F5.poly([4, 0, 2]))  # 2*(t^2+2)
 
+    @staticmethod
+    def _irreducible(field, degree, rng):
+        # a seeded draw that factorize, the distinct-degree oracle, confirms
+        while True:
+            f = field.poly([rng.randrange(field.p) for _ in range(degree)] + [1])
+            if factorize(f) == [(f, 1)]:
+                return f
+
+    @pytest.mark.parametrize("m", (30, 60))
+    def test_chain_rejects_at_every_checkpoint(self, F2, m):
+        # the chain visits k = m/5, m/3, m/2 and then m.  A product of l
+        # distinct irreducibles of degree m/l passes t^(2^m) = t and every
+        # gcd but the one at k = m/l, which no other k is a multiple of; a
+        # pair of degrees 7 and m - 7 passes every gcd and fails only
+        # t^(2^m) = t
+        rng = random.Random(m)
+        shapes = [[m // ell] * ell for ell in (5, 3, 2)] + [[7, m - 7]]
+        for degrees in shapes:
+            factors = set()
+            while len(factors) < len(degrees):
+                factors.add(self._irreducible(F2, degrees[len(factors)], rng))
+            f = functools.reduce(operator.mul, factors)
+            assert f.degree == m
+            assert not is_irreducible(f), degrees
+
+    @pytest.mark.parametrize("nj", (61, 101))
+    def test_chain_accepts_artin_pi(self, F2, nj):
+        # 2 is a primitive root mod 61 and mod 101, so 1 + t + ... + t^(nj-1)
+        # is irreducible over F_2 (m = 60 and 100)
+        assert is_irreducible(F2.poly([1] * nj))
+        assert not is_irreducible(F2.poly([1] * (nj - 1)))
+
+    def test_verdict_is_memoized(self, F3):
+        is_irreducible.cache_clear()
+        f = F3.from_string("t^4+t+2")
+        assert is_irreducible(f) == is_irreducible(F3.poly(f.coeffs)) == is_irreducible(f)
+        info = is_irreducible.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_same_verdicts_on_every_backend(self, p, kernel_modules, monkeypatch):
+        # the memo is cleared after each kernel swap, or every verdict past
+        # the first backend would be a cache hit
+        field = PrimeField(p)
+        cases = list(all_monic(field, 4))
+        is_irreducible.cache_clear()
+        expected = [is_irreducible(f) for f in cases]
+        for module in kernel_modules.values():
+            for op in ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd"):
+                monkeypatch.setattr(_kernel, op, getattr(module, op))
+            is_irreducible.cache_clear()
+            assert [is_irreducible(f) for f in cases] == expected
+            assert is_irreducible.cache_info().misses == len(cases)
+        is_irreducible.cache_clear()
+
 
 class TestFactorize:
     def test_spec_examples(self, F2):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from sintdyn import intmath
-from sintdyn.ffpoly import PrimeField
+from sintdyn.ffpoly import PrimeField, is_irreducible
 from sintdyn.limitset import (
     ConstructionRejected,
     GrowthPoint,
@@ -291,6 +291,18 @@ class TestVerifyConstruction:
             assert report.multiplicity_in_qnj == 1
             assert report.b_exponent == 1
             assert report.rate_gap <= Fraction(1, nj)
+
+    @pytest.mark.parametrize("mark_t_minus_1, polys", ((False, 1), (True, 2)))
+    def test_each_polynomial_tested_once(self, mark_t_minus_1, polys):
+        # the report's own pi_irreducible check is the one real Rabin test of
+        # pi; ord_in_tn_minus_1 and the explicit omega source validate it
+        # again through the memo, as they do t - 1 when it is marked
+        is_irreducible.cache_clear()
+        report = verify_construction(2, 3, 101, mark_t_minus_1=mark_t_minus_1)
+        assert report.all_checks_pass
+        info = is_irreducible.cache_info()
+        assert (info.misses, info.currsize, info.hits) == (polys, polys, 2)
+        is_irreducible.cache_clear()
 
     def test_multiplicity_against_brute_oracle(self):
         field = PrimeField(2)

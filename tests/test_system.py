@@ -112,6 +112,18 @@ class TestOmegaMark:
                 assert a.mark(v) == b.mark(v)
 
 
+    def test_random_marks_keep_equality_after_use(self, F2, F3):
+        # the threshold and hash key are cached on the source; a used source
+        # still equals, and hashes as, a fresh one with the same rho and seed
+        used = OmegaSource.random_marks(Fraction(2, 7), 9)
+        marks = [used.mark(v) for v in sieve_irreducibles(F2, 5) if v != F2.t]
+        fresh = OmegaSource.random_marks(Fraction(2, 7), 9)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert marks == [fresh.mark(v) for v in sieve_irreducibles(F2, 5) if v != F2.t]
+        assert used != OmegaSource.random_marks(Fraction(2, 7), 10)
+        with pytest.raises(ValueError, match="the place t is excluded"):
+            used.mark(F3.t)
+
 class TestSpecJson:
     def test_round_trips(self, F2):
         specs = [
@@ -311,6 +323,21 @@ class TestPeriodicExponents:
                 growth_sequence(spec, bad)
             with pytest.raises(ValueError, match=f"n_terms must be positive: got {bad}"):
                 zeta_for_system(spec, bad)
+
+    def test_out_of_range_reported_at_smallest_coprime_n(self, F2, monkeypatch):
+        # a table with impossible marked degrees at m = 3 and m = 5: the
+        # first failure is n = 3 itself, not its multiple 6 or 12
+        spec = full_shift(F2)
+        table = [0, 0, 0, 5, 0, 9, 0, 0, 0, 0, 0, 0, 0]
+        monkeypatch.setattr("sintdyn.system._marked_degrees", lambda spec, max_n: table)
+        with pytest.raises(ArithmeticError, match=r"^periodic exponent out of range: n=3, e=-2$"):
+            periodic_exponents(spec, 12)
+        table[3] = -1
+        with pytest.raises(ArithmeticError, match=r"^periodic exponent out of range: n=3, e=4$"):
+            periodic_exponents(spec, 12)
+        table[3] = 0
+        with pytest.raises(ArithmeticError, match=r"^periodic exponent out of range: n=5, e=-4$"):
+            periodic_exponents(spec, 12)
 
     def test_explicit_property(self):
         # drawn irreducibles of order up to 63 (p = 2), 80 (p = 3) and 124
