@@ -53,7 +53,12 @@ requests zeta and count admit: zeta_for_system of the full shift at p = 2
 and p = 2**31 - 1 and of example85 at p = 2 (dense counts) with
 n_terms**2 * p.bit_length() at MAX_ZETA_WORK, and the decimal of
 2**MAX_COUNT_BITS, "kernel" column only.  A cell that takes
-over a second is timed once.
+over a second is timed once.  The startup row, printed before the table,
+is what `from sintdyn import cli` adds to a bare interpreter's time from
+spawn until it is ready for work: the median and quartiles of the paired
+differences over STARTUP_PAIRS fresh processes of each kind, alternating
+which kind runs first, and the standard-library modules that the import
+pulls in.
 
     python benchmarks/bench_kernel.py [--repeats N]
 """
@@ -62,7 +67,9 @@ import argparse
 import contextlib
 import importlib.util
 import math
+import os
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -70,6 +77,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import sintdyn
 from sintdyn import _kernel, intmath
 from sintdyn._kernel import _fp, _pypoly
 from sintdyn.cli import MAX_COUNT_BITS
@@ -408,6 +416,49 @@ def bench_orbits(repeats):
     return rows
 
 
+STARTUP_PAIRS = 25
+# each child prints a line when it is ready; the bare one imports nothing
+READY = "print('ready', flush=True)"
+WITH_CLI = "from sintdyn import cli; " + READY
+IMPORTED = (
+    "import sys; before = set(sys.modules); from sintdyn import cli; "
+    "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+    " & sys.stdlib_module_names))"
+)
+
+
+def _child_env():
+    paths = [str(Path(sintdyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def _ready_s(code, env):
+    """Seconds from spawning `python -c code` until its first line arrives."""
+    start = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, env=env) as child:
+        child.stdout.readline()
+        seconds = time.perf_counter() - start
+        child.communicate()
+    return seconds
+
+
+def bench_startup():
+    """(median, lower quartile, upper quartile) of the time the cli import
+    adds, the bare interpreter's median, and the stdlib modules imported."""
+    env = _child_env()
+    added, bare = [], []
+    for i in range(STARTUP_PAIRS):
+        order = (READY, WITH_CLI) if i % 2 else (WITH_CLI, READY)
+        times = {code: _ready_s(code, env) for code in order}
+        bare.append(times[READY])
+        added.append(times[WITH_CLI] - times[READY])
+    lower, median, upper = statistics.quantiles(added, n=4)
+    modules = subprocess.run(
+        [sys.executable, "-c", IMPORTED], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    return (median, lower, upper), statistics.median(bare), modules
+
+
 def src_lines():
     """Lines of Python in src/sintdyn, _kernel/*.py included (not the .pyx
     or the generated .c)."""
@@ -423,6 +474,10 @@ def main():
     print(f"list backends: {', '.join(BACKENDS)} (package imports: {_kernel.backend_name()})")
     if "cython" not in BACKENDS:
         print("compiled backend does not build; timing the pure list backend only")
+    (median, lower, upper), bare, modules = bench_startup()
+    print(f"startup: from sintdyn import cli adds {median * 1e3:.1f} ms (quartiles "
+          f"{lower * 1e3:.1f}-{upper * 1e3:.1f} ms, {STARTUP_PAIRS} alternating pairs) to a "
+          f"bare interpreter's {bare * 1e3:.1f} ms; stdlib modules: {', '.join(modules)}")
 
     rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)

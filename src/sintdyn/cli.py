@@ -12,7 +12,6 @@ construction check).
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -114,7 +113,7 @@ def _system(field: PrimeField, args) -> SystemSpec:
     else:
         raise CliError(f"--system: unknown system {name!r}")
     if args.label:
-        spec = dataclasses.replace(spec, label=args.label)
+        spec = spec._replace(label=args.label)
     return spec
 
 

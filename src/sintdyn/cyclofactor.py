@@ -35,7 +35,7 @@ pi_d is formed only to reduce the coset sums.
 
 import functools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import intmath
 from .ffpoly import _CZ_SEED, Poly, PrimeField, poly_divmod, poly_gcd, poly_powmod
@@ -47,8 +47,7 @@ from .orders import multiplicative_order
 _COMBINATION_ROUNDS = 200
 
 
-@dataclass(frozen=True)
-class CycloPart:
+class CycloPart(NamedTuple):
     """Factors of one cyclotomic polynomial pi_d inside t**n - 1."""
 
     d: int
@@ -63,8 +62,7 @@ class CycloPart:
         }
 
 
-@dataclass(frozen=True)
-class CycloFactorization:
+class CycloFactorization(NamedTuple):
     """Complete factorization of t**n - 1 grouped by cyclotomic part."""
 
     field: PrimeField

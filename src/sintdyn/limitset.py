@@ -16,7 +16,6 @@ Empirical clustering can never certify membership in the limit set; it is
 labeled as empirical in all outputs.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple
@@ -46,8 +45,7 @@ class ConstructionRejected(ValueError):
     """The requested (p, q, nj) triple fails a precondition."""
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     """Outcome of one run of verify_construction with per-check flags."""
 
     p: int

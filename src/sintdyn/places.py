@@ -12,15 +12,14 @@ sum to zero (the product formula).
 """
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernel
 from .ffpoly import Poly, PrimeField, factorize, is_irreducible
 from .orders import ord_brute
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """The infinite place (poly=None) or a finite place given by a monic
     irreducible polynomial.  Place.finite and Place.from_json check the
     polynomial; the constructor trusts it, for callers that already know it

@@ -42,7 +42,6 @@ rho = 1 gives the full shift.
 
 import functools
 import hashlib
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -69,18 +68,15 @@ def _place_key(v: Poly) -> bytes:
     return v.field.p.to_bytes(4, "big") + code.to_bytes((code.bit_length() + 7) // 8, "big")
 
 
-@dataclass(frozen=True)
 class OmegaSource:
-    """Assignment of 0/1 marks to the finite places other than t."""
-
-    mode: str
-    places: frozenset[Poly] = dataclass_field(default=frozenset())
-    rho: Fraction | None = None
-    seed: int | None = None
+    """Assignment of 0/1 marks to the finite places other than t; immutable,
+    equal and hashed by (mode, places, rho, seed)."""
 
     _MODES = ("all_zero", "all_one", "explicit", "random")
 
-    def __post_init__(self):
+    def __init__(self, mode: str, places: frozenset[Poly] = frozenset(),
+                 rho: Fraction | None = None, seed: int | None = None):
+        self.__dict__.update(mode=mode, places=places, rho=rho, seed=seed)
         if self.mode not in self._MODES:
             raise ValueError(f"unknown omega mode {self.mode!r}")
         if self.mode == "explicit":
@@ -93,6 +89,27 @@ class OmegaSource:
                 raise ValueError(f"rho must be a rational in (0, 1): got {self.rho}")
             if self.seed is None or not 0 <= self.seed < 2**64:
                 raise ValueError(f"seed must be a 64-bit integer: got {self.seed}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return self.mode, self.places, self.rho, self.seed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (f"OmegaSource(mode={self.mode!r}, places={self.places!r}, "
+                f"rho={self.rho!r}, seed={self.seed!r})")
 
     @classmethod
     def all_zero(cls) -> "OmegaSource":
@@ -154,8 +171,7 @@ class OmegaSource:
         return cls(mode)
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(NamedTuple):
     """Prime field plus omega source; fully determines |F_n| for every n."""
 
     field: PrimeField

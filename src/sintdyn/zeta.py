@@ -28,7 +28,6 @@ rational zeta function of bounded denominator degree; None is evidence
 (never proof) that no such rational function exists.
 """
 
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import gcd
 from itertools import accumulate, compress, repeat
@@ -43,15 +42,32 @@ class InvalidCountsError(ValueError):
     """The input sequence cannot be a periodic-point count sequence."""
 
 
-@dataclass(frozen=True)
 class ZetaSeries:
     """Exact coefficients a_0..a_N of the zeta series, with the counts
-    c_1..c_N they were built from (None when built from terms alone)."""
+    c_1..c_N they were built from (None when built from terms alone);
+    immutable, equal and hashed by (terms, source)."""
 
-    terms: tuple[int, ...]
-    source: SystemSpec | None = None
-    # determined by the terms, so left out of equality
-    counts: tuple[int, ...] | None = dataclass_field(default=None, compare=False)
+    def __init__(self, terms: tuple[int, ...], source: SystemSpec | None = None,
+                 counts: tuple[int, ...] | None = None):
+        # counts are determined by the terms, so left out of equality
+        self.__dict__.update(terms=terms, source=source, counts=counts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.terms, self.source) == (other.terms, other.source)
+
+    def __hash__(self):
+        return hash((self.terms, self.source))
+
+    def __repr__(self):
+        return f"ZetaSeries(terms={self.terms!r}, source={self.source!r}, counts={self.counts!r})"
 
     @property
     def truncation_order(self) -> int:

@@ -452,14 +452,17 @@ class TestReproducibility:
         assert out.strip() == f"sintdyn {__version__} (schema {SCHEMA_VERSION})"
 
 
-def run_child(*argv, timeout=None):
-    """`python -m sintdyn argv` in a child process that imports the package
-    under test, wherever pytest found it."""
+def run_python(*args, timeout=None):
+    """`python args` in a child process that imports the package under test,
+    wherever pytest found it."""
     paths = [str(Path(sintdyn.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.run(
-        [sys.executable, "-m", "sintdyn", *argv], capture_output=True, env=env, timeout=timeout
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=timeout)
+
+
+def run_child(*argv, timeout=None):
+    """`python -m sintdyn argv` in a child process (run_python)."""
+    return run_python("-m", "sintdyn", *argv, timeout=timeout)
 
 
 class TestOneParserPerProcess:
@@ -621,6 +624,20 @@ class TestEndToEndProcess:
         doc = json.loads(first.stdout)
         assert doc["N"] == 20
         assert all(isinstance(c, str) for c in doc["coefficients"])
+
+
+class TestStartup:
+    """A CLI call pays for every module the package imports before its first
+    job, so the import graph of sintdyn.cli stays free of dataclasses and
+    what it pulls in (inspect, ast, dis), which nothing in the package uses."""
+
+    def test_import_leaves_out_dataclasses(self):
+        result = run_python("-c", (
+            "import sys; before = set(sys.modules); import sintdyn.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))"
+        ), timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.decode().split() == []
 
 
 class TestHighDegreePlaces:

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from sintdyn.cyclofactor import _cyclotomic_factors
+from sintdyn.cyclofactor import _cyclotomic_factors, factor_tn_minus_1
 from sintdyn.ffpoly import PrimeField, factorize, is_irreducible
-from sintdyn.limitset import growth_sequence
+from sintdyn.limitset import growth_sequence, verify_construction
 from sintdyn.places import Place
 from sintdyn.system import (
     OmegaSource,
@@ -451,3 +451,26 @@ class TestInvertedPlaces:
             ("t+1", 2, 1),
             ("t^2+t+1", 2, 2),
         ]
+
+
+# one value of each record type the library returns, with a field to assign
+RECORDS = {
+    "CycloPart": (lambda: factor_tn_minus_1(PrimeField(2), 15).parts[0], "d"),
+    "CycloFactorization": (lambda: factor_tn_minus_1(PrimeField(2), 15), "n"),
+    "Place": (Place.infinite, "poly"),
+    "OmegaSource": (lambda: OmegaSource.random_marks(Fraction(1, 2), 1), "seed"),
+    "SystemSpec": (lambda: full_shift(PrimeField(2)), "label"),
+    "ZetaSeries": (lambda: zeta_for_system(full_shift(PrimeField(2)), 5), "counts"),
+    "ConstructionReport": (lambda: verify_construction(2, 3, 11), "pi_irreducible"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable(name):
+    make, field = RECORDS[name]
+    record = make()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) == before
+    assert record == make() and hash(record) == hash(make())

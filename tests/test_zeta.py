@@ -83,6 +83,7 @@ class TestZetaCoefficients:
         assert list(series.counts) == counts_from_series(series)
         # the counts follow from the terms and take no part in equality
         assert ZetaSeries(series.terms, spec) == series
+        assert hash(ZetaSeries(series.terms, spec)) == hash(series)
         assert ZetaSeries(series.terms).counts is None
 
     @pytest.mark.parametrize("p", (2, 3))
