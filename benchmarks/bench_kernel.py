@@ -1,5 +1,6 @@
-"""Benchmark the list kernels (compiled and pure Python) against each other
-and against the packed kernels, _f2 at p = 2 and _fp at odd p.
+"""Benchmark the list kernels (compiled, and pure Python: the tests'
+reference tests/_pypoly.py) against each other and against the packed
+kernels, _f2 at p = 2 and _fp at odd p.
 
 The compiled kernel is built into a temporary directory and loaded from
 there, as the tests do, so its column is present wherever setup.py can
@@ -77,9 +78,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))  # the list kernel _pypoly lives with the tests
+
+import _pypoly
 import sintdyn
 from sintdyn import _kernel, intmath
-from sintdyn._kernel import _fp, _pypoly
+from sintdyn._kernel import _fp
 from sintdyn.cli import MAX_COUNT_BITS
 from sintdyn.cyclofactor import _cyclotomic_factors, cyclotomic_poly, factor_tn_minus_1
 from sintdyn.ffpoly import PrimeField, factorize, is_irreducible
@@ -109,8 +114,6 @@ from sintdyn.zeta import (
     zeta_coefficients,
     zeta_for_system,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def _compiled_kernel():

@@ -36,7 +36,7 @@ from .limitset import (
     growth_sequence,
     verify_construction,
 )
-from .places import Place, enumerate_places, product_formula_sum, valuation_exponent
+from .places import Place, enumerate_places
 from .orders import multiplicative_order, ord_brute, ord_in_tn_minus_1, poly_order
 from .system import (
     OmegaSource,
@@ -108,11 +108,9 @@ __all__ = [
     "poly_order",
     "poly_powmod",
     "preset_system",
-    "product_formula_sum",
     "random_system",
     "splitting_count",
     "trivial_system",
-    "valuation_exponent",
     "verify_construction",
     "zeta_coefficients",
     "zeta_for_system",

@@ -6,8 +6,8 @@ each function packs its list operands into ints, calls ``_f2`` and unpacks
 the result, and this is the only place that converts.  Every other p goes
 to the backend: the compiled extension ``_cypoly`` when it was built,
 otherwise ``_fp``, which packs odd-p operands into ints itself.  ``mul_mod``
-is ``rem`` after ``mul`` at every p.  The list kernel ``_pypoly`` is the
-reference both backends mirror; the tests use it as the oracle.
+is ``rem`` after ``mul`` at every p.  Both backends and ``_f2`` mirror the
+list kernel ``tests/_pypoly.py``, the tests' oracle.
 """
 
 from . import _f2

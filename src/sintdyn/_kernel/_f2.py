@@ -4,10 +4,11 @@ Bit i of an int is the coefficient of t**i, so addition is ``^`` and every
 operation is a sequence of shifts and xors that CPython runs word by word
 in C (Brent, Gaudry, Thome & Zimmermann, "Faster multiplication in
 GF(2)[x]", ANTS 2008).  ``mul``, ``div_rem``, ``rem``, ``pow_mod`` and
-``gcd`` work on packed ints with the semantics of ``_pypoly`` at p = 2 (the
-same errors, in the same order).  ``pack`` and ``unpack`` convert from and to
-canonical coefficient lists, in C through ``bytes.translate``; ``_kernel``
-converts at its boundary, so nothing else here sees a list.
+``gcd`` work on packed ints with the semantics of the tests' list kernel
+``tests/_pypoly.py`` at p = 2 (the same errors, in the same order).
+``pack`` and ``unpack`` convert from and to canonical coefficient lists, in
+C through ``bytes.translate``; ``_kernel`` converts at its boundary, so
+nothing else here sees a list.
 """
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")

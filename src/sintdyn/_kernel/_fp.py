@@ -7,8 +7,9 @@ multiplying packed ints adds and multiplies the polynomials over Z with no
 carry between slots, so a product is one big-int product, unpacked once
 mod p.  Each function sizes w from p and the operand lengths so that no
 slot can overflow (wider than 64 bits where p is large), and packs and
-unpacks canonical lists at its own boundary, with the semantics of
-``_pypoly`` (the same errors, in the same order).
+unpacks canonical lists at its own boundary, with the semantics of the
+tests' list kernel ``tests/_pypoly.py`` (the same errors, in the same
+order).
 
 Division packs the leading coefficient into slot 0.  Each quotient term
 reads slot 0 mod p, adds (p - c)*b, which clears that slot mod p and keeps
@@ -111,10 +112,6 @@ def div_rem(a: list, b: list, p: int) -> tuple[list, list]:
 
 def rem(a: list, b: list, p: int) -> list:
     return _rem(a, b, p)
-
-
-def mul_mod(a: list, b: list, m: list, p: int) -> list:
-    return rem(mul(a, b, p), m, p)
 
 
 def pow_mod(base: list, exp: int, m: list, p: int) -> list:

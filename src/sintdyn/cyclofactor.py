@@ -69,29 +69,8 @@ class CycloFactorization(NamedTuple):
     n: int
     parts: tuple[CycloPart, ...]
 
-    def product(self) -> Poly:
-        """Re-multiply every factor to its multiplicity (exact check value)."""
-        acc = self.field.one
-        for part in self.parts:
-            for v in part.factors:
-                for _ in range(part.multiplicity):
-                    acc = acc * v
-        return acc
-
     def to_json(self) -> dict:
         return {"n": self.n, "parts": [part.to_json() for part in self.parts]}
-
-    @classmethod
-    def from_json(cls, field: PrimeField, obj: dict) -> "CycloFactorization":
-        parts = tuple(
-            CycloPart(
-                d=part["d"],
-                factors=tuple(field.poly(c) for c in part["factors"]),
-                multiplicity=part["multiplicity"],
-            )
-            for part in obj["parts"]
-        )
-        return cls(field, obj["n"], parts)
 
 
 def cyclotomic_poly(field: PrimeField, n: int) -> Poly:

@@ -69,21 +69,11 @@ class ConstructionReport(NamedTuple):
         return [name for name, ok in self.checks if not ok]
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "nj": self.nj,
-            "pi_irreducible": self.pi_irreducible,
-            "multiplicity_in_qnj": self.multiplicity_in_qnj,
-            "qnj_split_count": self.qnj_split_count,
-            "qnj_min_factor_degree": self.qnj_min_factor_degree,
-            "e_qnj": self.e_qnj,
-            "b_exponent": self.b_exponent,
-            "rate_gap": {"num": self.rate_gap.numerator, "den": self.rate_gap.denominator},
-            "marked_t_minus_1": self.marked_t_minus_1,
-            "checks": dict(self.checks),
-            "pass": self.all_checks_pass,
-        }
+        doc = self._asdict()
+        doc["rate_gap"] = {"num": self.rate_gap.numerator, "den": self.rate_gap.denominator}
+        doc["checks"] = dict(self.checks)
+        doc["pass"] = self.all_checks_pass
+        return doc
 
 
 def growth_sequence(spec: SystemSpec, max_n: int) -> list[GrowthPoint]:

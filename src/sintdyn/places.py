@@ -1,29 +1,28 @@
-"""Places of the rational function field F_p(t) and their exact valuations.
+"""Places of the rational function field F_p(t) and their enumeration.
 
 A place is either the infinite place or a monic irreducible polynomial v;
-the absolute value of f = num/den at a place is p**(-e) where e is the
-integer exponent returned by valuation_exponent:
+the absolute value of f = num/den at a place is p**(-e) with
 
   finite v:  e = (ord_v(num) - ord_v(den)) * deg(v)
   infinite:  e = deg(den) - deg(num)
 
 With these normalizations the exponents at all places of any nonzero f
-sum to zero (the product formula).
+sum to zero (the product formula); the test oracles compute them and
+check that sum.
 """
 
 import itertools
 from typing import NamedTuple
 
 from . import _kernel
-from .ffpoly import Poly, PrimeField, factorize, is_irreducible
-from .orders import ord_brute
+from .ffpoly import Poly, PrimeField, is_irreducible
 
 
 class Place(NamedTuple):
     """The infinite place (poly=None) or a finite place given by a monic
-    irreducible polynomial.  Place.finite and Place.from_json check the
-    polynomial; the constructor trusts it, for callers that already know it
-    is a monic irreducible."""
+    irreducible polynomial.  Place.finite checks the polynomial; the
+    constructor trusts it, for callers that already know it is a monic
+    irreducible."""
 
     poly: Poly | None = None
 
@@ -55,14 +54,6 @@ class Place(NamedTuple):
         if self.poly is None:
             return {"kind": "infinite"}
         return {"kind": "finite", "poly": self.poly.to_json()}
-
-    @classmethod
-    def from_json(cls, field: PrimeField, obj: dict) -> "Place":
-        if obj["kind"] == "infinite":
-            return cls(None)
-        if obj["kind"] == "finite":
-            return cls.finite(field.poly(obj["poly"]))
-        raise ValueError(f"unknown place kind {obj.get('kind')!r}")
 
     def __str__(self):
         return "infinity" if self.poly is None else str(self.poly)
@@ -144,36 +135,3 @@ def enumerate_places(field: PrimeField, max_degree: int) -> list[Place]:
                     factors.append(v)
     return places
 
-
-def valuation_exponent(place: Place, numerator: Poly, denominator: Poly) -> int:
-    """Exact exponent e with |numerator/denominator| = p**(-e) at the place."""
-    if numerator.is_zero or denominator.is_zero:
-        raise ValueError("valuation requires a nonzero numerator and denominator")
-    if numerator.field != denominator.field:
-        raise ValueError("numerator and denominator over different fields")
-    if place.is_infinite:
-        return denominator.degree - numerator.degree
-    v = place.poly
-    if v.field != numerator.field:
-        raise ValueError("place and operands over different fields")
-    return (ord_brute(v, numerator) - ord_brute(v, denominator)) * v.degree
-
-
-def product_formula_sum(numerator: Poly, denominator: Poly) -> int:
-    """Sum of valuation exponents over the infinite place and every finite
-    place dividing numerator or denominator.  Always 0 for valid input."""
-    if numerator.is_zero or denominator.is_zero:
-        raise ValueError("product formula requires a nonzero numerator and denominator")
-    if numerator.field != denominator.field:
-        raise ValueError("numerator and denominator over different fields")
-    exponents: dict[Poly, int] = {}
-    if numerator.degree >= 1:
-        for v, mult in factorize(numerator):
-            exponents[v] = exponents.get(v, 0) + mult
-    if denominator.degree >= 1:
-        for v, mult in factorize(denominator):
-            exponents[v] = exponents.get(v, 0) - mult
-    total = denominator.degree - numerator.degree
-    for v, mult in exponents.items():
-        total += mult * v.degree
-    return total

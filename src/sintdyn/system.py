@@ -147,29 +147,6 @@ class OmegaSource:
     def _key(self) -> bytes:
         return self.seed.to_bytes(8, "big")
 
-    def to_json(self) -> dict:
-        if self.mode == "explicit":
-            return {
-                "mode": "explicit",
-                "places": [v.to_json() for v in sorted(self.places)],
-            }
-        if self.mode == "random":
-            return {
-                "mode": "random",
-                "rho": f"{self.rho.numerator}/{self.rho.denominator}",
-                "seed": self.seed,
-            }
-        return {"mode": self.mode}
-
-    @classmethod
-    def from_json(cls, field: PrimeField, obj: dict) -> "OmegaSource":
-        mode = obj["mode"]
-        if mode == "explicit":
-            return cls.explicit(field.poly(c) for c in obj["places"])
-        if mode == "random":
-            return cls.random_marks(Fraction(obj["rho"]), obj["seed"])
-        return cls(mode)
-
 
 class SystemSpec(NamedTuple):
     """Prime field plus omega source; fully determines |F_n| for every n."""
@@ -177,14 +154,6 @@ class SystemSpec(NamedTuple):
     field: PrimeField
     omega: OmegaSource
     label: str = ""
-
-    def to_json(self) -> dict:
-        return {"p": self.field.p, "omega": self.omega.to_json(), "label": self.label}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SystemSpec":
-        field = PrimeField(obj["p"])
-        return cls(field, OmegaSource.from_json(field, obj["omega"]), obj.get("label", ""))
 
 
 def full_shift(field: PrimeField) -> SystemSpec:

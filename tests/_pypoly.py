@@ -1,10 +1,10 @@
 """Pure-Python coefficient-vector kernels for dense polynomials over F_p.
 
 Polynomials are lists of residues in [0, p), lowest degree first, with no
-trailing zeros ([] is the zero polynomial).  This is the reference: the
-compiled _cypoly and the packed _fp mirror these functions exactly, and
-the tests check both against them.  The library calls _fp or _cypoly at
-odd p and _f2 at p = 2, never these loops.
+trailing zeros ([] is the zero polynomial).  This is the reference that
+the compiled sintdyn._kernel._cypoly and the packed _fp and _f2 mirror
+exactly: the tests and benchmarks/bench_kernel.py check them against it.
+The library never calls these loops, so the module lives with the tests.
 """
 
 

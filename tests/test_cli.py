@@ -640,6 +640,45 @@ class TestStartup:
         assert result.stdout.decode().split() == []
 
 
+class TestBenchmarkTracer:
+    """clibench/tracer.py wraps package names from outside (every layer
+    function, the kernel entry points, OmegaSource.mark and the cached
+    functions' cache_info), so removing or renaming one breaks every traced
+    benchmark run; this runs the tracer over one verify job."""
+
+    def test_tracer_installs_and_reports(self):
+        clibench = Path(__file__).resolve().parents[1] / "clibench"
+        result = run_python("-c", (
+            f"import sys; sys.path.insert(0, {str(clibench)!r}); "
+            "import sintdyn.cli, tracer; t = tracer.Tracer(); t.install(); "
+            "status = sintdyn.cli.main(['verify', '--p', '2', '--q', '3', '--nj', '5']); "
+            "metrics = t.metrics(0); "
+            "print(metrics['limitset.verify_construction.calls'], file=sys.stderr); "
+            "sys.exit(status)"
+        ), timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.decode().split() == ["1"]
+
+
+class TestReadmeTour:
+    """The README's library tour runs as written, and its comments state
+    what it returns."""
+
+    def test_tour_runs_and_matches_its_comments(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        checks = (
+            "assert [(str(v), k) for v, k in factorize(F2.from_string('t^6+1'))]"
+            " == [('t+1', 2), ('t^2+t+1', 2)]\n"
+            "assert periodic_count(spec, 6) == 16\n"
+            "assert growth_sequence(spec, 8)[5].rate == Fraction(2, 3)\n"
+            "assert find_linear_recurrence(series, 5) is None\n"
+            "assert verify_construction(2, 3, 5).all_checks_pass\n"
+        )
+        result = run_python("-c", tour + checks, timeout=60)
+        assert result.returncode == 0, result.stderr
+
+
 class TestHighDegreePlaces:
     """Places of degree 1018 and 652 are decided by modular powers alone.
     Both requests once ran for minutes factoring 2**deg - 1; they run in a

@@ -125,17 +125,6 @@ class TestOmegaMark:
             used.mark(F3.t)
 
 class TestSpecJson:
-    def test_round_trips(self, F2):
-        specs = [
-            full_shift(F2),
-            trivial_system(F2),
-            example85_system(F2),
-            SystemSpec(F2, OmegaSource.explicit([F2.from_string("t^2+t+1")]), "x"),
-            random_system(F2, Fraction(1, 3), 7, "r"),
-        ]
-        for spec in specs:
-            assert SystemSpec.from_json(spec.to_json()) == spec
-
     def test_preset_names(self, F3):
         assert preset_system(F3, "full").omega.mode == "all_zero"
         assert preset_system(F3, "trivial").omega.mode == "all_one"
