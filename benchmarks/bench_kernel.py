@@ -28,9 +28,9 @@ rows at degree 128 to 2048 time gcd, rem and pow_mod (pow_mod at degree
 and one cold row splits pi_d for every odd d <= 2000 (not run on the pure
 list kernel, which needs nearly three minutes).  The library caches are
 cleared before every repetition, so the end-to-end rows time cold runs.
-The construction rows time artin_primes, example85_reference and
+The construction rows time artin_primes, example85_rates and
 enumerate_places in the "kernel" column only, at the sizes of the CLI
-workloads and above, and artin_primes and example85_reference at their
+workloads and above, and artin_primes and example85_rates at their
 admitted limits.  The verify rows time is_irreducible of
 1 + t + ... + t^(nj-1) at p = 2 for nj = 101, 1019 and 30011, and
 verify_construction(2, 3, nj) for nj = 1019 and 30011 (the latter once),
@@ -58,8 +58,10 @@ over a second is timed once.  The startup row, printed before the table,
 is what `from sintdyn import cli` adds to a bare interpreter's time from
 spawn until it is ready for work: the median and quartiles of the paired
 differences over STARTUP_PAIRS fresh processes of each kind, alternating
-which kind runs first, and the standard-library modules that the import
-pulls in.
+which kind runs first, the standard-library modules that the import
+pulls in, and the process's own peak RSS after the import (VmHWM from
+/proc/self/status, median of PEAK_RUNS fresh processes).  ru_maxrss is not
+used there: a child keeps its parent's high-water mark across exec.
 
     python benchmarks/bench_kernel.py [--repeats N]
 """
@@ -92,7 +94,7 @@ from sintdyn.limitset import (
     MAX_ARTIN_BOUND,
     MAX_Q_BOUND,
     artin_primes,
-    example85_reference,
+    example85_rates,
     verify_construction,
 )
 from sintdyn.orders import _irreducible_order
@@ -270,16 +272,14 @@ def bench_end_to_end(repeats):
 
 def bench_construction(repeats):
     # timed only as the library runs them: artin_primes and
-    # example85_reference make no kernel call and enumerate_places sieves
+    # example85_rates make no kernel call and enumerate_places sieves
     # with products through _kernel.mul
     cases = {
         f"artin_primes(F_2, {bound})": lambda bound=bound: artin_primes(PrimeField(2), bound)
         for bound in (20000, 200000, MAX_ARTIN_BOUND)
     }
     cases.update({
-        f"example85_reference(F_2, {bound})": lambda bound=bound: example85_reference(
-            PrimeField(2), bound
-        )
+        f"example85_rates(F_2, {bound})": lambda bound=bound: example85_rates(PrimeField(2), bound)
         for bound in (1000, MAX_Q_BOUND)
     })
     cases.update({
@@ -423,11 +423,15 @@ STARTUP_PAIRS = 25
 # each child prints a line when it is ready; the bare one imports nothing
 READY = "print('ready', flush=True)"
 WITH_CLI = "from sintdyn import cli; " + READY
+# prints the stdlib modules that the import adds, then its own peak RSS in KB
 IMPORTED = (
     "import sys; before = set(sys.modules); from sintdyn import cli; "
+    "status = open('/proc/self/status').read(); "
     "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
-    " & sys.stdlib_module_names))"
+    " & sys.stdlib_module_names)); "
+    "print(status.split('VmHWM:')[1].split()[0])"
 )
+PEAK_RUNS = 5
 
 
 def _child_env():
@@ -447,7 +451,9 @@ def _ready_s(code, env):
 
 def bench_startup():
     """(median, lower quartile, upper quartile) of the time the cli import
-    adds, the bare interpreter's median, and the stdlib modules imported."""
+    adds, the bare interpreter's median, the stdlib modules imported, and
+    the median peak RSS in KB of PEAK_RUNS fresh processes after the
+    import."""
     env = _child_env()
     added, bare = [], []
     for i in range(STARTUP_PAIRS):
@@ -456,10 +462,14 @@ def bench_startup():
         bare.append(times[READY])
         added.append(times[WITH_CLI] - times[READY])
     lower, median, upper = statistics.quantiles(added, n=4)
-    modules = subprocess.run(
-        [sys.executable, "-c", IMPORTED], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    return (median, lower, upper), statistics.median(bare), modules
+    peaks = []
+    for _ in range(PEAK_RUNS):
+        modules, peak = subprocess.run(
+            [sys.executable, "-c", IMPORTED], env=env, capture_output=True, text=True, check=True
+        ).stdout.splitlines()
+        peaks.append(int(peak))
+    peak_kb = statistics.median(peaks)
+    return (median, lower, upper), statistics.median(bare), modules.split(), peak_kb
 
 
 def src_lines():
@@ -477,10 +487,11 @@ def main():
     print(f"list backends: {', '.join(BACKENDS)} (package imports: {_kernel.backend_name()})")
     if "cython" not in BACKENDS:
         print("compiled backend does not build; timing the pure list backend only")
-    (median, lower, upper), bare, modules = bench_startup()
+    (median, lower, upper), bare, modules, peak_kb = bench_startup()
     print(f"startup: from sintdyn import cli adds {median * 1e3:.1f} ms (quartiles "
           f"{lower * 1e3:.1f}-{upper * 1e3:.1f} ms, {STARTUP_PAIRS} alternating pairs) to a "
-          f"bare interpreter's {bare * 1e3:.1f} ms; stdlib modules: {', '.join(modules)}")
+          f"bare interpreter's {bare * 1e3:.1f} ms; peak RSS after it (VmHWM, median of "
+          f"{PEAK_RUNS}) {peak_kb} KB; stdlib modules: {', '.join(modules)}")
 
     rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)

@@ -32,7 +32,6 @@ from .limitset import (
     artin_primes,
     cluster_limits,
     example85_rates,
-    example85_reference,
     growth_sequence,
     verify_construction,
 )
@@ -44,7 +43,6 @@ from .system import (
     SystemSpec,
     example85_system,
     full_shift,
-    inverted_places_dividing,
     periodic_count,
     periodic_exponent,
     periodic_exponents,
@@ -86,14 +84,12 @@ __all__ = [
     "cyclotomic_poly",
     "enumerate_places",
     "example85_rates",
-    "example85_reference",
     "example85_system",
     "factor_tn_minus_1",
     "factorize",
     "find_linear_recurrence",
     "full_shift",
     "growth_sequence",
-    "inverted_places_dividing",
     "is_irreducible",
     "kernel_backend",
     "multiplicative_order",

@@ -315,38 +315,37 @@ def _cmd_example85(args):
     return "reference rates (in units of log p): " + ", ".join(str(r) for r in rates), 0
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
-    parser.add_argument(
+# one parser per process: building it costs milliseconds (argparse makes a
+# help formatter for every argument it adds, but copies a parent's actions
+# without one), and parse_args returns a fresh Namespace each call, copying
+# the --place default list before appending
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
+    common.add_argument(
         "--format", choices=("json", "csv", "text"), default="json", help="output format"
     )
-    parser.add_argument("--output", default="-", help="output path, or - for stdout")
+    common.add_argument("--output", default="-", help="output path, or - for stdout")
 
-
-def _add_system_flags(parser: argparse.ArgumentParser):
-    parser.add_argument(
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument(
         "--system",
         required=True,
         choices=PRESET_NAMES + ("explicit", "random"),
         help="system preset, or explicit/random",
     )
-    parser.add_argument(
+    system.add_argument(
         "--place",
         action="append",
         default=[],
         help="inverted place for --system explicit: 't^3+t+1' or comma-separated "
         "low-to-high coefficients (repeatable)",
     )
-    parser.add_argument("--rho", help="P(mark = 0) as an exact rational, e.g. 1/2")
-    parser.add_argument("--seed", type=int, help="64-bit seed for random marks")
-    parser.add_argument("--label", help="override the system label in output")
+    system.add_argument("--rho", help="P(mark = 0) as an exact rational, e.g. 1/2")
+    system.add_argument("--seed", type=int, help="64-bit seed for random marks")
+    system.add_argument("--label", help="override the system label in output")
 
-
-# one parser per process: building it costs milliseconds (argparse makes a
-# help formatter for every argument), and parse_args returns a fresh
-# Namespace each call, copying the --place default list before appending
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sintdyn",
         description="Periodic-point counts, zeta series and growth-rate limit "
@@ -359,51 +358,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("places", help="enumerate places up to a degree")
-    _add_common(sp)
+    sp = sub.add_parser("places", parents=[common], help="enumerate places up to a degree")
     sp.add_argument("--max-degree", type=int, required=True)
     sp.set_defaults(handler=_cmd_places)
 
-    sp = sub.add_parser("factor", help="factor t^n - 1 into cyclotomic parts")
-    _add_common(sp)
+    sp = sub.add_parser("factor", parents=[common], help="factor t^n - 1 into cyclotomic parts")
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(handler=_cmd_factor)
 
-    sp = sub.add_parser("count", help="number of points of period n")
-    _add_common(sp)
-    _add_system_flags(sp)
+    sp = sub.add_parser("count", parents=[common, system], help="number of points of period n")
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(handler=_cmd_count)
 
-    sp = sub.add_parser("growth", help="exact growth-rate sequence")
-    _add_common(sp)
-    _add_system_flags(sp)
+    sp = sub.add_parser("growth", parents=[common, system], help="exact growth-rate sequence")
     sp.add_argument("--max-n", type=int, required=True)
     sp.set_defaults(handler=_cmd_growth)
 
-    sp = sub.add_parser("zeta", help="zeta series coefficients")
-    _add_common(sp)
-    _add_system_flags(sp)
+    sp = sub.add_parser("zeta", parents=[common, system], help="zeta series coefficients")
     sp.add_argument("--terms", type=int, required=True)
     sp.add_argument("--max-order", type=int, help="also run recurrence detection")
     sp.add_argument("--orbits", action="store_true", help="include orbit counts")
     sp.set_defaults(handler=_cmd_zeta)
 
-    sp = sub.add_parser("limits", help="empirical limit-point clusters")
-    _add_common(sp)
-    _add_system_flags(sp)
+    sp = sub.add_parser("limits", parents=[common, system], help="empirical limit-point clusters")
     sp.add_argument("--max-n", type=int, required=True)
     sp.add_argument("--epsilon", default="1/100", help="cluster width (rational)")
     sp.add_argument("--tail-fraction", default="1/2", help="trailing fraction to keep")
     sp.set_defaults(handler=_cmd_limits)
 
-    sp = sub.add_parser("artin", help="primes with p a primitive root")
-    _add_common(sp)
+    sp = sub.add_parser("artin", parents=[common], help="primes with p a primitive root")
     sp.add_argument("--bound", type=int, required=True)
     sp.set_defaults(handler=_cmd_artin)
 
-    sp = sub.add_parser("verify", help="verify the limit-point construction")
-    _add_common(sp)
+    sp = sub.add_parser("verify", parents=[common], help="verify the limit-point construction")
     sp.add_argument("--q", type=int, required=True, help="prime distinct from p")
     sp.add_argument("--nj", type=int, required=True, help="Artin prime for p, > q")
     sp.add_argument(
@@ -413,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(handler=_cmd_verify)
 
-    sp = sub.add_parser("example85", help="reference limit rate set")
-    _add_common(sp)
+    sp = sub.add_parser("example85", parents=[common], help="reference limit rate set")
     sp.add_argument("--q-bound", type=int, required=True)
     sp.set_defaults(handler=_cmd_example85)
 

@@ -86,8 +86,8 @@ def growth_sequence(spec: SystemSpec, max_n: int) -> list[GrowthPoint]:
 
 # larger requests are refused: at p = 2 and these limits (a 2-vCPU x86-64
 # host, Python 3.11) artin_primes takes 5 s and 23 MB for its flag byte
-# per integer and its list of Artin primes, example85_rates 0.9 s and 61 MB
-# for its 500,001 Fractions, and example85_reference 2.1 s and 83 MB
+# per integer and its list of Artin primes, and example85_rates 0.9 s and
+# 61 MB for its 500,001 Fractions
 MAX_ARTIN_BOUND = 10**7
 MAX_Q_BOUND = 10**6
 
@@ -102,12 +102,6 @@ def example85_rates(field: PrimeField, q_bound: int) -> list[Fraction]:
     if q_bound > MAX_Q_BOUND:
         raise ValueError(f"example85: q_bound must be at most {MAX_Q_BOUND}: got {q_bound}")
     return [Fraction(q - 1, q) for q in range(1, q_bound + 1) if q % field.p] + [Fraction(1)]
-
-
-def example85_reference(field: PrimeField, q_bound: int) -> set[Fraction]:
-    """The limit rate set {1 - 1/q : q <= q_bound, p does not divide q}
-    together with 1, in units of log p (example85_rates as a set)."""
-    return set(example85_rates(field, q_bound))
 
 
 def cluster_limits(

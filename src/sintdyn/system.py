@@ -41,7 +41,7 @@ rho = 1 gives the full shift.
 """
 
 import functools
-import hashlib
+from _blake2 import blake2b  # hashlib.blake2b itself, without OpenSSL's _hashlib
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -49,7 +49,6 @@ from . import intmath
 from .cyclofactor import _cyclotomic_factors
 from .ffpoly import Poly, PrimeField, is_irreducible
 from .orders import _divides_t_power_minus_1, _order_at_most, _validate_n
-from .places import Place
 
 _MARK_SCALE = 2**64
 
@@ -135,7 +134,7 @@ class OmegaSource:
             return 1
         if self.mode == "explicit":
             return 1 if v in self.places else 0
-        digest = hashlib.blake2b(_place_key(v), digest_size=8, key=self._key).digest()
+        digest = blake2b(_place_key(v), digest_size=8, key=self._key).digest()
         return 1 if int.from_bytes(digest, "big") < self._threshold else 0
 
     @functools.cached_property
@@ -276,14 +275,3 @@ def periodic_exponents(spec: SystemSpec, max_n: int) -> list[int]:
 def periodic_count(spec: SystemSpec, n: int) -> int:
     """|F_n| = p**e, exact."""
     return spec.field.p ** periodic_exponent(spec, n).e
-
-
-def inverted_places_dividing(spec: SystemSpec, n: int) -> list[tuple[Place, int, int]]:
-    """The marked places with positive multiplicity in t**n - 1, each with
-    its multiplicity and degree (the terms of the exponent sum), sorted
-    canonically."""
-    _validate_n(n)
-    n_coprime, k = intmath.coprime_part(n, spec.field.p)
-    mult = spec.field.p**k
-    rows = [(Place(v), mult, v.degree) for v in _marked_places(spec, n_coprime)]
-    return sorted(rows, key=lambda row: row[0].poly)

@@ -3,11 +3,13 @@
 Everything here sticks to first principles (exhaustive enumeration, trial
 division, direct power-series exponentials) and deliberately avoids the
 library code paths under test, so expected values frozen in the tests are
-computed on an independent route.  The exception is the valuation
-section at the end: valuation_exponent and product_formula_sum are built
-on the library's factorize and ord_brute (the product formula is their
-check), and factorization_product re-multiplies a factor_tn_minus_1
-result with Poly arithmetic alone.
+computed on an independent route.  The exceptions are the two sections at
+the end.  valuation_exponent and product_formula_sum are built on the
+library's factorize and ord_brute (the product formula is their check),
+and factorization_product re-multiplies a factor_tn_minus_1 result with
+Poly arithmetic alone.  example85_reference and inverted_places_dividing
+restate library results in another shape (a rate set, the terms of the
+exponent sum), and the tests check them against independent routes.
 """
 
 from fractions import Fraction
@@ -15,9 +17,11 @@ from itertools import product
 
 from sintdyn.cyclofactor import CycloFactorization
 from sintdyn.ffpoly import PrimeField, Poly, factorize, poly_divmod
-from sintdyn.intmath import divisors, factorint
-from sintdyn.orders import ord_brute
+from sintdyn.intmath import coprime_part, divisors, factorint
+from sintdyn.limitset import example85_rates
+from sintdyn.orders import _validate_n, ord_brute
 from sintdyn.places import Place
+from sintdyn.system import SystemSpec, _marked_places
 
 
 def all_monic(field: PrimeField, degree: int):
@@ -297,3 +301,20 @@ def product_formula_sum(numerator: Poly, denominator: Poly) -> int:
     for v, mult in exponents.items():
         total += mult * v.degree
     return total
+
+
+def example85_reference(field: PrimeField, q_bound: int) -> set[Fraction]:
+    """The limit rate set {1 - 1/q : q <= q_bound, p does not divide q}
+    together with 1, in units of log p (example85_rates as a set)."""
+    return set(example85_rates(field, q_bound))
+
+
+def inverted_places_dividing(spec: SystemSpec, n: int) -> list[tuple[Place, int, int]]:
+    """The marked places with positive multiplicity in t**n - 1, each with
+    its multiplicity and degree (the terms of the exponent sum), sorted
+    canonically."""
+    _validate_n(n)
+    n_coprime, k = coprime_part(n, spec.field.p)
+    mult = spec.field.p**k
+    rows = [(Place(v), mult, v.degree) for v in _marked_places(spec, n_coprime)]
+    return sorted(rows, key=lambda row: row[0].poly)

@@ -12,12 +12,7 @@ from sintdyn import intmath, kernel_backend
 from sintdyn.cli import main as cli_main
 from sintdyn.cyclofactor import cyclotomic_poly, splitting_count
 from sintdyn.ffpoly import PrimeField, factorize
-from sintdyn.limitset import (
-    artin_primes,
-    example85_reference,
-    growth_sequence,
-    verify_construction,
-)
+from sintdyn.limitset import artin_primes, growth_sequence, verify_construction
 from sintdyn.orders import multiplicative_order, ord_brute, ord_in_tn_minus_1
 from sintdyn.system import (
     example85_system,
@@ -29,7 +24,7 @@ from sintdyn.system import (
 )
 from sintdyn.zeta import find_linear_recurrence, orbit_counts, zeta_for_system
 
-from oracles import sieve_irreducibles
+from oracles import example85_reference, sieve_irreducibles
 
 print(f"[acceptance] kernel backend: {kernel_backend()}")
 

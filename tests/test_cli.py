@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import sintdyn
-from sintdyn import SCHEMA_VERSION, __version__
+from sintdyn import SCHEMA_VERSION, __version__, limitset
 from sintdyn.cli import main
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
 
 
 def run_cli(capsys, *argv):
@@ -412,6 +415,26 @@ class TestExitCodes:
         assert info.value.code == 2
 
 
+class TestFailedCheck:
+    """A construction check that fails, here pi_irreducible with the Rabin
+    test faulted, exits 1 and says so in the json and text documents."""
+
+    def test_exit_1_and_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(limitset, "is_irreducible", lambda v: False)
+        argv = ("verify", "--p", "2", "--q", "3", "--nj", "5")
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, err) == (1, "")
+        assert '"pass":false' in out
+        assert json.loads(out)["checks"]["pi_irreducible"] is False
+        status, out, err = run_cli(capsys, *argv, "--format", "text")
+        assert (status, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0] == "construction check p=2 q=3 nj=5: FAIL"
+        assert [line for line in lines if line.endswith(": FAIL")] == [
+            lines[0], "  pi_irreducible: FAIL"
+        ]
+
+
 class TestReproducibility:
     @pytest.mark.parametrize(
         "argv",
@@ -505,6 +528,108 @@ class TestOneParserPerProcess:
             assert info.value.code == 2
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", fresh.stderr.decode())
+
+
+# stdout and stderr sha256 of each call, by its arguments
+PARSER_PINS = {
+    "--help": (
+        0,
+        "b24154ac75b566f8480bdb4b63a9c985c9fe86ef942ed780e997d5256a2f8e01",
+        EMPTY,
+    ),
+    "places --help": (
+        0,
+        "4dc06c55036cdb7db4f4d3aac916c6e491d58b25d17706917f17e154dd035a63",
+        EMPTY,
+    ),
+    "factor --help": (
+        0,
+        "9d2e84698f23ee9ad234dbfd50a9142eaae2bffec43a5e920b5f79dc7ff8d48e",
+        EMPTY,
+    ),
+    "count --help": (
+        0,
+        "58165c6e367c687d474f05006d23f7edb7e67379438b88a94a84b2484bff1cd0",
+        EMPTY,
+    ),
+    "growth --help": (
+        0,
+        "a403e0cf2989db850275690dd0660037d73b3a9339a22b003ad7e8ffb7813b2e",
+        EMPTY,
+    ),
+    "zeta --help": (
+        0,
+        "c4f7f586994a76604f963630acc4b0de6d2c40565366f2d8ed4bf1a657c77fb2",
+        EMPTY,
+    ),
+    "limits --help": (
+        0,
+        "a0a6bfc7ce6c09f84e21ebb28520e65ff87a279951548d5f5175be2db7e6f33a",
+        EMPTY,
+    ),
+    "artin --help": (
+        0,
+        "1869a817d29cce68f12fb2b3798b28efd7b89db4395d9fc56af466fa6b1faf86",
+        EMPTY,
+    ),
+    "verify --help": (
+        0,
+        "5ab866fe2b30b1c094b0e3daf022c7f9864ab8db58f434b1d2d09ca705ede7de",
+        EMPTY,
+    ),
+    "example85 --help": (
+        0,
+        "3753c8637a0a38ca6d0baf60157dd0cbfc1862e5583667faee84027894f47014",
+        EMPTY,
+    ),
+    "growth --p 2": (
+        2,
+        EMPTY,
+        "9f973df82bac3268bd431a795fc83d830695744f5da505af4ce2f2a9d59d6cdd",
+    ),
+    "places --p x --max-degree 3": (
+        2,
+        EMPTY,
+        "538767ad96b0a26612bbb722a8b1057c01082636748a2ac4f1a33aaca457e88f",
+    ),
+    "": (
+        2,
+        EMPTY,
+        "1267e29abfe3cb8e058ae593012bb6972d5e84bd05b6024d713fa5122d56a094",
+    ),
+    "count --p 2 --system bogus --n 1": (
+        2,
+        EMPTY,
+        "e4adeb9aa4f89c47775dd36230a265f650313f38a48b287f24074d340130500f",
+    ),
+    "--version": (
+        0,
+        "f7e25d3557e96893cbcf8949c6d2e3720b08557ad318cda1ea079d4aa256afff",
+        EMPTY,
+    ),
+}
+
+
+class TestParserBytes:
+    """Help, usage errors and --version print the same bytes as when each
+    subcommand added the shared flags itself; they now come from two parent
+    parsers.  sha256 of stdout and stderr at COLUMNS=80, recorded with
+    Python 3.11's argparse."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse layout of Python 3.11")
+    @pytest.mark.parametrize("command", PARSER_PINS, ids=lambda command: command or "no-args")
+    def test_same_bytes(self, capsys, command):
+        status, out, err = PARSER_PINS[command]
+        with pytest.raises(SystemExit) as info:
+            main(command.split())
+        captured = capsys.readouterr()
+        assert info.value.code == status
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == out
+        assert hashlib.sha256(captured.err.encode()).hexdigest() == err
 
 
 class TestPlacesRefusedUpFront:
@@ -635,6 +760,16 @@ class TestStartup:
         result = run_python("-c", (
             "import sys; before = set(sys.modules); import sintdyn.cli; "
             "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))"
+        ), timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.decode().split() == []
+
+    def test_import_leaves_out_hashlib(self):
+        # random marks use _blake2.blake2b, the function hashlib.blake2b
+        # returns, so the import never loads OpenSSL through _hashlib
+        result = run_python("-c", (
+            "import sys, sintdyn.cli; "
+            "print(*sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
         ), timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.decode().split() == []

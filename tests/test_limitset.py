@@ -2,21 +2,27 @@ from fractions import Fraction
 
 import pytest
 
-from sintdyn import intmath
+from sintdyn import intmath, limitset
+from sintdyn.cyclofactor import cyclotomic_poly
 from sintdyn.ffpoly import PrimeField, is_irreducible
 from sintdyn.limitset import (
     ConstructionRejected,
     GrowthPoint,
     artin_primes,
     cluster_limits,
-    example85_reference,
     growth_sequence,
     verify_construction,
 )
 from sintdyn.orders import multiplicative_order, ord_brute
-from sintdyn.system import example85_system, full_shift, random_system, trivial_system
+from sintdyn.system import (
+    PeriodicExponent,
+    example85_system,
+    full_shift,
+    random_system,
+    trivial_system,
+)
 
-from oracles import clusters_by_fraction
+from oracles import clusters_by_fraction, example85_reference
 
 
 class TestGrowthSequence:
@@ -310,3 +316,98 @@ class TestVerifyConstruction:
         assert ord_brute(pi, field.tn_minus_1(33)) == 1
         report = verify_construction(2, 3, 11)
         assert report.multiplicity_in_qnj == 1
+
+
+def _shift_exponent(monkeypatch, by):
+    real = limitset.periodic_exponent
+    monkeypatch.setattr(
+        limitset, "periodic_exponent", lambda spec, n: PeriodicExponent(n, real(spec, n).e + by)
+    )
+
+
+def _overcount_t_minus_1(monkeypatch):
+    # ord_brute counts t - 1 once too often and pi (degree nj - 1) rightly
+    real = limitset.ord_brute
+    monkeypatch.setattr(limitset, "ord_brute", lambda v, f: real(v, f) + (v.degree == 1))
+
+
+def _split_with(monkeypatch, change):
+    real = limitset._cyclotomic_factors
+    monkeypatch.setattr(limitset, "_cyclotomic_factors", lambda p, d: change(p, list(real(p, d))))
+
+
+def _squared_cyclotomic(field, n):
+    pi = cyclotomic_poly(field, n)
+    return pi * pi
+
+
+def _consistent_but_wrong(monkeypatch):
+    # both routes to e agree on a value one too low
+    _overcount_t_minus_1(monkeypatch)
+    _shift_exponent(monkeypatch, -1)
+
+
+# check -> (fault in the layer it reads, mark_t_minus_1, the checks that fail)
+FAULTS = {
+    "pi_irreducible": (
+        lambda mp: mp.setattr(limitset, "is_irreducible", lambda v: False),
+        False,
+        ["pi_irreducible"],
+    ),
+    "multiplicity_one": (
+        lambda mp: mp.setattr(limitset, "ord_in_tn_minus_1", lambda v, n: 2),
+        False,
+        ["multiplicity_one"],
+    ),
+    # a factor listed twice: three quartics where q - 1 = 2 is the most
+    "split_count": (
+        lambda mp: _split_with(mp, lambda p, factors: factors + factors[:1]),
+        False,
+        ["split_count"],
+    ),
+    # t + 1 in place of a quartic
+    "min_factor_degree": (
+        lambda mp: _split_with(mp, lambda p, factors: [PrimeField(p).poly([1, 1])] + factors[1:]),
+        False,
+        ["min_factor_degree"],
+    ),
+    "squarefree": (
+        lambda mp: mp.setattr(limitset, "cyclotomic_poly", _squared_cyclotomic),
+        False,
+        ["squarefree"],
+    ),
+    "exponent_consistent": (_overcount_t_minus_1, True, ["exponent_consistent"]),
+    # exponent_value and b_exponent both say b = 1 - offset, so they fail
+    # together; only a rate gap above 1/nj also fails rate_gap
+    "exponent_value": (
+        lambda mp: _shift_exponent(mp, 1),
+        False,
+        ["exponent_consistent", "exponent_value", "b_exponent"],
+    ),
+    "b_exponent": (_consistent_but_wrong, True, ["exponent_value", "b_exponent"]),
+    "rate_gap": (
+        lambda mp: _shift_exponent(mp, 4),
+        False,
+        ["exponent_consistent", "exponent_value", "b_exponent", "rate_gap"],
+    ),
+}
+
+
+class TestEveryCheckCanFail:
+    """Each of the nine construction checks fails when the layer it reads
+    is faulted, so none of them passes whatever the layers compute.
+    p = 2, q = 3, nj = 5: pi_15 splits into two quartics, and e_15 = 11
+    (10 with t - 1 marked)."""
+
+    def test_faults_cover_every_check(self):
+        assert set(FAULTS) == set(verify_construction(2, 3, 5).to_json()["checks"])
+
+    @pytest.mark.parametrize("check", FAULTS)
+    def test_check_fails(self, monkeypatch, check):
+        fault, mark_t_minus_1, failed = FAULTS[check]
+        assert verify_construction(2, 3, 5, mark_t_minus_1=mark_t_minus_1).all_checks_pass
+        fault(monkeypatch)
+        report = verify_construction(2, 3, 5, mark_t_minus_1=mark_t_minus_1)
+        assert check in failed
+        assert report.failed_checks() == failed
+        assert not report.all_checks_pass

@@ -12,9 +12,9 @@ from sintdyn.orders import (
     ord_in_tn_minus_1,
     poly_order,
 )
-from sintdyn.system import OmegaSource, SystemSpec, inverted_places_dividing, periodic_exponent
+from sintdyn.system import OmegaSource, SystemSpec, periodic_exponent
 
-from oracles import sieve_irreducibles
+from oracles import inverted_places_dividing, sieve_irreducibles
 
 
 def _divides_exactly(g, f):
@@ -160,7 +160,7 @@ class TestDivisibilityRule:
     """ord_in_tn_minus_1 and the explicit places of system decide v | t**m - 1
     by one modular power, t**m = 1 mod v, and never compute the order of v;
     both are checked against repeated division for every n <= 300, the
-    explicit places through the public inverted_places_dividing and
+    explicit places through inverted_places_dividing (oracles) and
     periodic_exponent of the system {v}."""
 
     @pytest.mark.parametrize("p", (2, 3))

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +14,6 @@ from sintdyn.system import (
     SystemSpec,
     example85_system,
     full_shift,
-    inverted_places_dividing,
     periodic_count,
     periodic_exponent,
     periodic_exponents,
@@ -22,7 +23,7 @@ from sintdyn.system import (
 )
 from sintdyn.zeta import zeta_for_system
 
-from oracles import sieve_irreducibles
+from oracles import inverted_places_dividing, sieve_irreducibles
 
 
 def brute_exponent(spec, n):
@@ -123,6 +124,36 @@ class TestOmegaMark:
         assert used != OmegaSource.random_marks(Fraction(2, 7), 10)
         with pytest.raises(ValueError, match="the place t is excluded"):
             used.mark(F3.t)
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 2**31 - 1))
+    def test_random_marks_match_hashlib_blake2b(self, p):
+        # hashlib is the oracle of the keyed draw: key the 8-byte seed,
+        # message p in 4 bytes and then the code sum(c_i * p**i) in
+        # big-endian bytes, mark 1 when the 8-byte digest is below
+        # floor((1 - rho) * 2**64)
+        field = PrimeField(p)
+        rng = random.Random(p)
+        places = [
+            field.poly([rng.randrange(p) for _ in range(degree)] + [1])
+            for degree in range(1, 9)
+            for _ in range(8)
+        ]
+        marks = []
+        for rho, seed in ((Fraction(1, 2), 0), (Fraction(1, 3), 42), (Fraction(9, 10), 2**64 - 1)):
+            source = OmegaSource.random_marks(rho, seed)
+            threshold = math.floor((1 - rho) * 2**64)
+            for v in places:
+                if v == field.t:
+                    continue
+                code = sum(c * p**i for i, c in enumerate(v.coeffs))
+                message = p.to_bytes(4, "big") + code.to_bytes((code.bit_length() + 7) // 8, "big")
+                key = seed.to_bytes(8, "big")
+                digest = hashlib.blake2b(message, digest_size=8, key=key).digest()
+                expected = int(int.from_bytes(digest, "big") < threshold)
+                assert source.mark(v) == expected, (rho, seed, str(v))
+                marks.append(expected)
+        assert 0 < sum(marks) < len(marks)
+
 
 class TestSpecJson:
     def test_preset_names(self, F3):
