@@ -41,6 +41,12 @@ from . import intmath
 from .ffpoly import _CZ_SEED, Poly, PrimeField, poly_divmod, poly_gcd, poly_powmod
 from .orders import multiplicative_order
 
+# factor_tn_minus_1 refuses n with factor_work(p, n) above this before any
+# pi_d is built: a unit is about 20 ps of pure-kernel time, so the limit is
+# about 3 s (2-vCPU x86-64 host, Python 3.11; probed at p = 2, 3, 5 and
+# 2**31 - 1, where t**131071 - 1 at p = 2 ran for over a minute)
+MAX_FACTOR_WORK = 2**37
+
 # seeded combinations of coset sums tried for odd p after each coset sum has
 # been used once; a round splits a given pair of factors with probability at
 # least 4/9, so running out means pi_d is not the squarefree product expected
@@ -183,10 +189,41 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
     return tuple(sorted(factors))
 
 
+def factor_work(p: int, n: int) -> int:
+    """The cost of factoring t**n - 1 mod p in the units of MAX_FACTOR_WORK.
+
+    Each d | n' (n' the p-coprime part of n) costs 16384 * d to form pi_d
+    and write out its factors.
+    When pi_d splits into k > 1 factors, each gcd at degree up to
+    phi(d) costs phi(d)**2.  At p = 2 a coset sum may split off a single
+    factor, so the split costs k * phi(d)**2.  At odd p a seeded draw
+    halves every piece, so it costs about log2(k) rounds, each a modular
+    power and a gcd whose cost grows with bit_length(p)**2:
+    64 * bit_length(p)**2 * k.bit_length() * phi(d)**2."""
+    n_coprime, _ = intmath.coprime_part(n, p)
+    if 16384 * n_coprime > MAX_FACTOR_WORK:  # d = n' alone: not worth factoring n'
+        return 16384 * n_coprime
+    work = 0
+    for d in intmath.divisors(n_coprime):
+        work += 16384 * d
+        phi = intmath.euler_phi(d)
+        k = phi // multiplicative_order(p, d) if d > 1 else 1
+        if k > 1:
+            rounds = k if p == 2 else 64 * p.bit_length() ** 2 * k.bit_length()
+            work += rounds * phi * phi
+    return work
+
+
 def factor_tn_minus_1(field: PrimeField, n: int) -> CycloFactorization:
-    """Factor t**n - 1 completely, grouped by cyclotomic divisor."""
+    """Factor t**n - 1 completely, grouped by cyclotomic divisor; refused
+    with ValueError when factor_work(p, n) > MAX_FACTOR_WORK."""
     if n < 1:
         raise ValueError(f"n must be positive: got {n}")
+    work = factor_work(field.p, n)
+    if work > MAX_FACTOR_WORK:
+        raise ValueError(
+            f"factor: factor_work(p, n) must be at most {MAX_FACTOR_WORK}: got {work}"
+        )
     n_coprime, e = intmath.coprime_part(n, field.p)
     multiplicity = field.p**e
     parts = tuple(

@@ -12,9 +12,10 @@ Factorization uses squarefree/distinct-degree splitting followed by
 Cantor-Zassenhaus equal-degree splitting.  The equal-degree step is
 randomized but draws from a fixed internal seed, so factorize() is
 deterministic run to run and safe to call concurrently.  factorize() is
-the general path (poly_order, places) and the tests' oracle; the
-cyclotomic factors of t**n - 1 are split in cyclofactor from their coset
-sums instead, drawing from the same seed only for odd p.
+the general path (the library calls it only from poly_order) and the
+tests' oracle; the cyclotomic factors of t**n - 1 are split in
+cyclofactor from their coset sums instead, drawing from the same seed
+only for odd p.
 """
 
 import functools

@@ -9,27 +9,28 @@ inverted, so its valuation of t**n - 1 enters the count:
 With n = n' * p**k and p not dividing n', t**n - 1 = (t**n' - 1)**(p**k)
 and t**n' - 1 is squarefree, so every marked factor has multiplicity p**k:
 
-    e_n = n - p**k * (total degree of the marked factors of t**n' - 1).
+    e_n = n - p**k * M(n'),
 
-All-zero marks none.  An explicit place v is a factor exactly when
-t**n' = 1 mod v, one modular power (Lidl & Niederreiter, Finite Fields,
-Sec. 3.1).  Random marks are drawn on the factors of the cyclotomic pi_d,
-d | n'.  All-one marks every factor, total degree n', and is never
-factored.
+M(n') being the total degree of the marked factors of t**n' - 1.  Per mode:
+
+    all-one   every factor is marked: M = n', and nothing is factored;
+    random    M = sum over d | n' of D(d), D(d) the degree of the marked
+              factors of the cyclotomic pi_d;
+    explicit  the places v with t**n' = 1 mod v, one modular power each
+              (Lidl & Niederreiter, Finite Fields, Sec. 3.1);
+    all-zero  the explicit rule with no places: M = 0.
 
 periodic_exponent answers one n.  periodic_exponents fills e_1..e_N at
-once from a table of the marked degree M(n') for every n' <= N coprime to
-p.  t**n' - 1 is the product of the pi_d with d | n', and the irreducible
-factors of pi_d are exactly the places of order d, so
-M(n') = sum over d | n' of D(d), D(d) being the degree of the marked
-places of order d.  For random marks D(d) comes from factoring pi_d and
-marking each of its factors once; for explicit marks each place adds its
-degree at its order, found once up to N (orders._order_at_most), and a
-place of order above N marks nothing.  D(d) is then added to every
+once from a table of M(n') for every n' <= N coprime to p.  t**n' - 1 is
+the product of the pi_d with d | n', and the irreducible factors of pi_d
+are exactly the places of order d, so M(n') = sum over d | n' of D(d)
+with D(d) the degree of the marked places of order d.  Random marks give
+D(d) from the factors of pi_d, each marked once; each explicit place adds
+its degree at its order, found once up to N (orders._order_at_most), and
+a place of order above N marks nothing.  D(d) is then added to every
 multiple of d, a divisor sieve of about N log N additions.  Asking each n
 in turn would mark the factors of pi_d again, or test each explicit place
-again, for every n.  All-zero and all-one take M(n') from the single-n
-rule.
+again, for every n.
 
 Mark sources: all-zero (full shift on p symbols), all-one (trivial system,
 one point per period), an explicit finite set of places, or i.i.d. random
@@ -78,11 +79,12 @@ class OmegaSource:
         self.__dict__.update(mode=mode, places=places, rho=rho, seed=seed)
         if self.mode not in self._MODES:
             raise ValueError(f"unknown omega mode {self.mode!r}")
-        if self.mode == "explicit":
-            for v in self.places:
-                _check_markable(v)
-                if not is_irreducible(v):
-                    raise ValueError(f"explicit place must be irreducible: got {v}")
+        if self.places and self.mode != "explicit":
+            raise ValueError(f"{self.mode} marks take no places")
+        for v in self.places:
+            _check_markable(v)
+            if not is_irreducible(v):
+                raise ValueError(f"explicit place must be irreducible: got {v}")
         if self.mode == "random":
             if self.rho is None or not 0 < self.rho < 1:
                 raise ValueError(f"rho must be a rational in (0, 1): got {self.rho}")
@@ -128,14 +130,12 @@ class OmegaSource:
 
     def mark(self, v: Poly) -> int:
         _check_markable(v)
-        if self.mode == "all_zero":
-            return 0
         if self.mode == "all_one":
             return 1
-        if self.mode == "explicit":
-            return 1 if v in self.places else 0
-        digest = blake2b(_place_key(v), digest_size=8, key=self._key).digest()
-        return 1 if int.from_bytes(digest, "big") < self._threshold else 0
+        if self.mode == "random":
+            digest = blake2b(_place_key(v), digest_size=8, key=self._key).digest()
+            return 1 if int.from_bytes(digest, "big") < self._threshold else 0
+        return 1 if v in self.places else 0  # all-zero has no places
 
     @functools.cached_property
     def _threshold(self) -> int:
@@ -193,26 +193,19 @@ class PeriodicExponent(NamedTuple):
     e: int
 
 
-def _marked_places(spec: SystemSpec, n_coprime: int) -> list[Poly]:
-    # the marked irreducible factors of t**n' - 1 (n' coprime to p)
-    omega = spec.omega
-    if omega.mode == "all_zero":
-        return []
-    if omega.mode == "explicit":
-        return [v for v in omega.places if _divides_t_power_minus_1(v, n_coprime)]
-    p = spec.field.p
-    return [
-        v
-        for d in intmath.divisors(n_coprime)
-        for v in _cyclotomic_factors(p, d)
-        if omega.mark(v)
-    ]
+def _random_marked_degree(omega: OmegaSource, p: int, d: int) -> int:
+    # D(d): the degree of the factors of pi_d that random marks mark
+    return sum(v.degree for v in _cyclotomic_factors(p, d) if omega.mark(v))
 
 
 def _marked_degree(spec: SystemSpec, n_coprime: int) -> int:
-    if spec.omega.mode == "all_one":
+    # M(n'), the degree of the marked factors of t**n' - 1 (n' coprime to p)
+    omega, p = spec.omega, spec.field.p
+    if omega.mode == "all_one":
         return n_coprime
-    return sum(v.degree for v in _marked_places(spec, n_coprime))
+    if omega.mode == "random":
+        return sum(_random_marked_degree(omega, p, d) for d in intmath.divisors(n_coprime))
+    return sum(v.degree for v in omega.places if _divides_t_power_minus_1(v, n_coprime))
 
 
 def _exponent(n: int, p_power: int, marked: int) -> int:
@@ -234,18 +227,17 @@ def _marked_degrees(spec: SystemSpec, max_n: int) -> list[int]:
     # M(n') at index n' for every n' <= max_n coprime to p; the entries at
     # multiples of p are never read
     omega, p = spec.omega, spec.field.p
-    if omega.mode in ("all_zero", "all_one"):
-        return [_marked_degree(spec, m) if m % p else 0 for m in range(max_n + 1)]
+    if omega.mode == "all_one":
+        return list(range(max_n + 1))
     by_order = [0] * (max_n + 1)  # D(d) at index d
-    if omega.mode == "explicit":
-        for v in omega.places:
-            order = _order_at_most(v, max_n)
-            if order:
-                by_order[order] += v.degree
-    else:
+    if omega.mode == "random":
         for d in range(1, max_n + 1):
             if d % p:
-                by_order[d] = sum(v.degree for v in _cyclotomic_factors(p, d) if omega.mark(v))
+                by_order[d] = _random_marked_degree(omega, p, d)
+    for v in omega.places:
+        order = _order_at_most(v, max_n)
+        if order:
+            by_order[order] += v.degree
     marked = [0] * (max_n + 1)
     for d, degree in enumerate(by_order):
         if degree:

@@ -7,21 +7,23 @@ computed on an independent route.  The exceptions are the two sections at
 the end.  valuation_exponent and product_formula_sum are built on the
 library's factorize and ord_brute (the product formula is their check),
 and factorization_product re-multiplies a factor_tn_minus_1 result with
-Poly arithmetic alone.  example85_reference and inverted_places_dividing
-restate library results in another shape (a rate set, the terms of the
-exponent sum), and the tests check them against independent routes.
+Poly arithmetic alone.  example85_reference restates example85_rates as a
+rate set.  inverted_places_dividing lists the factors of a
+factor_tn_minus_1 result that the omega source marks, so the exponent
+rule of sintdyn.system (one modular power per explicit place, D(d) per
+cyclotomic index for random marks) is checked against a factorization.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from sintdyn.cyclofactor import CycloFactorization
+from sintdyn.cyclofactor import CycloFactorization, factor_tn_minus_1
 from sintdyn.ffpoly import PrimeField, Poly, factorize, poly_divmod
-from sintdyn.intmath import coprime_part, divisors, factorint
+from sintdyn.intmath import divisors, factorint
 from sintdyn.limitset import example85_rates
-from sintdyn.orders import _validate_n, ord_brute
+from sintdyn.orders import ord_brute
 from sintdyn.places import Place
-from sintdyn.system import SystemSpec, _marked_places
+from sintdyn.system import SystemSpec
 
 
 def all_monic(field: PrimeField, degree: int):
@@ -312,9 +314,11 @@ def example85_reference(field: PrimeField, q_bound: int) -> set[Fraction]:
 def inverted_places_dividing(spec: SystemSpec, n: int) -> list[tuple[Place, int, int]]:
     """The marked places with positive multiplicity in t**n - 1, each with
     its multiplicity and degree (the terms of the exponent sum), sorted
-    canonically."""
-    _validate_n(n)
-    n_coprime, k = coprime_part(n, spec.field.p)
-    mult = spec.field.p**k
-    rows = [(Place(v), mult, v.degree) for v in _marked_places(spec, n_coprime)]
+    canonically: every factor of factor_tn_minus_1 that spec.omega marks."""
+    rows = [
+        (Place(v), part.multiplicity, v.degree)
+        for part in factor_tn_minus_1(spec.field, n).parts
+        for v in part.factors
+        if spec.omega.mark(v)
+    ]
     return sorted(rows, key=lambda row: row[0].poly)

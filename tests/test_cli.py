@@ -264,8 +264,8 @@ class TestOtherCommands:
 
 
 class TestPinnedDocuments:
-    """sha256 of stdout: places, artin, growth, zeta and limits documents
-    stay byte-identical."""
+    """sha256 of stdout: places, artin, growth, zeta, limits and verify
+    documents stay byte-identical."""
 
     @pytest.mark.parametrize(
         "argv, fmt, digest",
@@ -310,6 +310,21 @@ class TestPinnedDocuments:
              "b3173bac7d4d762a443384c81ecd7491875b2c3603eec75fca6e9e5450e8db34"),
             (("limits", "--p", "2", "--system", "example85", "--max-n", "3000"), "text",
              "6106bd23b925c67b74e99feeee11eb0563f2d8475ce0201cd7ec4253431df05d"),
+            (("places", "--p", "3", "--max-degree", "4"), "csv",
+             "dee4826b6b314d9da57aac45062581700d940489cf42fc458e66d8191632faae"),
+            (("artin", "--p", "5", "--bound", "500"), "csv",
+             "0be8dc19d0c0290c1e4f22385f30da33e45bda67e16075322c13527ed2681b53"),
+            (("artin", "--p", "2", "--bound", "20000"), "csv",
+             "ef0cf9c088e9377d5be286e726855cabc768e6080ae9b338d538d55f1880421a"),
+            (("zeta", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "4",
+              "--terms", "60", "--max-order", "20", "--orbits"), "csv",
+             "6e51e914636723e70371f6af9e347ac087ecaa7205937028df0b7aefb5b8324d"),
+            (("limits", "--p", "2", "--system", "example85", "--max-n", "3000"), "csv",
+             "3ca8a308c20a5981e0067b94d4d982f3fb3855ab2f96a2b9f58a6d40dd69a05f"),
+            (("verify", "--p", "2", "--q", "3", "--nj", "101"), "csv",
+             "1e9b1dc1cbf2c25e18e6569755252ecd219ea61742d6fd8f423fd4e6cabe1bfb"),
+            (("verify", "--p", "3", "--q", "5", "--nj", "31", "--mark-t-minus-1"), "csv",
+             "434ccb85ead04d4046f53d7c13d41fedc9e5f9fafbda81603baf072424954510"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, fmt, digest):
@@ -408,6 +423,20 @@ class TestExitCodes:
         assert err.startswith("error: --output: ")
         assert str(path) in err
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (("artin", "--p", "2", "--bound", "2"),
+             "error: --bound must be at least 3: got 2\n"),
+            (("count", "--p", "2", "--system", "full", "--place", "1,1", "--n", "5"),
+             "error: --place is only valid with --system explicit, not 'full'\n"),
+            (("growth", "--p", "3", "--system", "example85", "--place", "t+1", "--max-n", "5"),
+             "error: --place is only valid with --system explicit, not 'example85'\n"),
+        ),
+    )
+    def test_refused_flags(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", message)
 
     def test_unknown_subcommand_is_exit_2(self):
         with pytest.raises(SystemExit) as info:
@@ -671,6 +700,14 @@ class TestWorkBoundsRefusedUpFront:
             (("zeta", "--p", "2147483647", "--system", "full", "--terms", "804"),
              "error: zeta: n_terms**2 * p.bit_length() must be at most 20000000: "
              "got 20038896\n"),
+            # 7710 factors of degree 17, and over a minute of work before the limit
+            (("factor", "--p", "2", "--n", "131071"),
+             "error: factor: factor_work(p, n) must be at most 137438953472: "
+             "got 132454896662648\n"),
+            # the prime after 8388587 with 2 a primitive root: pi_8388619 alone is over
+            (("factor", "--p", "2", "--n", "8388619"),
+             "error: factor: factor_work(p, n) must be at most 137438953472: "
+             "got 137439133696\n"),
         ),
     )
     def test_refused_at_limit_plus_one(self, capsys, argv, message):
@@ -714,6 +751,29 @@ class TestWorkBoundsRefusedUpFront:
             2, "", "error: zeta: n_terms**2 * p.bit_length() must be at most 199: got 200\n"
         )
 
+    def test_factor_limit_is_inclusive(self, capsys, monkeypatch):
+        # factor --p 2 --n 1023 (a benchmark job) is admitted at exactly its
+        # own work and refused one unit below it
+        argv = ("factor", "--p", "2", "--n", "1023", "--format", "csv")
+        work = 49493624
+        monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work)
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, err) == (0, "")
+        # the header, then one line per factor: 1 + 1 + 1 + 6 + 2 + 6 + 30 + 60
+        assert len(out.splitlines()) == 1 + 107
+        monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work - 1)
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: factor: factor_work(p, n) must be at most {work - 1}: got {work}\n"
+        )
+
+    def test_factor_8191_runs_in_full(self, capsys):
+        # 4.2 * 10**10 units, about 0.5 s: t - 1 and 630 factors of degree 13
+        status, out, err = run_cli(capsys, "factor", "--p", "2", "--n", "8191")
+        assert (status, err) == (0, "")
+        parts = json.loads(out)["parts"]
+        assert [(part["d"], len(part["factors"])) for part in parts] == [(1, 1), (8191, 630)]
+        assert {len(f) - 1 for f in parts[1]["factors"]} == {13}
+
     @pytest.mark.parametrize(
         "argv",
         (
@@ -721,6 +781,8 @@ class TestWorkBoundsRefusedUpFront:
             ("count", "--p", "2147483647", "--system", "full", "--n", "67650"),
             ("zeta", "--p", "2", "--system", "full", "--terms", "3162"),
             ("zeta", "--p", "2147483647", "--system", "full", "--terms", "803"),
+            # pi_8388587 is irreducible over F_2: 16384 * (1 + 8388587) units
+            ("factor", "--p", "2", "--n", "8388587"),
         ),
     )
     def test_admitted_at_the_real_limits(self, capsys, monkeypatch, argv):
@@ -734,6 +796,7 @@ class TestWorkBoundsRefusedUpFront:
 
         monkeypatch.setattr("sintdyn.intmath.decimal", admitted)
         monkeypatch.setattr("sintdyn.zeta.periodic_exponents", admitted)
+        monkeypatch.setattr("sintdyn.cyclofactor._cyclotomic_factors", admitted)
         with pytest.raises(Admitted):
             main(list(argv))
 

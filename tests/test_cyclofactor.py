@@ -287,3 +287,31 @@ class TestFactorTnMinus1:
     def test_validation(self, F2):
         with pytest.raises(ValueError):
             factor_tn_minus_1(F2, 0)
+
+
+class TestFactorWork:
+    def test_refused_before_any_pi_d_is_built(self, F2, monkeypatch):
+        def built(*args):
+            raise AssertionError("pi_d was built")
+
+        monkeypatch.setattr(cyclofactor, "cyclotomic_poly", built)
+        monkeypatch.setattr(cyclofactor, "_cyclotomic_factors", built)
+        for n in (131071, 2**31 - 1, 10**30):
+            with pytest.raises(ValueError, match=r"^factor: factor_work\(p, n\) must be at most "):
+                factor_tn_minus_1(F2, n)
+
+    def test_every_request_of_the_suite_is_admitted(self):
+        # the tests factor t^n - 1 up to n = 500 (p = 2, 3) and 200 (p = 5);
+        # the benchmark asks for n = 1023 at p = 2, the acceptance suite 50 at p = 5
+        for p, top in ((2, 500), (3, 500), (5, 200)):
+            assert all(cyclofactor.factor_work(p, n) <= cyclofactor.MAX_FACTOR_WORK
+                       for n in range(1, top + 1))
+        assert cyclofactor.factor_work(2, 1023) <= cyclofactor.MAX_FACTOR_WORK
+
+    def test_terms(self):
+        # 2**20 * 3 has p-coprime part 3 at p = 2: pi_1 and pi_3 (irreducible)
+        assert cyclofactor.factor_work(2, 3 << 20) == 16384 * (1 + 3)
+        # pi_7 mod 2 splits into k = 2 cubics, phi = 6: k * phi**2
+        assert cyclofactor.factor_work(2, 7) == 16384 * 8 + 2 * 6**2
+        # pi_13 mod 3 splits into k = 4 cubics: 64 * 2**2 * (4).bit_length() * phi**2
+        assert cyclofactor.factor_work(3, 13) == 16384 * 14 + 64 * 4 * 3 * 12**2

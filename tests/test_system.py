@@ -43,6 +43,15 @@ class TestOmegaMark:
         v = F2.from_string("t^2+t+1")
         assert OmegaSource.all_zero().mark(v) == 0
         assert OmegaSource.all_one().mark(v) == 1
+        # all-zero marks as the explicit source without places does
+        for w in sieve_irreducibles(F2, 6)[1:]:
+            assert OmegaSource.all_zero().mark(w) == OmegaSource.explicit([]).mark(w) == 0
+
+    @pytest.mark.parametrize("mode", ("all_zero", "all_one", "random"))
+    def test_only_explicit_takes_places(self, F2, mode):
+        with pytest.raises(ValueError, match=f"^{mode} marks take no places$"):
+            OmegaSource(mode, places=frozenset([F2.from_string("t+1")]),
+                        rho=Fraction(1, 2), seed=1)
 
     def test_explicit_membership(self, F3):
         v = F3.from_string("t+2")
@@ -173,6 +182,11 @@ class TestPeriodicCounts:
         for n in (1, 7, 23):
             assert periodic_exponent(spec, n) == (n, n)
             assert periodic_count(spec, n) == p**n
+        # all-zero marks are the explicit rule with no places
+        none = SystemSpec(spec.field, OmegaSource.explicit([]))
+        for n in (1, 12, 81, 4096):
+            assert periodic_exponent(spec, n) == periodic_exponent(none, n) == (n, n)
+        assert periodic_exponents(spec, 300) == periodic_exponents(none, 300) == list(range(1, 301))
 
     @pytest.mark.parametrize("p", (2, 5))
     def test_trivial_system(self, p):
@@ -180,6 +194,7 @@ class TestPeriodicCounts:
         for n in (1, 9, 40):
             assert periodic_exponent(spec, n).e == 0
             assert periodic_count(spec, n) == 1
+        assert periodic_exponents(spec, 300) == [0] * 300
 
     def test_explicit_t_plus_1_spec_example(self, F2):
         spec = SystemSpec(F2, OmegaSource.explicit([F2.from_string("t+1")]), "x")
@@ -241,6 +256,8 @@ class TestPeriodicCounts:
             full_shift(field),
             trivial_system(field),
             example85_system(field),
+            SystemSpec(field, OmegaSource.explicit([])),
+            SystemSpec(field, OmegaSource.explicit(_one_place_per_degree(field, 8))),
             random_system(field, Fraction(1, 2), 1),
             random_system(field, Fraction(3, 4), 2),
         ]
