@@ -84,6 +84,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))  # the list kernel _pypoly lives with the tests
 
 import _pypoly
+from pairs import src_lines  # benchmarks/pairs.py, this script's directory
 import sintdyn
 from sintdyn import _kernel, intmath
 from sintdyn._kernel import _fp
@@ -472,18 +473,12 @@ def bench_startup():
     return (median, lower, upper), statistics.median(bare), modules.split(), peak_kb
 
 
-def src_lines():
-    """Lines of Python in src/sintdyn, _kernel/*.py included (not the .pyx
-    or the generated .c)."""
-    return sum(len(path.read_text().splitlines()) for path in ROOT.glob("src/sintdyn/**/*.py"))
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N timing")
     args = parser.parse_args()
 
-    print(f"src/ size: {src_lines()} lines of Python")
+    print(f"src/ size: {src_lines(ROOT)} lines of Python")
     print(f"list backends: {', '.join(BACKENDS)} (package imports: {_kernel.backend_name()})")
     if "cython" not in BACKENDS:
         print("compiled backend does not build; timing the pure list backend only")

@@ -1,15 +1,15 @@
 """Paired end-to-end comparison of a git revision and the working tree on
 the CLI benchmark (clibench).
 
-    python3 benchmarks/pairs.py --output BENCH.json [--rev HEAD] \
-        [--workload random-sweep ...] [--pairs 10] [--seconds 4]
+    python3 benchmarks/pairs.py --output BENCH.json [--rev HEAD]
 
 Run from anywhere inside the checkout.  The revision (default HEAD) is
 exported with ``git archive`` and the working tree (tracked and untracked
 files that git does not ignore, no ``__pycache__``) is copied, into two
-temporary directories of equal path length.  Each pair then runs
+temporary directories of equal path length.  For every workload that the
+revision's clibench/jobs.py defines, each of PAIRS = 10 pairs then runs
 
-    python3 clibench/run.py --workload W --seconds S --trace 0
+    python3 clibench/run.py --workload W --seconds 5 --trace 0
 
 once in each tree, the revision first in even pairs and the working tree
 first in odd ones, with PYTHONDONTWRITEBYTECODE=1 so that no run reads
@@ -29,6 +29,7 @@ import io
 import json
 import os
 import platform
+import runpy
 import shutil
 import statistics
 import subprocess
@@ -38,8 +39,9 @@ import tempfile
 from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")  # all lower-is-better
-WORKLOADS = ("random-sweep", "construction", "series")
 SIDES = ("parent", "change")
+PAIRS = 10
+SECONDS = 5
 
 
 def git(root: Path, *args: str) -> bytes:
@@ -62,16 +64,22 @@ def copy_working_tree(root: Path, dest: Path):
 
 
 def src_lines(tree: Path) -> int:
-    # counted as benchmarks/bench_kernel.py counts them
+    """Lines of Python in tree/src/sintdyn, _kernel/*.py included (not the
+    .pyx or the generated .c)."""
     return sum(len(path.read_text().splitlines()) for path in tree.glob("src/sintdyn/**/*.py"))
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict:
+def workload_names(tree: Path) -> list[str]:
+    # run_path compiles from source and writes no bytecode into the tree
+    return list(runpy.run_path(str(tree / "clibench" / "jobs.py"))["WORKLOADS"])
+
+
+def run_once(tree: Path, workload: str) -> dict:
     argv = [sys.executable, "clibench/run.py", "--workload", workload,
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
-                          timeout=5 * seconds + 300)
+                          timeout=5 * SECONDS + 300)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         raise SystemExit(f"error: {workload} in {tree.name}: exit {proc.returncode}\n"
@@ -134,14 +142,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--output", required=True, help="path of the JSON record")
     parser.add_argument("--rev", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="workload to run (repeatable; default all three)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=4)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
-    workloads = args.workload or list(WORKLOADS)
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     rev_sha = git(root, "rev-parse", "--verify", f"{args.rev}^{{commit}}").decode().strip()
@@ -152,11 +153,11 @@ def main(argv=None) -> int:
         export_revision(root, rev_sha, trees["parent"])
         copy_working_tree(root, trees["change"])
         results = {}
-        for workload in workloads:
+        for workload in workload_names(trees["parent"]):
             runs = {side: [] for side in SIDES}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    runs[side].append(run_once(trees[side], workload, args.seconds))
+                    runs[side].append(run_once(trees[side], workload))
             results[workload] = compare(runs)
             backends = {side: sorted({r["backend"] for r in runs[side]}) for side in SIDES}
             results[workload]["backend"] = backends
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
         "src_lines": lines,
         "clibench": {
             "command": (f"PYTHONDONTWRITEBYTECODE=1 python3 clibench/run.py --workload W "
-                        f"--seconds {args.seconds:g} --trace 0; {args.pairs} pairs per "
+                        f"--seconds {SECONDS} --trace 0; {PAIRS} pairs per "
                         "workload, alternating which side runs "
                         "first; the parent exported with git archive and the change copied "
                         "without __pycache__ to directories of equal path length"),

@@ -766,14 +766,6 @@ class TestWorkBoundsRefusedUpFront:
             2, "", f"error: factor: factor_work(p, n) must be at most {work - 1}: got {work}\n"
         )
 
-    def test_factor_8191_runs_in_full(self, capsys):
-        # 4.2 * 10**10 units, about 0.5 s: t - 1 and 630 factors of degree 13
-        status, out, err = run_cli(capsys, "factor", "--p", "2", "--n", "8191")
-        assert (status, err) == (0, "")
-        parts = json.loads(out)["parts"]
-        assert [(part["d"], len(part["factors"])) for part in parts] == [(1, 1), (8191, 630)]
-        assert {len(f) - 1 for f in parts[1]["factors"]} == {13}
-
     @pytest.mark.parametrize(
         "argv",
         (

@@ -302,11 +302,13 @@ class TestFactorWork:
 
     def test_every_request_of_the_suite_is_admitted(self):
         # the tests factor t^n - 1 up to n = 500 (p = 2, 3) and 200 (p = 5);
-        # the benchmark asks for n = 1023 at p = 2, the acceptance suite 50 at p = 5
+        # the benchmark asks for n = 1023 at p = 2, the acceptance suite 50 at
+        # p = 5; the README's factor examples are n = 8191 and 45045 at p = 2
         for p, top in ((2, 500), (3, 500), (5, 200)):
             assert all(cyclofactor.factor_work(p, n) <= cyclofactor.MAX_FACTOR_WORK
                        for n in range(1, top + 1))
-        assert cyclofactor.factor_work(2, 1023) <= cyclofactor.MAX_FACTOR_WORK
+        for n in (1023, 8191, 45045):
+            assert cyclofactor.factor_work(2, n) <= cyclofactor.MAX_FACTOR_WORK
 
     def test_terms(self):
         # 2**20 * 3 has p-coprime part 3 at p = 2: pi_1 and pi_3 (irreducible)

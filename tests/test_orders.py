@@ -160,8 +160,9 @@ class TestDivisibilityRule:
     """ord_in_tn_minus_1 and the explicit places of system decide v | t**m - 1
     by one modular power, t**m = 1 mod v, and never compute the order of v;
     both are checked against repeated division for every n <= 300, the
-    explicit places through inverted_places_dividing (oracles) and
-    periodic_exponent of the system {v}."""
+    explicit places through periodic_exponent of the system {v}.
+    inverted_places_dividing (oracles), which reads the factors of
+    factor_tn_minus_1, is checked against repeated division too."""
 
     @pytest.mark.parametrize("p", (2, 3))
     def test_matches_ord_brute(self, p):
