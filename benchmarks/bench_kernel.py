@@ -9,7 +9,8 @@ Prints the size of src/ (lines of Python), then times the hot kernel
 primitives at several degrees and characteristics (rem and div_rem of one
 precomputed product, pow_mod with one fixed 64-bit exponent, so no cell
 runs for seconds):
-at p = 2 on the list backends and the "kernel" column, and at p = 3, 5 and
+at p = 2 on the list backends and the "packed" column (_f2 on ints packed
+beforehand, as the library runs it), and at p = 3, 5 and
 2**31 - 1 at degree 32 to 1024 on the list backends and the "packed" column
 (_fp; pow_mod above degree 256 not on the pure list kernel, which needs
 tens of seconds per cell), with the packed/compiled ratio,
@@ -18,19 +19,22 @@ cyclotomic splitting of every pi_d with d <= 200 at p = 2, 3 and 5 and
 d <= 400 at p = 7, t^1023 - 1 over F_2, a
 general factorization of t^105 - 1 over F_2, the deep equal-degree splits
 of t^n - 1 at (n, p) = (255, 2), (511, 2), (242, 3), (124, 5) and (342, 7),
-and a construction check.  The "kernel" column is
-sintdyn._kernel as the library calls it: the packed kernel at p = 2 (list
-conversion included) and, at odd p, the compiled kernel when the package
-itself was built with it, else _fp; it is timed on the p = 2 primitive
-rows and on every end-to-end row.  The p = 2
+and a construction check.  The "kernel" column is the library as it
+runs: _f2 on packed ints at p = 2 and, at odd p, the compiled kernel when
+the package itself was built with it, else _fp; it is timed on every
+end-to-end row.  A list backend runs a p = 2 end-to-end row through
+_pypoly.as_f2, which unpacks the operands and packs the result of every
+call.  The p = 2
 rows at degree 128 to 2048 time gcd, rem and pow_mod (pow_mod at degree
 1024 and 2048 not on the pure list kernel, which needs seconds per cell),
-and one cold row splits pi_d for every odd d <= 2000 (not run on the pure
-list kernel, which needs nearly three minutes).  The library caches are
+one cold row splits pi_d for every odd d <= 2000 (not run on the pure
+list kernel, which needs nearly three minutes), and one factors
+t^45045 - 1 over F_2 ("kernel" column only).  The library caches are
 cleared before every repetition, so the end-to-end rows time cold runs.
 The construction rows time artin_primes, example85_rates and
 enumerate_places in the "kernel" column only, at the sizes of the CLI
-workloads and above, and artin_primes and example85_rates at their
+workloads and above (enumerate_places up to the admitted limit at p = 2,
+degree 18), and artin_primes and example85_rates at their
 admitted limits.  The verify rows time is_irreducible of
 1 + t + ... + t^(nj-1) at p = 2 for nj = 101, 1019 and 30011, and
 verify_construction(2, 3, nj) for nj = 1019 and 30011 (the latter once),
@@ -86,8 +90,8 @@ sys.path.insert(0, str(ROOT / "tests"))  # the list kernel _pypoly lives with th
 import _pypoly
 from pairs import src_lines  # benchmarks/pairs.py, this script's directory
 import sintdyn
-from sintdyn import _kernel, intmath
-from sintdyn._kernel import _fp
+from sintdyn import _kernel, ffpoly, intmath
+from sintdyn._kernel import _f2, _fp
 from sintdyn.cli import MAX_COUNT_BITS
 from sintdyn.cyclofactor import _cyclotomic_factors, cyclotomic_poly, factor_tn_minus_1
 from sintdyn.ffpoly import PrimeField, factorize, is_irreducible
@@ -143,8 +147,8 @@ KERNEL_OPS = ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd")
 # the fixed 64-bit pow_mod exponent of the primitive rows (2**64 / golden
 # ratio, 38 bits set): 64 squarings and 38 products at any p and degree
 POW_EXP = 0x9E3779B97F4A7C15
-# the list backends, the packed odd-p kernel, then the dispatching kernel
-# (packed at p = 2)
+# the list backends, the packed kernel (_f2 at p = 2, _fp at odd p), then
+# the library as it runs
 COLUMNS = (*BACKENDS, "packed", "kernel")
 
 
@@ -164,6 +168,18 @@ def _time(fn, repeats, setup=lambda: None):
     return best
 
 
+def _f2_cases(a, b, m, ab):
+    # the p = 2 primitives of _f2 on operands packed beforehand
+    x, y, z, xy = map(_f2.pack, (a, b, m, ab))
+    return {
+        "mul": lambda: _f2.mul(x, y),
+        "rem": lambda: _f2.rem(xy, z),
+        "div_rem": lambda: _f2.div_rem(xy, z),
+        "pow_mod": lambda: _f2.pow_mod(x, POW_EXP, z),
+        "gcd": lambda: _f2.gcd(x, y),
+    }
+
+
 def bench_kernel_ops(repeats):
     rows = []
     cells = [(2, degree) for degree in (32, 128, 256)]
@@ -181,11 +197,14 @@ def bench_kernel_ops(repeats):
             "pow_mod": lambda impl: impl.pow_mod(a, POW_EXP, m, p),
             "gcd": lambda impl: impl.gcd(a, b, p),
         }
+        f2_cases = _f2_cases(a, b, m, ab) if p == 2 else None
         for op, call in cases.items():
-            impls = {**BACKENDS, "kernel": _kernel} if p == 2 else {**BACKENDS, "packed": _fp}
+            impls = dict(BACKENDS) if p == 2 else {**BACKENDS, "packed": _fp}
             if op == "pow_mod" and degree > 256:
                 del impls["python"]
             timings = {name: _time(lambda: call(impl), repeats) for name, impl in impls.items()}
+            if f2_cases:
+                timings["packed"] = _time(f2_cases[op], repeats)
             rows.append((f"p={p}", f"deg={degree}", op, timings))
     return rows
 
@@ -203,26 +222,36 @@ def bench_packed_ops(repeats):
             "rem": lambda impl: impl.rem(ab, m, 2),
             "pow_mod": lambda impl: impl.pow_mod(a, 2**16, m, 2),
         }
+        x, y, z, xy = map(_f2.pack, (a, b, m, ab))
+        f2_cases = {
+            "gcd": lambda: _f2.gcd(x, y),
+            "rem": lambda: _f2.rem(xy, z),
+            "pow_mod": lambda: _f2.pow_mod(x, 2**16, z),
+        }
         for op, call in cases.items():
-            impls = {**BACKENDS, "kernel": _kernel}
+            impls = dict(BACKENDS)
             if op == "pow_mod" and degree >= 1024:
-                # the pure list kernel needs seconds here, and _kernel never
-                # sends p = 2 to a list backend
+                # the pure list kernel needs seconds here, and the library
+                # runs p = 2 on _f2 only
                 del impls["python"]
             timings = {name: _time(lambda: call(impl), repeats) for name, impl in impls.items()}
+            timings["packed"] = _time(f2_cases[op], repeats)
             rows.append(("p=2", f"deg={degree}", op, timings))
     return rows
 
 
 @contextlib.contextmanager
 def _kernel_from(module):
-    """Route every sintdyn._kernel call through module, then restore."""
+    """Route every sintdyn._kernel call, and every _f2 call of ffpoly through
+    packing (_pypoly.as_f2), to module, then restore."""
     active = {op: getattr(_kernel, op) for op in KERNEL_OPS}
     for op in KERNEL_OPS:
         setattr(_kernel, op, getattr(module, op))
+    ffpoly._f2 = _pypoly.as_f2(module)
     try:
         yield
     finally:
+        ffpoly._f2 = _f2
         for op, fn in active.items():
             setattr(_kernel, op, fn)
 
@@ -268,13 +297,16 @@ def bench_end_to_end(repeats):
         with _kernel_from(_cypoly):
             timings["cython"] = _time(split, repeats, _clear_caches)
     rows.append(("_cyclotomic_factors(p=2, odd d<=2000)", "", "", timings))
+    factor = lambda: factor_tn_minus_1(PrimeField(2), 45045)
+    timings = {"kernel": _time(factor, repeats, _clear_caches)}
+    rows.append(("factor_tn_minus_1(F_2, 45045)", "", "", timings))
     return rows
 
 
 def bench_construction(repeats):
     # timed only as the library runs them: artin_primes and
-    # example85_rates make no kernel call and enumerate_places sieves
-    # with products through _kernel.mul
+    # example85_rates make no kernel call, and enumerate_places sieves with
+    # products through _kernel.mul at odd p and on packed ints at p = 2
     cases = {
         f"artin_primes(F_2, {bound})": lambda bound=bound: artin_primes(PrimeField(2), bound)
         for bound in (20000, 200000, MAX_ARTIN_BOUND)
@@ -285,7 +317,7 @@ def bench_construction(repeats):
     })
     cases.update({
         f"enumerate_places(F_{p}, {k})": lambda p=p, k=k: enumerate_places(PrimeField(p), k)
-        for p, k in ((2, 10), (2, 12), (3, 6), (5, 4))
+        for p, k in ((2, 10), (2, 12), (2, 18), (3, 6), (5, 4))
     })
     return [
         (label, "", "", {"kernel": _time(call, repeats)}) for label, call in cases.items()
@@ -310,7 +342,8 @@ def bench_verify(repeats):
 
 
 def bench_cyclotomic(repeats):
-    # the Moebius product works on integer lists and makes no kernel call
+    # the Moebius product makes no kernel call: integer lists at odd p, the
+    # packed int at p = 2
     cases = {
         f"cyclotomic_poly(F_{p}, n<={bound})": lambda p=p, bound=bound: [
             cyclotomic_poly(PrimeField(p), n) for n in range(1, bound + 1) if n % p

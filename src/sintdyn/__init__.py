@@ -1,10 +1,10 @@
 """Exact periodic-point counts, dynamical zeta series, and growth-rate
 limit points for S-integer dynamical systems over F_p(t).
 
-The polynomial kernel runs packed into Python ints at p = 2; at odd p it
-runs on a compiled extension when it is available and otherwise packed
-into Python ints as well, and kernel_backend() reports which of those two
-is active.
+A polynomial over F_2 is held packed into a Python int and runs on the
+packed kernel; at odd p the kernel runs on a compiled extension when it
+is available and otherwise packed into Python ints per call, and
+kernel_backend() reports which of those two is active.
 """
 
 from ._kernel import backend_name as kernel_backend

@@ -6,9 +6,10 @@ in C (Brent, Gaudry, Thome & Zimmermann, "Faster multiplication in
 GF(2)[x]", ANTS 2008).  ``mul``, ``div_rem``, ``rem``, ``pow_mod`` and
 ``gcd`` work on packed ints with the semantics of the tests' list kernel
 ``tests/_pypoly.py`` at p = 2 (the same errors, in the same order).
+``ffpoly`` holds every polynomial over F_2 packed and calls these directly.
 ``pack`` and ``unpack`` convert from and to canonical coefficient lists, in
-C through ``bytes.translate``; ``_kernel`` converts at its boundary, so
-nothing else here sees a list.
+C through ``bytes.translate``, where a polynomial is built from
+coefficients or its coefficients are read.
 """
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -57,14 +58,12 @@ def div_rem(x: int, m: int) -> tuple[int, int]:
     if not dm:
         raise ZeroDivisionError("division by zero polynomial")
     shift = x.bit_length() - dm
-    if shift < 0:
-        return 0, x
-    q = bytearray(shift + 1)  # q[i] is the coefficient of t**i
+    q = 0
     while shift >= 0:
-        q[shift] = 1
+        q |= 1 << shift
         x ^= m << shift
         shift = x.bit_length() - dm
-    return pack(q), x
+    return q, x
 
 
 def gcd(x: int, y: int) -> int:

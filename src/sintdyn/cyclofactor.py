@@ -10,13 +10,17 @@ r = multiplicative order of p mod d.  pi_n is the Moebius product of
 (t**d - 1) ** mu(n/d) over d | n, formed over the integers and reduced mod
 p once (Lidl & Niederreiter, ch. 3): the t**d - 1 with mu = 1 multiply to
 pi_n times the monic t**d - 1 with mu = -1, so dividing those out is exact.
+At p = 2 it is formed on the packed int: a product with t**d + 1 is
+x ^ (x << d), and the exact quotient by it is x * (1 + t**d + t**(2d) + ...)
+cut to the quotient's length, a prefix xor with strides d, 2d, 4d, ...
 
 pi_d is split from the coset sums e_C(t) = sum of t**i over a cyclotomic
 coset C = {j, jp, jp**2, ...} of p on Z/d (Berlekamp, Math. Comp. 24,
 1970).  Every e_C is fixed by Frobenius mod t**d - 1, so it takes a value
 in F_p at each irreducible factor of pi_d, and together the e_C separate
 any two factors.  For p = 2 a piece u is split by gcd(u, e_C), with no
-randomness.  For odd p it is split by gcd(u, (g + a)**((p-1)/2) - 1), g a
+randomness, e_C formed as the int with bit i set for each i in C.  For odd
+p it is split by gcd(u, (g + a)**((p-1)/2) - 1), g a
 coset sum or, once every coset sum has been used, a combination of them;
 the coefficients and the shift a come from the fixed seed of ffpoly, so
 the split is deterministic and its exponent has only log2(p) bits.  Coset
@@ -88,6 +92,17 @@ def cyclotomic_poly(field: PrimeField, n: int) -> Poly:
     up, down = [n], []  # the d | n with mu(n/d) = 1 and with mu(n/d) = -1
     for q in intmath.factorint(n):
         up, down = up + [d // q for d in down], down + [d // q for d in up]
+    if field.p == 2:  # on the packed int (module docstring)
+        x = 1
+        for d in up:
+            x ^= x << d
+        for d in down:
+            size = x.bit_length() - d
+            x &= (1 << size) - 1
+            while d < size:
+                x ^= (x << d) & ((1 << size) - 1)
+                d <<= 1
+        return field.from_code(x)
     c = [1]
     for d in up:  # times t**d - 1: c[i] becomes c[i - d] - c[i]
         c[:0] = [0] * d
@@ -117,13 +132,18 @@ def _coset_sums(field: PrimeField, d: int):
     for j in range(1, d):
         if seen[j]:
             continue
-        coeffs = [0] * d
+        coset = []
         i = j
         while not seen[i]:
-            seen[i] = coeffs[i] = 1
+            seen[i] = 1
+            coset.append(i)
             i = i * p % d
-        while not coeffs[-1]:
-            coeffs.pop()
+        if p == 2:
+            yield field.from_code(sum(1 << i for i in coset))
+            continue
+        coeffs = [0] * (max(coset) + 1)
+        for i in coset:
+            coeffs[i] = 1
         yield Poly(field, tuple(coeffs), _canonical=True)
 
 
@@ -145,6 +165,8 @@ def _frobenius_fixed(field: PrimeField, d: int, pi: Poly, rng: random.Random | N
 
 def _lift(f: Poly, q: int) -> Poly:
     # f(t**q)
+    if f.field.p == 2:  # q - 1 zeros after every binary digit
+        return f.field.from_code(int(("0" * (q - 1)).join(format(f.bits, "b")), 2))
     coeffs = [0] * (q * f.degree + 1)
     coeffs[::q] = f.coeffs
     return Poly(f.field, tuple(coeffs), _canonical=True)

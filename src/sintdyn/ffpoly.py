@@ -2,11 +2,13 @@
 
 A Poly is an immutable canonical coefficient vector (lowest degree first,
 residues in [0, p), no trailing zeros; the zero polynomial has an empty
-vector and no defined degree).  Dense arithmetic is delegated to
-``_kernel``, which runs it on polynomials packed into ints (bits at p = 2,
-wider slots at odd p), or at odd p on coefficient lists in the compiled
-extension when that is built; everything else (gcd structure,
-irreducibility, full factorization) lives here.
+vector and no defined degree).  At odd p dense arithmetic is delegated to
+``_kernel``: coefficient lists in the compiled extension when that is
+built, otherwise ints packed per call.  PrimeField(2) is an _F2Field, whose
+factories make _F2Poly values: the int whose bit i is the coefficient of
+t**i, kept from input to output and run on ``_f2`` directly, with coeffs
+unpacked only when it is read (documents, str).  Everything else (gcd
+structure, irreducibility, full factorization) lives here.
 
 Factorization uses squarefree/distinct-degree splitting followed by
 Cantor-Zassenhaus equal-degree splitting.  The equal-degree step is
@@ -22,6 +24,7 @@ import functools
 import random
 
 from . import _kernel, intmath
+from ._kernel import _f2
 
 _CZ_SEED = 0x5EED1E55
 
@@ -36,6 +39,9 @@ class PrimeField:
     """The prime field F_p with 2 <= p < 2**31; factory for Poly values."""
 
     __slots__ = ("p",)
+
+    def __new__(cls, p: int):
+        return object.__new__(_F2Field if p == 2 else cls)
 
     def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool):
@@ -124,12 +130,6 @@ class PrimeField:
     def t(self) -> "Poly":
         return Poly(self, (0, 1), _canonical=True)
 
-    def monomial(self, degree: int) -> "Poly":
-        """The polynomial t**degree."""
-        if degree < 0:
-            raise ValueError(f"degree must be non-negative: got {degree}")
-        return Poly(self, (0,) * degree + (1,), _canonical=True)
-
     def tn_minus_1(self, n: int) -> "Poly":
         """The polynomial t**n - 1."""
         if n < 1:
@@ -154,7 +154,7 @@ def _operands(op):
 
 
 class Poly:
-    """Canonical polynomial over F_p.  Immutable value type."""
+    """Canonical polynomial over F_p, an immutable value made by PrimeField."""
 
     __slots__ = ("field", "coeffs")
 
@@ -164,6 +164,8 @@ class Poly:
             self.coeffs = coeffs
             return
         p = field.p
+        if p == 2:  # _F2Poly holds another representation
+            raise TypeError("a Poly over F_2 is made by the factories of PrimeField(2)")
         c = [int(x) % p for x in coeffs]
         while c and not c[-1]:
             c.pop()
@@ -272,11 +274,12 @@ class Poly:
         return list(self.coeffs)
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if not c:
                 continue
             if i == 0:
@@ -290,6 +293,72 @@ class Poly:
         return f"Poly(F_{self.field.p}, {self})"
 
 
+class _F2Field(PrimeField):
+    """F_2, whose factories make _F2Poly values (PrimeField(2) is one)."""
+
+    __slots__ = ()
+
+    def poly(self, coeffs) -> "Poly":
+        return _F2Poly(self, _f2.pack([int(x) & 1 for x in coeffs]))
+
+    def from_code(self, code: int) -> "Poly":
+        if code < 0:
+            raise ValueError(f"code must be non-negative: got {code}")
+        return _F2Poly(self, code)
+
+    zero = property(lambda self: _F2Poly(self, 0))
+    one = property(lambda self: _F2Poly(self, 1))
+    t = property(lambda self: _F2Poly(self, 2))
+
+    def tn_minus_1(self, n: int) -> "Poly":
+        if n < 1:
+            raise ValueError(f"n must be positive: got {n}")
+        return _F2Poly(self, 1 << n | 1)
+
+
+class _F2Poly(Poly):
+    """A Poly over F_2 held as the int whose bit i is the coefficient of
+    t**i, which is also its code; coeffs is unpacked only when it is read.
+    Degree, then code, orders these ints as int order does."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, field: PrimeField, bits: int):
+        self.field = field
+        self.bits = bits
+
+    coeffs = property(lambda self: tuple(_f2.unpack(self.bits)))
+    code = property(lambda self: self.bits)
+    is_zero = property(lambda self: not self.bits)
+    is_monic = property(lambda self: self.bits != 0)
+    constant_term = property(lambda self: self.bits & 1)
+
+    @property
+    def degree(self) -> int:
+        if not self.bits:
+            raise ValueError("degree of the zero polynomial is undefined")
+        return self.bits.bit_length() - 1
+
+    def derivative(self) -> "Poly":
+        # (t**i)' = t**(i - 1) for odd i and 0 for even i
+        mask = int("10" * (self.bits.bit_length() // 2 + 1), 2)
+        return _F2Poly(self.field, (self.bits & mask) >> 1)
+
+    # _f2 is looked up at call time, as ffpoly looks up _kernel
+    __add__ = __radd__ = __sub__ = __rsub__ = _operands(
+        lambda a, b: _F2Poly(a.field, a.bits ^ b.bits)
+    )
+    __mul__ = __rmul__ = _operands(lambda a, b: _F2Poly(a.field, _f2.mul(a.bits, b.bits)))
+    __mod__ = _operands(lambda a, b: _F2Poly(a.field, _f2.rem(a.bits, b.bits)))
+    monic = __neg__ = lambda self: self  # every nonzero f is monic, and -f = f
+    __bool__ = lambda self: self.bits != 0
+    __hash__ = lambda self: hash(self.bits)
+    __eq__ = lambda self, other: isinstance(other, _F2Poly) and self.bits == other.bits
+    __lt__ = lambda self, other: (
+        self.bits < other.bits if isinstance(other, _F2Poly) else NotImplemented
+    )
+
+
 def _check_fields(a: Poly, b: Poly):
     if a.field != b.field:
         raise FieldMismatchError(
@@ -300,6 +369,9 @@ def _check_fields(a: Poly, b: Poly):
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with deg r < deg b (or r = 0); b = 0 raises ZeroDivisionError."""
     _check_fields(a, b)
+    if a.field.p == 2:
+        q, r = _f2.div_rem(a.bits, b.bits)
+        return _F2Poly(a.field, q), _F2Poly(a.field, r)
     q, r = _kernel.div_rem(list(a.coeffs), list(b.coeffs), a.field.p)
     return (
         Poly(a.field, tuple(q), _canonical=True),
@@ -312,6 +384,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     _check_fields(a, b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
+    if a.field.p == 2:
+        return _F2Poly(a.field, _f2.gcd(a.bits, b.bits))
     g = _kernel.gcd(list(a.coeffs), list(b.coeffs), a.field.p)
     return Poly(a.field, tuple(g), _canonical=True)
 
@@ -329,6 +403,8 @@ def poly_powmod(base: Poly, exp: int, modulus: Poly) -> Poly:
         raise ValueError("powmod modulus must be nonconstant")
     if exp < 0:
         raise ValueError(f"exponent must be non-negative: got {exp}")
+    if base.field.p == 2:
+        return _F2Poly(base.field, _f2.pow_mod(base.bits, exp, modulus.bits))
     c = _kernel.pow_mod(list(base.coeffs), exp, list(modulus.coeffs), base.field.p)
     return Poly(base.field, tuple(c), _canonical=True)
 
@@ -365,8 +441,7 @@ def is_irreducible(f: Poly) -> bool:
 def _pth_root(f: Poly) -> Poly:
     # f' = 0 means f(t) = h(t^p); over F_p the p-th root is h = f with
     # coefficients taken at the indices divisible by p (Frobenius fixes F_p)
-    p = f.field.p
-    return Poly(f.field, f.coeffs[::p], _canonical=True)
+    return f.field.poly(f.coeffs[:: f.field.p])
 
 
 def _equal_degree_split(u: Poly, d: int, rng: random.Random) -> list[Poly]:

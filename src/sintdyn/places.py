@@ -59,11 +59,11 @@ class Place(NamedTuple):
         return "infinity" if self.poly is None else str(self.poly)
 
 
-# enumerate_places refuses max_degree with p**max_degree above this: the
-# sieve costs 4-8 microseconds per monic candidate of the top degree on the
-# pure kernel (a 2-vCPU x86-64 host, Python 3.11: 0.45 s at p = 2, degree
-# 16 and 2.0 s at degree 18; 1.4 s at p = 3, degree 11) and holds one flag
-# byte per candidate
+# enumerate_places refuses max_degree with p**max_degree above this: at odd
+# p the sieve costs 3-9 microseconds per monic candidate of the top degree
+# on the pure kernel (a 2-vCPU x86-64 host, Python 3.11: 0.8 s at p = 3,
+# degree 11 and 0.7 s at p = 7, degree 6) and about 0.3 at p = 2 (0.08 s
+# at degree 18), and it holds one flag byte per candidate
 MAX_CANDIDATES = 2**18
 
 
@@ -98,7 +98,8 @@ def enumerate_places(field: PrimeField, max_degree: int) -> list[Place]:
     v(1) = 0 a multiple of t - 1; neither is a candidate, so f runs over
     the places other than t and t - 1 and g over the monic polynomials
     with g(0) != 0 and g(1) != 0 (v = f*g has v(0) = f(0)g(0) and
-    v(1) = f(1)g(1)).  The work is about p**max_degree flag writes and
+    v(1) = f(1)g(1)).  At p = 2 the sieve runs on packed ints
+    (_sieve_f2).  The work is about p**max_degree flag writes and
     products, so a request with p**max_degree > MAX_CANDIDATES (2**18) is
     refused with ValueError before any work starts.
     """
@@ -112,17 +113,22 @@ def enumerate_places(field: PrimeField, max_degree: int) -> list[Place]:
             f"got {p}**{max_degree}"
         )
     places = [Place.infinite(), Place(field.t)]
+    if p == 2:
+        return _sieve_f2(field, max_degree, places)
     places.extend(Place(Poly(field, (c, 1), _canonical=True)) for c in range(1, p))
     # the places other than t and t - 1 up to degree max_degree / 2, as
     # coefficient lists: the sieving factors
     factors = [[c, 1] for c in range(1, p - 1)]
+    cofactors = {}  # degree k -> the candidates of degree k, built once
     for degree in range(2, max_degree + 1):
         composite = bytearray(p**degree)  # indexed by code - p**degree
         for f in factors:
-            f_degree = len(f) - 1
-            if 2 * f_degree > degree:
+            k = degree - len(f) + 1
+            if k < degree - k:
                 break
-            for _, g in _candidates(p, degree - f_degree):
+            if k not in cofactors:
+                cofactors[k] = list(_candidates(p, k))
+            for _, g in cofactors[k]:
                 v = _kernel.mul(f, g, p)
                 index = 0
                 for c in reversed(v[:-1]):
@@ -135,3 +141,31 @@ def enumerate_places(field: PrimeField, max_degree: int) -> list[Place]:
                     factors.append(v)
     return places
 
+
+def _sieve_f2(field: PrimeField, max_degree: int, places: list) -> list[Place]:
+    # the sieve on packed ints (code = v, index = v ^ 2**degree); the factors
+    # are odd ints (f(0) = 1) of odd weight (f(1) = 1).  f of degree a flags
+    # f*g for every g = t**k + ... + 1, k = degree - a, in Gray-code order, so
+    # each next product is one xor of a shifted f; a g with g(1) = 0 flags a
+    # v with v(1) = 0, which is no candidate
+    places.append(Place(field.from_code(3)))  # t + 1
+    factors = []
+    for degree in range(2, max_degree + 1):
+        top = 1 << degree
+        composite = bytearray(top)
+        for f in factors:
+            k = degree - f.bit_length() + 1
+            if k < degree - k:
+                break
+            shifted = [f << j for j in range(k)]
+            v = f ^ f << k ^ top
+            composite[v] = 1
+            for s in range(1, 1 << (k - 1)):  # flips bit 1 + (trailing zeros of s)
+                v ^= shifted[(s & -s).bit_length()]
+                composite[v] = 1
+        for index in range(1, top, 2):  # v(0) = 1, and v(1) = 1 at even weight
+            if not composite[index] and not index.bit_count() & 1:
+                places.append(Place(field.from_code(index | top)))
+                if 2 * degree <= max_degree:
+                    factors.append(index | top)
+    return places

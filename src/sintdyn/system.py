@@ -59,7 +59,7 @@ def _check_markable(v: Poly):
         raise ValueError("marks are defined only for nonconstant polynomials")
     if not v.is_monic:
         raise ValueError(f"marks are defined only for monic polynomials: got {v}")
-    if v.coeffs == (0, 1):
+    if v == v.field.t:
         raise ValueError("the place t is excluded from the mark field")
 
 

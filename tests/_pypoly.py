@@ -99,3 +99,22 @@ def gcd(a: list, b: list, p: int) -> list:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
+
+
+def as_f2(kernel):
+    """The interface of sintdyn._kernel._f2 (polynomials over F_2 packed into
+    ints) run on the list kernel `kernel`, this module or the compiled one:
+    operands are unpacked and results packed.  Tests swap it in for _f2."""
+    from types import SimpleNamespace
+
+    from sintdyn._kernel._f2 import pack, unpack
+
+    return SimpleNamespace(
+        pack=pack,
+        unpack=unpack,
+        mul=lambda x, y: pack(kernel.mul(unpack(x), unpack(y), 2)),
+        rem=lambda x, m: pack(kernel.rem(unpack(x), unpack(m), 2)),
+        div_rem=lambda x, m: tuple(map(pack, kernel.div_rem(unpack(x), unpack(m), 2))),
+        gcd=lambda x, y: pack(kernel.gcd(unpack(x), unpack(y), 2)),
+        pow_mod=lambda x, e, m: pack(kernel.pow_mod(unpack(x), e, unpack(m), 2)),
+    )

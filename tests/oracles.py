@@ -28,9 +28,9 @@ from sintdyn.system import SystemSpec
 
 def all_monic(field: PrimeField, degree: int):
     """Every monic polynomial of the given degree, ascending canonical code."""
-    lead = field.monomial(degree)
-    for code in range(field.p**degree):
-        yield field.from_code(code) + lead
+    top = field.p**degree  # the code of t**degree
+    for code in range(top, 2 * top):
+        yield field.from_code(code)
 
 
 def sieve_irreducibles(field: PrimeField, max_degree: int) -> list[Poly]:

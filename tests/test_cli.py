@@ -325,6 +325,16 @@ class TestPinnedDocuments:
              "1e9b1dc1cbf2c25e18e6569755252ecd219ea61742d6fd8f423fd4e6cabe1bfb"),
             (("verify", "--p", "3", "--q", "5", "--nj", "31", "--mark-t-minus-1"), "csv",
              "434ccb85ead04d4046f53d7c13d41fedc9e5f9fafbda81603baf072424954510"),
+            # the largest places request admitted at p = 2, and odd p at
+            # degrees where the cofactor lists are reused many times
+            (("places", "--p", "2", "--max-degree", "18"), "json",
+             "0ffdaaabf29388e7e7ef76a99783781ae3a8555a01c9a0c79c94bd8ecbd9047e"),
+            (("places", "--p", "3", "--max-degree", "9"), "json",
+             "990aae44223edb9f6b08e3b3312cd57337eede0c544f78dc498948b80dd10786"),
+            (("places", "--p", "5", "--max-degree", "6"), "json",
+             "04af493d29a2d59b9f78b99a5fff617947b50717203f6f955585a7cb762acf4d"),
+            (("places", "--p", "7", "--max-degree", "5"), "json",
+             "2d1ec01f27b1222f3f724b228eac2078af5ec4b6052c67f66114c6e66830c43a"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, fmt, digest):

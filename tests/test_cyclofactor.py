@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from sintdyn import cyclofactor, intmath
@@ -232,6 +234,47 @@ class TestLift:
         pairs = factorize(cyclotomic_poly(F2, 63))
         assert len(factors) == 6
         assert factors == tuple(v for v, _ in pairs)
+
+
+class TestPackedF2:
+    """At p = 2, pi_n is built on the packed int and split from packed coset
+    sums: the factor lists are pinned to the output of the coefficient-list
+    code, and pi_n is checked against t^n - 1 = prod over d | n of pi_d and
+    against sympy."""
+
+    def test_factor_lists_pinned(self, cold_split_cache):
+        # every odd d <= 3000, one line "d:code code ..." per d, codes in hex
+        digest = hashlib.sha256()
+        for d in range(1, 3001, 2):
+            codes = " ".join(format(v.code, "x") for v in _cyclotomic_factors(2, d))
+            digest.update(f"{d}:{codes}\n".encode())
+        assert digest.hexdigest() == (
+            "73964f6b626b66b2d9326c25667f0b4d3641567f5e7edf144c38dc91b49a1b4b"
+        )
+
+    def test_product_over_divisors_upto_5000(self, F2):
+        pi = {}
+        for n in range(1, 5001, 2):
+            pi[n] = cyclotomic_poly(F2, n)
+            product = F2.one
+            for d in intmath.divisors(n):
+                product = product * pi[d]
+            assert product == F2.tn_minus_1(n), n
+
+    def test_six_prime_factors(self, F2):
+        # 255255 = 3 * 5 * 7 * 11 * 13 * 17: 32 multiplications by t^d + 1
+        # and 32 exact divisions form pi_255255
+        n = 255255
+        product = F2.one
+        for d in intmath.divisors(n):
+            product = product * cyclotomic_poly(F2, d)
+        assert product == F2.tn_minus_1(n)
+
+    def test_matches_sympy_upto_400(self, F2):
+        sympy = pytest.importorskip("sympy")
+        for n in range(1, 401, 2):
+            expected = sympy.cyclotomic_poly(n, polys=True).all_coeffs()
+            assert cyclotomic_poly(F2, n) == F2.poly(reversed(expected)), n
 
 
 class TestFactorTnMinus1:

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from sintdyn import _kernel
+import _pypoly
+from sintdyn import _kernel, ffpoly
 from sintdyn.ffpoly import (
     FieldMismatchError,
     PrimeField,
@@ -16,6 +17,17 @@ from sintdyn.ffpoly import (
 )
 
 from oracles import all_monic, brute_factorize, sieve_irreducibles
+
+
+def _swap_kernel(monkeypatch, p, module):
+    # ffpoly runs F_2 on _f2 and packed ints, so at p = 2 the list kernel
+    # module is swapped in for _f2 through packing (_pypoly.as_f2); at odd p
+    # it replaces the six functions of _kernel
+    if p == 2:
+        monkeypatch.setattr(ffpoly, "_f2", _pypoly.as_f2(module))
+        return
+    for op in ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd"):
+        monkeypatch.setattr(_kernel, op, getattr(module, op))
 
 
 def _random_poly(field, rng, max_degree, nonzero=False):
@@ -160,8 +172,7 @@ class TestOperatorContract:
 
         check()
         for module in kernel_modules.values():
-            for op in ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd"):
-                monkeypatch.setattr(_kernel, op, getattr(module, op))
+            _swap_kernel(monkeypatch, p, module)
             check()
 
 
@@ -315,8 +326,7 @@ class TestIrreducible:
         is_irreducible.cache_clear()
         expected = [is_irreducible(f) for f in cases]
         for module in kernel_modules.values():
-            for op in ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd"):
-                monkeypatch.setattr(_kernel, op, getattr(module, op))
+            _swap_kernel(monkeypatch, p, module)
             is_irreducible.cache_clear()
             assert [is_irreducible(f) for f in cases] == expected
             assert is_irreducible.cache_info().misses == len(cases)
@@ -382,8 +392,7 @@ class TestFactorize:
         first = factorize(f)
         assert factorize(f) == first
         for module in kernel_modules.values():
-            for op in ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd"):
-                monkeypatch.setattr(_kernel, op, getattr(module, op))
+            _swap_kernel(monkeypatch, 5, module)
             assert factorize(f) == first
 
 

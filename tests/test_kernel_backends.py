@@ -2,10 +2,11 @@
 the packed odd-p kernel _fp ("packed") and the packed p = 2 kernel must be
 interchangeable on identical inputs, and all must satisfy the ring
 identities checked against a dict-based reference multiplication.
-"kernel" is the dispatching sintdyn._kernel, which sends p = 2 to the
-packed kernel; the packed checks reach it that way, so they cover the list
-conversion too.  _fp is checked against _pypoly at odd p, at the edges of
-its slot widths and across its mid-Euclid slot reduction."""
+"kernel" is the dispatching sintdyn._kernel, which sends every p to the
+backend (ffpoly calls it only at odd p).  The packed p = 2 kernel _f2 runs
+on ints: the checks pack their list operands, call _f2 and unpack the
+result.  _fp is checked against _pypoly at odd p, at the edges of its slot
+widths and across its mid-Euclid slot reduction."""
 
 import importlib.util
 import random
@@ -181,9 +182,16 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _f2_on_lists(op, *args):
+    # _f2's op on the packed list operands (exponents stay ints), unpacked;
+    # mul_mod is rem after mul
+    x = [_f2.pack(a) if isinstance(a, list) else a for a in args]
+    result = _f2.rem(_f2.mul(x[0], x[1]), x[2]) if op == "mul_mod" else getattr(_f2, op)(*x)
+    return tuple(map(_f2.unpack, result)) if isinstance(result, tuple) else _f2.unpack(result)
+
+
 def _packed_matches_pure(op, *args):
-    # at p = 2 _kernel packs the lists, runs _f2 on ints and unpacks
-    packed = _outcome(getattr(_kernel, op), *args, 2)
+    packed = _outcome(_f2_on_lists, op, *args)
     assert packed == _outcome(getattr(_pypoly, op), *args, 2), (op, args)
 
 
@@ -222,10 +230,10 @@ def test_packed_edge_cases():
     ):
         _packed_matches_pure(op, *args)
     with pytest.raises(ZeroDivisionError):
-        _kernel.pow_mod(a, -1, [], 2)  # the zero modulus is checked first
+        _f2.pow_mod(_f2.pack(a), -1, 0)  # the zero modulus is checked first
     with pytest.raises(ValueError):
-        _kernel.pow_mod(a, -1, m, 2)
-    assert _kernel.pow_mod([0, 1], 15 * 2**100, m, 2) == [1]  # t has order 15 mod m
+        _f2.pow_mod(_f2.pack(a), -1, _f2.pack(m))
+    assert _f2.pow_mod(0b10, 15 * 2**100, _f2.pack(m)) == 1  # t has order 15 mod m
 
 
 def test_pack_round_trip():
@@ -344,9 +352,13 @@ def test_fp_errors_match_pure(p):
 
 
 def test_kernel_dispatches_odd_p_to_fp_without_compiled_kernel(monkeypatch):
-    # a fresh copy of sintdyn._kernel, imported while _cypoly cannot be
+    # a fresh copy of sintdyn._kernel, imported while _cypoly cannot be and
+    # _fp's functions are stand-ins that name themselves
     monkeypatch.setitem(sys.modules, "sintdyn._kernel._cypoly", None)
     monkeypatch.delattr(_kernel, "_cypoly", raising=False)
+    for op in KERNEL_OPS:
+        if op != "mul_mod":  # _fp has no mul_mod: the kernel's is rem after mul
+            monkeypatch.setattr(_fp, op, lambda *args, op=op: op)
     path = Path(_kernel.__file__)
     spec = importlib.util.spec_from_file_location(
         "sintdyn._kernel", path, submodule_search_locations=[str(path.parent)]
@@ -354,13 +366,11 @@ def test_kernel_dispatches_odd_p_to_fp_without_compiled_kernel(monkeypatch):
     fresh = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fresh)
     assert fresh.backend_name() == "python"
-    for op in KERNEL_OPS:
-        if op != "mul_mod":  # _fp has no mul_mod: the kernel's is rem after mul
-            monkeypatch.setattr(_fp, op, lambda *args, op=op: op)
     a, m = [1, 0, 1], [1, 1, 0, 1]
     args = {"mul": (a, a), "div_rem": (a, m), "rem": (a, m), "mul_mod": (a, a, m),
             "pow_mod": (a, 3, m), "gcd": (a, m)}
     for op in KERNEL_OPS:
-        # mul_mod is rem after mul, so its odd-p result comes from _fp.rem
-        assert getattr(fresh, op)(*args[op], 3) == ("rem" if op == "mul_mod" else op)
-        assert getattr(fresh, op)(*args[op], 2) == getattr(_pypoly, op)(*args[op], 2)
+        # mul_mod is rem after mul, so its result comes from _fp.rem; p = 2
+        # goes to _fp as well, since ffpoly sends F_2 to _f2 directly
+        for p in (3, 2):
+            assert getattr(fresh, op)(*args[op], p) == ("rem" if op == "mul_mod" else op)
