@@ -409,7 +409,7 @@ def _system_rows(label, spec, max_n, repeats):
     periodic_exponents(spec, max_n)  # warms the factor cache
     paths = {
         "table": lambda: periodic_exponents(spec, max_n),
-        "per-n": lambda: [periodic_exponent(spec, n).e for n in range(1, max_n + 1)],
+        "per-n": lambda: [periodic_exponent(spec, n) for n in range(1, max_n + 1)],
     }
     return [(label, "", op, {"kernel": _time(call, repeats)}) for op, call in paths.items()]
 

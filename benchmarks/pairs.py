@@ -20,8 +20,12 @@ the number of pairs in which the working tree is better, and writes the
 record to --output.  Each row also says whether it meets the rule for
 claiming a gain: the working tree better in at least nine tenths of the
 pairs, and the medians apart by more than the revision's interquartile
-range.  The record's "claim" is left null for a change to fill in.
-Nothing under clibench/ is edited.
+range.  And it gives the no-regression check that a change claiming no
+gain must pass: the relative change of the working tree's median against
+the revision's (positive is worse), and whether it stays within the
+metric's "bound" in the working tree's BENCHMARK.json, which is only read.
+The record's "claim" is left null for a change to fill in.  Nothing under
+clibench/ is edited.
 """
 
 import argparse
@@ -98,7 +102,15 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q1, 6), round(q3, 6)]
 
 
-def compare(runs: dict) -> dict:
+def bounds(root: Path) -> dict:
+    # the largest relative worsening BENCHMARK.json allows per metric
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    if any(m["better"] != "lower" for m in metrics if m["name"] in METRICS):
+        raise SystemExit("error: BENCHMARK.json: every compared metric must be lower-is-better")
+    return {m["name"]: m["bound"] for m in metrics if m["name"] in METRICS}
+
+
+def compare(runs: dict, bound: dict) -> dict:
     # runs[side] is the list of run records of one workload, pair by pair
     out = {
         "correct": True,
@@ -111,6 +123,7 @@ def compare(runs: dict) -> dict:
         q1, q3 = quartiles(parent)
         wins = sum(c < p for p, c in zip(parent, change))
         gap = statistics.median(parent) - statistics.median(change)
+        worse = -gap / statistics.median(parent)
         out[name] = {
             "parent_median": round(statistics.median(parent), 6),
             "change_median": round(statistics.median(change), 6),
@@ -119,6 +132,9 @@ def compare(runs: dict) -> dict:
             "change_better_pairs": wins,
             "pairs": len(parent),
             "gain_rule_met": 10 * wins >= 9 * len(parent) and gap > q3 - q1,
+            "relative_change": round(worse, 6),
+            "bound": bound[name],
+            "within_bound": worse <= bound[name],
             "parent_runs": [round(x, 6) for x in parent],
             "change_runs": [round(x, 6) for x in change],
         }
@@ -152,13 +168,14 @@ def main(argv=None) -> int:
         trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
         export_revision(root, rev_sha, trees["parent"])
         copy_working_tree(root, trees["change"])
+        bound = bounds(root)
         results = {}
         for workload in workload_names(trees["parent"]):
             runs = {side: [] for side in SIDES}
             for i in range(PAIRS):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                     runs[side].append(run_once(trees[side], workload))
-            results[workload] = compare(runs)
+            results[workload] = compare(runs, bound)
             backends = {side: sorted({r["backend"] for r in runs[side]}) for side in SIDES}
             results[workload]["backend"] = backends
             for name in METRICS:
@@ -167,7 +184,10 @@ def main(argv=None) -> int:
                       f"IQR {row['parent_quartiles']}, change {row['change_median']:.6g} "
                       f"IQR {row['change_quartiles']}, change better in "
                       f"{row['change_better_pairs']}/{row['pairs']} pairs"
-                      + (", gain rule met" if row["gain_rule_met"] else ""), flush=True)
+                      + (", gain rule met" if row["gain_rule_met"] else "")
+                      + f"; median {row['relative_change']:+.2%}, "
+                      + ("within" if row["within_bound"] else "OUTSIDE")
+                      + f" the bound {row['bound']:+.0%}", flush=True)
         lines = {side: src_lines(trees[side]) for side in SIDES}
 
     backends = sorted({b for w in results.values() for side in SIDES for b in w["backend"][side]})
@@ -180,6 +200,7 @@ def main(argv=None) -> int:
             "change": f"working tree at {head_sha}" + (" with uncommitted changes" if dirty else ""),
         },
         "claim": None,
+        "within_bounds": all(w[name]["within_bound"] for w in results.values() for name in METRICS),
         "src_lines": lines,
         "clibench": {
             "command": (f"PYTHONDONTWRITEBYTECODE=1 python3 clibench/run.py --workload W "

@@ -39,7 +39,6 @@ from .places import Place, enumerate_places
 from .orders import multiplicative_order, ord_brute, ord_in_tn_minus_1, poly_order
 from .system import (
     OmegaSource,
-    PeriodicExponent,
     SystemSpec,
     example85_system,
     full_shift,
@@ -72,7 +71,6 @@ __all__ = [
     "GrowthPoint",
     "InvalidCountsError",
     "OmegaSource",
-    "PeriodicExponent",
     "Place",
     "Poly",
     "PrimeField",

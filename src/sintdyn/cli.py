@@ -33,7 +33,6 @@ from .places import enumerate_places
 from .system import (
     PRESET_NAMES,
     OmegaSource,
-    PeriodicExponent,
     SystemSpec,
     periodic_exponent,
     periodic_exponents,
@@ -161,7 +160,7 @@ def _cmd_count(args):
     field = _field(args)
     spec = _system(field, args)
     _require_positive("--n", args.n)
-    e = periodic_exponent(spec, args.n).e
+    e = periodic_exponent(spec, args.n)
     if e * log2(field.p) > MAX_COUNT_BITS:
         raise CliError(f"count: p**e must be at most 2**{MAX_COUNT_BITS}: got {field.p}**{e}")
     count = intmath.decimal(field.p**e)
@@ -232,8 +231,7 @@ def _cmd_limits(args):
     _require_positive("--max-n", args.max_n)
     epsilon = _parse_fraction("--epsilon", args.epsilon)
     tail = _parse_fraction("--tail-fraction", args.tail_fraction)
-    exponents = periodic_exponents(spec, args.max_n)
-    points = [PeriodicExponent(n, e) for n, e in enumerate(exponents, 1)]
+    points = list(enumerate(periodic_exponents(spec, args.max_n), 1))
     try:
         clusters = cluster_limits(points, epsilon, tail)
     except ValueError as exc:

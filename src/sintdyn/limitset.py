@@ -21,16 +21,10 @@ from itertools import compress
 from typing import NamedTuple
 
 from . import intmath
-from .cyclofactor import _cyclotomic_factors, cyclotomic_poly
+from .cyclofactor import _cyclotomic_factors, cyclotomic_poly, factor_work
 from .ffpoly import PrimeField, is_irreducible, poly_gcd
 from .orders import multiplicative_order, ord_brute, ord_in_tn_minus_1
-from .system import (
-    OmegaSource,
-    PeriodicExponent,
-    SystemSpec,
-    periodic_exponent,
-    periodic_exponents,
-)
+from .system import OmegaSource, SystemSpec, periodic_exponent, periodic_exponents
 
 
 class GrowthPoint(NamedTuple):
@@ -104,16 +98,15 @@ def example85_rates(field: PrimeField, q_bound: int) -> list[Fraction]:
     return [Fraction(q - 1, q) for q in range(1, q_bound + 1) if q % field.p] + [Fraction(1)]
 
 
-def cluster_limits(
-    points: list[PeriodicExponent], epsilon, tail_fraction=Fraction(1)
-) -> list[tuple[Fraction, int]]:
+def cluster_limits(points, epsilon, tail_fraction=Fraction(1)) -> list[tuple[Fraction, int]]:
     """Empirical limit-point candidates: restrict to the trailing
     tail_fraction of the sequence, greedily merge rates within epsilon of
     the lowest rate in the cluster, and report (median rate, support count)
     sorted ascending.  Deterministic; an empirical stand-in only.
 
-    Reads only the integers .n and .e of each point (a GrowthPoint
-    serves as well): with L the largest n in the tail, two rates e/n != e'/n' differ by at least 1/(n n') >= 1/L**2, so the key
+    A point is read only for its first two items, the integers n and e:
+    an (n, e) pair or a GrowthPoint.  With L the largest n in the tail, two
+    rates e/n != e'/n' differ by at least 1/(n n') >= 1/L**2, so the key
     e * L**2 // n sorts them in rate order, and e/n - e0/n0 <= epsilon is
     tested by cross-multiplication."""
     epsilon = Fraction(epsilon)
@@ -125,23 +118,23 @@ def cluster_limits(
     tail_size = int(len(points) * tail_fraction)
     if tail_size < 1:
         raise ValueError("the requested tail is empty")
-    tail = points[len(points) - tail_size :]
-    scale = max(gp.n for gp in tail) ** 2
+    tail = [point[:2] for point in points[len(points) - tail_size :]]
+    scale = max(n for n, _ in tail) ** 2
     eps_num, eps_den = epsilon.numerator, epsilon.denominator
-    clusters: list[list[PeriodicExponent]] = []
-    for gp in sorted(tail, key=lambda gp: gp.e * scale // gp.n):
+    clusters: list[list[tuple[int, int]]] = []
+    for n, e in sorted(tail, key=lambda point: point[1] * scale // point[0]):
         if clusters:
-            first = clusters[-1][0]
-            if (gp.e * first.n - first.e * gp.n) * eps_den <= eps_num * gp.n * first.n:
-                clusters[-1].append(gp)
+            n0, e0 = clusters[-1][0]
+            if (e * n0 - e0 * n) * eps_den <= eps_num * n * n0:
+                clusters[-1].append((n, e))
                 continue
-        clusters.append([gp])
+        clusters.append([(n, e)])
     out = []
     for cluster in clusters:
         mid, odd = divmod(len(cluster), 2)
         # the mean of the middle two rates, or the middle rate twice
-        lo, hi = cluster[mid - 1 + odd], cluster[mid]
-        out.append((Fraction(lo.e * hi.n + hi.e * lo.n, 2 * lo.n * hi.n), len(cluster)))
+        (n_lo, e_lo), (n_hi, e_hi) = cluster[mid - 1 + odd], cluster[mid]
+        out.append((Fraction(e_lo * n_hi + e_hi * n_lo, 2 * n_lo * n_hi), len(cluster)))
     return out
 
 
@@ -173,6 +166,32 @@ def artin_primes(field: PrimeField, bound: int) -> list[int]:
     return [q for q in compress(range(bound + 1), flags) if flags[q] == 1]
 
 
+# verify_construction refuses (p, q, nj) with verify_work above this before
+# multiplicative_order(p, nj) or any polynomial: in the units of
+# cyclofactor.MAX_FACTOR_WORK (about 20 ps of pure-kernel time), so the
+# limit is about 3 s (2-vCPU x86-64 host, Python 3.11; the most costly
+# admitted nj at eight p from 2 to 2**31 - 1 took 0.6-3.7 s with start-up)
+MAX_VERIFY_WORK = 2**37
+
+
+def verify_work(p: int, q: int, nj: int) -> int:
+    """The cost of verify_construction(p, q, nj) in the units of
+    MAX_VERIFY_WORK: the split of pi_{q nj}, factor_work(p, q * nj), plus
+    the Rabin test of pi = 1 + t + ... + t**(nj-1), which takes m = nj - 1
+    Frobenius steps modulo pi.  At p = 2 a step squares and reduces a
+    2m-bit int, 96 * nj**2 in all.  At odd p a step is at most
+    2 * bit_length(p) products mod pi, each a long division of m steps on
+    m slots of w bits, w the kernel's slot width for 2 * nj * (p - 1)**2 (a
+    power of two from 8): 2 * bit_length(p) * m**2 * (8192 + m * w // 2),
+    which grows about as nj**2.5 at small p."""
+    work = factor_work(p, q * nj)
+    if p == 2:
+        return work + 96 * nj * nj
+    m = nj - 1
+    w = 1 << max(3, ((2 * nj * (p - 1) ** 2).bit_length() - 1).bit_length())
+    return work + 2 * p.bit_length() * m * m * (8192 + m * w // 2)
+
+
 def _construction_preconditions(p: int, q: int, nj: int):
     if not intmath.is_prime(p):
         raise ConstructionRejected(f"p = {p} is not prime")
@@ -186,6 +205,11 @@ def _construction_preconditions(p: int, q: int, nj: int):
         raise ConstructionRejected(f"nj must differ from p: got nj = p = {p}")
     if nj <= q:
         raise ConstructionRejected(f"nj must exceed q: got nj = {nj}, q = {q}")
+    work = verify_work(p, q, nj)
+    if work > MAX_VERIFY_WORK:
+        raise ValueError(
+            f"verify: verify_work(p, q, nj) must be at most {MAX_VERIFY_WORK}: got {work}"
+        )
     order = multiplicative_order(p, nj)
     if order != nj - 1:
         raise ConstructionRejected(
@@ -204,7 +228,9 @@ def verify_construction(
     t - 1 is inverted as well, lowering the exponent offset to 0.  Both
     keep the rate within 1/nj of (q - 1)/q.  Precondition failures raise
     ConstructionRejected; a failed check is reported in the returned flags,
-    never raised.
+    never raised.  Once p, q and nj are known to be primes with q, nj != p
+    and nj > q, verify_work(p, q, nj) > MAX_VERIFY_WORK is refused with
+    ValueError before any other work starts.
     """
     _construction_preconditions(p, q, nj)
     field = PrimeField(p)
@@ -236,7 +262,7 @@ def verify_construction(
     checks.append(("squarefree", poly_gcd(pi_qnj, pi_qnj.derivative()).degree == 0))
 
     spec = SystemSpec(field, OmegaSource.explicit(marked), f"construction(q={q}, nj={nj})")
-    e_qnj = periodic_exponent(spec, target).e
+    e_qnj = periodic_exponent(spec, target)
     e_direct = target - sum(m * v.degree for v, m in mult_brute_of.items())
     checks.append(("exponent_consistent", e_qnj == e_direct))
     checks.append(("exponent_value", e_qnj == target - (nj - 1) - fixed_contribution))

@@ -20,14 +20,16 @@ M(n') being the total degree of the marked factors of t**n' - 1.  Per mode:
               (Lidl & Niederreiter, Finite Fields, Sec. 3.1);
     all-zero  the explicit rule with no places: M = 0.
 
-periodic_exponent answers one n.  periodic_exponents fills e_1..e_N at
-once from a table of M(n') for every n' <= N coprime to p.  t**n' - 1 is
-the product of the pi_d with d | n', and the irreducible factors of pi_d
-are exactly the places of order d, so M(n') = sum over d | n' of D(d)
-with D(d) the degree of the marked places of order d.  Random marks give
-D(d) from the factors of pi_d, each marked once; each explicit place adds
-its degree at its order, found once up to N (orders._order_at_most), and
-a place of order above N marks nothing.  D(d) is then added to every
+e_n is a plain int throughout, and a point of the sequence is the pair
+(n, e_n) that limitset.cluster_limits reads.  periodic_exponent answers
+one n.  periodic_exponents fills e_1..e_N at once from a table of M(n')
+for every n' <= N coprime to p.  t**n' - 1 is the product of the pi_d
+with d | n', and the irreducible factors of pi_d are exactly the places
+of order d, so M(n') = sum over d | n' of D(d) with D(d) the degree of
+the marked places of order d.  Random marks give D(d) from the factors
+of pi_d, each marked once; each explicit place adds its degree at its
+order, found once up to N (orders._order_at_most), and a place of order
+above N marks nothing.  D(d) is then added to every
 multiple of d, a divisor sieve of about N log N additions.  Asking each n
 in turn would mark the factors of pi_d again, or test each explicit place
 again, for every n.
@@ -181,16 +183,9 @@ def preset_system(field: PrimeField, name: str) -> SystemSpec:
         raise ValueError(f"unknown preset {name!r}; expected one of {sorted(_PRESETS)}") from None
 
 
-def random_system(field: PrimeField, rho, seed: int, label: str = "") -> SystemSpec:
-    spec = OmegaSource.random_marks(rho, seed)
-    return SystemSpec(field, spec, label or f"random(rho={spec.rho}, seed={seed})")
-
-
-class PeriodicExponent(NamedTuple):
-    """n together with e = log_p of the number of points of period n."""
-
-    n: int
-    e: int
+def random_system(field: PrimeField, rho, seed: int) -> SystemSpec:
+    omega = OmegaSource.random_marks(rho, seed)
+    return SystemSpec(field, omega, f"random(rho={omega.rho}, seed={seed})")
 
 
 def _random_marked_degree(omega: OmegaSource, p: int, d: int) -> int:
@@ -215,12 +210,11 @@ def _exponent(n: int, p_power: int, marked: int) -> int:
     return e
 
 
-def periodic_exponent(spec: SystemSpec, n: int) -> PeriodicExponent:
-    """e with |F_n| = p**e: e = n - p**k * (marked degree of t**n' - 1)."""
+def periodic_exponent(spec: SystemSpec, n: int) -> int:
+    """e_n, the int with |F_n| = p**e_n: n - p**k * (marked degree of t**n' - 1)."""
     _validate_n(n)
     n_coprime, k = intmath.coprime_part(n, spec.field.p)
-    marked = _marked_degree(spec, n_coprime)
-    return PeriodicExponent(n, _exponent(n, spec.field.p**k, marked))
+    return _exponent(n, spec.field.p**k, _marked_degree(spec, n_coprime))
 
 
 def _marked_degrees(spec: SystemSpec, max_n: int) -> list[int]:
@@ -248,7 +242,7 @@ def _marked_degrees(spec: SystemSpec, max_n: int) -> list[int]:
 
 def periodic_exponents(spec: SystemSpec, max_n: int) -> list[int]:
     """e_1..e_max_n (e_n at index n - 1), equal to periodic_exponent(spec,
-    n).e for each n, with each marked factor found once (module docstring).
+    n) for each n, with each marked factor found once (module docstring).
     Allocates O(max_n) up front."""
     _validate_n(max_n)
     p = spec.field.p
@@ -266,4 +260,4 @@ def periodic_exponents(spec: SystemSpec, max_n: int) -> list[int]:
 
 def periodic_count(spec: SystemSpec, n: int) -> int:
     """|F_n| = p**e, exact."""
-    return spec.field.p ** periodic_exponent(spec, n).e
+    return spec.field.p ** periodic_exponent(spec, n)

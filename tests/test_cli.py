@@ -264,8 +264,8 @@ class TestOtherCommands:
 
 
 class TestPinnedDocuments:
-    """sha256 of stdout: places, artin, growth, zeta, limits and verify
-    documents stay byte-identical."""
+    """sha256 of stdout: places, artin, count, growth, zeta, limits and
+    verify documents stay byte-identical."""
 
     @pytest.mark.parametrize(
         "argv, fmt, digest",
@@ -335,6 +335,39 @@ class TestPinnedDocuments:
              "04af493d29a2d59b9f78b99a5fff617947b50717203f6f955585a7cb762acf4d"),
             (("places", "--p", "7", "--max-degree", "5"), "json",
              "2d1ec01f27b1222f3f724b228eac2078af5ec4b6052c67f66114c6e66830c43a"),
+            # count for a random system and for a labeled explicit place,
+            # limits with its own epsilon and tail, and verify in every format
+            (("count", "--p", "3", "--system", "random", "--rho", "1/2", "--seed", "5",
+              "--n", "360"), "json",
+             "515bffd5b9a9ac84f17f393e9ac93779d06be099a5981e1d3f730d48de860d40"),
+            (("count", "--p", "3", "--system", "random", "--rho", "1/2", "--seed", "5",
+              "--n", "360"), "csv",
+             "3786abc80326a2584375d24b4692d35b9825f51f6ec5d16b4049e4902f57421e"),
+            (("count", "--p", "3", "--system", "random", "--rho", "1/2", "--seed", "5",
+              "--n", "360"), "text",
+             "09768559c85a607e95639d79c402ca04cd38aaffbae66ffa71aaa5be170a6226"),
+            (("count", "--p", "3", "--system", "explicit", "--place", "t^2+1", "--label", "X",
+              "--n", "24"), "json",
+             "4650a629e8625a7ac854441b8db44f5bf1ac6a55ab2713ea1e1340109e2c3418"),
+            (("count", "--p", "3", "--system", "explicit", "--place", "t^2+1", "--label", "X",
+              "--n", "24"), "csv",
+             "f2ac1552882a00ac6e977ed84ba7bac5ef4d1d4aa45802f4cd29f93c4e7b4595"),
+            (("count", "--p", "3", "--system", "explicit", "--place", "t^2+1", "--label", "X",
+              "--n", "24"), "text",
+             "dbb7ea30d7d04d4698ecd795c3f2ca9ef1e5c6290e751a794a189273d87d6cd2"),
+            (("limits", "--p", "2", "--system", "random", "--rho", "1/3", "--seed", "5",
+              "--max-n", "400", "--epsilon", "1/50", "--tail-fraction", "1/3"), "json",
+             "8bd28cea268291e9d6d4571f8dd920eb47210152186a4babaa51193502113edc"),
+            (("limits", "--p", "2", "--system", "random", "--rho", "1/3", "--seed", "5",
+              "--max-n", "400", "--epsilon", "1/50", "--tail-fraction", "1/3"), "csv",
+             "180cd0c254b0db964c023f9b36040ecc518c9a7d74c4054d0e056ab6e9a9d154"),
+            (("limits", "--p", "2", "--system", "random", "--rho", "1/3", "--seed", "5",
+              "--max-n", "400", "--epsilon", "1/50", "--tail-fraction", "1/3"), "text",
+             "c212976a2119635606ad16ab722bb8757cdd02f1bc1069d4f5dad4e10dd45159"),
+            (("verify", "--p", "2", "--q", "3", "--nj", "101"), "json",
+             "54be8bfa74a7f9dbe0fdf299c6ab0435c58bd7e3b0133980d71887e3d6422cf0"),
+            (("verify", "--p", "2", "--q", "3", "--nj", "101"), "text",
+             "5526a2997f0a349c62f061bf235a08e626e8f76f5938a4125bceac4de90afd9d"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, fmt, digest):
@@ -718,9 +751,22 @@ class TestWorkBoundsRefusedUpFront:
             (("factor", "--p", "2", "--n", "8388619"),
              "error: factor: factor_work(p, n) must be at most 137438953472: "
              "got 137439133696\n"),
+            # an Artin prime of 2 whose pi alone would not fit in memory
+            (("verify", "--p", "2", "--q", "3", "--nj", "1000000021"),
+             "error: verify: verify_work(p, q, nj) must be at most 137438953472: "
+             "got 96000053184001074528\n"),
+            # the Artin prime of 2 after 36037, the largest admitted at q = 3
+            (("verify", "--p", "2", "--q", "3", "--nj", "36061"),
+             "error: verify: verify_work(p, q, nj) must be at most 137438953472: "
+             "got 137603937248\n"),
         ),
     )
-    def test_refused_at_limit_plus_one(self, capsys, argv, message):
+    def test_refused_at_limit_plus_one(self, capsys, monkeypatch, argv, message):
+        def no_work(*args):
+            raise AssertionError("verify must refuse before multiplicative_order")
+
+        # without its check, verify --nj 1000000021 would build a 10**9-term pi
+        monkeypatch.setattr("sintdyn.limitset.multiplicative_order", no_work)
         start = time.perf_counter()
         status, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1
@@ -776,6 +822,21 @@ class TestWorkBoundsRefusedUpFront:
             2, "", f"error: factor: factor_work(p, n) must be at most {work - 1}: got {work}\n"
         )
 
+    def test_verify_limit_is_inclusive(self, capsys, monkeypatch):
+        # verify --p 2 --q 3 --nj 101 (a benchmark job) is admitted at
+        # exactly its own work and refused one unit below it
+        argv = ("verify", "--p", "2", "--q", "3", "--nj", "101")
+        work = 7743968
+        monkeypatch.setattr("sintdyn.limitset.MAX_VERIFY_WORK", work)
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, err) == (0, "")
+        assert json.loads(out)["e_qnj"] == 203
+        monkeypatch.setattr("sintdyn.limitset.MAX_VERIFY_WORK", work - 1)
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: verify: verify_work(p, q, nj) must be at most {work - 1}: "
+            f"got {work}\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         (
@@ -785,6 +846,11 @@ class TestWorkBoundsRefusedUpFront:
             ("zeta", "--p", "2147483647", "--system", "full", "--terms", "803"),
             # pi_8388587 is irreducible over F_2: 16384 * (1 + 8388587) units
             ("factor", "--p", "2", "--n", "8388587"),
+            # the largest verify requests of the tests and the benchmarks
+            ("verify", "--p", "2", "--q", "3", "--nj", "30011"),
+            ("verify", "--p", "2", "--q", "3", "--nj", "36037"),
+            ("verify", "--p", "3", "--q", "5", "--nj", "31", "--mark-t-minus-1"),
+            ("verify", "--p", "5", "--q", "3", "--nj", "23"),
         ),
     )
     def test_admitted_at_the_real_limits(self, capsys, monkeypatch, argv):
@@ -799,6 +865,7 @@ class TestWorkBoundsRefusedUpFront:
         monkeypatch.setattr("sintdyn.intmath.decimal", admitted)
         monkeypatch.setattr("sintdyn.zeta.periodic_exponents", admitted)
         monkeypatch.setattr("sintdyn.cyclofactor._cyclotomic_factors", admitted)
+        monkeypatch.setattr("sintdyn.limitset.multiplicative_order", admitted)
         with pytest.raises(Admitted):
             main(list(argv))
 

@@ -14,13 +14,7 @@ from sintdyn.limitset import (
     verify_construction,
 )
 from sintdyn.orders import multiplicative_order, ord_brute
-from sintdyn.system import (
-    PeriodicExponent,
-    example85_system,
-    full_shift,
-    random_system,
-    trivial_system,
-)
+from sintdyn.system import example85_system, full_shift, random_system, trivial_system
 
 from oracles import clusters_by_fraction, example85_reference
 
@@ -145,9 +139,10 @@ class TestClusterLimits:
                 epsilon = rates[1] - rates[0]
             tail_size = int(len(points) * tail_fraction)
             hypothesis.assume(tail_size > 0)
-            assert cluster_limits(points, epsilon, tail_fraction) == clusters_by_fraction(
-                [gp.rate for gp in points], epsilon, tail_size
-            )
+            expected = clusters_by_fraction([gp.rate for gp in points], epsilon, tail_size)
+            # the same points as GrowthPoints and as plain (n, e) pairs
+            assert cluster_limits(points, epsilon, tail_fraction) == expected
+            assert cluster_limits(pairs, epsilon, tail_fraction) == expected
 
         check()
 
@@ -320,9 +315,7 @@ class TestVerifyConstruction:
 
 def _shift_exponent(monkeypatch, by):
     real = limitset.periodic_exponent
-    monkeypatch.setattr(
-        limitset, "periodic_exponent", lambda spec, n: PeriodicExponent(n, real(spec, n).e + by)
-    )
+    monkeypatch.setattr(limitset, "periodic_exponent", lambda spec, n: real(spec, n) + by)
 
 
 def _overcount_t_minus_1(monkeypatch):

@@ -180,25 +180,25 @@ class TestPeriodicCounts:
     def test_full_shift(self, p):
         spec = full_shift(PrimeField(p))
         for n in (1, 7, 23):
-            assert periodic_exponent(spec, n) == (n, n)
+            assert periodic_exponent(spec, n) == n
             assert periodic_count(spec, n) == p**n
         # all-zero marks are the explicit rule with no places
         none = SystemSpec(spec.field, OmegaSource.explicit([]))
         for n in (1, 12, 81, 4096):
-            assert periodic_exponent(spec, n) == periodic_exponent(none, n) == (n, n)
+            assert periodic_exponent(spec, n) == periodic_exponent(none, n) == n
         assert periodic_exponents(spec, 300) == periodic_exponents(none, 300) == list(range(1, 301))
 
     @pytest.mark.parametrize("p", (2, 5))
     def test_trivial_system(self, p):
         spec = trivial_system(PrimeField(p))
         for n in (1, 9, 40):
-            assert periodic_exponent(spec, n).e == 0
+            assert periodic_exponent(spec, n) == 0
             assert periodic_count(spec, n) == 1
         assert periodic_exponents(spec, 300) == [0] * 300
 
     def test_explicit_t_plus_1_spec_example(self, F2):
         spec = SystemSpec(F2, OmegaSource.explicit([F2.from_string("t+1")]), "x")
-        assert periodic_exponent(spec, 6).e == 4
+        assert periodic_exponent(spec, 6) == 4
         assert periodic_count(spec, 6) == 16
 
     def test_example85_counts_p2(self, F2):
@@ -245,7 +245,7 @@ class TestPeriodicCounts:
         ]
         for spec in specs:
             for n in list(range(1, 41)) + list(p_power_ns) + [order, p * order]:
-                assert periodic_exponent(spec, n).e == brute_exponent(spec, n), (
+                assert periodic_exponent(spec, n) == brute_exponent(spec, n), (
                     spec.label, n,
                 )
 
@@ -263,7 +263,7 @@ class TestPeriodicCounts:
         ]
         for spec in specs:
             for n in list(range(1, 60)) + [81, 128, 250, 500]:
-                e = periodic_exponent(spec, n).e
+                e = periodic_exponent(spec, n)
                 assert 0 <= e <= n
                 contributions = inverted_places_dividing(spec, n)
                 assert e == n - sum(mult * deg for _, mult, deg in contributions)
@@ -277,8 +277,8 @@ class TestPeriodicCounts:
             small = OmegaSource.explicit(chosen[:2])
             large = OmegaSource.explicit(chosen)
             for n in (6, 12, 30, 60):
-                e_small = periodic_exponent(SystemSpec(F2, small, "s"), n).e
-                e_large = periodic_exponent(SystemSpec(F2, large, "l"), n).e
+                e_small = periodic_exponent(SystemSpec(F2, small, "s"), n)
+                e_large = periodic_exponent(SystemSpec(F2, large, "l"), n)
                 assert e_large <= e_small
 
     def test_contributions_nondecreasing_along_divisibility(self, F3):
@@ -298,8 +298,8 @@ class TestPeriodicCounts:
 
     def test_determinism(self, F2):
         spec = random_system(F2, Fraction(2, 5), 77)
-        first = [periodic_exponent(spec, n).e for n in range(1, 30)]
-        again = [periodic_exponent(spec, n).e for n in range(1, 30)]
+        first = [periodic_exponent(spec, n) for n in range(1, 30)]
+        again = [periodic_exponent(spec, n) for n in range(1, 30)]
         assert first == again
 
 
@@ -334,13 +334,13 @@ class TestPeriodicExponents:
     def test_matches_single_n(self, p):
         # N = 300 covers n with p-power parts up to 256, 243 and 125
         for spec in _table_specs(PrimeField(p)):
-            expected = [periodic_exponent(spec, n).e for n in range(1, 301)]
+            expected = [periodic_exponent(spec, n) for n in range(1, 301)]
             assert periodic_exponents(spec, 300) == expected, spec.label
 
     @pytest.mark.parametrize("p", (2, 3))
     def test_max_n_one(self, p):
         for spec in _table_specs(PrimeField(p)):
-            assert periodic_exponents(spec, 1) == [periodic_exponent(spec, 1).e]
+            assert periodic_exponents(spec, 1) == [periodic_exponent(spec, 1)]
 
     def test_max_n_refused_up_front(self, F2):
         # the table allocates O(max_n), so the limit is checked before any work
@@ -395,7 +395,7 @@ class TestPeriodicExponents:
         def check(p, picks, max_n):
             marked = [places[p][i % len(places[p])] for i in picks]
             spec = SystemSpec(PrimeField(p), OmegaSource.explicit(marked))
-            expected = [periodic_exponent(spec, n).e for n in range(1, max_n + 1)]
+            expected = [periodic_exponent(spec, n) for n in range(1, max_n + 1)]
             assert periodic_exponents(spec, max_n) == expected
 
         check()
@@ -406,9 +406,9 @@ class TestPeriodicExponents:
         ones = F2.poly([1] * 317)
         spec = SystemSpec(F2, OmegaSource.explicit([F2.poly([1, 1]), ones]))
         table = periodic_exponents(spec, 300)
-        assert table == [periodic_exponent(spec, n).e for n in range(1, 301)]
+        assert table == [periodic_exponent(spec, n) for n in range(1, 301)]
         assert table[:3] == [0, 0, 2]  # e_n = n - p**k for t - 1 alone
-        assert periodic_exponents(spec, 317)[-1] == 0 == periodic_exponent(spec, 317).e
+        assert periodic_exponents(spec, 317)[-1] == 0 == periodic_exponent(spec, 317)
 
     @pytest.mark.parametrize("p, max_n", ((2, 120), (3, 80), (5, 60)))
     def test_random_growth_marks_each_factor_once(self, monkeypatch, p, max_n):
@@ -443,7 +443,7 @@ class TestPeriodicExponents:
             spec = random_system(PrimeField(p), rho, seed)
             table = periodic_exponents(spec, max_n)
             assert all(0 <= e <= n for n, e in enumerate(table, 1))
-            assert table == [periodic_exponent(spec, n).e for n in range(1, max_n + 1)]
+            assert table == [periodic_exponent(spec, n) for n in range(1, max_n + 1)]
 
         check()
 
