@@ -1,6 +1,7 @@
 """Benchmark the list kernels (compiled, and pure Python: the tests'
 reference tests/_pypoly.py) against each other and against the packed
-kernels, _f2 at p = 2 and _fp at odd p.
+kernels, _f2 at p = 2 and _fp at odd p.  The library runs every
+polynomial over F_2 on _f2, so the list kernels are timed at odd p only.
 
 The compiled kernel is built into a temporary directory and loaded from
 there, as the tests do, so its column is present wherever setup.py can
@@ -9,12 +10,12 @@ Prints the size of src/ (lines of Python), then times the hot kernel
 primitives at several degrees and characteristics (rem and div_rem of one
 precomputed product, pow_mod with one fixed 64-bit exponent, so no cell
 runs for seconds):
-at p = 2 on the list backends and the "packed" column (_f2 on ints packed
-beforehand, as the library runs it), and at p = 3, 5 and
+at p = 2 in the "packed" column only (_f2 on ints packed beforehand, as
+the library runs it), and at p = 3, 5 and
 2**31 - 1 at degree 32 to 1024 on the list backends and the "packed" column
 (_fp; pow_mod above degree 256 not on the pure list kernel, which needs
 tens of seconds per cell), with the packed/compiled ratio,
-plus end-to-end library workloads running entirely on each list backend: the
+plus end-to-end library workloads: the
 cyclotomic splitting of every pi_d with d <= 200 at p = 2, 3 and 5 and
 d <= 400 at p = 7, t^1023 - 1 over F_2, a
 general factorization of t^105 - 1 over F_2, the deep equal-degree splits
@@ -22,13 +23,10 @@ of t^n - 1 at (n, p) = (255, 2), (511, 2), (242, 3), (124, 5) and (342, 7),
 and a construction check.  The "kernel" column is the library as it
 runs: _f2 on packed ints at p = 2 and, at odd p, the compiled kernel when
 the package itself was built with it, else _fp; it is timed on every
-end-to-end row.  A list backend runs a p = 2 end-to-end row through
-_pypoly.as_f2, which unpacks the operands and packs the result of every
-call.  The p = 2
-rows at degree 128 to 2048 time gcd, rem and pow_mod (pow_mod at degree
-1024 and 2048 not on the pure list kernel, which needs seconds per cell),
-one cold row splits pi_d for every odd d <= 2000 (not run on the pure
-list kernel, which needs nearly three minutes), and one factors
+end-to-end row.  The odd-p end-to-end rows also run entirely on each
+list backend; the p = 2 rows run in the "kernel" column only.  The p = 2
+rows at degree 128 to 2048 time gcd, rem and pow_mod in the "packed"
+column, one cold row splits pi_d for every odd d <= 2000, and one factors
 t^45045 - 1 over F_2 ("kernel" column only).  The library caches are
 cleared before every repetition, so the end-to-end rows time cold runs.
 The construction rows time artin_primes, example85_rates and
@@ -90,7 +88,7 @@ sys.path.insert(0, str(ROOT / "tests"))  # the list kernel _pypoly lives with th
 import _pypoly
 from pairs import src_lines  # benchmarks/pairs.py, this script's directory
 import sintdyn
-from sintdyn import _kernel, ffpoly, intmath
+from sintdyn import _kernel, intmath
 from sintdyn._kernel import _f2, _fp
 from sintdyn.cli import MAX_COUNT_BITS
 from sintdyn.cyclofactor import _cyclotomic_factors, cyclotomic_poly, factor_tn_minus_1
@@ -199,12 +197,15 @@ def bench_kernel_ops(repeats):
         }
         f2_cases = _f2_cases(a, b, m, ab) if p == 2 else None
         for op, call in cases.items():
-            impls = dict(BACKENDS) if p == 2 else {**BACKENDS, "packed": _fp}
-            if op == "pow_mod" and degree > 256:
-                del impls["python"]
-            timings = {name: _time(lambda: call(impl), repeats) for name, impl in impls.items()}
-            if f2_cases:
-                timings["packed"] = _time(f2_cases[op], repeats)
+            if f2_cases:  # the library runs p = 2 on _f2 only
+                timings = {"packed": _time(f2_cases[op], repeats)}
+            else:
+                impls = {**BACKENDS, "packed": _fp}
+                if op == "pow_mod" and degree > 256:
+                    del impls["python"]
+                timings = {
+                    name: _time(lambda: call(impl), repeats) for name, impl in impls.items()
+                }
             rows.append((f"p={p}", f"deg={degree}", op, timings))
     return rows
 
@@ -212,46 +213,32 @@ def bench_kernel_ops(repeats):
 def bench_packed_ops(repeats):
     # p = 2 at the degrees the cyclotomic split and the Rabin tests reach;
     # pow_mod raises to 2**16 as a Rabin test does (Frobenius powers)
+    # ("packed" column only: the library runs p = 2 on _f2)
     rows = []
     for degree in (128, 512, 1024, 2048):
         rng = random.Random(degree)
-        a, b, m = (_random_poly(rng, 2, degree) for _ in range(3))
-        ab = _pypoly.mul(a, b, 2)
+        x, y, z = (_f2.pack(_random_poly(rng, 2, degree)) for _ in range(3))
+        xy = _f2.mul(x, y)
         cases = {
-            "gcd": lambda impl: impl.gcd(a, b, 2),
-            "rem": lambda impl: impl.rem(ab, m, 2),
-            "pow_mod": lambda impl: impl.pow_mod(a, 2**16, m, 2),
-        }
-        x, y, z, xy = map(_f2.pack, (a, b, m, ab))
-        f2_cases = {
             "gcd": lambda: _f2.gcd(x, y),
             "rem": lambda: _f2.rem(xy, z),
             "pow_mod": lambda: _f2.pow_mod(x, 2**16, z),
         }
         for op, call in cases.items():
-            impls = dict(BACKENDS)
-            if op == "pow_mod" and degree >= 1024:
-                # the pure list kernel needs seconds here, and the library
-                # runs p = 2 on _f2 only
-                del impls["python"]
-            timings = {name: _time(lambda: call(impl), repeats) for name, impl in impls.items()}
-            timings["packed"] = _time(f2_cases[op], repeats)
-            rows.append(("p=2", f"deg={degree}", op, timings))
+            rows.append(("p=2", f"deg={degree}", op, {"packed": _time(call, repeats)}))
     return rows
 
 
 @contextlib.contextmanager
 def _kernel_from(module):
-    """Route every sintdyn._kernel call, and every _f2 call of ffpoly through
-    packing (_pypoly.as_f2), to module, then restore."""
+    """Route every sintdyn._kernel call (the odd-p kernel) to module, then
+    restore; polynomials over F_2 stay on _f2."""
     active = {op: getattr(_kernel, op) for op in KERNEL_OPS}
     for op in KERNEL_OPS:
         setattr(_kernel, op, getattr(module, op))
-    ffpoly._f2 = _pypoly.as_f2(module)
     try:
         yield
     finally:
-        ffpoly._f2 = _f2
         for op, fn in active.items():
             setattr(_kernel, op, fn)
 
@@ -269,37 +256,34 @@ def _split_all(p, bound):
 
 
 def bench_end_to_end(repeats):
+    # label -> (p, workload); the list backends run the odd-p rows only
     rows = []
     workloads = {
-        f"_cyclotomic_factors(p={p}, d<={bound})": lambda p=p, bound=bound: _split_all(p, bound)
+        f"_cyclotomic_factors(p={p}, d<={bound})": (p, lambda p=p, b=bound: _split_all(p, b))
         for p, bound in ((2, 200), (3, 200), (5, 200), (7, 400))
     }
     workloads.update({
-        "factor_tn_minus_1(F_2, 1023)": lambda: factor_tn_minus_1(PrimeField(2), 1023),
-        "verify_construction(2, 7, 37)": lambda: verify_construction(2, 7, 37),
+        "factor_tn_minus_1(F_2, 1023)": (2, lambda: factor_tn_minus_1(PrimeField(2), 1023)),
+        "verify_construction(2, 7, 37)": (2, lambda: verify_construction(2, 7, 37)),
     })
     # the general factorizer on inputs whose equal-degree splits run deep
     workloads.update({
-        f"factorize(t^{n}-1) over F_{p}": lambda n=n, p=p: factorize(PrimeField(p).tn_minus_1(n))
+        f"factorize(t^{n}-1) over F_{p}": (
+            p, lambda n=n, p=p: factorize(PrimeField(p).tn_minus_1(n))
+        )
         for n, p in ((105, 2), (255, 2), (511, 2), (242, 3), (124, 5), (342, 7))
     })
-    for label, workload in workloads.items():
+    workloads.update({
+        "_cyclotomic_factors(p=2, odd d<=2000)": (2, lambda: _split_all(2, 2000)),
+        "factor_tn_minus_1(F_2, 45045)": (2, lambda: factor_tn_minus_1(PrimeField(2), 45045)),
+    })
+    for label, (p, workload) in workloads.items():
         timings = {}
-        for name, module in BACKENDS.items():
+        for name, module in (BACKENDS if p != 2 else {}).items():
             with _kernel_from(module):
                 timings[name] = _time(workload, repeats, _clear_caches)
         timings["kernel"] = _time(workload, repeats, _clear_caches)
         rows.append((label, "", "", timings))
-    # the pure list kernel needs nearly three minutes for this row
-    split = lambda: _split_all(2, 2000)
-    timings = {"kernel": _time(split, repeats, _clear_caches)}
-    if "cython" in BACKENDS:
-        with _kernel_from(_cypoly):
-            timings["cython"] = _time(split, repeats, _clear_caches)
-    rows.append(("_cyclotomic_factors(p=2, odd d<=2000)", "", "", timings))
-    factor = lambda: factor_tn_minus_1(PrimeField(2), 45045)
-    timings = {"kernel": _time(factor, repeats, _clear_caches)}
-    rows.append(("factor_tn_minus_1(F_2, 45045)", "", "", timings))
     return rows
 
 

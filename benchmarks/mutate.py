@@ -1,0 +1,197 @@
+"""Mutation check: does Tier-1 notice when a rule of the library is broken?
+
+    python3 benchmarks/mutate.py [--only NAME ...]
+
+Run from anywhere inside the checkout; only the standard library and the
+installed pytest are used.  The checkout (without .git, bytecode and build
+output) is copied into a temporary directory once.  Each mutant in
+MUTANTS replaces one exact snippet of one file under src/sintdyn in that
+copy, runs
+
+    python -m pytest -x -q -p no:cacheprovider <test files>
+
+with the files that cover the mutant first and every other test file
+after them (so a survivor has passed all of Tier-1), prints "killed" or
+"survived" with the first failing test, and restores the file.  The
+mutants in EQUIVALENT change no result the library can return, so they
+are expected to survive; each carries its reason.  A snippet that is not
+found exactly once stops the run, so the list cannot go stale silently.
+Exit status 0 when every mutant in MUTANTS is killed and every one in
+EQUIVALENT survives, else 1.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/sintdyn, snippet, replacement, covering test files)
+MUTANTS = (
+    # e_n = n - p**k * M(n') and its p**k multiplicity
+    ("exponent_formula", "system.py",
+     "e = n - p_power * marked", "e = n - marked", ("test_system.py",)),
+    ("single_n_multiplicity", "system.py",
+     "return _exponent(n, p**k, _marked_degree(spec, n_coprime))",
+     "return _exponent(n, p * k or 1, _marked_degree(spec, n_coprime))", ("test_system.py",)),
+    ("table_multiplicity", "system.py",
+     "e, n = e * p, n * p", "e, n = e + n * (p - 1), n * p", ("test_system.py",)),
+    ("place_multiplicity", "orders.py",
+     "return p**e if _divides_t_power_minus_1(v, n_coprime) else 0",
+     "return e + 1 if _divides_t_power_minus_1(v, n_coprime) else 0", ("test_orders.py",)),
+    # the divisor sieves
+    ("marked_degree_sieve", "system.py",
+     "for m in range(d, max_n + 1, d):", "for m in range(d, max_n, d):", ("test_system.py",)),
+    ("random_divisor_sum", "system.py",
+     "for d in intmath.divisors(n_coprime))", "for d in intmath.divisors(n_coprime)[1:])",
+     ("test_system.py",)),
+    ("place_order_bound", "orders.py",
+     "(m for m in range(1, bound + 1)", "(m for m in range(1, bound)", ("test_system.py",)),
+    ("orbit_sieve", "zeta.py",
+     "for m in range(2 * n - 1, len(rest), n):", "for m in range(2 * n, len(rest), n):",
+     ("test_zeta.py",)),
+    # the Horner split of the zeta recurrence
+    ("horner_step", "zeta.py",
+     "geometric = base * (geometric + terms[-1])", "geometric = base * geometric + terms[-1]",
+     ("test_zeta.py",)),
+    ("residue_mask", "zeta.py",
+     "mask = [r != 0 for r in residues]", "mask = [r > 0 for r in residues]", ("test_zeta.py",)),
+    # the Frobenius chain of the Rabin test
+    ("chain_checkpoints", "ffpoly.py",
+     "for k in sorted(m // ell for ell in intmath.factorint(m)):",
+     "for k in sorted(m // ell for ell in intmath.factorint(m))[1:]:", ("test_ffpoly.py",)),
+    ("chain_end", "ffpoly.py",
+     "return poly_powmod(h, p ** (m - k_prev), g) == t", "return True", ("test_ffpoly.py",)),
+    # the lift of pi_{d/q} to pi_d
+    ("lift_condition", "cyclofactor.py",
+     "if d % (q * q) == 0), None)", "if d % q == 0), None)", ("test_cyclofactor.py",)),
+    ("lifted_pieces_irreducible", "cyclofactor.py",
+     "if pieces[0].degree == r else", "if pieces[0].degree >= r else", ("test_cyclofactor.py",)),
+    # the mark threshold floor((1 - rho) * 2**64)
+    ("mark_threshold", "system.py",
+     "(self.rho.denominator - self.rho.numerator)", "self.rho.numerator", ("test_system.py",)),
+    # the work budgets: each comparison, and the p = 2 split charge
+    # (one comparison serves factor, count and verify)
+    ("work_budget", "cyclofactor.py",
+     "if work > MAX_FACTOR_WORK:", "if work >= MAX_FACTOR_WORK:", ("test_cli.py",)),
+    ("factor_budget_shortcut", "cyclofactor.py",
+     "if 16384 * n_coprime > MAX_FACTOR_WORK:", "if 16384 * n_coprime >= MAX_FACTOR_WORK:",
+     ("test_cyclofactor.py",)),
+    ("p2_split_charge", "cyclofactor.py",
+     "rounds = k if p == 2 else", "rounds = k - 1 if p == 2 else", ("test_cli.py",)),
+    ("verify_charged", "limitset.py",
+     '_check_work("verify: verify_work(p, q, nj)", verify_work(p, q, nj))',
+     '_check_work("verify: verify_work(p, q, nj)", factor_work(p, q * nj))', ("test_cli.py",)),
+    ("count_charged", "system.py",
+     'if spec.omega.mode == "random":', 'if spec.omega.mode == "explicit":', ("test_cli.py",)),
+    ("zeta_budget", "zeta.py",
+     "if work > MAX_ZETA_WORK:", "if work >= MAX_ZETA_WORK:", ("test_cli.py",)),
+    # each check of verify_construction made vacuous
+    ("check_pi_irreducible", "limitset.py",
+     '("pi_irreducible", pi_irreducible)', '("pi_irreducible", True)', ("test_limitset.py",)),
+    ("check_multiplicity_one", "limitset.py",
+     '("multiplicity_one", mult_fast == 1 and mult_brute == 1)', '("multiplicity_one", True)',
+     ("test_limitset.py",)),
+    ("check_split_count", "limitset.py",
+     '("split_count", split_count <= q - 1)', '("split_count", True)', ("test_limitset.py",)),
+    ("check_min_factor_degree", "limitset.py",
+     '("min_factor_degree", min_degree >= nj - 1)', '("min_factor_degree", True)',
+     ("test_limitset.py",)),
+    ("check_squarefree", "limitset.py",
+     '("squarefree", poly_gcd(pi_qnj, pi_qnj.derivative()).degree == 0)',
+     '("squarefree", True)', ("test_limitset.py",)),
+    ("check_exponent_consistent", "limitset.py",
+     '("exponent_consistent", e_qnj == e_direct)', '("exponent_consistent", True)',
+     ("test_limitset.py",)),
+    ("check_exponent_value", "limitset.py",
+     '("exponent_value", e_qnj == target - (nj - 1) - fixed_contribution)',
+     '("exponent_value", True)', ("test_limitset.py",)),
+    ("check_b_exponent", "limitset.py",
+     '("b_exponent", b_exponent == 1 - fixed_contribution and 0 <= b_exponent <= 1)',
+     '("b_exponent", True)', ("test_limitset.py",)),
+    ("check_rate_gap", "limitset.py",
+     '("rate_gap", rate_gap <= Fraction(1, nj))', '("rate_gap", True)', ("test_limitset.py",)),
+)
+
+# (name, file, snippet, replacement, covering test files, reason)
+EQUIVALENT = (
+    ("rate_gap_strict", "limitset.py",
+     "rate_gap <= Fraction(1, nj)", "rate_gap < Fraction(1, nj)", ("test_limitset.py",),
+     "the gap is 1/(q nj) or 0 for every accepted triple, never 1/nj"),
+    ("mark_draw_inclusive", "system.py",
+     '< self._threshold else 0', '<= self._threshold else 0', ("test_system.py",),
+     "a draw differs from the threshold's mark only when it equals the threshold, "
+     "with probability 2**-64"),
+)
+
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", "build", "*.egg-info", ".pytest_cache")
+
+
+def run_tests(tree: Path, first: tuple[str, ...]) -> tuple[bool, str]:
+    """(passed, the first failing test or "") for Tier-1 with -x, the files
+    in first run before every other test file."""
+    rest = sorted(p.name for p in (tree / "tests").glob("test_*.py") if p.name not in first)
+    files = [f"tests/{name}" for name in (*first, *rest)]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(tree / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    failed = next((line for line in done.stdout.splitlines() if line.startswith("FAILED ")), "")
+    if done.returncode and not failed:  # an error before any test failed
+        failed = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else "error"
+    return done.returncode == 0, failed.removeprefix("FAILED ")
+
+
+def apply(tree: Path, name: str, path: str, old: str, new: str) -> tuple[Path, str]:
+    target = tree / "src" / "sintdyn" / path
+    source = target.read_text()
+    if source.count(old) != 1:
+        sys.exit(f"{name}: the snippet {old!r} is not in {path} exactly once")
+    target.write_text(source.replace(old, new))
+    return target, source
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
+    args = parser.parse_args()
+    cases = [(*m, None) for m in MUTANTS] + list(EQUIVALENT)
+    if args.only:
+        cases = [case for case in cases if case[0] in args.only]
+    start = time.perf_counter()
+    survivors, killed_equivalents = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORED)
+        passed, failed = run_tests(tree, ())
+        if not passed:
+            sys.exit(f"Tier-1 fails before any mutation: {failed}")
+        for name, path, old, new, first, reason in cases:
+            began = time.perf_counter()
+            target, source = apply(tree, name, path, old, new)
+            try:
+                passed, failed = run_tests(tree, first)
+            finally:
+                target.write_text(source)
+            verdict = "survived" if passed else "killed"
+            tag = " (equivalent)" if reason else ""
+            print(f"{verdict:8s} {name}{tag} [{time.perf_counter() - began:.1f} s] {failed}",
+                  flush=True)
+            if passed and not reason:
+                survivors.append(name)
+            if reason and not passed:
+                killed_equivalents.append(name)
+    print(f"{len(cases)} mutants in {time.perf_counter() - start:.0f} s; "
+          f"non-equivalent survivors: {', '.join(survivors) or 'none'}; "
+          f"equivalent but killed: {', '.join(killed_equivalents) or 'none'}")
+    return 1 if survivors or killed_equivalents else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,13 +52,9 @@ from .zeta import (
 MAX_COUNT_BITS = 2**21
 
 
-class CliError(ValueError):
-    """Invalid command-line input; maps to exit status 2."""
-
-
 def _require_positive(flag: str, value: int):
     if value < 1:
-        raise CliError(f"{flag} must be positive: got {value}")
+        raise ValueError(f"{flag} must be positive: got {value}")
 
 
 def _parse_poly(field: PrimeField, text: str) -> Poly:
@@ -67,14 +63,14 @@ def _parse_poly(field: PrimeField, text: str) -> Poly:
             return field.from_string(text)
         return field.poly(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise CliError(f"--place: cannot parse polynomial {text!r}: {exc}") from None
+        raise ValueError(f"--place: cannot parse polynomial {text!r}: {exc}") from None
 
 
 def _parse_fraction(flag: str, text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"{flag}: expected a rational like 1/2, got {text!r}") from None
+        raise ValueError(f"{flag}: expected a rational like 1/2, got {text!r}") from None
 
 
 def _frac_json(x: Fraction) -> dict:
@@ -85,32 +81,30 @@ def _field(args) -> PrimeField:
     try:
         return PrimeField(args.p)
     except ValueError as exc:
-        raise CliError(f"--p: {exc}") from None
+        raise ValueError(f"--p: {exc}") from None
 
 
 def _system(field: PrimeField, args) -> SystemSpec:
     name = args.system
     if name in PRESET_NAMES:
         if args.place:
-            raise CliError(f"--place is only valid with --system explicit, not {name!r}")
+            raise ValueError(f"--place is only valid with --system explicit, not {name!r}")
         spec = preset_system(field, name)
     elif name == "explicit":
         if not args.place:
-            raise CliError("--system explicit requires at least one --place")
+            raise ValueError("--system explicit requires at least one --place")
         try:
             omega = OmegaSource.explicit(_parse_poly(field, s) for s in args.place)
         except ValueError as exc:
-            raise CliError(f"--place: {exc}") from None
+            raise ValueError(f"--place: {exc}") from None
         spec = SystemSpec(field, omega, "explicit")
-    elif name == "random":
+    else:  # random: argparse's choices refuse any other --system
         if args.rho is None or args.seed is None:
-            raise CliError("--system random requires both --rho and --seed")
+            raise ValueError("--system random requires both --rho and --seed")
         try:
             spec = random_system(field, _parse_fraction("--rho", args.rho), args.seed)
         except ValueError as exc:
-            raise CliError(f"--rho/--seed: {exc}") from None
-    else:
-        raise CliError(f"--system: unknown system {name!r}")
+            raise ValueError(f"--rho/--seed: {exc}") from None
     if args.label:
         spec = spec._replace(label=args.label)
     return spec
@@ -162,7 +156,7 @@ def _cmd_count(args):
     _require_positive("--n", args.n)
     e = periodic_exponent(spec, args.n)
     if e * log2(field.p) > MAX_COUNT_BITS:
-        raise CliError(f"count: p**e must be at most 2**{MAX_COUNT_BITS}: got {field.p}**{e}")
+        raise ValueError(f"count: p**e must be at most 2**{MAX_COUNT_BITS}: got {field.p}**{e}")
     count = intmath.decimal(field.p**e)
     if args.format == "json":
         return _dump_json({"n": args.n, "e": e, "count": count}), 0
@@ -201,7 +195,7 @@ def _cmd_zeta(args):
         try:
             check_max_order(args.max_order, args.terms + 1)
         except ValueError as exc:
-            raise CliError(f"--max-order: {exc}") from None
+            raise ValueError(f"--max-order: {exc}") from None
     series = zeta_for_system(spec, args.terms)
     doc = series.to_json()
     if args.max_order is not None:
@@ -232,10 +226,7 @@ def _cmd_limits(args):
     epsilon = _parse_fraction("--epsilon", args.epsilon)
     tail = _parse_fraction("--tail-fraction", args.tail_fraction)
     points = list(enumerate(periodic_exponents(spec, args.max_n), 1))
-    try:
-        clusters = cluster_limits(points, epsilon, tail)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    clusters = cluster_limits(points, epsilon, tail)
     if args.format == "json":
         doc = {
             "p": field.p,
@@ -261,7 +252,7 @@ def _cmd_limits(args):
 def _cmd_artin(args):
     field = _field(args)
     if args.bound < 3:
-        raise CliError(f"--bound must be at least 3: got {args.bound}")
+        raise ValueError(f"--bound must be at least 3: got {args.bound}")
     primes = artin_primes(field, args.bound)
     if args.format == "json":
         return _dump_json({"p": field.p, "bound": args.bound, "primes": primes}), 0

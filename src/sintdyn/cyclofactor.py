@@ -45,10 +45,13 @@ from . import intmath
 from .ffpoly import _CZ_SEED, Poly, PrimeField, poly_divmod, poly_gcd, poly_powmod
 from .orders import multiplicative_order
 
-# factor_tn_minus_1 refuses n with factor_work(p, n) above this before any
-# pi_d is built: a unit is about 20 ps of pure-kernel time, so the limit is
-# about 3 s (2-vCPU x86-64 host, Python 3.11; probed at p = 2, 3, 5 and
-# 2**31 - 1, where t**131071 - 1 at p = 2 ran for over a minute)
+# the one work budget, checked before any pi_d is built: factor_work(p, n)
+# for factor and for count on random marks, verify_work(p, q, nj) for
+# verify.  A unit is about 20 ps of pure-kernel time, so the limit is about
+# 3 s (2-vCPU x86-64 host, Python 3.11; probed for factor at p = 2, 3, 5 and
+# 2**31 - 1, where t**131071 - 1 at p = 2 ran for over a minute, and for
+# verify at eight p from 2 to 2**31 - 1, where the most costly admitted nj
+# took 0.6-3.7 s with start-up)
 MAX_FACTOR_WORK = 2**37
 
 # seeded combinations of coset sums tried for odd p after each coset sum has
@@ -125,9 +128,12 @@ def splitting_count(field: PrimeField, n: int) -> tuple[int, int]:
     return intmath.euler_phi(n) // degree, degree
 
 
-def _coset_sums(field: PrimeField, d: int):
-    # e_C for each cyclotomic coset C of p on Z/d other than {0}, lazily
+def _frobenius_fixed(field: PrimeField, d: int, pi: Poly, rng: random.Random | None):
+    # the elements g that split pi_d, lazily: e_C mod pi_d for each
+    # cyclotomic coset C of p on Z/d other than {0}, then, for odd p only,
+    # seeded combinations of them
     p = field.p
+    sums = []
     seen = bytearray(d)
     for j in range(1, d):
         if seen[j]:
@@ -139,27 +145,20 @@ def _coset_sums(field: PrimeField, d: int):
             coset.append(i)
             i = i * p % d
         if p == 2:
-            yield field.from_code(sum(1 << i for i in coset))
-            continue
-        coeffs = [0] * (max(coset) + 1)
-        for i in coset:
-            coeffs[i] = 1
-        yield Poly(field, tuple(coeffs), _canonical=True)
-
-
-def _frobenius_fixed(field: PrimeField, d: int, pi: Poly, rng: random.Random | None):
-    # the elements g that split pi_d: each coset sum mod pi_d, then, for odd
-    # p only, seeded combinations of them
-    sums = []
-    for e in _coset_sums(field, d):
+            e = field.from_code(sum(1 << i for i in coset))
+        else:
+            coeffs = [0] * (max(coset) + 1)
+            for i in coset:
+                coeffs[i] = 1
+            e = Poly(field, tuple(coeffs), _canonical=True)
         sums.append(e % pi)
         yield sums[-1]
-    if field.p == 2:
+    if p == 2:
         return
     for _ in range(_COMBINATION_ROUNDS):
         g = field.zero
         for e in sums:
-            g = g + e * rng.randrange(field.p)
+            g = g + e * rng.randrange(p)
         yield g
 
 
@@ -236,16 +235,18 @@ def factor_work(p: int, n: int) -> int:
     return work
 
 
+def _check_work(request: str, work: int):
+    # the budget is read at call time, so one monkeypatch reaches every command
+    if work > MAX_FACTOR_WORK:
+        raise ValueError(f"{request} must be at most {MAX_FACTOR_WORK}: got {work}")
+
+
 def factor_tn_minus_1(field: PrimeField, n: int) -> CycloFactorization:
     """Factor t**n - 1 completely, grouped by cyclotomic divisor; refused
     with ValueError when factor_work(p, n) > MAX_FACTOR_WORK."""
     if n < 1:
         raise ValueError(f"n must be positive: got {n}")
-    work = factor_work(field.p, n)
-    if work > MAX_FACTOR_WORK:
-        raise ValueError(
-            f"factor: factor_work(p, n) must be at most {MAX_FACTOR_WORK}: got {work}"
-        )
+    _check_work("factor: factor_work(p, n)", factor_work(field.p, n))
     n_coprime, e = intmath.coprime_part(n, field.p)
     multiplicity = field.p**e
     parts = tuple(

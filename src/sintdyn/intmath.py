@@ -8,7 +8,6 @@ between runs) and Pollard rho sweeps its parameters in a fixed order.
 """
 
 import math
-from itertools import compress
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXACT_BOUND = 3317044064679887385961981
@@ -154,11 +153,6 @@ def prime_flags(bound: int) -> bytearray:
         if sieve[q]:
             sieve[q * q :: q] = bytes(len(range(q * q, bound + 1, q)))
     return sieve
-
-
-def primes_upto(bound: int) -> list[int]:
-    """All primes <= bound, ascending."""
-    return list(compress(range(bound + 1), prime_flags(bound))) if bound >= 2 else []
 
 
 def coprime_part(n: int, p: int) -> tuple[int, int]:

@@ -21,7 +21,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from . import intmath
-from .cyclofactor import _cyclotomic_factors, cyclotomic_poly, factor_work
+from .cyclofactor import _check_work, _cyclotomic_factors, cyclotomic_poly, factor_work
 from .ffpoly import PrimeField, is_irreducible, poly_gcd
 from .orders import multiplicative_order, ord_brute, ord_in_tn_minus_1
 from .system import OmegaSource, SystemSpec, periodic_exponent, periodic_exponents
@@ -166,17 +166,9 @@ def artin_primes(field: PrimeField, bound: int) -> list[int]:
     return [q for q in compress(range(bound + 1), flags) if flags[q] == 1]
 
 
-# verify_construction refuses (p, q, nj) with verify_work above this before
-# multiplicative_order(p, nj) or any polynomial: in the units of
-# cyclofactor.MAX_FACTOR_WORK (about 20 ps of pure-kernel time), so the
-# limit is about 3 s (2-vCPU x86-64 host, Python 3.11; the most costly
-# admitted nj at eight p from 2 to 2**31 - 1 took 0.6-3.7 s with start-up)
-MAX_VERIFY_WORK = 2**37
-
-
 def verify_work(p: int, q: int, nj: int) -> int:
     """The cost of verify_construction(p, q, nj) in the units of
-    MAX_VERIFY_WORK: the split of pi_{q nj}, factor_work(p, q * nj), plus
+    MAX_FACTOR_WORK: the split of pi_{q nj}, factor_work(p, q * nj), plus
     the Rabin test of pi = 1 + t + ... + t**(nj-1), which takes m = nj - 1
     Frobenius steps modulo pi.  At p = 2 a step squares and reduces a
     2m-bit int, 96 * nj**2 in all.  At odd p a step is at most
@@ -205,11 +197,7 @@ def _construction_preconditions(p: int, q: int, nj: int):
         raise ConstructionRejected(f"nj must differ from p: got nj = p = {p}")
     if nj <= q:
         raise ConstructionRejected(f"nj must exceed q: got nj = {nj}, q = {q}")
-    work = verify_work(p, q, nj)
-    if work > MAX_VERIFY_WORK:
-        raise ValueError(
-            f"verify: verify_work(p, q, nj) must be at most {MAX_VERIFY_WORK}: got {work}"
-        )
+    _check_work("verify: verify_work(p, q, nj)", verify_work(p, q, nj))
     order = multiplicative_order(p, nj)
     if order != nj - 1:
         raise ConstructionRejected(
@@ -229,8 +217,8 @@ def verify_construction(
     keep the rate within 1/nj of (q - 1)/q.  Precondition failures raise
     ConstructionRejected; a failed check is reported in the returned flags,
     never raised.  Once p, q and nj are known to be primes with q, nj != p
-    and nj > q, verify_work(p, q, nj) > MAX_VERIFY_WORK is refused with
-    ValueError before any other work starts.
+    and nj > q, verify_work(p, q, nj) > cyclofactor.MAX_FACTOR_WORK is
+    refused with ValueError before any other work starts.
     """
     _construction_preconditions(p, q, nj)
     field = PrimeField(p)

@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import intmath
-from .cyclofactor import _cyclotomic_factors
+from .cyclofactor import _check_work, _cyclotomic_factors, factor_work
 from .ffpoly import Poly, PrimeField, is_irreducible
 from .orders import _divides_t_power_minus_1, _order_at_most, _validate_n
 
@@ -211,10 +211,16 @@ def _exponent(n: int, p_power: int, marked: int) -> int:
 
 
 def periodic_exponent(spec: SystemSpec, n: int) -> int:
-    """e_n, the int with |F_n| = p**e_n: n - p**k * (marked degree of t**n' - 1)."""
+    """e_n, the int with |F_n| = p**e_n: n - p**k * (marked degree of t**n' - 1).
+    Random marks split every pi_d with d | n', as factoring t**n - 1 does,
+    so they are refused with ValueError when factor_work(p, n) >
+    cyclofactor.MAX_FACTOR_WORK, before any pi_d is built."""
     _validate_n(n)
-    n_coprime, k = intmath.coprime_part(n, spec.field.p)
-    return _exponent(n, spec.field.p**k, _marked_degree(spec, n_coprime))
+    p = spec.field.p
+    if spec.omega.mode == "random":
+        _check_work("count: factor_work(p, n)", factor_work(p, n))
+    n_coprime, k = intmath.coprime_part(n, p)
+    return _exponent(n, p**k, _marked_degree(spec, n_coprime))
 
 
 def _marked_degrees(spec: SystemSpec, max_n: int) -> list[int]:

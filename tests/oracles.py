@@ -16,6 +16,7 @@ cyclotomic index for random marks) is checked against a factorization.
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 from sintdyn.cyclofactor import CycloFactorization, factor_tn_minus_1
 from sintdyn.ffpoly import PrimeField, Poly, factorize, poly_divmod
@@ -63,6 +64,11 @@ def brute_factorize(f: Poly) -> list[tuple[Poly, int]]:
             break
     assert f.degree == 0, "sieve must exhaust the polynomial"
     return out
+
+
+def primes_upto(bound: int) -> list[int]:
+    """All primes <= bound, ascending, by trial division."""
+    return [n for n in range(2, bound + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
 
 
 _CYCLOTOMIC_MEMO: dict[tuple[int, int], Poly] = {}

@@ -476,6 +476,27 @@ class TestExitCodes:
              "error: --place is only valid with --system explicit, not 'full'\n"),
             (("growth", "--p", "3", "--system", "example85", "--place", "t+1", "--max-n", "5"),
              "error: --place is only valid with --system explicit, not 'example85'\n"),
+            (("count", "--p", "4", "--system", "full", "--n", "3"),
+             "error: --p: p must be prime: got 4\n"),
+            (("count", "--p", "2", "--system", "explicit", "--place", "x+1", "--n", "3"),
+             "error: --place: --place: cannot parse polynomial 'x+1': "
+             "invalid literal for int() with base 10: 'x+1'\n"),
+            (("count", "--p", "2", "--system", "explicit", "--n", "3"),
+             "error: --system explicit requires at least one --place\n"),
+            (("count", "--p", "2", "--system", "random", "--rho", "1/2", "--n", "3"),
+             "error: --system random requires both --rho and --seed\n"),
+            (("count", "--p", "2", "--system", "random", "--rho", "3/0", "--seed", "1",
+              "--n", "3"),
+             "error: --rho/--seed: --rho: expected a rational like 1/2, got '3/0'\n"),
+            (("count", "--p", "2", "--system", "random", "--rho", "2", "--seed", "1",
+              "--n", "3"),
+             "error: --rho/--seed: rho must be a rational in (0, 1): got 2\n"),
+            (("count", "--p", "2", "--system", "full", "--n", "0"),
+             "error: --n must be positive: got 0\n"),
+            # int(4 * 1/100) = 0 points in the tail
+            (("limits", "--p", "2", "--system", "full", "--max-n", "4",
+              "--tail-fraction", "1/100"),
+             "error: the requested tail is empty\n"),
         ),
     )
     def test_refused_flags(self, capsys, argv, message):
@@ -759,14 +780,30 @@ class TestWorkBoundsRefusedUpFront:
             (("verify", "--p", "2", "--q", "3", "--nj", "36061"),
              "error: verify: verify_work(p, q, nj) must be at most 137438953472: "
              "got 137603937248\n"),
+            # ran for 21.8 s before the limit: 2.24 times the budget
+            (("count", "--p", "3", "--system", "random", "--rho", "1/2", "--seed", "1",
+              "--n", "20011"),
+             "error: count: factor_work(p, n) must be at most 137438953472: "
+             "got 307835153408\n"),
+            # pi_(2**31 - 1) alone would not fit in memory
+            (("count", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "1",
+              "--n", "2147483647"),
+             "error: count: factor_work(p, n) must be at most 137438953472: "
+             "got 35184372072448\n"),
+            (("count", "--p", "3", "--system", "random", "--rho", "1/2", "--seed", "1",
+              "--n", "2147483647"),
+             "error: count: factor_work(p, n) must be at most 137438953472: "
+             "got 35184372072448\n"),
         ),
     )
     def test_refused_at_limit_plus_one(self, capsys, monkeypatch, argv, message):
         def no_work(*args):
-            raise AssertionError("verify must refuse before multiplicative_order")
+            raise AssertionError("the request must be refused before this step")
 
-        # without its check, verify --nj 1000000021 would build a 10**9-term pi
+        # without its check, verify --nj 1000000021 would build a 10**9-term
+        # pi, and count --n 2147483647 a pi_d of degree 2**31 - 2
         monkeypatch.setattr("sintdyn.limitset.multiplicative_order", no_work)
+        monkeypatch.setattr("sintdyn.system._cyclotomic_factors", no_work)
         start = time.perf_counter()
         status, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1
@@ -827,14 +864,29 @@ class TestWorkBoundsRefusedUpFront:
         # exactly its own work and refused one unit below it
         argv = ("verify", "--p", "2", "--q", "3", "--nj", "101")
         work = 7743968
-        monkeypatch.setattr("sintdyn.limitset.MAX_VERIFY_WORK", work)
+        monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work)
         status, out, err = run_cli(capsys, *argv)
         assert (status, err) == (0, "")
         assert json.loads(out)["e_qnj"] == 203
-        monkeypatch.setattr("sintdyn.limitset.MAX_VERIFY_WORK", work - 1)
+        monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work - 1)
         assert run_cli(capsys, *argv) == (
             2, "", f"error: verify: verify_work(p, q, nj) must be at most {work - 1}: "
             f"got {work}\n"
+        )
+
+    def test_random_count_limit_is_inclusive(self, capsys, monkeypatch):
+        # count --n 4095 on a random system (a baseline request) is admitted
+        # at exactly its own work and refused one unit below it
+        argv = ("count", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "1",
+                "--n", "4095")
+        work = 600401096
+        monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work)
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, err) == (0, "")
+        assert json.loads(out)["e"] == 1966
+        monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work - 1)
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: count: factor_work(p, n) must be at most {work - 1}: got {work}\n"
         )
 
     @pytest.mark.parametrize(
@@ -851,6 +903,11 @@ class TestWorkBoundsRefusedUpFront:
             ("verify", "--p", "2", "--q", "3", "--nj", "36037"),
             ("verify", "--p", "3", "--q", "5", "--nj", "31", "--mark-t-minus-1"),
             ("verify", "--p", "5", "--q", "3", "--nj", "23"),
+            # the random count of the baseline table, and a prime n at 0.12 of the limit
+            ("count", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "1",
+             "--n", "4095"),
+            ("count", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "1",
+             "--n", "1000003"),
         ),
     )
     def test_admitted_at_the_real_limits(self, capsys, monkeypatch, argv):
@@ -865,6 +922,7 @@ class TestWorkBoundsRefusedUpFront:
         monkeypatch.setattr("sintdyn.intmath.decimal", admitted)
         monkeypatch.setattr("sintdyn.zeta.periodic_exponents", admitted)
         monkeypatch.setattr("sintdyn.cyclofactor._cyclotomic_factors", admitted)
+        monkeypatch.setattr("sintdyn.system._cyclotomic_factors", admitted)
         monkeypatch.setattr("sintdyn.limitset.multiplicative_order", admitted)
         with pytest.raises(Admitted):
             main(list(argv))

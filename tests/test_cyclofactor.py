@@ -333,15 +333,17 @@ class TestFactorTnMinus1:
 
 
 class TestFactorWork:
-    def test_refused_before_any_pi_d_is_built(self, F2, monkeypatch):
+    def test_refused_before_any_pi_d_is_built(self, F2, F3, monkeypatch):
         def built(*args):
             raise AssertionError("pi_d was built")
 
         monkeypatch.setattr(cyclofactor, "cyclotomic_poly", built)
         monkeypatch.setattr(cyclofactor, "_cyclotomic_factors", built)
-        for n in (131071, 2**31 - 1, 10**30):
+        # at p = 3, n' = 2**23 alone is charged exactly the limit, 16384 * 2**23,
+        # and its other divisors take the work over it
+        for field, n in ((F2, 131071), (F2, 2**31 - 1), (F2, 10**30), (F3, 2**23)):
             with pytest.raises(ValueError, match=r"^factor: factor_work\(p, n\) must be at most "):
-                factor_tn_minus_1(F2, n)
+                factor_tn_minus_1(field, n)
 
     def test_every_request_of_the_suite_is_admitted(self):
         # the tests factor t^n - 1 up to n = 500 (p = 2, 3) and 200 (p = 5);

@@ -16,7 +16,7 @@ from sintdyn.limitset import (
 from sintdyn.orders import multiplicative_order, ord_brute
 from sintdyn.system import example85_system, full_shift, random_system, trivial_system
 
-from oracles import clusters_by_fraction, example85_reference
+from oracles import clusters_by_fraction, example85_reference, primes_upto
 
 
 class TestGrowthSequence:
@@ -189,7 +189,7 @@ class TestArtinPrimes:
     def test_against_brute_force_orders(self, p):
         field = PrimeField(p)
         result = artin_primes(field, 120)
-        for q in intmath.primes_upto(120):
+        for q in primes_upto(120):
             if q == p:
                 assert q not in result
                 continue
@@ -208,7 +208,7 @@ class TestArtinPrimes:
         field = PrimeField(p)
         for bound in sorted(b for b in bounds if b >= 3):
             expected = [
-                q for q in intmath.primes_upto(bound)
+                q for q in primes_upto(bound)
                 if q != p and multiplicative_order(p, q) == q - 1
             ]
             assert artin_primes(field, bound) == expected, bound
