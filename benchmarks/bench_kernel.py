@@ -38,7 +38,10 @@ admitted limits.  The verify rows time is_irreducible of
 verify_construction(2, 3, nj) for nj = 1019 and 30011 (the latter once),
 "kernel" column only.  The cyclotomic rows build pi_n by cyclotomic_poly for
 every n <= 2000 coprime to 2 and every n <= 600 coprime to 3, "kernel"
-column only.  The series rows time Berlekamp-Massey
+column only.  The split rows time pi_1023, pi_4095 and pi_8191 alone at
+p = 2 (the factors of their proper divisors cached) on the one-factor
+route and on the coset-sum split, "kernel" column only.  The series rows
+time Berlekamp-Massey
 (find_linear_recurrence) alone on prebuilt zeta series: two without a
 short recurrence and one that has one.  The zeta rows time
 zeta_coefficients alone on precomputed counts: the full shift at p = 2,
@@ -88,7 +91,7 @@ sys.path.insert(0, str(ROOT / "tests"))  # the list kernel _pypoly lives with th
 import _pypoly
 from pairs import src_lines  # benchmarks/pairs.py, this script's directory
 import sintdyn
-from sintdyn import _kernel, intmath
+from sintdyn import _kernel, cyclofactor, intmath
 from sintdyn._kernel import _f2, _fp
 from sintdyn.cli import MAX_COUNT_BITS
 from sintdyn.cyclofactor import _cyclotomic_factors, cyclotomic_poly, factor_tn_minus_1
@@ -339,6 +342,29 @@ def bench_cyclotomic(repeats):
     ]
 
 
+def bench_split_paths(repeats):
+    # pi_d alone at p = 2 on each path, the factors of every proper divisor
+    # of d cached first (pi_4095 starts from the lifted factors of pi_1365):
+    # the one-factor route at its cut-off, and the coset-sum split with the
+    # cut-off above every k
+    def warm(d):
+        _cyclotomic_factors.cache_clear()
+        for e in intmath.divisors(d)[:-1]:
+            _cyclotomic_factors(2, e)
+
+    rows = []
+    cut_off = cyclofactor._BM_MIN_FACTORS
+    try:
+        for path, threshold in (("one-factor route", cut_off), ("coset split", math.inf)):
+            cyclofactor._BM_MIN_FACTORS = threshold
+            for d in (1023, 4095, 8191):
+                timing = _time(lambda d=d: _cyclotomic_factors(2, d), repeats, lambda d=d: warm(d))
+                rows.append((f"split pi_{d} p=2, {path}", "", "", {"kernel": timing}))
+    finally:
+        cyclofactor._BM_MIN_FACTORS = cut_off
+    return rows
+
+
 def bench_series(repeats):
     F2, F3 = PrimeField(2), PrimeField(3)
     explicit = SystemSpec(F2, OmegaSource.explicit([F2.poly([1, 1, 1]), F2.poly([1, 1, 0, 1])]))
@@ -508,7 +534,7 @@ def main():
     rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)
     rows += bench_verify(args.repeats)
-    rows += bench_cyclotomic(args.repeats)
+    rows += bench_cyclotomic(args.repeats) + bench_split_paths(args.repeats)
     rows += bench_series(args.repeats) + bench_zeta(args.repeats) + bench_orbits(args.repeats)
     rows += bench_system(args.repeats)
     rows += bench_limits(args.repeats)

@@ -72,6 +72,11 @@ MUTANTS = (
      "if d % (q * q) == 0), None)", "if d % q == 0), None)", ("test_cyclofactor.py",)),
     ("lifted_pieces_irreducible", "cyclofactor.py",
      "if pieces[0].degree == r else", "if pieces[0].degree >= r else", ("test_cyclofactor.py",)),
+    # the p = 2 route: every factor of pi_d from one, by Berlekamp-Massey
+    ("bm_sequence_length", "cyclofactor.py",
+     "for n in range(2 * r):", "for n in range(2 * r - 1):", ("test_cyclofactor.py",)),
+    ("bm_threshold", "cyclofactor.py",
+     "count >= _BM_MIN_FACTORS:", "count > _BM_MIN_FACTORS:", ("test_cyclofactor.py",)),
     # the mark threshold floor((1 - rho) * 2**64)
     ("mark_threshold", "system.py",
      "(self.rho.denominator - self.rho.numerator)", "self.rho.numerator", ("test_system.py",)),
@@ -84,6 +89,8 @@ MUTANTS = (
      ("test_cyclofactor.py",)),
     ("p2_split_charge", "cyclofactor.py",
      "rounds = k if p == 2 else", "rounds = k - 1 if p == 2 else", ("test_cli.py",)),
+    ("route_charge", "cyclofactor.py",
+     "work += 3 * d * d + 16384 * d", "work += d * d + 16384 * d", ("test_cli.py",)),
     ("verify_charged", "limitset.py",
      '_check_work("verify: verify_work(p, q, nj)", verify_work(p, q, nj))',
      '_check_work("verify: verify_work(p, q, nj)", factor_work(p, q * nj))', ("test_cli.py",)),
@@ -127,6 +134,10 @@ EQUIVALENT = (
      '< self._threshold else 0', '<= self._threshold else 0', ("test_system.py",),
      "a draw differs from the threshold's mark only when it equals the threshold, "
      "with probability 2**-64"),
+    ("bm_no_pairing", "cyclofactor.py",
+     "if seen[d - j]:  # -C = C", "if True:", ("test_cyclofactor.py",),
+     "without the pairing every coset C gets the factor of -C; as C runs over the cosets "
+     "so does -C, and the factor set of pi_d is closed under reverse"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", "build", "*.egg-info", ".pytest_cache")

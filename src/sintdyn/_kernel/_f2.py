@@ -5,7 +5,8 @@ operation is a sequence of shifts and xors that CPython runs word by word
 in C (Brent, Gaudry, Thome & Zimmermann, "Faster multiplication in
 GF(2)[x]", ANTS 2008).  ``mul``, ``div_rem``, ``rem``, ``pow_mod`` and
 ``gcd`` work on packed ints with the semantics of the tests' list kernel
-``tests/_pypoly.py`` at p = 2 (the same errors, in the same order).
+``tests/_pypoly.py`` at p = 2 (the same errors, in the same order), and
+``square(x)`` is ``mul(x, x)`` in one pass through C.
 ``ffpoly`` holds every polynomial over F_2 packed and calls these directly.
 ``pack`` and ``unpack`` convert from and to canonical coefficient lists, in
 C through ``bytes.translate``, where a polynomial is built from
@@ -36,7 +37,7 @@ def mul(x: int, y: int) -> int:
     return r
 
 
-def _square(x: int) -> int:
+def square(x: int) -> int:
     # squaring over F_2 moves bit i to bit 2i: the binary digits of x read
     # as base-4 digits
     return int(format(x, "b"), 4)
@@ -84,7 +85,7 @@ def pow_mod(x: int, exp: int, m: int) -> int:
     x = rem(x, m)
     r = 1
     for bit in bin(exp)[2:]:
-        r = rem(_square(r), m)
+        r = rem(square(r), m)
         if bit == "1":
             r = rem(mul(r, x), m)
     return r

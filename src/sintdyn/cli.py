@@ -93,16 +93,18 @@ def _system(field: PrimeField, args) -> SystemSpec:
     elif name == "explicit":
         if not args.place:
             raise ValueError("--system explicit requires at least one --place")
+        places = [_parse_poly(field, s) for s in args.place]  # its errors name --place
         try:
-            omega = OmegaSource.explicit(_parse_poly(field, s) for s in args.place)
+            omega = OmegaSource.explicit(places)
         except ValueError as exc:
             raise ValueError(f"--place: {exc}") from None
         spec = SystemSpec(field, omega, "explicit")
     else:  # random: argparse's choices refuse any other --system
         if args.rho is None or args.seed is None:
             raise ValueError("--system random requires both --rho and --seed")
+        rho = _parse_fraction("--rho", args.rho)  # its errors name --rho
         try:
-            spec = random_system(field, _parse_fraction("--rho", args.rho), args.seed)
+            spec = random_system(field, rho, args.seed)
         except ValueError as exc:
             raise ValueError(f"--rho/--seed: {exc}") from None
     if args.label:

@@ -27,6 +27,26 @@ the split is deterministic and its exponent has only log2(p) bits.  Coset
 sums are formed one at a time, and the walk stops once all phi(d)/r
 factors are found.  ffpoly.factorize stays the general factorization.
 
+At p = 2 a pi_d with k >= _BM_MIN_FACTORS = 12 factors is split from one
+factor instead, since reducing every coset sum modulo every pending piece
+costs about k * phi(d)**2.  A descent follows one branch of the split: each
+coset sum is reduced modulo the current piece u (as t**j + t**(2j) +
+t**(4j) + ... mod u, by repeated squaring, when |C| * deg u < d) and the
+smaller part of u is kept, about log2(k) gcds down to a factor f of degree
+r.  Then zeta = t mod f is a primitive d-th root of unity in F_2[t]/(f),
+the factors of pi_d are the minimal polynomials of zeta**j for j over the
+cosets of 2 in (Z/d)*, and the minimal polynomial of zeta**j is that of
+the sequence s_i = T[i * j mod d], T[e] the constant coefficient of
+t**e mod f (Lidl & Niederreiter, ch. 8).  Berlekamp-Massey (Massey, IEEE
+Trans. IT 15, 1969) on s_0, ..., s_(2r-1), run on packed ints, returns the
+connection polynomial of the sequence, the reverse of that minimal
+polynomial, and so the factor of the coset of -j; one run gives the
+factors of both cosets.
+Below the cut-off the coset-sum split is faster (measured on every odd
+d <= 3000), and at odd p a Berlekamp-Massey on coefficient lists was
+slower in a prototype, so both stay on it.  The two paths give the same
+sorted factors.
+
 When a prime q has q**2 | d, pi_d(t) = pi_{d/q}(t**q), so every factor f of
 pi_{d/q} (cached, and needed by every caller that asks for all d | n)
 lifts to a factor f(t**q) of pi_d of degree q * r', r' = ord_{d/q}(p).  The
@@ -42,6 +62,7 @@ import random
 from typing import NamedTuple
 
 from . import intmath
+from ._kernel import _f2
 from .ffpoly import _CZ_SEED, Poly, PrimeField, poly_divmod, poly_gcd, poly_powmod
 from .orders import multiplicative_order
 
@@ -49,15 +70,21 @@ from .orders import multiplicative_order
 # for factor and for count on random marks, verify_work(p, q, nj) for
 # verify.  A unit is about 20 ps of pure-kernel time, so the limit is about
 # 3 s (2-vCPU x86-64 host, Python 3.11; probed for factor at p = 2, 3, 5 and
-# 2**31 - 1, where t**131071 - 1 at p = 2 ran for over a minute, and for
-# verify at eight p from 2 to 2**31 - 1, where the most costly admitted nj
-# took 0.6-3.7 s with start-up)
+# 2**31 - 1, where the most costly admitted n at p = 2 took up to 3.9 s
+# with start-up, and for verify at eight p from 2 to 2**31 - 1, where the
+# most costly admitted nj took 0.6-3.7 s with start-up)
 MAX_FACTOR_WORK = 2**37
 
 # seeded combinations of coset sums tried for odd p after each coset sum has
 # been used once; a round splits a given pair of factors with probability at
 # least 4/9, so running out means pi_d is not the squarefree product expected
 _COMBINATION_ROUNDS = 200
+
+# a pi_d at p = 2 with at least this many factors is split from one factor
+# by Berlekamp-Massey (module docstring); over every odd d <= 3000 the route
+# took a median 1/1.8 of the coset-sum split's time at k = 12 and was slower
+# at k = 11 and below
+_BM_MIN_FACTORS = 12
 
 
 class CycloPart(NamedTuple):
@@ -128,22 +155,31 @@ def splitting_count(field: PrimeField, n: int) -> tuple[int, int]:
     return intmath.euler_phi(n) // degree, degree
 
 
-def _frobenius_fixed(field: PrimeField, d: int, pi: Poly, rng: random.Random | None):
-    # the elements g that split pi_d, lazily: e_C mod pi_d for each
-    # cyclotomic coset C of p on Z/d other than {0}, then, for odd p only,
-    # seeded combinations of them
-    p = field.p
-    sums = []
-    seen = bytearray(d)
-    for j in range(1, d):
-        if seen[j]:
-            continue
+def _cosets(p: int, d: int, seen: bytearray | None = None):
+    # the cyclotomic cosets {j, jp, jp**2, ...} of p on Z/d other than {0}
+    # and those marked in seen, each once and in the order of their least
+    # members; a coset is marked in seen before it is yielded
+    if seen is None:
+        seen = bytearray(d)
+    seen[0] = 1
+    j = 0
+    while (j := seen.find(0, j)) > 0:
         coset = []
         i = j
         while not seen[i]:
             seen[i] = 1
             coset.append(i)
             i = i * p % d
+        yield coset
+
+
+def _frobenius_fixed(field: PrimeField, d: int, pi: Poly, rng: random.Random | None):
+    # the elements g that split pi_d, lazily: e_C mod pi_d for each
+    # cyclotomic coset C of p on Z/d other than {0}, then, for odd p only,
+    # seeded combinations of them
+    p = field.p
+    sums = []
+    for coset in _cosets(p, d):
         if p == 2:
             e = field.from_code(sum(1 << i for i in coset))
         else:
@@ -160,6 +196,96 @@ def _frobenius_fixed(field: PrimeField, d: int, pi: Poly, rng: random.Random | N
         for e in sums:
             g = g + e * rng.randrange(p)
         yield g
+
+
+def _coset_split(field: PrimeField, d: int, pi: Poly, pending: list, r: int):
+    # (factors of degree r, pieces left unsplit) of the pieces pending, by
+    # gcds with the elements of _frobenius_fixed
+    p = field.p
+    rng = random.Random(_CZ_SEED) if p != 2 else None  # p = 2 draws nothing
+    elements = _frobenius_fixed(field, d, pi, rng)
+    half = (p - 1) // 2
+    factors = []
+    while pending:
+        g = next(elements, None)
+        if g is None:
+            break
+        pieces, pending = pending, []
+        for u in pieces:
+            if p == 2:
+                h = poly_gcd(u, g)
+            else:
+                h = poly_gcd(u, poly_powmod(g + rng.randrange(p), half, u) - 1)
+            parts = [u]
+            if 0 < h.degree < u.degree:
+                parts = [h, poly_divmod(u, h)[0]]  # h is a gcd with u, so it divides u
+            for v in parts:
+                (factors if v.degree == r else pending).append(v)
+    return factors, pending
+
+
+def _one_factor_f2(d: int, u: int, r: int) -> int:
+    # one branch of the coset-sum split at p = 2: the piece u split by the
+    # coset sums, each reduced modulo u, keeping the smaller part, until u
+    # has degree r or the coset sums run out
+    cosets = _cosets(2, d)
+    while (m := u.bit_length() - 1) > r and (coset := next(cosets, None)):
+        if len(coset) * m < d:  # e_C mod u as the sum of t**j, t**(2j), ... mod u
+            x, g = _f2.rem(1 << coset[0], u), 0
+            for _ in coset:
+                g ^= x
+                x = _f2.rem(_f2.square(x), u)
+        else:
+            g = _f2.rem(sum(1 << i for i in coset), u)
+        h = _f2.gcd(u, g)
+        if 0 < (k := h.bit_length() - 1) < m:
+            u = h if 2 * k <= m else _f2.div_rem(u, h)[0]
+    return u
+
+
+def _berlekamp_massey_f2(d: int, f: int, r: int) -> list[int]:
+    # every factor of pi_d at p = 2 from one factor f of degree r (module
+    # docstring): Berlekamp-Massey on s_i = T[i * j mod d], i < 2r, for one
+    # j in each pair of cosets {C, -C} of 2 in (Z/d)*
+    # T[e], the constant coefficient of t**e mod f, is the coefficient of
+    # x**e in 1 + x**r / f*(x), f* the reverse of f: 1/f* by Newton's
+    # iteration y <- f* y**2, which doubles the precision of y
+    reverse, inverse, precision = _reverse_f2(f), 1, 1
+    while precision < d:
+        precision *= 2
+        inverse = _f2.mul(reverse, _f2.square(inverse)) & ((1 << precision) - 1)
+    table = bytes(_f2.unpack(1 ^ ((inverse << r) & ((1 << d) - 1)))).ljust(d, b"\0")
+    seen = bytearray(d)  # the j with gcd(j, d) > 1 lie in no coset of (Z/d)*
+    for q in intmath.factorint(d):
+        seen[::q] = b"\x01" * len(range(0, d, q))
+    factors = []
+    for coset in _cosets(2, d, seen):
+        j = coset[0]
+        # c is the connection polynomial, b its last change times t**m
+        c, b, length, w, e = 1, 1, 0, 0, 0
+        for n in range(2 * r):
+            w = w << 1 | table[e]  # bit i is s_(n - i)
+            e = (e + j) % d
+            b <<= 1
+            if (c & w).bit_count() & 1:
+                if 2 * length <= n:
+                    c, b, length = c ^ b, c, n + 1 - length
+                else:
+                    c ^= b
+        # c is the minimal polynomial of zeta**(-j): the factor of the
+        # coset -C, and its reverse the factor of C
+        if seen[d - j]:  # -C = C
+            factors.append(c)
+        else:
+            for i in coset:
+                seen[d - i] = 1
+            factors += (c, _reverse_f2(c))
+    return factors
+
+
+def _reverse_f2(x: int) -> int:
+    # t**deg(x) * x(1/t) for x over F_2 with x(0) = 1
+    return int(format(x, "b")[::-1], 2)
 
 
 def _lift(f: Poly, q: int) -> Poly:
@@ -183,27 +309,16 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
     else:
         pieces = [cyclotomic_poly(field, d)]
     factors, pending = (pieces, []) if pieces[0].degree == r else ([], pieces)
-    if pending:
-        rng = random.Random(_CZ_SEED) if p != 2 else None  # p = 2 draws nothing
+    if pending and p == 2 and count >= _BM_MIN_FACTORS:  # every factor from one
+        f = _one_factor_f2(d, pending[0].bits, r)
+        if f.bit_length() == r + 1:
+            factors, pending = [field.from_code(c) for c in _berlekamp_massey_f2(d, f, r)], []
+    elif pending:
         pi = cyclotomic_poly(field, d) if q else pieces[0]
-        elements = _frobenius_fixed(field, d, pi, rng)
-    half = (p - 1) // 2
-    while pending:
-        g = next(elements, None)
-        if g is None:
-            break
-        pieces, pending = pending, []
-        for u in pieces:
-            if p == 2:
-                h = poly_gcd(u, g)
-            else:
-                h = poly_gcd(u, poly_powmod(g + rng.randrange(p), half, u) - 1)
-            parts = [u]
-            if 0 < h.degree < u.degree:
-                parts = [h, poly_divmod(u, h)[0]]  # h is a gcd with u, so it divides u
-            for v in parts:
-                (factors if v.degree == r else pending).append(v)
-    if pending or len(factors) != count or not all(v.is_monic for v in factors):
+        factors, pending = _coset_split(field, d, pi, pending, r)
+    if pending or len(factors) != count or not all(
+        v.is_monic and v.degree == r for v in factors
+    ):
         raise ArithmeticError(
             f"pi_{d} mod {p} did not split into {count} monic factors of degree {r}"
         )
@@ -217,7 +332,14 @@ def factor_work(p: int, n: int) -> int:
     and write out its factors.
     When pi_d splits into k > 1 factors, each gcd at degree up to
     phi(d) costs phi(d)**2.  At p = 2 a coset sum may split off a single
-    factor, so the split costs k * phi(d)**2.  At odd p a seeded draw
+    factor, so the coset-sum split costs k * phi(d)**2.  The one-factor
+    route (k >= _BM_MIN_FACTORS) takes about log2(k) gcds at degrees that
+    halve from phi(d), each after a coset sum of up to d bits is reduced
+    modulo the current piece, measured at 0.6-2.5 * d**2 for prime d; then
+    d + k * r**2 Berlekamp-Massey steps (k/2 runs of 2r steps on 2r-bit
+    ints, and the walk over the cosets), measured at about
+    16384 * d + 64 * k * r**2.  It is charged
+    3 * d**2 + 16384 * d + 64 * k * r**2.  At odd p a seeded draw
     halves every piece, so it costs about log2(k) rounds, each a modular
     power and a gcd whose cost grows with bit_length(p)**2:
     64 * bit_length(p)**2 * k.bit_length() * phi(d)**2."""
@@ -228,8 +350,11 @@ def factor_work(p: int, n: int) -> int:
     for d in intmath.divisors(n_coprime):
         work += 16384 * d
         phi = intmath.euler_phi(d)
-        k = phi // multiplicative_order(p, d) if d > 1 else 1
-        if k > 1:
+        r = multiplicative_order(p, d) if d > 1 else 1
+        k = phi // r
+        if p == 2 and k >= _BM_MIN_FACTORS:
+            work += 3 * d * d + 16384 * d + 64 * k * r * r
+        elif k > 1:
             rounds = k if p == 2 else 64 * p.bit_length() ** 2 * k.bit_length()
             work += rounds * phi * phi
     return work

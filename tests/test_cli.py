@@ -479,7 +479,7 @@ class TestExitCodes:
             (("count", "--p", "4", "--system", "full", "--n", "3"),
              "error: --p: p must be prime: got 4\n"),
             (("count", "--p", "2", "--system", "explicit", "--place", "x+1", "--n", "3"),
-             "error: --place: --place: cannot parse polynomial 'x+1': "
+             "error: --place: cannot parse polynomial 'x+1': "
              "invalid literal for int() with base 10: 'x+1'\n"),
             (("count", "--p", "2", "--system", "explicit", "--n", "3"),
              "error: --system explicit requires at least one --place\n"),
@@ -487,7 +487,7 @@ class TestExitCodes:
              "error: --system random requires both --rho and --seed\n"),
             (("count", "--p", "2", "--system", "random", "--rho", "3/0", "--seed", "1",
               "--n", "3"),
-             "error: --rho/--seed: --rho: expected a rational like 1/2, got '3/0'\n"),
+             "error: --rho: expected a rational like 1/2, got '3/0'\n"),
             (("count", "--p", "2", "--system", "random", "--rho", "2", "--seed", "1",
               "--n", "3"),
              "error: --rho/--seed: rho must be a rational in (0, 1): got 2\n"),
@@ -764,10 +764,10 @@ class TestWorkBoundsRefusedUpFront:
             (("zeta", "--p", "2147483647", "--system", "full", "--terms", "804"),
              "error: zeta: n_terms**2 * p.bit_length() must be at most 20000000: "
              "got 20038896\n"),
-            # 7710 factors of degree 17, and over a minute of work before the limit
-            (("factor", "--p", "2", "--n", "131071"),
+            # 655 factors of degree 454, split in about 4.3 s before the limit
+            (("factor", "--p", "2", "--n", "297371"),
              "error: factor: factor_work(p, n) must be at most 137438953472: "
-             "got 132454896662648\n"),
+             "got 283673186955\n"),
             # the prime after 8388587 with 2 a primitive root: pi_8388619 alone is over
             (("factor", "--p", "2", "--n", "8388619"),
              "error: factor: factor_work(p, n) must be at most 137438953472: "
@@ -848,7 +848,7 @@ class TestWorkBoundsRefusedUpFront:
         # factor --p 2 --n 1023 (a benchmark job) is admitted at exactly its
         # own work and refused one unit below it
         argv = ("factor", "--p", "2", "--n", "1023", "--format", "csv")
-        work = 49493624
+        work = 51605830
         monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work)
         status, out, err = run_cli(capsys, *argv)
         assert (status, err) == (0, "")
@@ -858,6 +858,18 @@ class TestWorkBoundsRefusedUpFront:
         assert run_cli(capsys, *argv) == (
             2, "", f"error: factor: factor_work(p, n) must be at most {work - 1}: got {work}\n"
         )
+
+    def test_factor_131071_runs(self, capsys):
+        # refused at 964 times the budget while every pi_d went through the
+        # coset-sum split; the one-factor route splits it in under a second
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "factor", "--p", "2", "--n", "131071")
+        assert time.perf_counter() - start < 10
+        assert (status, err) == (0, "")
+        parts = json.loads(out)["parts"]
+        assert [part["d"] for part in parts] == [1, 131071]
+        assert len(parts[1]["factors"]) == 7710
+        assert {len(v) - 1 for v in parts[1]["factors"]} == {17}
 
     def test_verify_limit_is_inclusive(self, capsys, monkeypatch):
         # verify --p 2 --q 3 --nj 101 (a benchmark job) is admitted at
@@ -879,7 +891,7 @@ class TestWorkBoundsRefusedUpFront:
         # at exactly its own work and refused one unit below it
         argv = ("count", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "1",
                 "--n", "4095")
-        work = 600401096
+        work = 335687845
         monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work)
         status, out, err = run_cli(capsys, *argv)
         assert (status, err) == (0, "")
@@ -908,6 +920,9 @@ class TestWorkBoundsRefusedUpFront:
              "--n", "4095"),
             ("count", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "1",
              "--n", "1000003"),
+            # pi_131071 splits into 7710 factors of degree 17 on the one-factor
+            # route, charged 0.41 of the limit
+            ("factor", "--p", "2", "--n", "131071"),
         ),
     )
     def test_admitted_at_the_real_limits(self, capsys, monkeypatch, argv):

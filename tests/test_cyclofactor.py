@@ -9,7 +9,7 @@ from sintdyn.cyclofactor import (
     factor_tn_minus_1,
     splitting_count,
 )
-from sintdyn.ffpoly import PrimeField, factorize, poly_divmod, poly_gcd
+from sintdyn.ffpoly import PrimeField, factorize, is_irreducible, poly_divmod, poly_gcd
 from sintdyn.orders import multiplicative_order
 
 from oracles import cyclotomic_by_division, factorization_product
@@ -277,6 +277,68 @@ class TestPackedF2:
             assert cyclotomic_poly(F2, n) == F2.poly(reversed(expected)), n
 
 
+class TestOneFactorRoute:
+    """At p = 2 a pi_d with at least _BM_MIN_FACTORS factors is split from
+    one factor: a descent of coset-sum gcds to a factor f, then
+    Berlekamp-Massey on the powers of t mod f for every other factor."""
+
+    @staticmethod
+    def _route_calls(monkeypatch):
+        calls = []
+        real = cyclofactor._berlekamp_massey_f2
+
+        def spied(d, f, r):
+            calls.append(d)
+            return real(d, f, r)
+
+        monkeypatch.setattr(cyclofactor, "_berlekamp_massey_f2", spied)
+        return calls
+
+    # 4095 = 3**2 * 5 * 7 * 13 starts from the lifted factors of pi_1365
+    @pytest.mark.parametrize("d", (1023, 2047, 4095, 8191))
+    def test_factorization(self, F2, cold_split_cache, monkeypatch, d):
+        calls = self._route_calls(monkeypatch)
+        factors = _cyclotomic_factors(2, d)
+        assert d in calls
+        count, degree = splitting_count(F2, d)
+        assert count >= cyclofactor._BM_MIN_FACTORS
+        assert len(factors) == intmath.euler_phi(d) // multiplicative_order(2, d) == count
+        assert all(v.degree == degree and is_irreducible(v) for v in factors)
+        product = F2.one
+        for v in factors:
+            product = product * v
+        assert product == cyclotomic_poly(F2, d)
+
+    def test_equals_the_coset_split(self, monkeypatch):
+        # every pi_d that splits at all takes the route at threshold 2, and
+        # none at a threshold above every count
+        routed, split = {}, {}
+        for threshold, out in ((2, routed), (10**9, split)):
+            monkeypatch.setattr(cyclofactor, "_BM_MIN_FACTORS", threshold)
+            _cyclotomic_factors.cache_clear()
+            for d in range(1, 1501, 2):
+                out[d] = _cyclotomic_factors(2, d)
+        _cyclotomic_factors.cache_clear()
+        assert routed == split
+
+    def test_threshold_is_inclusive(self, F2, cold_split_cache, monkeypatch):
+        # pi_273 mod 2: 12 factors of degree 12, the fewest that take the route
+        count, _ = splitting_count(F2, 273)
+        assert count == cyclofactor._BM_MIN_FACTORS == 12
+        calls = self._route_calls(monkeypatch)
+        factors = _cyclotomic_factors(2, 273)
+        assert calls == [273]
+        monkeypatch.setattr(cyclofactor, "_BM_MIN_FACTORS", count + 1)
+        _cyclotomic_factors.cache_clear()
+        assert _cyclotomic_factors(2, 273) == factors
+        assert calls == [273]
+
+    def test_no_factor_found_raises(self, monkeypatch, cold_split_cache):
+        monkeypatch.setattr(cyclofactor, "_cosets", lambda *args: iter(()))
+        with pytest.raises(ArithmeticError, match="pi_1023 mod 2 did not split into 60 "):
+            _cyclotomic_factors(2, 1023)
+
+
 class TestFactorTnMinus1:
     def test_spec_example_n15(self, F2):
         fct = factor_tn_minus_1(F2, 15)
@@ -341,7 +403,7 @@ class TestFactorWork:
         monkeypatch.setattr(cyclofactor, "_cyclotomic_factors", built)
         # at p = 3, n' = 2**23 alone is charged exactly the limit, 16384 * 2**23,
         # and its other divisors take the work over it
-        for field, n in ((F2, 131071), (F2, 2**31 - 1), (F2, 10**30), (F3, 2**23)):
+        for field, n in ((F2, 262657), (F2, 2**31 - 1), (F2, 10**30), (F3, 2**23)):
             with pytest.raises(ValueError, match=r"^factor: factor_work\(p, n\) must be at most "):
                 factor_tn_minus_1(field, n)
 
@@ -362,3 +424,11 @@ class TestFactorWork:
         assert cyclofactor.factor_work(2, 7) == 16384 * 8 + 2 * 6**2
         # pi_13 mod 3 splits into k = 4 cubics: 64 * 2**2 * (4).bit_length() * phi**2
         assert cyclofactor.factor_work(3, 13) == 16384 * 14 + 64 * 4 * 3 * 12**2
+        # d | 273 splits pi_d into k = 1, 1, 2, 1, 2, 2, 6 and 12 factors; pi_273,
+        # of degree phi = 144, takes the route with r = 12: 3 * d**2 + 16384 * d
+        # + 64 * k * r**2 in place of k * phi**2
+        assert cyclofactor.factor_work(2, 273) == (
+            16384 * (1 + 3 + 7 + 13 + 21 + 39 + 91 + 273)
+            + 2 * 6**2 + 2 * 12**2 + 2 * 24**2 + 6 * 72**2
+            + 3 * 273**2 + 16384 * 273 + 64 * 12 * 12**2
+        )
