@@ -77,6 +77,17 @@ MUTANTS = (
      "for n in range(2 * r):", "for n in range(2 * r - 1):", ("test_cyclofactor.py",)),
     ("bm_threshold", "cyclofactor.py",
      "count >= _BM_MIN_FACTORS:", "count > _BM_MIN_FACTORS:", ("test_cyclofactor.py",)),
+    # the Artin-prime sieve: Euler's test for ell = 2, then every odd ell
+    ("artin_euler_pass", "limitset.py",
+     "for q in compress(qs, map(ne, map(pow, repeat(p), halves, qs), repeat(1))):",
+     "for q in qs:", ("test_limitset.py",)),
+    ("artin_first_odd_ell_only", "limitset.py",
+     "m //= ell\n                while not m % ell:", "m = 1\n                while not m % ell:",
+     ("test_limitset.py",)),
+    # the place t, refused as a mark
+    ("mark_t_excluded", "system.py",
+     "if v.degree == 1 and v.constant_term == 0:", "if v.degree == 1 and v.constant_term == 1:",
+     ("test_system.py",)),
     # the mark threshold floor((1 - rho) * 2**64)
     ("mark_threshold", "system.py",
      "(self.rho.denominator - self.rho.numerator)", "self.rho.numerator", ("test_system.py",)),
@@ -90,7 +101,9 @@ MUTANTS = (
     ("p2_split_charge", "cyclofactor.py",
      "rounds = k if p == 2 else", "rounds = k - 1 if p == 2 else", ("test_cli.py",)),
     ("route_charge", "cyclofactor.py",
-     "work += 3 * d * d + 16384 * d", "work += d * d + 16384 * d", ("test_cli.py",)),
+     "work += 2 * d * d + 16384 * d", "work += d * d + 16384 * d", ("test_cli.py",)),
+    ("table_limit", "cli.py",
+     "if max_n > limit:", "if max_n >= limit:", ("test_cli.py",)),
     ("verify_charged", "limitset.py",
      '_check_work("verify: verify_work(p, q, nj)", verify_work(p, q, nj))',
      '_check_work("verify: verify_work(p, q, nj)", factor_work(p, q * nj))', ("test_cli.py",)),

@@ -50,11 +50,24 @@ from .zeta import (
 # count refuses p**e > 2**MAX_COUNT_BITS before forming it: printing p**e
 # takes 3.4-3.7 s at the limit, p = 2, 3, 2**31-1 (2-vCPU Xeon, Python 3.11)
 MAX_COUNT_BITS = 2**21
+# growth and limits refuse --max-n above these before any table is built;
+# at the limits, with start-up and a 2 GB address-space cap (2-vCPU x86-64
+# host, Python 3.11, probed 2026-10-20), the growth json document takes
+# 3.1-3.6 s and 330-390 MB (p = 2 full, p = 3 example85, p = 2**31-1
+# trivial) and limits 2.6-3.1 s and 550 MB (p = 2 full, p = 3 example85)
+MAX_GROWTH_N = 5 * 10**5
+MAX_LIMITS_N = 3 * 10**6
 
 
 def _require_positive(flag: str, value: int):
     if value < 1:
         raise ValueError(f"{flag} must be positive: got {value}")
+
+
+def _require_max_n(command: str, max_n: int, limit: int):
+    _require_positive("--max-n", max_n)
+    if max_n > limit:
+        raise ValueError(f"{command}: max_n must be at most {limit}: got {max_n}")
 
 
 def _parse_poly(field: PrimeField, text: str) -> Poly:
@@ -170,7 +183,7 @@ def _cmd_count(args):
 def _cmd_growth(args):
     field = _field(args)
     spec = _system(field, args)
-    _require_positive("--max-n", args.max_n)
+    _require_max_n("growth", args.max_n, MAX_GROWTH_N)
     points = growth_sequence(spec, args.max_n)
     if args.format == "json":
         records = [
@@ -224,7 +237,7 @@ def _cmd_zeta(args):
 def _cmd_limits(args):
     field = _field(args)
     spec = _system(field, args)
-    _require_positive("--max-n", args.max_n)
+    _require_max_n("limits", args.max_n, MAX_LIMITS_N)
     epsilon = _parse_fraction("--epsilon", args.epsilon)
     tail = _parse_fraction("--tail-fraction", args.tail_fraction)
     points = list(enumerate(periodic_exponents(spec, args.max_n), 1))

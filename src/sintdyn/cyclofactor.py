@@ -335,13 +335,16 @@ def factor_work(p: int, n: int) -> int:
     factor, so the coset-sum split costs k * phi(d)**2.  The one-factor
     route (k >= _BM_MIN_FACTORS) takes about log2(k) gcds at degrees that
     halve from phi(d), each after a coset sum of up to d bits is reduced
-    modulo the current piece, measured at 0.6-2.5 * d**2 for prime d; then
-    d + k * r**2 Berlekamp-Massey steps (k/2 runs of 2r steps on 2r-bit
-    ints, and the walk over the cosets), measured at about
-    16384 * d + 64 * k * r**2.  It is charged
-    3 * d**2 + 16384 * d + 64 * k * r**2.  At odd p a seeded draw
-    halves every piece, so it costs about log2(k) rounds, each a modular
-    power and a gcd whose cost grows with bit_length(p)**2:
+    modulo the current piece, measured at 0.7-3.3 * d**2 (median 2.0) for
+    d from 8191 to 3 * 10**5; then the Berlekamp-Massey runs, k/2 runs of
+    2r steps on 2r-bit ints, each step a fixed cost plus one that grows
+    with r, and the walk over the cosets, measured at 16384 * d plus
+    10-23 * k * r**2 for r > 4000, and plus at most 52000 * k * r at
+    smaller r.  It is charged 2 * d**2 + 16384 * d + 12 * k * r * (r + 1024),
+    which admits pi_200689 (k = 12, r = 16724; 2.5-3.2 s with start-up).
+    At odd p a seeded draw halves every piece, so it costs about log2(k)
+    rounds, each a modular power and a gcd whose cost grows with
+    bit_length(p)**2:
     64 * bit_length(p)**2 * k.bit_length() * phi(d)**2."""
     n_coprime, _ = intmath.coprime_part(n, p)
     if 16384 * n_coprime > MAX_FACTOR_WORK:  # d = n' alone: not worth factoring n'
@@ -353,7 +356,7 @@ def factor_work(p: int, n: int) -> int:
         r = multiplicative_order(p, d) if d > 1 else 1
         k = phi // r
         if p == 2 and k >= _BM_MIN_FACTORS:
-            work += 3 * d * d + 16384 * d + 64 * k * r * r
+            work += 2 * d * d + 16384 * d + 12 * k * r * (r + 1024)
         elif k > 1:
             rounds = k if p == 2 else 64 * p.bit_length() ** 2 * k.bit_length()
             work += rounds * phi * phi

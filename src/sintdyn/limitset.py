@@ -16,8 +16,11 @@ Empirical clustering can never certify membership in the limit set; it is
 labeled as empirical in all outputs.
 """
 
+import math
+from array import array
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
+from operator import ne
 from typing import NamedTuple
 
 from . import intmath
@@ -79,11 +82,15 @@ def growth_sequence(spec: SystemSpec, max_n: int) -> list[GrowthPoint]:
 
 
 # larger requests are refused: at p = 2 and these limits (a 2-vCPU x86-64
-# host, Python 3.11) artin_primes takes 5 s and 23 MB for its flag byte
-# per integer and its list of Artin primes, and example85_rates 0.9 s and
-# 61 MB for its 500,001 Fractions
+# host, Python 3.11) the artin command takes 2.6-3.0 s with start-up and
+# peaks at 43 MB (VmHWM; probed 2026-10-20) for its flag byte per integer,
+# its least-prime-factor table and its list of Artin primes, and
+# example85_rates 0.9 s and 61 MB for its 500,001 Fractions
 MAX_ARTIN_BOUND = 10**7
 MAX_Q_BOUND = 10**6
+# the Euler pass of artin_primes tests the odd primes in blocks of this many
+# odd integers, so that no list of every prime below the bound is held
+_EULER_BLOCK = 1 << 16
 
 
 def example85_rates(field: PrimeField, q_bound: int) -> list[Fraction]:
@@ -141,29 +148,54 @@ def cluster_limits(points, epsilon, tail_fraction=Fraction(1)) -> list[tuple[Fra
 def artin_primes(field: PrimeField, bound: int) -> list[int]:
     """Primes q <= bound (q != p) with p a primitive root mod q, ascending.
 
-    Sieved over the primes ell below bound: p is a primitive root mod a
-    prime q != p exactly when p**((q-1)/ell) != 1 mod q for every prime
-    ell dividing q - 1 (Lidl & Niederreiter, Finite Fields, Sec. 3.1), since
-    a proper divisor of q - 1 divides some (q-1)/ell.  So each prime q keeps
-    flag 1 unless the walk over q = 1 mod ell finds one such power equal
-    to 1; q = 2 has no ell and stays flagged for odd p, as ord_2(p) = 1.
-    A bound > MAX_ARTIN_BOUND (10**7) is refused with ValueError before any
-    work starts."""
+    p is a primitive root mod a prime q != p exactly when
+    p**((q-1)/ell) != 1 mod q for every prime ell dividing q - 1 (Lidl &
+    Niederreiter, Finite Fields, Sec. 3.1), since a proper divisor of
+    q - 1 divides some (q-1)/ell.  q = 2 has no ell and is kept for odd p,
+    as ord_2(p) = 1.  ell = 2 divides q - 1 for every odd prime q, so
+    Euler's test p**((q-1)/2) != 1 mod q runs first over all of them, in
+    one map of pow per block of the prime sieve.  Each survivor then walks
+    the distinct odd primes of (q-1)/2**v, read from a table of least prime
+    factors of the odd m <= bound/2, and stops at the first ell with
+    p**((q-1)/ell) = 1 mod q.  A bound > MAX_ARTIN_BOUND (10**7) is refused
+    with ValueError before any work starts; at the limit the artin command
+    takes 2.6-3.0 s with start-up at p = 2 (probed 2026-10-20)."""
     if bound < 3:
         raise ValueError(f"bound must be at least 3: got {bound}")
     if bound > MAX_ARTIN_BOUND:
         raise ValueError(f"artin: bound must be at most {MAX_ARTIN_BOUND}: got {bound}")
     p = field.p
-    # the prime sieve, each prime that is not kept set from 1 to 2 so that
-    # it still serves as an ell
     flags = intmath.prime_flags(bound)
+    # the least prime factor of each odd composite m <= (bound-1)/2 at
+    # index m >> 1, and 0 at a prime: the odd primes ell <= sqrt of it,
+    # descending, each written at its odd multiples from ell**2 on
+    top = (bound - 1) // 2
+    least = array("H", [0]) * ((top >> 1) + 1)
+    root = math.isqrt(top)
+    for ell in reversed(list(compress(range(3, root + 1, 2), flags[3 : root + 1 : 2]))):
+        start = ell * ell >> 1
+        least[start::ell] = array("H", [ell]) * len(range(start, len(least), ell))
     if p <= bound:
-        flags[p] = 2
-    for ell in compress(range(bound + 1), flags):
-        for q in range(ell + 1, bound + 1, ell):
-            if flags[q] == 1 and pow(p, (q - 1) // ell, q) == 1:
-                flags[q] = 2
-    return [q for q in compress(range(bound + 1), flags) if flags[q] == 1]
+        flags[p] = 0
+    out = [2] if flags[2] else []
+    for start in range(3, bound + 1, 2 * _EULER_BLOCK):
+        stop = min(start + 2 * _EULER_BLOCK, bound + 1)
+        block = flags[start:stop:2]
+        qs = list(compress(range(start, stop, 2), block))
+        halves = compress(range(start >> 1, stop >> 1), block)  # (q - 1) / 2 for each q
+        for q in compress(qs, map(ne, map(pow, repeat(p), halves, qs), repeat(1))):
+            m = q >> 1
+            m >>= (m & -m).bit_length() - 1  # the odd part of q - 1
+            while m > 1:
+                ell = least[m >> 1] or m
+                if pow(p, (q - 1) // ell, q) == 1:
+                    break
+                m //= ell
+                while not m % ell:
+                    m //= ell
+            else:
+                out.append(q)
+    return out
 
 
 def verify_work(p: int, q: int, nj: int) -> int:

@@ -767,7 +767,7 @@ class TestWorkBoundsRefusedUpFront:
             # 655 factors of degree 454, split in about 4.3 s before the limit
             (("factor", "--p", "2", "--n", "297371"),
              "error: factor: factor_work(p, n) must be at most 137438953472: "
-             "got 283673186955\n"),
+             "got 191877446914\n"),
             # the prime after 8388587 with 2 a primitive root: pi_8388619 alone is over
             (("factor", "--p", "2", "--n", "8388619"),
              "error: factor: factor_work(p, n) must be at most 137438953472: "
@@ -794,6 +794,16 @@ class TestWorkBoundsRefusedUpFront:
               "--n", "2147483647"),
              "error: count: factor_work(p, n) must be at most 137438953472: "
              "got 35184372072448\n"),
+            # the tables: 2147483647 died with MemoryError before the limits
+            (("growth", "--p", "2", "--system", "full", "--max-n", "500001"),
+             "error: growth: max_n must be at most 500000: got 500001\n"),
+            (("growth", "--p", "2", "--system", "full", "--max-n", "2147483647"),
+             "error: growth: max_n must be at most 500000: got 2147483647\n"),
+            (("limits", "--p", "2", "--system", "full", "--max-n", "3000001"),
+             "error: limits: max_n must be at most 3000000: got 3000001\n"),
+            (("limits", "--p", "3", "--system", "random", "--rho", "1/2", "--seed", "1",
+              "--max-n", "2147483647"),
+             "error: limits: max_n must be at most 3000000: got 2147483647\n"),
         ),
     )
     def test_refused_at_limit_plus_one(self, capsys, monkeypatch, argv, message):
@@ -819,6 +829,17 @@ class TestWorkBoundsRefusedUpFront:
         assert time.perf_counter() - start < 1
         assert (status, out, err) == (
             2, "", "error: count: p**e must be at most 2**10: got 2**11\n"
+        )
+
+    @pytest.mark.parametrize("command, limit", (("growth", "MAX_GROWTH_N"),
+                                                ("limits", "MAX_LIMITS_N")))
+    def test_table_limit_is_inclusive(self, capsys, monkeypatch, command, limit):
+        monkeypatch.setattr(f"sintdyn.cli.{limit}", 10)
+        argv = (command, "--p", "2", "--system", "full", "--format", "csv", "--max-n")
+        status, out, err = run_cli(capsys, *argv, "10")
+        assert (status, err) == (0, "") and out
+        assert run_cli(capsys, *argv, "11") == (
+            2, "", f"error: {command}: max_n must be at most 10: got 11\n"
         )
 
     def test_count_bounds_e_not_n(self, capsys):
@@ -848,7 +869,7 @@ class TestWorkBoundsRefusedUpFront:
         # factor --p 2 --n 1023 (a benchmark job) is admitted at exactly its
         # own work and refused one unit below it
         argv = ("factor", "--p", "2", "--n", "1023", "--format", "csv")
-        work = 51605830
+        work = 61034220
         monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work)
         status, out, err = run_cli(capsys, *argv)
         assert (status, err) == (0, "")
@@ -891,7 +912,7 @@ class TestWorkBoundsRefusedUpFront:
         # at exactly its own work and refused one unit below it
         argv = ("count", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "1",
                 "--n", "4095")
-        work = 335687845
+        work = 357652230
         monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work)
         status, out, err = run_cli(capsys, *argv)
         assert (status, err) == (0, "")

@@ -410,11 +410,13 @@ class TestFactorWork:
     def test_every_request_of_the_suite_is_admitted(self):
         # the tests factor t^n - 1 up to n = 500 (p = 2, 3) and 200 (p = 5);
         # the benchmark asks for n = 1023 at p = 2, the acceptance suite 50 at
-        # p = 5; the README's factor examples are n = 8191 and 45045 at p = 2
+        # p = 5; the README's factor examples are n = 8191, 45045 and 200689
+        # at p = 2 (pi_200689 has 12 factors of degree 16724 and splits in
+        # 2.5-3.2 s with start-up)
         for p, top in ((2, 500), (3, 500), (5, 200)):
             assert all(cyclofactor.factor_work(p, n) <= cyclofactor.MAX_FACTOR_WORK
                        for n in range(1, top + 1))
-        for n in (1023, 8191, 45045):
+        for n in (1023, 8191, 45045, 200689):
             assert cyclofactor.factor_work(2, n) <= cyclofactor.MAX_FACTOR_WORK
 
     def test_terms(self):
@@ -425,10 +427,10 @@ class TestFactorWork:
         # pi_13 mod 3 splits into k = 4 cubics: 64 * 2**2 * (4).bit_length() * phi**2
         assert cyclofactor.factor_work(3, 13) == 16384 * 14 + 64 * 4 * 3 * 12**2
         # d | 273 splits pi_d into k = 1, 1, 2, 1, 2, 2, 6 and 12 factors; pi_273,
-        # of degree phi = 144, takes the route with r = 12: 3 * d**2 + 16384 * d
-        # + 64 * k * r**2 in place of k * phi**2
+        # of degree phi = 144, takes the route with r = 12: 2 * d**2 + 16384 * d
+        # + 12 * k * r * (r + 1024) in place of k * phi**2
         assert cyclofactor.factor_work(2, 273) == (
             16384 * (1 + 3 + 7 + 13 + 21 + 39 + 91 + 273)
             + 2 * 6**2 + 2 * 12**2 + 2 * 24**2 + 6 * 72**2
-            + 3 * 273**2 + 16384 * 273 + 64 * 12 * 12**2
+            + 2 * 273**2 + 16384 * 273 + 12 * 12 * 12 * (12 + 1024)
         )
