@@ -69,9 +69,11 @@ MUTANTS = (
      "return poly_powmod(h, p ** (m - k_prev), g) == t", "return True", ("test_ffpoly.py",)),
     # the lift of pi_{d/q} to pi_d
     ("lift_condition", "cyclofactor.py",
-     "if d % (q * q) == 0), None)", "if d % q == 0), None)", ("test_cyclofactor.py",)),
+     "if d % (q * q) == 0]", "if d % q == 0]", ("test_cyclofactor.py",)),
     ("lifted_pieces_irreducible", "cyclofactor.py",
-     "if pieces[0].degree == r else", "if pieces[0].degree >= r else", ("test_cyclofactor.py",)),
+     "if m == r else", "if m >= r else", ("test_cyclofactor.py",)),
+    ("lift_choice", "cyclofactor.py",
+     "return min(lifts,", "return max(lifts,", ("test_cyclofactor.py",)),
     # the p = 2 route: every factor of pi_d from one, by Berlekamp-Massey
     ("bm_sequence_length", "cyclofactor.py",
      "for n in range(2 * r):", "for n in range(2 * r - 1):", ("test_cyclofactor.py",)),
@@ -91,26 +93,31 @@ MUTANTS = (
     # the mark threshold floor((1 - rho) * 2**64)
     ("mark_threshold", "system.py",
      "(self.rho.denominator - self.rho.numerator)", "self.rho.numerator", ("test_system.py",)),
-    # the work budgets: each comparison, and the p = 2 split charge
-    # (one comparison serves factor, count and verify)
-    ("work_budget", "cyclofactor.py",
-     "if work > MAX_FACTOR_WORK:", "if work >= MAX_FACTOR_WORK:", ("test_cli.py",)),
+    # the two refusal rules: every size limit and every sign check goes
+    # through one comparison each
+    ("at_most_inclusive", "intmath.py",
+     "if value > limit:", "if value >= limit:", ("test_cli.py",)),
+    ("positive_admits_zero", "intmath.py",
+     "if value <= 0:", "if value < 0:", ("test_intmath.py", "test_cli.py")),
+    # the work budgets and the p = 2 split charge
     ("factor_budget_shortcut", "cyclofactor.py",
      "if 16384 * n_coprime > MAX_FACTOR_WORK:", "if 16384 * n_coprime >= MAX_FACTOR_WORK:",
      ("test_cyclofactor.py",)),
     ("p2_split_charge", "cyclofactor.py",
      "rounds = k if p == 2 else", "rounds = k - 1 if p == 2 else", ("test_cli.py",)),
     ("route_charge", "cyclofactor.py",
-     "work += 2 * d * d + 16384 * d", "work += d * d + 16384 * d", ("test_cli.py",)),
-    ("table_limit", "cli.py",
-     "if max_n > limit:", "if max_n >= limit:", ("test_cli.py",)),
+     "else 2 * d * d", "else d * d", ("test_cli.py",)),
+    # the lift in the charge: no split where the pieces are the factors,
+    # and a descent from a small lifted piece by squarings
+    ("unsplit_lift_charged", "cyclofactor.py",
+     "if m == r and p == 2:", "if m == r and p == 2 and k == 1:", ("test_cyclofactor.py",)),
+    ("descent_regime", "cyclofactor.py",
+     "if r * m < d else", "if r * m < 0 else", ("test_cyclofactor.py",)),
     ("verify_charged", "limitset.py",
      '_check_work("verify: verify_work(p, q, nj)", verify_work(p, q, nj))',
      '_check_work("verify: verify_work(p, q, nj)", factor_work(p, q * nj))', ("test_cli.py",)),
     ("count_charged", "system.py",
      'if spec.omega.mode == "random":', 'if spec.omega.mode == "explicit":', ("test_cli.py",)),
-    ("zeta_budget", "zeta.py",
-     "if work > MAX_ZETA_WORK:", "if work >= MAX_ZETA_WORK:", ("test_cli.py",)),
     # each check of verify_construction made vacuous
     ("check_pi_irreducible", "limitset.py",
      '("pi_irreducible", pi_irreducible)', '("pi_irreducible", True)', ("test_limitset.py",)),

@@ -59,15 +59,9 @@ MAX_GROWTH_N = 5 * 10**5
 MAX_LIMITS_N = 3 * 10**6
 
 
-def _require_positive(flag: str, value: int):
-    if value < 1:
-        raise ValueError(f"{flag} must be positive: got {value}")
-
-
 def _require_max_n(command: str, max_n: int, limit: int):
-    _require_positive("--max-n", max_n)
-    if max_n > limit:
-        raise ValueError(f"{command}: max_n must be at most {limit}: got {max_n}")
+    intmath.require_positive("--max-n", max_n)
+    intmath.require_at_most(f"{command}: max_n", max_n, limit)
 
 
 def _parse_poly(field: PrimeField, text: str) -> Poly:
@@ -131,7 +125,7 @@ def _dump_json(obj) -> str:
 
 def _cmd_places(args):
     field = _field(args)
-    _require_positive("--max-degree", args.max_degree)
+    intmath.require_positive("--max-degree", args.max_degree)
     places = enumerate_places(field, args.max_degree)
     if args.format == "json":
         records = [{"index": i - 1, **pl.to_json()} for i, pl in enumerate(places)]
@@ -148,7 +142,7 @@ def _cmd_places(args):
 
 def _cmd_factor(args):
     field = _field(args)
-    _require_positive("--n", args.n)
+    intmath.require_positive("--n", args.n)
     fct = factor_tn_minus_1(field, args.n)
     if args.format == "json":
         return _dump_json({"p": field.p, **fct.to_json()}), 0
@@ -168,7 +162,7 @@ def _cmd_factor(args):
 def _cmd_count(args):
     field = _field(args)
     spec = _system(field, args)
-    _require_positive("--n", args.n)
+    intmath.require_positive("--n", args.n)
     e = periodic_exponent(spec, args.n)
     if e * log2(field.p) > MAX_COUNT_BITS:
         raise ValueError(f"count: p**e must be at most 2**{MAX_COUNT_BITS}: got {field.p}**{e}")
@@ -203,10 +197,10 @@ def _cmd_growth(args):
 def _cmd_zeta(args):
     field = _field(args)
     spec = _system(field, args)
-    _require_positive("--terms", args.terms)
+    intmath.require_positive("--terms", args.terms)
     if args.max_order is not None:
         # refused before the series is built: its cost grows with --terms
-        _require_positive("--max-order", args.max_order)
+        intmath.require_positive("--max-order", args.max_order)
         try:
             check_max_order(args.max_order, args.terms + 1)
         except ValueError as exc:
@@ -305,7 +299,7 @@ def _cmd_verify(args):
 
 def _cmd_example85(args):
     field = _field(args)
-    _require_positive("--q-bound", args.q_bound)
+    intmath.require_positive("--q-bound", args.q_bound)
     rates = example85_rates(field, args.q_bound)
     if args.format == "json":
         doc = {

@@ -54,7 +54,10 @@ kernel of (Z/d)* -> (Z/(d/q))* has order q, so r is r' or q * r'.  When
 r = q * r', each f(t**q) has the degree r of every irreducible factor of
 pi_d and is one, with no gcd taken.  When r = r', the lifted pieces, each a
 product of q factors, are what the split starts from in place of pi_d, and
-pi_d is formed only to reduce the coset sums.
+pi_d is formed only to reduce the coset sums.  A q with r = q * r' is
+taken when there is one: from another q's pieces the descent tries in vain
+the coset sums that vanish at every root of pi_d (pi_220825, 220825 =
+5**2 * 11**2 * 73, took 60 and 6 s from its lifts to t**5).
 """
 
 import functools
@@ -115,8 +118,7 @@ class CycloFactorization(NamedTuple):
 
 def cyclotomic_poly(field: PrimeField, n: int) -> Poly:
     """The n-th cyclotomic polynomial reduced mod p; requires gcd(n, p) = 1."""
-    if n < 1:
-        raise ValueError(f"n must be positive: got {n}")
+    intmath.require_positive("n", n)
     if n % field.p == 0:
         raise ValueError(f"cyclotomic index must be coprime to p: got n={n}, p={field.p}")
     up, down = [n], []  # the d | n with mu(n/d) = 1 and with mu(n/d) = -1
@@ -297,18 +299,28 @@ def _lift(f: Poly, q: int) -> Poly:
     return Poly(f.field, tuple(coeffs), _canonical=True)
 
 
+def _split_start(p: int, d: int, r: int) -> tuple[int, int | None]:
+    # (m, q): pi_d (d >= 2, r = ord_d(p)) is split from pieces of degree m,
+    # the lifts f(t**q) for the prime q with q**2 | d whose pieces are
+    # smallest, so a q with m = r, where the pieces are the factors, when
+    # there is one (module docstring); (phi(d), None) for a squarefree d
+    lifts = [(q * multiplicative_order(p, d // q), q)
+             for q in intmath.factorint(d) if d % (q * q) == 0]
+    return min(lifts, default=(intmath.euler_phi(d), None))
+
+
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
     field = PrimeField(p)
     if d == 1:
         return (cyclotomic_poly(field, 1),)
     count, r = splitting_count(field, d)
-    q = next((q for q in intmath.factorint(d) if d % (q * q) == 0), None)
+    m, q = _split_start(p, d, r)
     if q:  # pi_d(t) = pi_{d/q}(t**q) (module docstring)
         pieces = [_lift(f, q) for f in _cyclotomic_factors(p, d // q)]
     else:
         pieces = [cyclotomic_poly(field, d)]
-    factors, pending = (pieces, []) if pieces[0].degree == r else ([], pieces)
+    factors, pending = (pieces, []) if m == r else ([], pieces)
     if pending and p == 2 and count >= _BM_MIN_FACTORS:  # every factor from one
         f = _one_factor_f2(d, pending[0].bits, r)
         if f.bit_length() == r + 1:
@@ -329,19 +341,24 @@ def factor_work(p: int, n: int) -> int:
     """The cost of factoring t**n - 1 mod p in the units of MAX_FACTOR_WORK.
 
     Each d | n' (n' the p-coprime part of n) costs 16384 * d to form pi_d
-    and write out its factors.
-    When pi_d splits into k > 1 factors, each gcd at degree up to
-    phi(d) costs phi(d)**2.  At p = 2 a coset sum may split off a single
-    factor, so the coset-sum split costs k * phi(d)**2.  The one-factor
-    route (k >= _BM_MIN_FACTORS) takes about log2(k) gcds at degrees that
-    halve from phi(d), each after a coset sum of up to d bits is reduced
-    modulo the current piece, measured at 0.7-3.3 * d**2 (median 2.0) for
-    d from 8191 to 3 * 10**5; then the Berlekamp-Massey runs, k/2 runs of
-    2r steps on 2r-bit ints, each step a fixed cost plus one that grows
-    with r, and the walk over the cosets, measured at 16384 * d plus
-    10-23 * k * r**2 for r > 4000, and plus at most 52000 * k * r at
-    smaller r.  It is charged 2 * d**2 + 16384 * d + 12 * k * r * (r + 1024),
-    which admits pi_200689 (k = 12, r = 16724; 2.5-3.2 s with start-up).
+    and write out its factors, and at p = 2 no more when the pieces it is
+    split from are its factors (_split_start).  At odd p that split is still
+    charged: without it t**2956 - 1 at p = 2**31 - 1 is admitted (4.9 s).
+    When pi_d splits into k > 1 factors, each gcd at degree up to phi(d)
+    costs phi(d)**2.  At p = 2 a coset sum may split off a single factor,
+    so the coset-sum split costs k * phi(d)**2.  The one-factor route
+    (k >= _BM_MIN_FACTORS) descends from a piece of degree m to a factor
+    by d-bit coset sums reduced modulo the current piece and gcds with it,
+    measured at 0.7-3.3 * d**2 (median 2.0) from pi_d and 0.08-2.9 * d**2
+    (median 0.26) from 47 lifted pieces, d from 8191 to 4 * 10**5, and
+    charged 2 * d**2; when r * m < d each coset sum is taken by r squarings
+    modulo the piece, measured at 0.7-8 * r * m**2 where the descent took
+    over 1 ms, and charged 8 * r * m**2.  Then the Berlekamp-Massey runs,
+    k/2 runs of 2r steps on 2r-bit ints, each step a fixed cost plus one
+    that grows with r, and the walk over the cosets, measured at
+    16384 * d plus 10-23 * k * r**2 for r > 4000, and plus at most
+    52000 * k * r at smaller r, and charged 16384 * d + 12 * k * r *
+    (r + 1024), which admits pi_200689 (k = 12, r = 16724; 2.5-3.2 s).
     At odd p a seeded draw halves every piece, so it costs about log2(k)
     rounds, each a modular power and a gcd whose cost grows with
     bit_length(p)**2:
@@ -349,31 +366,31 @@ def factor_work(p: int, n: int) -> int:
     n_coprime, _ = intmath.coprime_part(n, p)
     if 16384 * n_coprime > MAX_FACTOR_WORK:  # d = n' alone: not worth factoring n'
         return 16384 * n_coprime
-    work = 0
-    for d in intmath.divisors(n_coprime):
+    field, work = PrimeField(p), 16384  # d = 1: pi_1 = t - 1
+    for d in intmath.divisors(n_coprime)[1:]:
         work += 16384 * d
-        phi = intmath.euler_phi(d)
-        r = multiplicative_order(p, d) if d > 1 else 1
-        k = phi // r
+        k, r = splitting_count(field, d)
+        m = _split_start(p, d, r)[0]
+        if m == r and p == 2:
+            continue
         if p == 2 and k >= _BM_MIN_FACTORS:
-            work += 2 * d * d + 16384 * d + 12 * k * r * (r + 1024)
+            descent = 8 * r * m * m if r * m < d else 2 * d * d
+            work += descent + 16384 * d + 12 * k * r * (r + 1024)
         elif k > 1:
             rounds = k if p == 2 else 64 * p.bit_length() ** 2 * k.bit_length()
-            work += rounds * phi * phi
+            work += rounds * (k * r) ** 2
     return work
 
 
 def _check_work(request: str, work: int):
     # the budget is read at call time, so one monkeypatch reaches every command
-    if work > MAX_FACTOR_WORK:
-        raise ValueError(f"{request} must be at most {MAX_FACTOR_WORK}: got {work}")
+    intmath.require_at_most(request, work, MAX_FACTOR_WORK)
 
 
 def factor_tn_minus_1(field: PrimeField, n: int) -> CycloFactorization:
     """Factor t**n - 1 completely, grouped by cyclotomic divisor; refused
     with ValueError when factor_work(p, n) > MAX_FACTOR_WORK."""
-    if n < 1:
-        raise ValueError(f"n must be positive: got {n}")
+    intmath.require_positive("n", n)
     _check_work("factor: factor_work(p, n)", factor_work(field.p, n))
     n_coprime, e = intmath.coprime_part(n, field.p)
     multiplicity = field.p**e

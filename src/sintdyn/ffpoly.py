@@ -118,22 +118,13 @@ class PrimeField:
             coeffs[exp] = coeff
         return self.poly(coeffs)
 
-    @property
-    def zero(self) -> "Poly":
-        return Poly(self, (), _canonical=True)
-
-    @property
-    def one(self) -> "Poly":
-        return Poly(self, (1,), _canonical=True)
-
-    @property
-    def t(self) -> "Poly":
-        return Poly(self, (0, 1), _canonical=True)
+    zero = property(lambda self: self.from_code(0))
+    one = property(lambda self: self.from_code(1))
+    t = property(lambda self: self.from_code(self.p))
 
     def tn_minus_1(self, n: int) -> "Poly":
         """The polynomial t**n - 1."""
-        if n < 1:
-            raise ValueError(f"n must be positive: got {n}")
+        intmath.require_positive("n", n)
         return Poly(self, (self.p - 1,) + (0,) * (n - 1) + (1,), _canonical=True)
 
 
@@ -306,13 +297,8 @@ class _F2Field(PrimeField):
             raise ValueError(f"code must be non-negative: got {code}")
         return _F2Poly(self, code)
 
-    zero = property(lambda self: _F2Poly(self, 0))
-    one = property(lambda self: _F2Poly(self, 1))
-    t = property(lambda self: _F2Poly(self, 2))
-
     def tn_minus_1(self, n: int) -> "Poly":
-        if n < 1:
-            raise ValueError(f"n must be positive: got {n}")
+        intmath.require_positive("n", n)
         return _F2Poly(self, 1 << n | 1)
 
 

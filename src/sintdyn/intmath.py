@@ -19,6 +19,18 @@ _PIECE_DIGITS = 512
 _PIECE = 10**_PIECE_DIGITS
 
 
+def require_positive(name: str, value):
+    """Refuse value <= 0 with ValueError, naming it."""
+    if value <= 0:
+        raise ValueError(f"{name} must be positive: got {value}")
+
+
+def require_at_most(name: str, value, limit):
+    """Refuse value > limit with ValueError, naming it and the limit."""
+    if value > limit:
+        raise ValueError(f"{name} must be at most {limit}: got {value}")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test."""
     if n < 2:

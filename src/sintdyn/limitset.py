@@ -24,6 +24,7 @@ from operator import ne
 from typing import NamedTuple
 
 from . import intmath
+from ._kernel import _fp
 from .cyclofactor import _check_work, _cyclotomic_factors, cyclotomic_poly, factor_work
 from .ffpoly import PrimeField, is_irreducible, poly_gcd
 from .orders import multiplicative_order, ord_brute, ord_in_tn_minus_1
@@ -75,8 +76,7 @@ class ConstructionReport(NamedTuple):
 
 def growth_sequence(spec: SystemSpec, max_n: int) -> list[GrowthPoint]:
     """Exact growth points (n, e_n, e_n/n) for every n up to max_n."""
-    if max_n < 1:
-        raise ValueError(f"max_n must be positive: got {max_n}")
+    intmath.require_positive("max_n", max_n)
     exponents = periodic_exponents(spec, max_n)
     return [GrowthPoint(n, e, Fraction(e, n)) for n, e in enumerate(exponents, 1)]
 
@@ -98,10 +98,8 @@ def example85_rates(field: PrimeField, q_bound: int) -> list[Fraction]:
     by p, then 1, in units of log p: ascending, as 1 - 1/q ascends with q.
     q_bound > MAX_Q_BOUND (10**6) is refused with ValueError before any work
     starts."""
-    if q_bound < 1:
-        raise ValueError(f"q_bound must be positive: got {q_bound}")
-    if q_bound > MAX_Q_BOUND:
-        raise ValueError(f"example85: q_bound must be at most {MAX_Q_BOUND}: got {q_bound}")
+    intmath.require_positive("q_bound", q_bound)
+    intmath.require_at_most("example85: q_bound", q_bound, MAX_Q_BOUND)
     return [Fraction(q - 1, q) for q in range(1, q_bound + 1) if q % field.p] + [Fraction(1)]
 
 
@@ -118,8 +116,7 @@ def cluster_limits(points, epsilon, tail_fraction=Fraction(1)) -> list[tuple[Fra
     tested by cross-multiplication."""
     epsilon = Fraction(epsilon)
     tail_fraction = Fraction(tail_fraction)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive: got {epsilon}")
+    intmath.require_positive("epsilon", epsilon)
     if not 0 < tail_fraction <= 1:
         raise ValueError(f"tail_fraction must be in (0, 1]: got {tail_fraction}")
     tail_size = int(len(points) * tail_fraction)
@@ -162,8 +159,7 @@ def artin_primes(field: PrimeField, bound: int) -> list[int]:
     takes 2.6-3.0 s with start-up at p = 2 (probed 2026-10-20)."""
     if bound < 3:
         raise ValueError(f"bound must be at least 3: got {bound}")
-    if bound > MAX_ARTIN_BOUND:
-        raise ValueError(f"artin: bound must be at most {MAX_ARTIN_BOUND}: got {bound}")
+    intmath.require_at_most("artin: bound", bound, MAX_ARTIN_BOUND)
     p = field.p
     flags = intmath.prime_flags(bound)
     # the least prime factor of each odd composite m <= (bound-1)/2 at
@@ -205,24 +201,21 @@ def verify_work(p: int, q: int, nj: int) -> int:
     Frobenius steps modulo pi.  At p = 2 a step squares and reduces a
     2m-bit int, 96 * nj**2 in all.  At odd p a step is at most
     2 * bit_length(p) products mod pi, each a long division of m steps on
-    m slots of w bits, w the kernel's slot width for 2 * nj * (p - 1)**2 (a
-    power of two from 8): 2 * bit_length(p) * m**2 * (8192 + m * w // 2),
+    m slots of w bits, w = _fp._width(2 * nj * (p - 1)**2) the kernel's slot
+    width: 2 * bit_length(p) * m**2 * (8192 + m * w // 2),
     which grows about as nj**2.5 at small p."""
     work = factor_work(p, q * nj)
     if p == 2:
         return work + 96 * nj * nj
     m = nj - 1
-    w = 1 << max(3, ((2 * nj * (p - 1) ** 2).bit_length() - 1).bit_length())
+    w = _fp._width(2 * nj * (p - 1) ** 2)
     return work + 2 * p.bit_length() * m * m * (8192 + m * w // 2)
 
 
 def _construction_preconditions(p: int, q: int, nj: int):
-    if not intmath.is_prime(p):
-        raise ConstructionRejected(f"p = {p} is not prime")
-    if not intmath.is_prime(q):
-        raise ConstructionRejected(f"q = {q} is not prime")
-    if not intmath.is_prime(nj):
-        raise ConstructionRejected(f"nj = {nj} is not prime")
+    for name, value in (("p", p), ("q", q), ("nj", nj)):
+        if not intmath.is_prime(value):
+            raise ConstructionRejected(f"{name} = {value} is not prime")
     if q == p:
         raise ConstructionRejected(f"q must differ from p: got q = p = {p}")
     if nj == p:

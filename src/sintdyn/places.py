@@ -14,7 +14,7 @@ check that sum.
 import itertools
 from typing import NamedTuple
 
-from . import _kernel
+from . import _kernel, intmath
 from .ffpoly import Poly, PrimeField, is_irreducible
 
 
@@ -103,8 +103,7 @@ def enumerate_places(field: PrimeField, max_degree: int) -> list[Place]:
     products, so a request with p**max_degree > MAX_CANDIDATES (2**18) is
     refused with ValueError before any work starts.
     """
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be positive: got {max_degree}")
+    intmath.require_positive("max_degree", max_degree)
     p = field.p
     # p >= 2, so the degree test settles huge max_degree without the power
     if max_degree >= MAX_CANDIDATES.bit_length() or p**max_degree > MAX_CANDIDATES:

@@ -147,13 +147,10 @@ MAX_ZETA_WORK = 2 * 10**7
 
 def zeta_for_system(spec: SystemSpec, n_terms: int) -> ZetaSeries:
     """Zeta series of a system truncated after z**n_terms (MAX_ZETA_WORK)."""
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be positive: got {n_terms}")
+    intmath.require_positive("n_terms", n_terms)
     _validate_n(n_terms)  # an n out of range is refused as such, not as costly
-    work = n_terms**2 * spec.field.p.bit_length()
-    if work > MAX_ZETA_WORK:
-        raise ValueError(f"zeta: n_terms**2 * p.bit_length() must be at most "
-                         f"{MAX_ZETA_WORK}: got {work}")
+    intmath.require_at_most("zeta: n_terms**2 * p.bit_length()",
+                            n_terms**2 * spec.field.p.bit_length(), MAX_ZETA_WORK)
     counts = [spec.field.p**e for e in periodic_exponents(spec, n_terms)]
     return zeta_coefficients(counts, spec)
 
@@ -208,8 +205,7 @@ def _berlekamp_massey(seq: tuple[int, ...], max_order: int) -> list[int] | None:
 
 def check_max_order(max_order: int, n_terms: int) -> None:
     """Raise ValueError unless n_terms terms determine a max_order fit."""
-    if max_order < 1:
-        raise ValueError(f"max_order must be positive: got {max_order}")
+    intmath.require_positive("max_order", max_order)
     if n_terms < 2 * max_order + 2:
         raise ValueError(f"need at least {2 * max_order + 2} series terms, got {n_terms}")
 

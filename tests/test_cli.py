@@ -912,7 +912,7 @@ class TestWorkBoundsRefusedUpFront:
         # at exactly its own work and refused one unit below it
         argv = ("count", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "1",
                 "--n", "4095")
-        work = 357652230
+        work = 322460304
         monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work)
         status, out, err = run_cli(capsys, *argv)
         assert (status, err) == (0, "")

@@ -221,6 +221,17 @@ class TestLift:
         assert calls == []
         assert factors == tuple(v for v, _ in factorize(cyclotomic_poly(PrimeField(2), d)))
 
+    def test_lift_without_split_is_preferred(self, cold_split_cache, monkeypatch):
+        # 441 = 3**2 * 7**2 and ord_441(2) = 42 = ord_147(2) = 7 * ord_63(2):
+        # the lift from pi_147 (t**3) would leave pieces of 3 factors, the
+        # lift from pi_63 (t**7) gives the factors, and it is the one taken
+        assert cyclofactor._split_start(2, 441, 42) == (42, 7)
+        _cyclotomic_factors(2, 63)
+        calls = self._gcd_args(monkeypatch)
+        factors = _cyclotomic_factors(2, 441)
+        assert calls == []
+        assert factors == tuple(v for v, _ in factorize(cyclotomic_poly(PrimeField(2), 441)))
+
     def test_same_order_splits_the_lifted_pieces(self, F2, cold_split_cache, monkeypatch):
         # ord_63(2) = ord_21(2) = 6: the two factors of pi_21, lifted to
         # t**3, are the first pieces the split takes, not pi_63 itself
@@ -412,12 +423,47 @@ class TestFactorWork:
         # the benchmark asks for n = 1023 at p = 2, the acceptance suite 50 at
         # p = 5; the README's factor examples are n = 8191, 45045 and 200689
         # at p = 2 (pi_200689 has 12 factors of degree 16724 and splits in
-        # 2.5-3.2 s with start-up)
+        # 2.5-3.2 s with start-up), and 247687 = 11**2 * 23 * 89, whose route
+        # descends from a lifted piece of degree 1210 (0.3-0.4 s)
         for p, top in ((2, 500), (3, 500), (5, 200)):
             assert all(cyclofactor.factor_work(p, n) <= cyclofactor.MAX_FACTOR_WORK
                        for n in range(1, top + 1))
-        for n in (1023, 8191, 45045, 200689):
+        for n in (1023, 8191, 45045, 200689, 247687):
             assert cyclofactor.factor_work(2, n) <= cyclofactor.MAX_FACTOR_WORK
+
+    def test_lifted_terms(self):
+        # at p = 2 a lift whose pieces are the factors is charged no split:
+        # in 441, pi_49, pi_147 and pi_441 (k = 2, 2, 6) lift from pi_7,
+        # pi_21 and pi_63 with the degree jump; pi_63 (k = 6) starts from
+        # pieces of 3 factors and is charged the coset-sum split k * phi**2
+        assert cyclofactor.factor_work(2, 441) == (
+            16384 * (1 + 3 + 7 + 9 + 21 + 49 + 63 + 147 + 441)
+            + 2 * 6**2 + 2 * 12**2 + 6 * 36**2
+        )
+        # 585 = 3**2 * 5 * 13 adds 9, 45, 117 and 585 to the divisors of
+        # 195; pi_45 lifts with the jump, pi_117 (k = 6) starts from pieces
+        # of degree 36 = 3 * 12, and pi_585 (k = 24, r = 12) takes the route
+        # from a piece of degree m = 36, where r * m = 432 < 585: its coset
+        # sums are taken by r squarings, 8 * r * m**2 in place of 2 * d**2
+        assert cyclofactor.factor_work(2, 585) - cyclofactor.factor_work(2, 195) == (
+            16384 * (9 + 45 + 117 + 585) + 6 * 72**2
+            + 8 * 12 * 36**2 + 16384 * 585 + 12 * 24 * 12 * (12 + 1024)
+        )
+        # pi_315 (k = 12, r = 12) starts from m = 36, r * m = 432 >= 315:
+        # charged 2 * d**2, as from pi_d
+        assert cyclofactor.factor_work(2, 315) - cyclofactor.factor_work(2, 105) == (
+            16384 * (9 + 45 + 63 + 315) + 6 * 36**2
+            + 2 * 315**2 + 16384 * 315 + 12 * 12 * 12 * (12 + 1024)
+        )
+
+    def test_odd_p_keeps_the_lift_charge(self):
+        # at odd p a lift whose pieces are the factors is still charged its
+        # split: without that charge factor --p 2147483647 --n 2956 would be
+        # admitted, and it runs 4.9 s (its unlifted pi_739 and pi_1478 are
+        # charged below their cost at that p)
+        P = 2**31 - 1
+        assert cyclofactor._split_start(P, 2956, 738) == (738, 2)
+        assert cyclofactor.factor_work(P, 2956) > cyclofactor.MAX_FACTOR_WORK
 
     def test_terms(self):
         # 2**20 * 3 has p-coprime part 3 at p = 2: pi_1 and pi_3 (irreducible)

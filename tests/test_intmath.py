@@ -1,9 +1,23 @@
 import math
 import random
+import re
 
 import pytest
 
 from sintdyn import intmath
+from sintdyn.cyclofactor import cyclotomic_poly, factor_tn_minus_1
+from sintdyn.ffpoly import PrimeField
+from sintdyn.limitset import (
+    MAX_ARTIN_BOUND,
+    MAX_Q_BOUND,
+    artin_primes,
+    cluster_limits,
+    example85_rates,
+    growth_sequence,
+)
+from sintdyn.places import enumerate_places
+from sintdyn.system import full_shift
+from sintdyn.zeta import check_max_order, zeta_for_system
 
 from oracles import mobius, primes_upto
 
@@ -141,3 +155,39 @@ def test_coprime_part():
     assert intmath.coprime_part(7, 5) == (7, 0)
     with pytest.raises(ValueError):
         intmath.coprime_part(0, 2)
+
+
+F2, F3 = PrimeField(2), PrimeField(3)
+FULL = full_shift(F2)
+
+
+@pytest.mark.parametrize("call, message", (
+    pytest.param(lambda: cyclotomic_poly(F3, 0), "n must be positive: got 0",
+                 id="cyclotomic_poly"),
+    pytest.param(lambda: factor_tn_minus_1(F3, 0), "n must be positive: got 0",
+                 id="factor_tn_minus_1"),
+    pytest.param(lambda: F2.tn_minus_1(0), "n must be positive: got 0", id="tn_minus_1_p2"),
+    pytest.param(lambda: F3.tn_minus_1(0), "n must be positive: got 0", id="tn_minus_1_p3"),
+    pytest.param(lambda: growth_sequence(FULL, 0), "max_n must be positive: got 0",
+                 id="growth_sequence"),
+    pytest.param(lambda: example85_rates(F2, 0), "q_bound must be positive: got 0",
+                 id="example85_rates"),
+    pytest.param(lambda: example85_rates(F2, MAX_Q_BOUND + 1),
+                 "example85: q_bound must be at most 1000000: got 1000001",
+                 id="example85_rates_limit"),
+    pytest.param(lambda: cluster_limits([(1, 1)], 0), "epsilon must be positive: got 0",
+                 id="cluster_limits"),
+    pytest.param(lambda: enumerate_places(F2, 0), "max_degree must be positive: got 0",
+                 id="enumerate_places"),
+    pytest.param(lambda: zeta_for_system(FULL, 0), "n_terms must be positive: got 0",
+                 id="zeta_for_system"),
+    pytest.param(lambda: check_max_order(0, 10), "max_order must be positive: got 0",
+                 id="check_max_order"),
+    pytest.param(lambda: artin_primes(F2, MAX_ARTIN_BOUND + 1),
+                 "artin: bound must be at most 10000000: got 10000001", id="artin_primes"),
+))
+def test_library_refusal_texts(call, message):
+    # the full text of each library refusal: the CLI prints it after its own
+    # prefix, and callers may match on it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
