@@ -33,7 +33,8 @@ The construction rows time artin_primes, example85_rates and
 enumerate_places in the "kernel" column only, at the sizes of the CLI
 workloads and above (enumerate_places up to the admitted limit at p = 2,
 degree 18), and artin_primes and example85_rates at their
-admitted limits.  The verify rows time is_irreducible of
+admitted limits; artin_primes at p = 2 and at p = 3, whose test for
+ell = 2 differs.  The verify rows time is_irreducible of
 1 + t + ... + t^(nj-1) at p = 2 for nj = 101, 1019 and 30011, and
 verify_construction(2, 3, nj) for nj = 1019 and 30011 (the latter once),
 "kernel" column only.  The cyclotomic rows build pi_n by cyclotomic_poly for
@@ -295,8 +296,9 @@ def bench_construction(repeats):
     # example85_rates make no kernel call, and enumerate_places sieves with
     # products through _kernel.mul at odd p and on packed ints at p = 2
     cases = {
-        f"artin_primes(F_2, {bound})": lambda bound=bound: artin_primes(PrimeField(2), bound)
+        f"artin_primes(F_{p}, {bound})": lambda p=p, b=bound: artin_primes(PrimeField(p), b)
         for bound in (20000, 200000, MAX_ARTIN_BOUND)
+        for p in (2, 3)
     }
     cases.update({
         f"example85_rates(F_2, {bound})": lambda bound=bound: example85_rates(PrimeField(2), bound)

@@ -74,17 +74,24 @@ MUTANTS = (
      "if m == r else", "if m >= r else", ("test_cyclofactor.py",)),
     ("lift_choice", "cyclofactor.py",
      "return min(lifts,", "return max(lifts,", ("test_cyclofactor.py",)),
+    ("lift_coset_skip", "cyclofactor.py",
+     "coset[0] % q != 0)", "coset[0] % q != 1)", ("test_cyclofactor.py",)),
     # the p = 2 route: every factor of pi_d from one, by Berlekamp-Massey
     ("bm_sequence_length", "cyclofactor.py",
      "for n in range(2 * r):", "for n in range(2 * r - 1):", ("test_cyclofactor.py",)),
     ("bm_threshold", "cyclofactor.py",
      "count >= _BM_MIN_FACTORS:", "count > _BM_MIN_FACTORS:", ("test_cyclofactor.py",)),
-    # the Artin-prime sieve: Euler's test for ell = 2, then every odd ell
+    # the Artin-prime sieve: ell = 2 by q mod 8 at p = 2 and by Euler's
+    # test at odd p, then every odd ell
+    ("artin_residue_7", "limitset.py",
+     "for residue in (1, 7):", "for residue in (1, 5):", ("test_limitset.py",)),
+    ("artin_residue_1_kept", "limitset.py",
+     "for residue in (1, 7):", "for residue in (7,):", ("test_limitset.py",)),
     ("artin_euler_pass", "limitset.py",
-     "for q in compress(qs, map(ne, map(pow, repeat(p), halves, qs), repeat(1))):",
-     "for q in qs:", ("test_limitset.py",)),
+     "yield from compress(qs, map(ne, map(pow, repeat(p), halves, qs), repeat(1)))",
+     "yield from qs", ("test_limitset.py",)),
     ("artin_first_odd_ell_only", "limitset.py",
-     "m //= ell\n                while not m % ell:", "m = 1\n                while not m % ell:",
+     "m //= ell\n            while not m % ell:", "m = 1\n            while not m % ell:",
      ("test_limitset.py",)),
     # the place t, refused as a mark
     ("mark_t_excluded", "system.py",

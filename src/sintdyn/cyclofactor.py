@@ -175,13 +175,22 @@ def _cosets(p: int, d: int, seen: bytearray | None = None):
         yield coset
 
 
-def _frobenius_fixed(field: PrimeField, d: int, pi: Poly, rng: random.Random | None):
+def _splitting_cosets(p: int, d: int, q: int | None):
+    # the cosets of _cosets whose sums can split a piece: from the lifts
+    # f(t**q) of the factors of pi_{d/q}, a coset C of multiples of q has
+    # e_C(t) = E(t**q), one value at every root of a piece, so it is skipped
+    return (coset for coset in _cosets(p, d) if q is None or coset[0] % q != 0)
+
+
+def _frobenius_fixed(
+    field: PrimeField, d: int, q: int | None, pi: Poly, rng: random.Random | None
+):
     # the elements g that split pi_d, lazily: e_C mod pi_d for each
-    # cyclotomic coset C of p on Z/d other than {0}, then, for odd p only,
-    # seeded combinations of them
+    # coset C of _splitting_cosets, then, for odd p only, seeded
+    # combinations of them
     p = field.p
     sums = []
-    for coset in _cosets(p, d):
+    for coset in _splitting_cosets(p, d, q):
         if p == 2:
             e = field.from_code(sum(1 << i for i in coset))
         else:
@@ -200,12 +209,13 @@ def _frobenius_fixed(field: PrimeField, d: int, pi: Poly, rng: random.Random | N
         yield g
 
 
-def _coset_split(field: PrimeField, d: int, pi: Poly, pending: list, r: int):
-    # (factors of degree r, pieces left unsplit) of the pieces pending, by
-    # gcds with the elements of _frobenius_fixed
+def _coset_split(field: PrimeField, d: int, q: int | None, pi: Poly, pending: list, r: int):
+    # (factors of degree r, pieces left unsplit) of the pieces pending,
+    # lifted to t**q when q is not None, by gcds with the elements of
+    # _frobenius_fixed
     p = field.p
     rng = random.Random(_CZ_SEED) if p != 2 else None  # p = 2 draws nothing
-    elements = _frobenius_fixed(field, d, pi, rng)
+    elements = _frobenius_fixed(field, d, q, pi, rng)
     half = (p - 1) // 2
     factors = []
     while pending:
@@ -226,11 +236,12 @@ def _coset_split(field: PrimeField, d: int, pi: Poly, pending: list, r: int):
     return factors, pending
 
 
-def _one_factor_f2(d: int, u: int, r: int) -> int:
-    # one branch of the coset-sum split at p = 2: the piece u split by the
-    # coset sums, each reduced modulo u, keeping the smaller part, until u
-    # has degree r or the coset sums run out
-    cosets = _cosets(2, d)
+def _one_factor_f2(d: int, q: int | None, u: int, r: int) -> int:
+    # one branch of the coset-sum split at p = 2: the piece u, lifted to
+    # t**q when q is not None, split by the sums of _splitting_cosets, each
+    # reduced modulo u, keeping the smaller part, until u has degree r or
+    # the coset sums run out
+    cosets = _splitting_cosets(2, d, q)
     while (m := u.bit_length() - 1) > r and (coset := next(cosets, None)):
         if len(coset) * m < d:  # e_C mod u as the sum of t**j, t**(2j), ... mod u
             x, g = _f2.rem(1 << coset[0], u), 0
@@ -322,12 +333,12 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
         pieces = [cyclotomic_poly(field, d)]
     factors, pending = (pieces, []) if m == r else ([], pieces)
     if pending and p == 2 and count >= _BM_MIN_FACTORS:  # every factor from one
-        f = _one_factor_f2(d, pending[0].bits, r)
+        f = _one_factor_f2(d, q, pending[0].bits, r)
         if f.bit_length() == r + 1:
             factors, pending = [field.from_code(c) for c in _berlekamp_massey_f2(d, f, r)], []
     elif pending:
         pi = cyclotomic_poly(field, d) if q else pieces[0]
-        factors, pending = _coset_split(field, d, pi, pending, r)
+        factors, pending = _coset_split(field, d, q, pi, pending, r)
     if pending or len(factors) != count or not all(
         v.is_monic and v.degree == r for v in factors
     ):

@@ -81,15 +81,16 @@ def growth_sequence(spec: SystemSpec, max_n: int) -> list[GrowthPoint]:
     return [GrowthPoint(n, e, Fraction(e, n)) for n, e in enumerate(exponents, 1)]
 
 
-# larger requests are refused: at p = 2 and these limits (a 2-vCPU x86-64
-# host, Python 3.11) the artin command takes 2.6-3.0 s with start-up and
-# peaks at 43 MB (VmHWM; probed 2026-10-20) for its flag byte per integer,
-# its least-prime-factor table and its list of Artin primes, and
-# example85_rates 0.9 s and 61 MB for its 500,001 Fractions
+# larger requests are refused: at these limits (a 2-vCPU x86-64 host,
+# Python 3.11) the artin command takes 2.3-3.3 s with start-up at p = 3 and
+# 1.1-1.4 s at p = 2, and peaks at 43 MB (VmHWM; probed 2026-10-20) for its
+# flag byte per integer, its least-prime-factor table and its list of Artin
+# primes, and example85_rates 0.9 s and 61 MB for its 500,001 Fractions
 MAX_ARTIN_BOUND = 10**7
 MAX_Q_BOUND = 10**6
-# the Euler pass of artin_primes tests the odd primes in blocks of this many
-# odd integers, so that no list of every prime below the bound is held
+# at odd p the Euler pass of artin_primes tests the odd primes in blocks of
+# this many odd integers, so that no list of every prime below the bound is
+# held
 _EULER_BLOCK = 1 << 16
 
 
@@ -149,14 +150,18 @@ def artin_primes(field: PrimeField, bound: int) -> list[int]:
     p**((q-1)/ell) != 1 mod q for every prime ell dividing q - 1 (Lidl &
     Niederreiter, Finite Fields, Sec. 3.1), since a proper divisor of
     q - 1 divides some (q-1)/ell.  q = 2 has no ell and is kept for odd p,
-    as ord_2(p) = 1.  ell = 2 divides q - 1 for every odd prime q, so
-    Euler's test p**((q-1)/2) != 1 mod q runs first over all of them, in
-    one map of pow per block of the prime sieve.  Each survivor then walks
-    the distinct odd primes of (q-1)/2**v, read from a table of least prime
-    factors of the odd m <= bound/2, and stops at the first ell with
-    p**((q-1)/ell) = 1 mod q.  A bound > MAX_ARTIN_BOUND (10**7) is refused
-    with ValueError before any work starts; at the limit the artin command
-    takes 2.6-3.0 s with start-up at p = 2 (probed 2026-10-20)."""
+    as ord_2(p) = 1.  ell = 2 divides q - 1 for every odd prime q, so it
+    is tested first over all of them.  At p = 2 that test is q mod 8: 2 is
+    a square mod q exactly when q = +-1 mod 8 (the second supplement to
+    quadratic reciprocity), so those two residue classes are cleared from
+    the prime sieve with no modular power.  At odd p it is Euler's test
+    p**((q-1)/2) != 1 mod q, in one map of pow per block of the sieve.
+    Each survivor then walks the distinct odd primes of (q-1)/2**v, read
+    from a table of least prime factors of the odd m <= bound/2, and stops
+    at the first ell with p**((q-1)/ell) = 1 mod q.  A bound >
+    MAX_ARTIN_BOUND (10**7) is refused with ValueError before any work
+    starts; at the limit the artin command takes 1.1-1.4 s with start-up at
+    p = 2 and 2.3-3.3 s at p = 3 (probed 2026-10-20)."""
     if bound < 3:
         raise ValueError(f"bound must be at least 3: got {bound}")
     intmath.require_at_most("artin: bound", bound, MAX_ARTIN_BOUND)
@@ -174,24 +179,36 @@ def artin_primes(field: PrimeField, bound: int) -> list[int]:
     if p <= bound:
         flags[p] = 0
     out = [2] if flags[2] else []
+    if p == 2:  # 2 is a square mod q exactly when q = +-1 mod 8
+        for residue in (1, 7):
+            flags[residue::8] = bytes(len(range(residue, bound + 1, 8)))
+        survivors = compress(range(3, bound + 1, 2), memoryview(flags)[3::2])  # not a copy
+    else:
+        survivors = _euler_survivors(p, flags, bound)
+    for q in survivors:
+        m = q >> 1
+        m >>= (m & -m).bit_length() - 1  # the odd part of q - 1
+        while m > 1:
+            ell = least[m >> 1] or m
+            if pow(p, (q - 1) // ell, q) == 1:
+                break
+            m //= ell
+            while not m % ell:
+                m //= ell
+        else:
+            out.append(q)
+    return out
+
+
+def _euler_survivors(p: int, flags: bytearray, bound: int):
+    # the odd primes q <= bound marked in flags with p**((q-1)/2) != 1 mod q,
+    # ascending, by one map of pow per block of the sieve
     for start in range(3, bound + 1, 2 * _EULER_BLOCK):
         stop = min(start + 2 * _EULER_BLOCK, bound + 1)
         block = flags[start:stop:2]
         qs = list(compress(range(start, stop, 2), block))
         halves = compress(range(start >> 1, stop >> 1), block)  # (q - 1) / 2 for each q
-        for q in compress(qs, map(ne, map(pow, repeat(p), halves, qs), repeat(1))):
-            m = q >> 1
-            m >>= (m & -m).bit_length() - 1  # the odd part of q - 1
-            while m > 1:
-                ell = least[m >> 1] or m
-                if pow(p, (q - 1) // ell, q) == 1:
-                    break
-                m //= ell
-                while not m % ell:
-                    m //= ell
-            else:
-                out.append(q)
-    return out
+        yield from compress(qs, map(ne, map(pow, repeat(p), halves, qs), repeat(1)))
 
 
 def verify_work(p: int, q: int, nj: int) -> int:

@@ -246,6 +246,22 @@ class TestLift:
         assert len(factors) == 6
         assert factors == tuple(v for v, _ in pairs)
 
+    @pytest.mark.parametrize("p, d, q", ((2, 63, 3), (3, 20, 2)))
+    def test_cosets_of_multiples_of_q_are_skipped(self, p, d, q):
+        # a coset C of multiples of q sums to E(t**q), a constant modulo
+        # every lifted piece f(t**q), and is the one kind left out
+        field = PrimeField(p)
+        kept = list(cyclofactor._splitting_cosets(p, d, q))
+        assert sorted(i for coset in kept for i in coset) == [j for j in range(1, d) if j % q]
+        pieces = [cyclofactor._lift(f, q) for f in _cyclotomic_factors(p, d // q)]
+        for coset in cyclofactor._cosets(p, d):
+            if coset[0] % q == 0:
+                e = field.poly(int(i in coset) for i in range(d))
+                assert all(len((e % u).coeffs) <= 1 for u in pieces), coset
+
+    def test_squarefree_d_keeps_every_coset(self):
+        assert list(cyclofactor._splitting_cosets(2, 63, None)) == list(cyclofactor._cosets(2, 63))
+
 
 class TestPackedF2:
     """At p = 2, pi_n is built on the packed int and split from packed coset

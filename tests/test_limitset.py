@@ -220,6 +220,16 @@ class TestArtinPrimes:
         for bound in sorted(b for b in bounds if b >= 3):
             assert artin_primes(field, bound) == [q for q in expected if q <= bound], bound
 
+    def test_p2_matches_sympy_primitive_roots(self, F2):
+        # an oracle outside the sieve; q = +-1 mod 8 has 2 as a square, so
+        # never as a primitive root
+        sympy = pytest.importorskip("sympy")
+        result = artin_primes(F2, 10**5)
+        expected = [q for q in sympy.primerange(3, 10**5) if sympy.is_primitive_root(2, q)]
+        assert len(expected) == 3603
+        assert result == expected
+        assert not [q for q in result if q % 8 in (1, 7)]
+
     def test_validation(self, F2):
         with pytest.raises(ValueError):
             artin_primes(F2, 2)
