@@ -41,7 +41,11 @@ verify_construction(2, 3, nj) for nj = 1019 and 30011 (the latter once),
 every n <= 2000 coprime to 2 and every n <= 600 coprime to 3, "kernel"
 column only.  The split rows time pi_1023, pi_4095 and pi_8191 alone at
 p = 2 (the factors of their proper divisors cached) on the one-factor
-route and on the coset-sum split, "kernel" column only.  The series rows
+route and on the coset-sum split, "kernel" column only.  The cold split
+rows split every pi_d up to a bound from a cold cache: at the sizes of the
+random-sweep growth jobs, (p, N) = (2, 120), (3, 80) and (5, 60), then at
+p = 3 up to 400 and every odd d <= 3000 at p = 2, in the "kernel" column
+and, at odd p, the compiled one.  The series rows
 time Berlekamp-Massey
 (find_linear_recurrence) alone on prebuilt zeta series: two without a
 short recurrence and one that has one.  The zeta rows time
@@ -367,6 +371,23 @@ def bench_split_paths(repeats):
     return rows
 
 
+def bench_cold_splits(repeats):
+    # every pi_d up to a bound from a cold cache: the random-sweep growth
+    # jobs' (p, N) = (2, 120), (3, 80) and (5, 60), then (3, 400) and every
+    # odd d <= 3000 at p = 2; odd p also on the compiled kernel when built
+    rows = []
+    for p, bound in ((2, 120), (3, 80), (5, 60), (3, 400), (2, 3000)):
+        def split(p=p, bound=bound):
+            _split_all(p, bound)
+
+        timings = {"kernel": _time(split, repeats, _clear_caches)}
+        if p != 2 and "cython" in BACKENDS:
+            with _kernel_from(BACKENDS["cython"]):
+                timings["cython"] = _time(split, repeats, _clear_caches)
+        rows.append((f"cold split p={p}, every d<={bound}", "", "", timings))
+    return rows
+
+
 def bench_series(repeats):
     F2, F3 = PrimeField(2), PrimeField(3)
     explicit = SystemSpec(F2, OmegaSource.explicit([F2.poly([1, 1, 1]), F2.poly([1, 1, 0, 1])]))
@@ -537,6 +558,7 @@ def main():
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)
     rows += bench_verify(args.repeats)
     rows += bench_cyclotomic(args.repeats) + bench_split_paths(args.repeats)
+    rows += bench_cold_splits(args.repeats)
     rows += bench_series(args.repeats) + bench_zeta(args.repeats) + bench_orbits(args.repeats)
     rows += bench_system(args.repeats)
     rows += bench_limits(args.repeats)

@@ -76,6 +76,18 @@ MUTANTS = (
      "return min(lifts,", "return max(lifts,", ("test_cyclofactor.py",)),
     ("lift_coset_skip", "cyclofactor.py",
      "coset[0] % q != 0)", "coset[0] % q != 1)", ("test_cyclofactor.py",)),
+    # the coset-sum split on kernel values: packed ints at p = 2, lists at odd p
+    ("split_quotient_f2", "cyclofactor.py",
+     "parts = [h, _f2.div_rem(u, h)[0]]", "parts = [h, h]", ("test_cyclofactor.py",)),
+    ("split_quotient", "cyclofactor.py",
+     "parts = [h, _kernel.div_rem(u, h, p)[0]]", "parts = [h, h]", ("test_cyclofactor.py",)),
+    ("split_shift", "cyclofactor.py",
+     "_plus_constant(g, rng.randrange(p), p)", "_plus_constant(g, rng.randrange(p) * 0, p)",
+     ("test_cyclofactor.py",)),
+    ("split_minus_one", "cyclofactor.py",
+     "_plus_constant(w, p - 1, p)", "_plus_constant(w, 0, p)", ("test_cyclofactor.py",)),
+    ("coset_sum_digits", "cyclofactor.py",
+     "digits[-1 - i] = 49", "digits[-2 - i] = 49", ("test_cyclofactor.py",)),
     # the p = 2 route: every factor of pi_d from one, by Berlekamp-Massey
     ("bm_sequence_length", "cyclofactor.py",
      "for n in range(2 * r):", "for n in range(2 * r - 1):", ("test_cyclofactor.py",)),
@@ -111,13 +123,19 @@ MUTANTS = (
      "if 16384 * n_coprime > MAX_FACTOR_WORK:", "if 16384 * n_coprime >= MAX_FACTOR_WORK:",
      ("test_cyclofactor.py",)),
     ("p2_split_charge", "cyclofactor.py",
-     "rounds = k if p == 2 else", "rounds = k - 1 if p == 2 else", ("test_cli.py",)),
+     "(k * r if k == 2 else d)", "(k * r if k == 2 else k * r)", ("test_cyclofactor.py",)),
+    ("p2_one_coset_sum_at_k2", "cyclofactor.py",
+     "(k * r if k == 2 else d)", "(k * r if k < 2 else d)", ("test_cyclofactor.py",)),
+    ("odd_p_split_rounds", "cyclofactor.py",
+     "k.bit_length() ** 2 * (k * r) ** 2", "k.bit_length() * (k * r) ** 2", ("test_cli.py",)),
     ("route_charge", "cyclofactor.py",
      "else 2 * d * d", "else d * d", ("test_cli.py",)),
     # the lift in the charge: no split where the pieces are the factors,
     # and a descent from a small lifted piece by squarings
     ("unsplit_lift_charged", "cyclofactor.py",
-     "if m == r and p == 2:", "if m == r and p == 2 and k == 1:", ("test_cyclofactor.py",)),
+     "if m == r:", "if m == r and k == 1:", ("test_cyclofactor.py",)),
+    ("odd_p_lift_charged", "cyclofactor.py",
+     "if m == r:", "if m == r and p == 2:", ("test_cyclofactor.py",)),
     ("descent_regime", "cyclofactor.py",
      "if r * m < d else", "if r * m < 0 else", ("test_cyclofactor.py",)),
     ("verify_charged", "limitset.py",

@@ -26,6 +26,11 @@ the coefficients and the shift a come from the fixed seed of ffpoly, so
 the split is deterministic and its exponent has only log2(p) bits.  Coset
 sums are formed one at a time, and the walk stops once all phi(d)/r
 factors are found.  ffpoly.factorize stays the general factorization.
+The split holds kernel values from pi_d to its factors, as ffpoly's own
+operations do inside a Poly: packed ints passed to _kernel._f2 at p = 2,
+canonical coefficient lists passed to _kernel at odd p (so the compiled
+kernel serves them when it is built).  A Poly is made only for each
+factor returned, where the final check reads its degree.
 
 At p = 2 a pi_d with k >= _BM_MIN_FACTORS = 12 factors is split from one
 factor instead, since reducing every coset sum modulo every pending piece
@@ -64,9 +69,9 @@ import functools
 import random
 from typing import NamedTuple
 
-from . import intmath
+from . import _kernel, intmath
 from ._kernel import _f2
-from .ffpoly import _CZ_SEED, Poly, PrimeField, poly_divmod, poly_gcd, poly_powmod
+from .ffpoly import _CZ_SEED, Poly, PrimeField
 from .orders import multiplicative_order
 
 # the one work budget, checked before any pi_d is built: factor_work(p, n)
@@ -121,10 +126,15 @@ def cyclotomic_poly(field: PrimeField, n: int) -> Poly:
     intmath.require_positive("n", n)
     if n % field.p == 0:
         raise ValueError(f"cyclotomic index must be coprime to p: got n={n}, p={field.p}")
+    return _poly(field, _cyclotomic_value(field.p, n))
+
+
+def _cyclotomic_value(p: int, n: int):
+    # pi_n mod p as a kernel value, for n >= 1 coprime to p
     up, down = [n], []  # the d | n with mu(n/d) = 1 and with mu(n/d) = -1
     for q in intmath.factorint(n):
         up, down = up + [d // q for d in down], down + [d // q for d in up]
-    if field.p == 2:  # on the packed int (module docstring)
+    if p == 2:  # on the packed int (module docstring)
         x = 1
         for d in up:
             x ^= x << d
@@ -134,7 +144,7 @@ def cyclotomic_poly(field: PrimeField, n: int) -> Poly:
             while d < size:
                 x ^= (x << d) & ((1 << size) - 1)
                 d <<= 1
-        return field.from_code(x)
+        return x
     c = [1]
     for d in up:  # times t**d - 1: c[i] becomes c[i - d] - c[i]
         c[:0] = [0] * d
@@ -144,7 +154,13 @@ def cyclotomic_poly(field: PrimeField, n: int) -> Poly:
         for i in range(len(c) - d):
             c[i] = (c[i - d] if i >= d else 0) - c[i]
         del c[-d:]
-    return field.poly(c)
+    return [x % p for x in c]  # monic, so canonical mod p
+
+
+def _poly(field: PrimeField, x) -> Poly:
+    # the Poly of a kernel value: a packed int at p = 2, a canonical
+    # coefficient list at odd p
+    return field.from_code(x) if field.p == 2 else Poly(field, tuple(x), _canonical=True)
 
 
 def splitting_count(field: PrimeField, n: int) -> tuple[int, int]:
@@ -182,40 +198,57 @@ def _splitting_cosets(p: int, d: int, q: int | None):
     return (coset for coset in _cosets(p, d) if q is None or coset[0] % q != 0)
 
 
-def _frobenius_fixed(
-    field: PrimeField, d: int, q: int | None, pi: Poly, rng: random.Random | None
-):
-    # the elements g that split pi_d, lazily: e_C mod pi_d for each
-    # coset C of _splitting_cosets, then, for odd p only, seeded
-    # combinations of them
-    p = field.p
+def _frobenius_fixed(p: int, d: int, q: int | None, pi, rng: random.Random | None):
+    # the elements g that split pi_d, as kernel values, lazily: e_C mod
+    # pi_d for each coset C of _splitting_cosets, then, for odd p only,
+    # seeded combinations of them
+    if p == 2:
+        for coset in _splitting_cosets(2, d, q):
+            yield _f2.rem(_coset_sum_f2(coset), pi)
+        return
     sums = []
     for coset in _splitting_cosets(p, d, q):
-        if p == 2:
-            e = field.from_code(sum(1 << i for i in coset))
-        else:
-            coeffs = [0] * (max(coset) + 1)
-            for i in coset:
-                coeffs[i] = 1
-            e = Poly(field, tuple(coeffs), _canonical=True)
-        sums.append(e % pi)
+        e = [0] * (max(coset) + 1)
+        for i in coset:
+            e[i] = 1
+        sums.append(_kernel.rem(e, pi, p))
         yield sums[-1]
-    if p == 2:
-        return
     for _ in range(_COMBINATION_ROUNDS):
-        g = field.zero
+        g = [0] * (len(pi) - 1)
         for e in sums:
-            g = g + e * rng.randrange(p)
-        yield g
+            c = rng.randrange(p)
+            for i, x in enumerate(e):
+                g[i] += c * x
+        yield _plus_constant(g, 0, p)  # g reduced mod p
 
 
-def _coset_split(field: PrimeField, d: int, q: int | None, pi: Poly, pending: list, r: int):
+def _coset_sum_f2(coset: list) -> int:
+    # e_C as a packed int: a sum of powers of t while C is short, else one
+    # parse of its binary digits, as each 1 << i costs i bits (a coset of
+    # pi_239379 took 0.25 s as a sum, 4 ms as digits)
+    if len(coset) < 64:
+        return sum(1 << i for i in coset)
+    digits = bytearray(b"0") * (max(coset) + 1)
+    for i in coset:
+        digits[-1 - i] = 49  # the digit 1
+    return int(digits, 2)
+
+
+def _plus_constant(g: list, a: int, p: int) -> list:
+    # g + a over F_p, canonical; the coefficients of g may exceed p
+    g = [x % p for x in g or [0]]
+    g[0] = (g[0] + a) % p
+    while g and not g[-1]:
+        g.pop()
+    return g
+
+
+def _coset_split(p: int, d: int, q: int | None, pi, pending: list, r: int):
     # (factors of degree r, pieces left unsplit) of the pieces pending,
     # lifted to t**q when q is not None, by gcds with the elements of
-    # _frobenius_fixed
-    p = field.p
+    # _frobenius_fixed; pi and the pieces are kernel values
     rng = random.Random(_CZ_SEED) if p != 2 else None  # p = 2 draws nothing
-    elements = _frobenius_fixed(field, d, q, pi, rng)
+    elements = _frobenius_fixed(p, d, q, pi, rng)
     half = (p - 1) // 2
     factors = []
     while pending:
@@ -225,14 +258,22 @@ def _coset_split(field: PrimeField, d: int, q: int | None, pi: Poly, pending: li
         pieces, pending = pending, []
         for u in pieces:
             if p == 2:
-                h = poly_gcd(u, g)
+                h = _f2.gcd(u, g)
+                if 1 < h.bit_length() < u.bit_length():
+                    parts = [h, _f2.div_rem(u, h)[0]]  # h is a gcd with u, so it divides u
+                else:
+                    parts = [u]
+                for v in parts:
+                    (factors if v.bit_length() == r + 1 else pending).append(v)
             else:
-                h = poly_gcd(u, poly_powmod(g + rng.randrange(p), half, u) - 1)
-            parts = [u]
-            if 0 < h.degree < u.degree:
-                parts = [h, poly_divmod(u, h)[0]]  # h is a gcd with u, so it divides u
-            for v in parts:
-                (factors if v.degree == r else pending).append(v)
+                w = _kernel.pow_mod(_plus_constant(g, rng.randrange(p), p), half, u, p)
+                h = _kernel.gcd(u, _plus_constant(w, p - 1, p), p)
+                if 1 < len(h) < len(u):
+                    parts = [h, _kernel.div_rem(u, h, p)[0]]
+                else:
+                    parts = [u]
+                for v in parts:
+                    (factors if len(v) == r + 1 else pending).append(v)
     return factors, pending
 
 
@@ -249,7 +290,7 @@ def _one_factor_f2(d: int, q: int | None, u: int, r: int) -> int:
                 g ^= x
                 x = _f2.rem(_f2.square(x), u)
         else:
-            g = _f2.rem(sum(1 << i for i in coset), u)
+            g = _f2.rem(_coset_sum_f2(coset), u)
         h = _f2.gcd(u, g)
         if 0 < (k := h.bit_length() - 1) < m:
             u = h if 2 * k <= m else _f2.div_rem(u, h)[0]
@@ -301,13 +342,13 @@ def _reverse_f2(x: int) -> int:
     return int(format(x, "b")[::-1], 2)
 
 
-def _lift(f: Poly, q: int) -> Poly:
-    # f(t**q)
-    if f.field.p == 2:  # q - 1 zeros after every binary digit
-        return f.field.from_code(int(("0" * (q - 1)).join(format(f.bits, "b")), 2))
-    coeffs = [0] * (q * f.degree + 1)
-    coeffs[::q] = f.coeffs
-    return Poly(f.field, tuple(coeffs), _canonical=True)
+def _lift(p: int, x, q: int):
+    # x(t**q) for a kernel value x
+    if p == 2:  # q - 1 zeros after every binary digit
+        return int(("0" * (q - 1)).join(format(x, "b")), 2)
+    c = [0] * (q * (len(x) - 1) + 1)
+    c[::q] = x
+    return c
 
 
 def _split_start(p: int, d: int, r: int) -> tuple[int, int | None]:
@@ -328,17 +369,19 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
     count, r = splitting_count(field, d)
     m, q = _split_start(p, d, r)
     if q:  # pi_d(t) = pi_{d/q}(t**q) (module docstring)
-        pieces = [_lift(f, q) for f in _cyclotomic_factors(p, d // q)]
+        small = _cyclotomic_factors(p, d // q)
+        pieces = [_lift(p, f.bits if p == 2 else list(f.coeffs), q) for f in small]
     else:
-        pieces = [cyclotomic_poly(field, d)]
+        pieces = [_cyclotomic_value(p, d)]
     factors, pending = (pieces, []) if m == r else ([], pieces)
     if pending and p == 2 and count >= _BM_MIN_FACTORS:  # every factor from one
-        f = _one_factor_f2(d, q, pending[0].bits, r)
+        f = _one_factor_f2(d, q, pending[0], r)
         if f.bit_length() == r + 1:
-            factors, pending = [field.from_code(c) for c in _berlekamp_massey_f2(d, f, r)], []
+            factors, pending = _berlekamp_massey_f2(d, f, r), []
     elif pending:
-        pi = cyclotomic_poly(field, d) if q else pieces[0]
-        factors, pending = _coset_split(field, d, q, pi, pending, r)
+        pi = _cyclotomic_value(p, d) if q else pieces[0]
+        factors, pending = _coset_split(p, d, q, pi, pending, r)
+    factors = [_poly(field, x) for x in factors]
     if pending or len(factors) != count or not all(
         v.is_monic and v.degree == r for v in factors
     ):
@@ -352,12 +395,16 @@ def factor_work(p: int, n: int) -> int:
     """The cost of factoring t**n - 1 mod p in the units of MAX_FACTOR_WORK.
 
     Each d | n' (n' the p-coprime part of n) costs 16384 * d to form pi_d
-    and write out its factors, and at p = 2 no more when the pieces it is
-    split from are its factors (_split_start).  At odd p that split is still
-    charged: without it t**2956 - 1 at p = 2**31 - 1 is admitted (4.9 s).
+    and write out its factors, and no more when the pieces it is split from
+    are its factors (_split_start).
     When pi_d splits into k > 1 factors, each gcd at degree up to phi(d)
     costs phi(d)**2.  At p = 2 a coset sum may split off a single factor,
-    so the coset-sum split costs k * phi(d)**2.  The one-factor route
+    so the split reduces up to k coset sums of d bits modulo pi_d, each
+    (d - phi(d)) * phi(d), and takes a gcd with each: k * phi(d) * d (as
+    k * phi(d)**2 it admitted t**239379 - 1, 239379 = 3 * 7 * 11399, k = 4,
+    at 0.73 of the budget: 3.5-7 s).  At k = 2 the first coset sum splits
+    a squarefree d (its values at the two factors add up to mu(d) = 1):
+    2 * phi(d)**2.  The one-factor route
     (k >= _BM_MIN_FACTORS) descends from a piece of degree m to a factor
     by d-bit coset sums reduced modulo the current piece and gcds with it,
     measured at 0.7-3.3 * d**2 (median 2.0) from pi_d and 0.08-2.9 * d**2
@@ -370,10 +417,12 @@ def factor_work(p: int, n: int) -> int:
     16384 * d plus 10-23 * k * r**2 for r > 4000, and plus at most
     52000 * k * r at smaller r, and charged 16384 * d + 12 * k * r *
     (r + 1024), which admits pi_200689 (k = 12, r = 16724; 2.5-3.2 s).
-    At odd p a seeded draw halves every piece, so it costs about log2(k)
-    rounds, each a modular power and a gcd whose cost grows with
-    bit_length(p)**2:
-    64 * bit_length(p)**2 * k.bit_length() * phi(d)**2."""
+    At odd p each coset sum, then each seeded draw, takes a modular power
+    and a gcd with every pending piece, at a cost that grows with
+    bit_length(p)**2 and, measured, with k.bit_length()**2: 0.2-0.8 ns per
+    bit_length(p)**2 * k.bit_length()**2 * phi(d)**2 at p = 3 to 13, up to
+    1.6 ns at p = 2**31 - 1, k = 2; charged 64 times that (1.3 ns).  With
+    k.bit_length() it admitted t**1478 - 1 at p = 2**31 - 1 (5.5-8 s)."""
     n_coprime, _ = intmath.coprime_part(n, p)
     if 16384 * n_coprime > MAX_FACTOR_WORK:  # d = n' alone: not worth factoring n'
         return 16384 * n_coprime
@@ -382,14 +431,15 @@ def factor_work(p: int, n: int) -> int:
         work += 16384 * d
         k, r = splitting_count(field, d)
         m = _split_start(p, d, r)[0]
-        if m == r and p == 2:
+        if m == r:
             continue
         if p == 2 and k >= _BM_MIN_FACTORS:
             descent = 8 * r * m * m if r * m < d else 2 * d * d
             work += descent + 16384 * d + 12 * k * r * (r + 1024)
+        elif p == 2 and k > 1:  # k = 2: one coset sum, else up to k of d bits
+            work += k * k * r * (k * r if k == 2 else d)
         elif k > 1:
-            rounds = k if p == 2 else 64 * p.bit_length() ** 2 * k.bit_length()
-            work += rounds * (k * r) ** 2
+            work += 64 * p.bit_length() ** 2 * k.bit_length() ** 2 * (k * r) ** 2
     return work
 
 

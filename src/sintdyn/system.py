@@ -132,6 +132,12 @@ class OmegaSource:
 
     def mark(self, v: Poly) -> int:
         _check_markable(v)
+        return self._mark(v)
+
+    def _mark(self, v: Poly) -> int:
+        # mark without the check, for the factors of pi_d, which are monic
+        # of degree >= 1 by the split's final check and never t (t does not
+        # divide pi_d)
         if self.mode == "all_one":
             return 1
         if self.mode == "random":
@@ -190,7 +196,7 @@ def random_system(field: PrimeField, rho, seed: int) -> SystemSpec:
 
 def _random_marked_degree(omega: OmegaSource, p: int, d: int) -> int:
     # D(d): the degree of the factors of pi_d that random marks mark
-    return sum(v.degree for v in _cyclotomic_factors(p, d) if omega.mark(v))
+    return sum(v.degree for v in _cyclotomic_factors(p, d) if omega._mark(v))
 
 
 def _marked_degree(spec: SystemSpec, n_coprime: int) -> int:

@@ -780,11 +780,12 @@ class TestWorkBoundsRefusedUpFront:
             (("verify", "--p", "2", "--q", "3", "--nj", "36061"),
              "error: verify: verify_work(p, q, nj) must be at most 137438953472: "
              "got 137603937248\n"),
-            # ran for 21.8 s before the limit: 2.24 times the budget
+            # ran for 21.8 s before the limit: 6.71 times the budget (2.24
+            # while the odd-p split was charged bit_length(k), not its square)
             (("count", "--p", "3", "--system", "random", "--rho", "1/2", "--seed", "1",
               "--n", "20011"),
              "error: count: factor_work(p, n) must be at most 137438953472: "
-             "got 307835153408\n"),
+             "got 922849707008\n"),
             # pi_(2**31 - 1) alone would not fit in memory
             (("count", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "1",
               "--n", "2147483647"),
@@ -804,6 +805,18 @@ class TestWorkBoundsRefusedUpFront:
             (("limits", "--p", "3", "--system", "random", "--rho", "1/2", "--seed", "1",
               "--max-n", "2147483647"),
              "error: limits: max_n must be at most 3000000: got 2147483647\n"),
+            # pi_739 and pi_1478 (k = 2, r = 369): admitted at 0.975 of the
+            # budget, and 5.5-8 s, while the odd-p split was charged
+            # bit_length(k) rounds instead of its square
+            (("factor", "--p", "2147483647", "--n", "1478"),
+             "error: factor: factor_work(p, n) must be at most 137438953472: "
+             "got 268018649088\n"),
+            # pi_239379 (3 * 7 * 11399, k = 4): admitted at 0.73 of the
+            # budget, and 3.5-7 s, while its coset sums of d bits were
+            # charged as gcds at degree phi(d)
+            (("factor", "--p", "2", "--n", "239379"),
+             "error: factor: factor_work(p, n) must be at most 137438953472: "
+             "got 160068770752\n"),
         ),
     )
     def test_refused_at_limit_plus_one(self, capsys, monkeypatch, argv, message):
@@ -869,7 +882,7 @@ class TestWorkBoundsRefusedUpFront:
         # factor --p 2 --n 1023 (a benchmark job) is admitted at exactly its
         # own work and refused one unit below it
         argv = ("factor", "--p", "2", "--n", "1023", "--format", "csv")
-        work = 61034220
+        work = 61046280
         monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work)
         status, out, err = run_cli(capsys, *argv)
         assert (status, err) == (0, "")
@@ -912,7 +925,7 @@ class TestWorkBoundsRefusedUpFront:
         # at exactly its own work and refused one unit below it
         argv = ("count", "--p", "2", "--system", "random", "--rho", "1/2", "--seed", "1",
                 "--n", "4095")
-        work = 322460304
+        work = 322584024
         monkeypatch.setattr("sintdyn.cyclofactor.MAX_FACTOR_WORK", work)
         status, out, err = run_cli(capsys, *argv)
         assert (status, err) == (0, "")

@@ -3,13 +3,14 @@ import hashlib
 import pytest
 
 from sintdyn import cyclofactor, intmath
+from sintdyn._kernel import _f2, _fp
 from sintdyn.cyclofactor import (
     _cyclotomic_factors,
     cyclotomic_poly,
     factor_tn_minus_1,
     splitting_count,
 )
-from sintdyn.ffpoly import PrimeField, factorize, is_irreducible, poly_divmod, poly_gcd
+from sintdyn.ffpoly import PrimeField, factorize, is_irreducible, poly_divmod
 from sintdyn.orders import multiplicative_order
 
 from oracles import cyclotomic_by_division, factorization_product
@@ -178,6 +179,13 @@ class TestCyclotomicSplit:
         with pytest.raises(ArithmeticError, match="pi_21 mod 2 did not split into 2 "):
             _cyclotomic_factors(2, 21)
 
+    def test_shift_splits_where_coset_sums_cannot(self, F5, monkeypatch, cold_split_cache):
+        # pi_4 mod 5 = (t - 2)(t - 3): each of its coset sums t, t^2 and t^3
+        # has g^2 - 1 zero at both roots or at neither, so only the seeded
+        # shift a of (g + a)^2 - 1 splits it without the combinations
+        monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
+        assert _cyclotomic_factors(5, 4) == (F5.from_string("t+2"), F5.from_string("t+3"))
+
     def test_coset_sums_alone_can_run_out(self, monkeypatch, cold_split_cache):
         # at the fixed seed the shifted powers of the coset sums t and t^2
         # leave pi_3 = t^2 + t + 1 mod 7 whole; the combinations would split it
@@ -192,13 +200,16 @@ class TestLift:
 
     @staticmethod
     def _gcd_args(monkeypatch):
+        # the first operand of every gcd over F_2, as a packed int: the
+        # split takes its gcds on _f2 directly
         calls = []
+        gcd = _f2.gcd
 
         def counted(a, b):
             calls.append(a)
-            return poly_gcd(a, b)
+            return gcd(a, b)
 
-        monkeypatch.setattr(cyclofactor, "poly_gcd", counted)
+        monkeypatch.setattr(_f2, "gcd", counted)
         return calls
 
     @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -240,8 +251,8 @@ class TestLift:
         factors = _cyclotomic_factors(2, 63)
         lifted = [F2.poly([c for a in v.coeffs for c in (a, 0, 0)]) for v in small]
         assert len(lifted) == 2 and all(u.degree == 18 for u in lifted)
-        assert calls[:2] == lifted
-        assert cyclotomic_poly(F2, 63) not in calls
+        assert calls[:2] == [u.bits for u in lifted]
+        assert cyclotomic_poly(F2, 63).bits not in calls
         pairs = factorize(cyclotomic_poly(F2, 63))
         assert len(factors) == 6
         assert factors == tuple(v for v, _ in pairs)
@@ -253,7 +264,8 @@ class TestLift:
         field = PrimeField(p)
         kept = list(cyclofactor._splitting_cosets(p, d, q))
         assert sorted(i for coset in kept for i in coset) == [j for j in range(1, d) if j % q]
-        pieces = [cyclofactor._lift(f, q) for f in _cyclotomic_factors(p, d // q)]
+        pieces = [field.poly(c for a in f.coeffs for c in [a] + [0] * (q - 1))
+                  for f in _cyclotomic_factors(p, d // q)]
         for coset in cyclofactor._cosets(p, d):
             if coset[0] % q == 0:
                 e = field.poly(int(i in coset) for i in range(d))
@@ -261,6 +273,29 @@ class TestLift:
 
     def test_squarefree_d_keeps_every_coset(self):
         assert list(cyclofactor._splitting_cosets(2, 63, None)) == list(cyclofactor._cosets(2, 63))
+
+
+class TestOddPFactorLists:
+    """At odd p the split runs on the coefficient lists of the kernel: the
+    factor lists are pinned to the output of the split on Poly values, on
+    both kernels that serve the library."""
+
+    @pytest.mark.parametrize("backend", ("packed", "cython"))
+    def test_factor_lists_pinned(self, kernel_modules, monkeypatch, cold_split_cache, backend):
+        # one line "p:d:code code ..." per d coprime to p, codes in hex
+        module = _fp if backend == "packed" else kernel_modules.get("cython")
+        if module is None:
+            pytest.skip("compiled backend not built")
+        monkeypatch.setattr(cyclofactor, "_kernel", module)
+        digest = hashlib.sha256()
+        for p, bound in ((3, 400), (5, 300), (7, 250), (MERSENNE_31, 60)):
+            for d in range(1, bound + 1):
+                if d % p:
+                    codes = " ".join(format(v.code, "x") for v in _cyclotomic_factors(p, d))
+                    digest.update(f"{p}:{d}:{codes}\n".encode())
+        assert digest.hexdigest() == (
+            "d40aa51bde7605e9c65b4353b40f82edc918747a0c13724d3b7b296d03e3e76e"
+        )
 
 
 class TestPackedF2:
@@ -451,10 +486,10 @@ class TestFactorWork:
         # at p = 2 a lift whose pieces are the factors is charged no split:
         # in 441, pi_49, pi_147 and pi_441 (k = 2, 2, 6) lift from pi_7,
         # pi_21 and pi_63 with the degree jump; pi_63 (k = 6) starts from
-        # pieces of 3 factors and is charged the coset-sum split k * phi**2
+        # pieces of 3 factors and is charged the coset-sum split k * phi * d
         assert cyclofactor.factor_work(2, 441) == (
             16384 * (1 + 3 + 7 + 9 + 21 + 49 + 63 + 147 + 441)
-            + 2 * 6**2 + 2 * 12**2 + 6 * 36**2
+            + 2 * 6**2 + 2 * 12**2 + 6 * 36 * 63
         )
         # 585 = 3**2 * 5 * 13 adds 9, 45, 117 and 585 to the divisors of
         # 195; pi_45 lifts with the jump, pi_117 (k = 6) starts from pieces
@@ -462,37 +497,42 @@ class TestFactorWork:
         # from a piece of degree m = 36, where r * m = 432 < 585: its coset
         # sums are taken by r squarings, 8 * r * m**2 in place of 2 * d**2
         assert cyclofactor.factor_work(2, 585) - cyclofactor.factor_work(2, 195) == (
-            16384 * (9 + 45 + 117 + 585) + 6 * 72**2
+            16384 * (9 + 45 + 117 + 585) + 6 * 72 * 117
             + 8 * 12 * 36**2 + 16384 * 585 + 12 * 24 * 12 * (12 + 1024)
         )
         # pi_315 (k = 12, r = 12) starts from m = 36, r * m = 432 >= 315:
         # charged 2 * d**2, as from pi_d
         assert cyclofactor.factor_work(2, 315) - cyclofactor.factor_work(2, 105) == (
-            16384 * (9 + 45 + 63 + 315) + 6 * 36**2
+            16384 * (9 + 45 + 63 + 315) + 6 * 36 * 63
             + 2 * 315**2 + 16384 * 315 + 12 * 12 * 12 * (12 + 1024)
         )
 
-    def test_odd_p_keeps_the_lift_charge(self):
-        # at odd p a lift whose pieces are the factors is still charged its
-        # split: without that charge factor --p 2147483647 --n 2956 would be
-        # admitted, and it runs 4.9 s (its unlifted pi_739 and pi_1478 are
-        # charged below their cost at that p)
+    def test_lift_is_not_charged_at_odd_p(self):
+        # a lift whose pieces are the factors takes no gcd at odd p either:
+        # pi_4 and pi_2956 at p = 2**31 - 1 lift with m = r and are charged
+        # 16384 * d alone.  t^2956 - 1 (4.9 s) stays refused by the charge
+        # of its unlifted pi_739 and pi_1478 (k = 2, r = 369)
         P = 2**31 - 1
         assert cyclofactor._split_start(P, 2956, 738) == (738, 2)
+        assert cyclofactor.factor_work(P, 2956) - cyclofactor.factor_work(P, 1478) == (
+            16384 * (4 + 2956)
+        )
         assert cyclofactor.factor_work(P, 2956) > cyclofactor.MAX_FACTOR_WORK
 
     def test_terms(self):
         # 2**20 * 3 has p-coprime part 3 at p = 2: pi_1 and pi_3 (irreducible)
         assert cyclofactor.factor_work(2, 3 << 20) == 16384 * (1 + 3)
-        # pi_7 mod 2 splits into k = 2 cubics, phi = 6: k * phi**2
+        # pi_7 mod 2 splits into k = 2 cubics, phi = 6: k * phi**2, as its
+        # first coset sum splits it
         assert cyclofactor.factor_work(2, 7) == 16384 * 8 + 2 * 6**2
-        # pi_13 mod 3 splits into k = 4 cubics: 64 * 2**2 * (4).bit_length() * phi**2
-        assert cyclofactor.factor_work(3, 13) == 16384 * 14 + 64 * 4 * 3 * 12**2
-        # d | 273 splits pi_d into k = 1, 1, 2, 1, 2, 2, 6 and 12 factors; pi_273,
-        # of degree phi = 144, takes the route with r = 12: 2 * d**2 + 16384 * d
-        # + 12 * k * r * (r + 1024) in place of k * phi**2
+        # pi_13 mod 3 splits into k = 4 cubics: 64 * 2**2 * (4).bit_length()**2 * phi**2
+        assert cyclofactor.factor_work(3, 13) == 16384 * 14 + 64 * 4 * 3**2 * 12**2
+        # d | 273 splits pi_d into k = 1, 1, 2, 1, 2, 2, 6 and 12 factors;
+        # pi_91 (k = 6 > 2, phi = 72) is charged k d-bit coset sums, k * phi * d;
+        # pi_273, of degree phi = 144, takes the route with r = 12: 2 * d**2 +
+        # 16384 * d + 12 * k * r * (r + 1024) in place of k * phi * d
         assert cyclofactor.factor_work(2, 273) == (
             16384 * (1 + 3 + 7 + 13 + 21 + 39 + 91 + 273)
-            + 2 * 6**2 + 2 * 12**2 + 2 * 24**2 + 6 * 72**2
+            + 2 * 6**2 + 2 * 12**2 + 2 * 24**2 + 6 * 72 * 91
             + 2 * 273**2 + 16384 * 273 + 12 * 12 * 12 * (12 + 1024)
         )

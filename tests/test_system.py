@@ -413,14 +413,15 @@ class TestPeriodicExponents:
     @pytest.mark.parametrize("p, max_n", ((2, 120), (3, 80), (5, 60)))
     def test_random_growth_marks_each_factor_once(self, monkeypatch, p, max_n):
         spec = random_system(PrimeField(p), Fraction(1, 3), 8)
+        # the table marks through _mark, which skips the checks of mark
         calls = []
-        mark = OmegaSource.mark
+        mark = OmegaSource._mark
 
         def counted(source, v):
             calls.append(v)
             return mark(source, v)
 
-        monkeypatch.setattr(OmegaSource, "mark", counted)
+        monkeypatch.setattr(OmegaSource, "_mark", counted)
         growth_sequence(spec, max_n)
         expected = sum(len(_cyclotomic_factors(p, d)) for d in range(1, max_n + 1) if d % p)
         assert len(calls) == expected
