@@ -264,8 +264,8 @@ class TestOtherCommands:
 
 
 class TestPinnedDocuments:
-    """sha256 of stdout: places, artin, count, growth, zeta, limits and
-    verify documents stay byte-identical."""
+    """sha256 of stdout: places, artin, count, growth, zeta, limits, verify
+    and factor documents stay byte-identical."""
 
     @pytest.mark.parametrize(
         "argv, fmt, digest",
@@ -368,6 +368,25 @@ class TestPinnedDocuments:
              "54be8bfa74a7f9dbe0fdf299c6ab0435c58bd7e3b0133980d71887e3d6422cf0"),
             (("verify", "--p", "2", "--q", "3", "--nj", "101"), "text",
              "5526a2997f0a349c62f061bf235a08e626e8f76f5938a4125bceac4de90afd9d"),
+            # factor at odd p (lists through the kernel) and at p = 2 (packed ints)
+            (("factor", "--p", "3", "--n", "80"), "json",
+             "b84507d76aed290f1dd425f0a497ab37d1c633034f5354035b9015f1da224e30"),
+            (("factor", "--p", "3", "--n", "80"), "csv",
+             "1fd9a0db63e3cd3e3f907102c46d6cc32f493ce8cc7329550ae1205b6a72274a"),
+            (("factor", "--p", "3", "--n", "80"), "text",
+             "2237fa4c9b59f59a6845c21742e85ba171b2860d240140d3c78a436d3b82499d"),
+            (("factor", "--p", "5", "--n", "48"), "json",
+             "9eb3442692c087d2bf3f6d670a56c9e67c02564d8efa471f3029c66f1bcef3a9"),
+            (("factor", "--p", "5", "--n", "48"), "csv",
+             "d31f4c16ceb2656d7e072b8058e8ca12d1ce0f1f9f6469e26d0d0a07760eaf73"),
+            (("factor", "--p", "5", "--n", "48"), "text",
+             "00dd97971d2a0f6be2855a4bf059ba35987e0d657e8dce38a0bd9d8cfba37b35"),
+            (("factor", "--p", "2", "--n", "1023"), "json",
+             "328d141194bc3b36cbf202bfdca4d14f3cbd8b38332d1f31023635d0ddde47e4"),
+            (("factor", "--p", "2", "--n", "1023"), "csv",
+             "2df9ffe5ad2d5e0154e4b64a62f99afdf15874d638107a5e871e33435a98eec7"),
+            (("factor", "--p", "2", "--n", "1023"), "text",
+             "64daa64cc0fe6346f4241728c21950017e1e5d504d62afab12b58672c54a1f7d"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, fmt, digest):

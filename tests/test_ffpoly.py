@@ -251,6 +251,123 @@ class TestPowmod:
             assert poly_powmod(field.t, p**v.degree, v) == field.t % v
 
 
+def _strip(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _list_add(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _strip([(x + y) % p for x, y in zip(a, b)])
+
+
+def _list_mul(a, b, p):
+    c = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] = (c[i + j] + x * y) % p
+    return _strip(c)
+
+
+def _list_divmod(a, b, p):
+    r, inv = list(a), pow(b[-1], -1, p)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c, shift = r[-1] * inv % p, len(r) - len(b)
+        q[shift] = c
+        for i, y in enumerate(b):
+            r[i + shift] = (r[i + shift] - c * y) % p
+        _strip(r)
+    return _strip(q), r
+
+
+def _list_monic(a, p):
+    return [x * pow(a[-1], -1, p) % p for x in a] if a else []
+
+
+def _list_gcd(a, b, p):
+    while b:
+        a, b = b, _list_divmod(a, b, p)[1]
+    return _list_monic(a, p)
+
+
+def _list_powmod(a, e, m, p):
+    result, base = _list_divmod([1], m, p)[1], _list_divmod(a, m, p)[1]
+    for _ in range(e):
+        result = _list_divmod(_list_mul(result, base, p), m, p)[1]
+    return result
+
+
+class TestOddPOracle:
+    """Every Poly operation at odd p against integer-list arithmetic mod p
+    written here, including the results whose trailing zeros must be
+    stripped: f + (-f), a cancelled leading term, the derivative of a
+    polynomial in t^p, and zero made monic."""
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 2**31 - 1))
+    def test_operations_match_list_arithmetic(self, p):
+        field = PrimeField(p)
+        rng = random.Random(300 + p)
+        neg = lambda a: [-x % p for x in a]
+        for _ in range(120):
+            a = _random_poly(field, rng, 9)
+            b = _random_poly(field, rng, 6, nonzero=True)
+            m = field.poly([rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [1])
+            la, lb, lm = list(a.coeffs), list(b.coeffs), list(m.coeffs)
+            assert list((a + b).coeffs) == _list_add(la, lb, p)
+            assert list((a - b).coeffs) == _list_add(la, neg(lb), p)
+            assert list((-a).coeffs) == neg(la)
+            assert list(a.monic().coeffs) == _list_monic(la, p)
+            assert list(a.derivative().coeffs) == _strip([i * x % p for i, x in enumerate(la)][1:])
+            assert list((a * b).coeffs) == _list_mul(la, lb, p)
+            q, r = _list_divmod(la, lb, p)
+            assert list((a % b).coeffs) == r
+            assert [list(x.coeffs) for x in divmod(a, b)] == [q, r]
+            assert list(poly_gcd(a, b).coeffs) == _list_gcd(la, lb, p)
+            e = rng.randrange(12)
+            assert list(poly_powmod(a, e, m).coeffs) == _list_powmod(la, e, lm, p)
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 2**31 - 1))
+    def test_results_that_strip(self, p):
+        field = PrimeField(p)
+        f = field.poly([1, 2, 0, p - 1])
+        assert (f + (-f)).coeffs == () and (f - f).coeffs == ()
+        g = field.poly([2, 0, 1, 1])  # the leading terms of f + g cancel
+        assert (f + g).coeffs == (3 % p, 2, 1) and (f + (-f + 1)).coeffs == (1,)
+        assert field.zero.monic().coeffs == ()
+        if p < 10:  # h(t) = 1 + 2 t^p + t^(2p) has h' = 0
+            h = field.poly([1] + [0] * (p - 1) + [2] + [0] * (p - 1) + [1])
+            assert h.derivative().coeffs == () and h.derivative().is_zero
+            assert (h + field.t).derivative().coeffs == (1,)
+
+
+class TestKernelLookup:
+    """Poly operations look the kernel entry points up at call time, in
+    sintdyn._kernel at odd p and in sintdyn._kernel._f2 at p = 2, so a name
+    rebound after import (as clibench/tracer.py does) sees every call."""
+
+    @pytest.mark.parametrize("p, module", ((3, _kernel), (2, _kernel._f2)))
+    def test_rebound_names_are_reached(self, monkeypatch, p, module):
+        calls = {}
+        for op in ("mul", "rem", "div_rem", "gcd", "pow_mod"):
+            def counted(*args, op=op, original=getattr(module, op)):
+                calls[op] = calls.get(op, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(module, op, counted)
+        field = PrimeField(p)
+        f, g = field.from_string("t^4+t+1"), field.from_string("t^2+1")
+        for op, run in (
+            ("mul", lambda: f * g), ("rem", lambda: f % g), ("div_rem", lambda: divmod(f, g)),
+            ("gcd", lambda: poly_gcd(f, g)), ("pow_mod", lambda: poly_powmod(f, 5, g)),
+        ):
+            before = calls.get(op, 0)
+            run()
+            assert calls.get(op, 0) > before, op
+
+
 class TestIrreducible:
     def test_spec_examples(self, F2):
         assert is_irreducible(F2.from_string("t^2+t+1"))
