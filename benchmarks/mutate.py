@@ -67,6 +67,23 @@ MUTANTS = (
      "for k in sorted(m // ell for ell in intmath.factorint(m))[1:]:", ("test_ffpoly.py",)),
     ("chain_end", "ffpoly.py",
      "return poly_powmod(h, p ** (m - k_prev), g) == t", "return True", ("test_ffpoly.py",)),
+    # the one conversion between Poly and kernel values, and the one
+    # reduction and strip of Poly.__init__ that the odd-p builders share
+    ("poly_init_strip", "ffpoly.py",
+     "while c and not c[-1]:", "while False:", ("test_ffpoly.py",)),
+    ("run_wrong_p", "ffpoly.py",
+     "return getattr(_kernel, op)(*values, self.p)", "return getattr(_kernel, op)(*values, 3)",
+     ("test_ffpoly.py",)),
+    ("add_truncates", "ffpoly.py",
+     "zip_longest(a.coeffs, b.coeffs, fillvalue=0)", "zip(a.coeffs, b.coeffs)",
+     ("test_ffpoly.py",)),
+    ("neg_unsigned", "ffpoly.py",
+     "[-c for c in self.coeffs]", "[c for c in self.coeffs]", ("test_ffpoly.py",)),
+    ("derivative_unscaled", "ffpoly.py",
+     "[i * c for i, c in enumerate(self.coeffs)][1:]", "[c for i, c in enumerate(self.coeffs)][1:]",
+     ("test_ffpoly.py",)),
+    ("f2_wrap_shifted", "ffpoly.py",
+     "return _F2Poly(self, value)", "return _F2Poly(self, value >> 1)", ("test_ffpoly.py",)),
     # the lift of pi_{d/q} to pi_d
     ("lift_condition", "cyclofactor.py",
      "if d % (q * q) == 0]", "if d % q == 0]", ("test_cyclofactor.py",)),

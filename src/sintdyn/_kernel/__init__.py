@@ -2,7 +2,7 @@
 ``ffpoly`` looks up here at call time for odd p: the compiled extension
 ``_cypoly`` when it was built, otherwise ``_fp``, which packs the operands
 into ints itself.  ``mul_mod`` is ``rem`` after ``mul``.  A polynomial over
-F_2 is held packed, and ``ffpoly`` runs it on ``_f2`` directly.  Both
+F_2 is held packed, and ``ffpoly`` runs it on ``_f2`` instead.  Both
 backends and ``_f2`` mirror the list kernel ``tests/_pypoly.py``, the tests'
 oracle.
 """

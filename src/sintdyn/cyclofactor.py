@@ -29,8 +29,9 @@ factors are found.  ffpoly.factorize stays the general factorization.
 The split holds kernel values from pi_d to its factors, as ffpoly's own
 operations do inside a Poly: packed ints passed to _kernel._f2 at p = 2,
 canonical coefficient lists passed to _kernel at odd p (so the compiled
-kernel serves them when it is built).  A Poly is made only for each
-factor returned, where the final check reads its degree.
+kernel serves them when it is built).  A lifted factor is read as a
+kernel value by Poly._value, and a Poly is made by PrimeField._wrap only
+for each factor returned, where the final check reads its degree.
 
 At p = 2 a pi_d with k >= _BM_MIN_FACTORS = 12 factors is split from one
 factor instead, since reducing every coset sum modulo every pending piece
@@ -126,7 +127,7 @@ def cyclotomic_poly(field: PrimeField, n: int) -> Poly:
     intmath.require_positive("n", n)
     if n % field.p == 0:
         raise ValueError(f"cyclotomic index must be coprime to p: got n={n}, p={field.p}")
-    return _poly(field, _cyclotomic_value(field.p, n))
+    return field._wrap(_cyclotomic_value(field.p, n))
 
 
 def _cyclotomic_value(p: int, n: int):
@@ -155,12 +156,6 @@ def _cyclotomic_value(p: int, n: int):
             c[i] = (c[i - d] if i >= d else 0) - c[i]
         del c[-d:]
     return [x % p for x in c]  # monic, so canonical mod p
-
-
-def _poly(field: PrimeField, x) -> Poly:
-    # the Poly of a kernel value: a packed int at p = 2, a canonical
-    # coefficient list at odd p
-    return field.from_code(x) if field.p == 2 else Poly(field, tuple(x), _canonical=True)
 
 
 def splitting_count(field: PrimeField, n: int) -> tuple[int, int]:
@@ -370,7 +365,7 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
     m, q = _split_start(p, d, r)
     if q:  # pi_d(t) = pi_{d/q}(t**q) (module docstring)
         small = _cyclotomic_factors(p, d // q)
-        pieces = [_lift(p, f.bits if p == 2 else list(f.coeffs), q) for f in small]
+        pieces = [_lift(p, f._value, q) for f in small]
     else:
         pieces = [_cyclotomic_value(p, d)]
     factors, pending = (pieces, []) if m == r else ([], pieces)
@@ -381,7 +376,7 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
     elif pending:
         pi = _cyclotomic_value(p, d) if q else pieces[0]
         factors, pending = _coset_split(p, d, q, pi, pending, r)
-    factors = [_poly(field, x) for x in factors]
+    factors = [field._wrap(x) for x in factors]
     if pending or len(factors) != count or not all(
         v.is_monic and v.degree == r for v in factors
     ):
@@ -436,9 +431,9 @@ def factor_work(p: int, n: int) -> int:
         if p == 2 and k >= _BM_MIN_FACTORS:
             descent = 8 * r * m * m if r * m < d else 2 * d * d
             work += descent + 16384 * d + 12 * k * r * (r + 1024)
-        elif p == 2 and k > 1:  # k = 2: one coset sum, else up to k of d bits
+        elif p == 2:  # k = 2: one coset sum, else up to k of d bits
             work += k * k * r * (k * r if k == 2 else d)
-        elif k > 1:
+        else:
             work += 64 * p.bit_length() ** 2 * k.bit_length() ** 2 * (k * r) ** 2
     return work
 

@@ -2,13 +2,16 @@
 
 A Poly is an immutable canonical coefficient vector (lowest degree first,
 residues in [0, p), no trailing zeros; the zero polynomial has an empty
-vector and no defined degree).  At odd p dense arithmetic is delegated to
-``_kernel``: coefficient lists in the compiled extension when that is
-built, otherwise ints packed per call.  PrimeField(2) is an _F2Field, whose
-factories make _F2Poly values: the int whose bit i is the coefficient of
-t**i, kept from input to output and run on ``_f2`` directly, with coeffs
-unpacked only when it is read (documents, str).  Everything else (gcd
-structure, irreducibility, full factorization) lives here.
+vector and no defined degree).  Dense arithmetic runs on kernel values,
+converted here alone: Poly._value is the kernel value of a Poly,
+PrimeField._run(op, ...) runs a kernel op (looked up at call time) on
+kernel values, and PrimeField._wrap makes the Poly of one.  At odd p a
+kernel value is a canonical coefficient list for ``_kernel``: the compiled
+extension when that is built, otherwise ints packed per call.  PrimeField(2)
+is an _F2Field, whose values are _F2Poly: the int whose bit i is the
+coefficient of t**i, run on ``_f2``, with coeffs unpacked only when it is
+read (documents, str).  Everything else (gcd structure, irreducibility,
+full factorization) lives here.
 
 Factorization uses squarefree/distinct-degree splitting followed by
 Cantor-Zassenhaus equal-degree splitting.  The equal-degree step is
@@ -22,6 +25,7 @@ only for odd p.
 
 import functools
 import random
+from itertools import zip_longest
 
 from . import _kernel, intmath
 from ._kernel import _f2
@@ -74,7 +78,7 @@ class PrimeField:
         while code:
             code, r = divmod(code, p)
             c.append(r)
-        return Poly(self, tuple(c), _canonical=True)
+        return self._wrap(c)
 
     def from_string(self, text: str) -> "Poly":
         """Parse the canonical text form, e.g. "t^3+t+1" or "2*t^2+1".
@@ -125,7 +129,17 @@ class PrimeField:
     def tn_minus_1(self, n: int) -> "Poly":
         """The polynomial t**n - 1."""
         intmath.require_positive("n", n)
-        return Poly(self, (self.p - 1,) + (0,) * (n - 1) + (1,), _canonical=True)
+        return self._wrap([self.p - 1] + [0] * (n - 1) + [1])
+
+    def _wrap(self, value) -> "Poly":
+        # the Poly of a canonical coefficient list, taken as it is
+        f = object.__new__(Poly)
+        f.field, f.coeffs = self, tuple(value)
+        return f
+
+    def _run(self, op: str, *values):
+        # the kernel op named op on kernel values, looked up at each call
+        return getattr(_kernel, op)(*values, self.p)
 
 
 def _operands(op):
@@ -149,11 +163,7 @@ class Poly:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: PrimeField, coeffs=(), _canonical: bool = False):
-        if _canonical:
-            self.field = field
-            self.coeffs = coeffs
-            return
+    def __init__(self, field: PrimeField, coeffs=()):
         p = field.p
         if p == 2:  # _F2Poly holds another representation
             raise TypeError("a Poly over F_2 is made by the factories of PrimeField(2)")
@@ -162,6 +172,8 @@ class Poly:
             c.pop()
         self.field = field
         self.coeffs = tuple(c)
+
+    _value = property(lambda self: list(self.coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -194,53 +206,30 @@ class Poly:
         """Monic scalar multiple (the zero polynomial stays zero)."""
         if not self.coeffs or self.coeffs[-1] == 1:
             return self
-        p = self.field.p
-        inv = pow(self.coeffs[-1], -1, p)
-        return Poly(self.field, tuple(c * inv % p for c in self.coeffs), _canonical=True)
+        inv = pow(self.coeffs[-1], -1, self.field.p)
+        return Poly(self.field, [c * inv for c in self.coeffs])
 
     def derivative(self) -> "Poly":
-        p = self.field.p
-        c = [i * ci % p for i, ci in enumerate(self.coeffs)][1:]
-        while c and not c[-1]:
-            c.pop()
-        return Poly(self.field, tuple(c), _canonical=True)
+        return Poly(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
 
-    @_operands
-    def __add__(self, other):
-        p = self.field.p
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        c = list(a)
-        for i, bi in enumerate(b):
-            c[i] = (c[i] + bi) % p
-        while c and not c[-1]:
-            c.pop()
-        return Poly(self.field, tuple(c), _canonical=True)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _operands(
+        lambda a, b: Poly(a.field, [x + y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
+    )
 
     def __neg__(self):
-        p = self.field.p
-        return Poly(self.field, tuple(p - c if c else 0 for c in self.coeffs), _canonical=True)
+        return Poly(self.field, [-c for c in self.coeffs])
 
     __sub__ = _operands(lambda self, other: self + (-other))
     __rsub__ = _operands(lambda self, other: other + (-self))
 
-    @_operands
-    def __mul__(self, other):
-        c = _kernel.mul(list(self.coeffs), list(other.coeffs), self.field.p)
-        return Poly(self.field, tuple(c), _canonical=True)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = _operands(
+        lambda a, b: a.field._wrap(a.field._run("mul", a._value, b._value))
+    )
 
     __divmod__ = _operands(lambda self, other: poly_divmod(self, other))
     __floordiv__ = _operands(lambda self, other: poly_divmod(self, other)[0])
 
-    @_operands
-    def __mod__(self, other):
-        c = _kernel.rem(list(self.coeffs), list(other.coeffs), self.field.p)
-        return Poly(self.field, tuple(c), _canonical=True)
+    __mod__ = _operands(lambda a, b: a.field._wrap(a.field._run("rem", a._value, b._value)))
 
     def __eq__(self, other):
         return (
@@ -301,6 +290,12 @@ class _F2Field(PrimeField):
         intmath.require_positive("n", n)
         return _F2Poly(self, 1 << n | 1)
 
+    def _wrap(self, value: int) -> "Poly":
+        return _F2Poly(self, value)
+
+    def _run(self, op: str, *values):
+        return getattr(_f2, op)(*values)
+
 
 class _F2Poly(Poly):
     """A Poly over F_2 held as the int whose bit i is the coefficient of
@@ -314,7 +309,7 @@ class _F2Poly(Poly):
         self.bits = bits
 
     coeffs = property(lambda self: tuple(_f2.unpack(self.bits)))
-    code = property(lambda self: self.bits)
+    code = _value = property(lambda self: self.bits)
     is_zero = property(lambda self: not self.bits)
     is_monic = property(lambda self: self.bits != 0)
     constant_term = property(lambda self: self.bits & 1)
@@ -330,12 +325,9 @@ class _F2Poly(Poly):
         mask = int("10" * (self.bits.bit_length() // 2 + 1), 2)
         return _F2Poly(self.field, (self.bits & mask) >> 1)
 
-    # _f2 is looked up at call time, as ffpoly looks up _kernel
     __add__ = __radd__ = __sub__ = __rsub__ = _operands(
         lambda a, b: _F2Poly(a.field, a.bits ^ b.bits)
     )
-    __mul__ = __rmul__ = _operands(lambda a, b: _F2Poly(a.field, _f2.mul(a.bits, b.bits)))
-    __mod__ = _operands(lambda a, b: _F2Poly(a.field, _f2.rem(a.bits, b.bits)))
     monic = __neg__ = lambda self: self  # every nonzero f is monic, and -f = f
     __bool__ = lambda self: self.bits != 0
     __hash__ = lambda self: hash(self.bits)
@@ -355,14 +347,8 @@ def _check_fields(a: Poly, b: Poly):
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Quotient and remainder with deg r < deg b (or r = 0); b = 0 raises ZeroDivisionError."""
     _check_fields(a, b)
-    if a.field.p == 2:
-        q, r = _f2.div_rem(a.bits, b.bits)
-        return _F2Poly(a.field, q), _F2Poly(a.field, r)
-    q, r = _kernel.div_rem(list(a.coeffs), list(b.coeffs), a.field.p)
-    return (
-        Poly(a.field, tuple(q), _canonical=True),
-        Poly(a.field, tuple(r), _canonical=True),
-    )
+    q, r = a.field._run("div_rem", a._value, b._value)
+    return a.field._wrap(q), a.field._wrap(r)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -370,10 +356,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     _check_fields(a, b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    if a.field.p == 2:
-        return _F2Poly(a.field, _f2.gcd(a.bits, b.bits))
-    g = _kernel.gcd(list(a.coeffs), list(b.coeffs), a.field.p)
-    return Poly(a.field, tuple(g), _canonical=True)
+    return a.field._wrap(a.field._run("gcd", a._value, b._value))
 
 
 def poly_powmod(base: Poly, exp: int, modulus: Poly) -> Poly:
@@ -389,10 +372,7 @@ def poly_powmod(base: Poly, exp: int, modulus: Poly) -> Poly:
         raise ValueError("powmod modulus must be nonconstant")
     if exp < 0:
         raise ValueError(f"exponent must be non-negative: got {exp}")
-    if base.field.p == 2:
-        return _F2Poly(base.field, _f2.pow_mod(base.bits, exp, modulus.bits))
-    c = _kernel.pow_mod(list(base.coeffs), exp, list(modulus.coeffs), base.field.p)
-    return Poly(base.field, tuple(c), _canonical=True)
+    return base.field._wrap(base.field._run("pow_mod", base._value, exp, modulus._value))
 
 
 @functools.lru_cache(maxsize=None)

@@ -114,7 +114,7 @@ def enumerate_places(field: PrimeField, max_degree: int) -> list[Place]:
     places = [Place.infinite(), Place(field.t)]
     if p == 2:
         return _sieve_f2(field, max_degree, places)
-    places.extend(Place(Poly(field, (c, 1), _canonical=True)) for c in range(1, p))
+    places.extend(Place(field._wrap([c, 1])) for c in range(1, p))
     # the places other than t and t - 1 up to degree max_degree / 2, as
     # coefficient lists: the sieving factors
     factors = [[c, 1] for c in range(1, p - 1)]
@@ -135,7 +135,7 @@ def enumerate_places(field: PrimeField, max_degree: int) -> list[Place]:
                 composite[index] = 1
         for index, v in _candidates(p, degree):
             if not composite[index]:
-                places.append(Place(Poly(field, tuple(v), _canonical=True)))
+                places.append(Place(field._wrap(v)))
                 if 2 * degree <= max_degree:
                     factors.append(v)
     return places
