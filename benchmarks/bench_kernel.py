@@ -71,9 +71,15 @@ differences over STARTUP_PAIRS fresh processes of each kind, alternating
 which kind runs first, the standard-library modules that the import
 pulls in, and the process's own peak RSS after the import (VmHWM from
 /proc/self/status, median of PEAK_RUNS fresh processes).  ru_maxrss is not
-used there: a child keeps its parent's high-water mark across exec.
+used there: a child keeps its parent's high-water mark across exec.  The
+front-end row, printed after it, times `cli.main(argv)` in fresh processes
+from the end of `import sintdyn.cli` to the entry of the growth handler,
+for a valid argv, which the strict reader takes, and for one that falls
+back to argparse (the abbreviation --max): median and quartiles of
+FRONT_END_RUNS processes each.  With --rev it also times a git revision,
+exported with pairs.export_revision, alternating the two trees.
 
-    python benchmarks/bench_kernel.py [--repeats N]
+    python benchmarks/bench_kernel.py [--repeats N] [--rev REV]
 """
 
 import argparse
@@ -94,7 +100,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))  # the list kernel _pypoly lives with the tests
 
 import _pypoly
-from pairs import src_lines  # benchmarks/pairs.py, this script's directory
+from pairs import export_revision, src_lines  # benchmarks/pairs.py, this script's directory
 import sintdyn
 from sintdyn import _kernel, cyclofactor, intmath
 from sintdyn._kernel import _f2, _fp
@@ -539,9 +545,50 @@ def bench_startup():
     return (median, lower, upper), statistics.median(bare), modules.split(), peak_kb
 
 
+FRONT_END_RUNS = 15
+# main(argv) in a fresh process, from the end of `import sintdyn.cli` to the
+# entry of the growth handler, whose code is swapped for one that stops
+FRONT_END = (
+    "import sys, time; from sintdyn import cli\n"
+    "def entered(args):\n"
+    "    raise KeyboardInterrupt\n"
+    "cli._cmd_growth.__code__ = entered.__code__\n"
+    "start = time.perf_counter()\n"
+    "try:\n"
+    "    cli.main(sys.argv[1:])\n"
+    "except KeyboardInterrupt:\n"
+    "    print(time.perf_counter() - start)\n"
+)
+FRONT_END_ARGV = {
+    "valid": ["growth", "--p", "2", "--system", "full", "--max-n", "3"],
+    "fallback (--max)": ["growth", "--p", "2", "--system", "full", "--max", "3"],
+}
+
+
+def bench_front_end(src_dirs):
+    """{(src dir, kind): (median, lower quartile, upper quartile)} of the
+    front-end time of each FRONT_END_ARGV kind, FRONT_END_RUNS fresh
+    processes each, alternating the order of the source trees."""
+    seconds = {(src, kind): [] for src in src_dirs for kind in FRONT_END_ARGV}
+    for i in range(FRONT_END_RUNS):
+        for src in src_dirs[i % 2:] + src_dirs[:i % 2]:
+            env = {**os.environ, "PYTHONPATH": str(src)}
+            for kind, argv in FRONT_END_ARGV.items():
+                out = subprocess.run(
+                    [sys.executable, "-c", FRONT_END, *argv], env=env, capture_output=True,
+                    text=True, check=True,
+                ).stdout
+                seconds[src, kind].append(float(out))
+    return {
+        key: (statistics.median(times), *statistics.quantiles(times, n=4)[::2])
+        for key, times in seconds.items()
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N timing")
+    parser.add_argument("--rev", help="also time the front-end row on this git revision")
     args = parser.parse_args()
 
     print(f"src/ size: {src_lines(ROOT)} lines of Python")
@@ -553,6 +600,19 @@ def main():
           f"{lower * 1e3:.1f}-{upper * 1e3:.1f} ms, {STARTUP_PAIRS} alternating pairs) to a "
           f"bare interpreter's {bare * 1e3:.1f} ms; peak RSS after it (VmHWM, median of "
           f"{PEAK_RUNS}) {peak_kb} KB; stdlib modules: {', '.join(modules)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"working tree": Path(sintdyn.__file__).parents[1]}
+        if args.rev:
+            export_revision(ROOT, args.rev, Path(tmp))
+            trees[args.rev] = Path(tmp) / "src"
+        front_end = bench_front_end(list(trees.values()))
+    for name, src in trees.items():
+        cells = ", ".join(
+            "{} {:.2f} ms ({:.2f}-{:.2f})".format(kind, *(t * 1e3 for t in front_end[src, kind]))
+            for kind in FRONT_END_ARGV
+        )
+        print(f"front end ({name}): main(argv) from the end of the cli import to the handler, "
+              f"median (quartiles) of {FRONT_END_RUNS} fresh processes: {cells}")
 
     rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)

@@ -160,6 +160,25 @@ MUTANTS = (
      '_check_work("verify: verify_work(p, q, nj)", factor_work(p, q * nj))', ("test_cli.py",)),
     ("count_charged", "system.py",
      'if spec.omega.mode == "random":', 'if spec.omega.mode == "explicit":', ("test_cli.py",)),
+    # the strict command-line reader takes only what argparse reads the same
+    # way, and the growth document writes its points by hand
+    ("reader_flag_prefix", "cli.py",
+     "spec = flags.get(flag)",
+     "flag = next((f for f in flags if f.startswith(flag)), flag); spec = flags.get(flag)",
+     ("test_cli.py",)),
+    ("reader_no_choices", "cli.py",
+     'if "choices" in spec and value not in spec["choices"]:', "if False:", ("test_cli.py",)),
+    ("reader_no_required", "cli.py",
+     'if flag not in values and spec.get("required"):', "if False:", ("test_cli.py",)),
+    ("reader_shared_place_list", "cli.py",
+     'flag: list(spec["default"]) for flag', 'flag: spec["default"] for flag', ("test_cli.py",)),
+    ("reader_dash_value", "cli.py",
+     'value.startswith("-")', 'value.startswith("--")', ("test_cli.py",)),
+    ("reader_no_type", "cli.py",
+     'value = spec.get("type", str)(value)', "value = str(value)", ("test_cli.py",)),
+    ("growth_json_num_den", "cli.py",
+     '{gp.rate.numerator},\'\n            f\'"den":{gp.rate.denominator}',
+     '{gp.rate.denominator},\'\n            f\'"den":{gp.rate.numerator}', ("test_cli.py",)),
     # each check of verify_construction made vacuous
     ("check_pi_irreducible", "limitset.py",
      '("pi_irreducible", pi_irreducible)', '("pi_irreducible", True)', ("test_limitset.py",)),

@@ -9,14 +9,27 @@ serialized as decimal strings and rationals as {"num", "den"} pairs.
 Exit status: 0 success, 2 invalid input, 1 internal invariant
 falsification (for example a non-integral zeta coefficient or a failed
 construction check).
+
+COMMANDS is the one table of commands: each one's help, handler and flags,
+the flags with the keywords argparse's add_argument takes.  Two readers
+take argv to the handler's namespace from it.  _read takes only a plain
+command line: a command, then exact long flags of that command, each store
+flag at most once with one value that does not start with - and passes
+the flag's type and choices, and every required flag present.  Anything
+else goes to the argparse parser that build_parser makes from the same
+table, which is built and imported only then.  The fallback keeps help,
+--version, usage errors, abbreviations such as --max, joined values such
+as --p=2 and values that start with - exactly as argparse prints and
+reads them; a plain command line gives the namespace argparse would give,
+so it pays for neither argparse's import nor its parser.
 """
 
-import argparse
 import functools
 import json
 import sys
 from fractions import Fraction
 from math import log2
+from types import SimpleNamespace
 
 from . import SCHEMA_VERSION, __version__, intmath
 from .cyclofactor import factor_tn_minus_1
@@ -54,7 +67,9 @@ MAX_COUNT_BITS = 2**21
 # at the limits, with start-up and a 2 GB address-space cap (2-vCPU x86-64
 # host, Python 3.11, probed 2026-10-20), the growth json document takes
 # 3.1-3.6 s and 330-390 MB (p = 2 full, p = 3 example85, p = 2**31-1
-# trivial) and limits 2.6-3.1 s and 550 MB (p = 2 full, p = 3 example85)
+# trivial) and limits 2.6-3.1 s and 550 MB (p = 2 full, p = 3 example85).
+# Growth json now writes its points without a dict each and takes 1.5-1.6 s
+# and 199 MB at p = 2 full; the limit stays until it is probed again
 MAX_GROWTH_N = 5 * 10**5
 MAX_LIMITS_N = 3 * 10**6
 
@@ -106,7 +121,7 @@ def _system(field: PrimeField, args) -> SystemSpec:
         except ValueError as exc:
             raise ValueError(f"--place: {exc}") from None
         spec = SystemSpec(field, omega, "explicit")
-    else:  # random: argparse's choices refuse any other --system
+    else:  # random: the choices of --system refuse any other
         if args.rho is None or args.seed is None:
             raise ValueError("--system random requires both --rho and --seed")
         rho = _parse_fraction("--rho", args.rho)  # its errors name --rho
@@ -180,11 +195,15 @@ def _cmd_growth(args):
     _require_max_n("growth", args.max_n, MAX_GROWTH_N)
     points = growth_sequence(spec, args.max_n)
     if args.format == "json":
-        records = [
-            {"n": gp.n, "e": gp.e, "rate": _frac_json(gp.rate)} for gp in points
-        ]
-        doc = {"p": field.p, "label": spec.label, "max_n": args.max_n, "points": records}
-        return _dump_json(doc), 0
+        # the points are ints only, so they are written without a dict each;
+        # json.dumps keeps the header, whose label needs its escaping
+        head = _dump_json({"p": field.p, "label": spec.label, "max_n": args.max_n})
+        records = ",".join(
+            f'{{"n":{gp.n},"e":{gp.e},"rate":{{"num":{gp.rate.numerator},'
+            f'"den":{gp.rate.denominator}}}}}'
+            for gp in points
+        )
+        return f'{head[:-1]},"points":[{records}]}}', 0
     if args.format == "csv":
         lines = ["n,e,rate_num,rate_den"]
         lines += [
@@ -313,36 +332,112 @@ def _cmd_example85(args):
     return "reference rates (in units of log p): " + ", ".join(str(r) for r in rates), 0
 
 
-# one parser per process: building it costs milliseconds (argparse makes a
-# help formatter for every argument it adds, but copies a parent's actions
-# without one), and parse_args returns a fresh Namespace each call, copying
-# the --place default list before appending
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
-    common.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json", help="output format"
-    )
-    common.add_argument("--output", default="-", help="output path, or - for stdout")
-
-    system = argparse.ArgumentParser(add_help=False)
-    system.add_argument(
-        "--system",
-        required=True,
-        choices=PRESET_NAMES + ("explicit", "random"),
-        help="system preset, or explicit/random",
-    )
-    system.add_argument(
-        "--place",
-        action="append",
-        default=[],
-        help="inverted place for --system explicit: 't^3+t+1' or comma-separated "
+# the command table: command -> (help, handler, flags), and each command's
+# flags in the order of its help, as add_argument's keywords by long flag.
+# _read and build_parser both read it.
+_INT = {"type": int, "required": True}  # a required int flag
+_COMMON = {
+    "--p": {**_INT, "help": "field characteristic (prime)"},
+    "--format": {"choices": ("json", "csv", "text"), "default": "json", "help": "output format"},
+    "--output": {"default": "-", "help": "output path, or - for stdout"},
+}
+_SYSTEM = {
+    "--system": {
+        "required": True,
+        "choices": PRESET_NAMES + ("explicit", "random"),
+        "help": "system preset, or explicit/random",
+    },
+    "--place": {
+        "action": "append",
+        "default": [],
+        "help": "inverted place for --system explicit: 't^3+t+1' or comma-separated "
         "low-to-high coefficients (repeatable)",
-    )
-    system.add_argument("--rho", help="P(mark = 0) as an exact rational, e.g. 1/2")
-    system.add_argument("--seed", type=int, help="64-bit seed for random marks")
-    system.add_argument("--label", help="override the system label in output")
+    },
+    "--rho": {"help": "P(mark = 0) as an exact rational, e.g. 1/2"},
+    "--seed": {"type": int, "help": "64-bit seed for random marks"},
+    "--label": {"help": "override the system label in output"},
+}
+COMMANDS = {
+    "places": ("enumerate places up to a degree", _cmd_places, {**_COMMON, "--max-degree": _INT}),
+    "factor": ("factor t^n - 1 into cyclotomic parts", _cmd_factor, {**_COMMON, "--n": _INT}),
+    "count": ("number of points of period n", _cmd_count, {**_COMMON, **_SYSTEM, "--n": _INT}),
+    "growth": ("exact growth-rate sequence", _cmd_growth, {**_COMMON, **_SYSTEM, "--max-n": _INT}),
+    "zeta": ("zeta series coefficients", _cmd_zeta, {
+        **_COMMON,
+        **_SYSTEM,
+        "--terms": _INT,
+        "--max-order": {"type": int, "help": "also run recurrence detection"},
+        "--orbits": {"action": "store_true", "default": False, "help": "include orbit counts"},
+    }),
+    "limits": ("empirical limit-point clusters", _cmd_limits, {
+        **_COMMON,
+        **_SYSTEM,
+        "--max-n": _INT,
+        "--epsilon": {"default": "1/100", "help": "cluster width (rational)"},
+        "--tail-fraction": {"default": "1/2", "help": "trailing fraction to keep"},
+    }),
+    "artin": ("primes with p a primitive root", _cmd_artin, {**_COMMON, "--bound": _INT}),
+    "verify": ("verify the limit-point construction", _cmd_verify, {
+        **_COMMON,
+        "--q": {**_INT, "help": "prime distinct from p"},
+        "--nj": {**_INT, "help": "Artin prime for p, > q"},
+        "--mark-t-minus-1": {
+            "action": "store_true",
+            "default": False,
+            "help": "also invert the fixed place t - 1 (offset exponent 0 instead of 1)",
+        },
+    }),
+    "example85": ("reference limit rate set", _cmd_example85, {**_COMMON, "--q-bound": _INT}),
+}
+
+
+def _read(argv):
+    """build_parser().parse_args(argv) for a plain command line (see the
+    module docstring), else None.  Every --place list is new."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, flags = COMMANDS[argv[0]]
+    values = {
+        flag: list(spec["default"]) for flag, spec in flags.items() if spec.get("action") == "append"
+    }
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = flags.get(flag)
+        if spec is None:
+            return None
+        action = spec.get("action")
+        if action == "store_true":
+            value = True
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            try:
+                value = spec.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        if action == "append":
+            values[flag].append(value)
+        elif flag in values:  # argparse keeps the last one
+            return None
+        else:
+            values[flag] = value
+    args = SimpleNamespace(command=argv[0], handler=handler)
+    for flag, spec in flags.items():
+        if flag not in values and spec.get("required"):
+            return None
+        setattr(args, flag[2:].replace("-", "_"), values.get(flag, spec.get("default")))
+    return args
+
+
+# built at most once per process, and only for the command lines _read
+# leaves to it: argparse makes a help formatter for every argument it adds,
+# and its messages go through gettext
+@functools.cache
+def build_parser():
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="sintdyn",
@@ -355,53 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"sintdyn {__version__} (schema {SCHEMA_VERSION})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("places", parents=[common], help="enumerate places up to a degree")
-    sp.add_argument("--max-degree", type=int, required=True)
-    sp.set_defaults(handler=_cmd_places)
-
-    sp = sub.add_parser("factor", parents=[common], help="factor t^n - 1 into cyclotomic parts")
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_factor)
-
-    sp = sub.add_parser("count", parents=[common, system], help="number of points of period n")
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_count)
-
-    sp = sub.add_parser("growth", parents=[common, system], help="exact growth-rate sequence")
-    sp.add_argument("--max-n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_growth)
-
-    sp = sub.add_parser("zeta", parents=[common, system], help="zeta series coefficients")
-    sp.add_argument("--terms", type=int, required=True)
-    sp.add_argument("--max-order", type=int, help="also run recurrence detection")
-    sp.add_argument("--orbits", action="store_true", help="include orbit counts")
-    sp.set_defaults(handler=_cmd_zeta)
-
-    sp = sub.add_parser("limits", parents=[common, system], help="empirical limit-point clusters")
-    sp.add_argument("--max-n", type=int, required=True)
-    sp.add_argument("--epsilon", default="1/100", help="cluster width (rational)")
-    sp.add_argument("--tail-fraction", default="1/2", help="trailing fraction to keep")
-    sp.set_defaults(handler=_cmd_limits)
-
-    sp = sub.add_parser("artin", parents=[common], help="primes with p a primitive root")
-    sp.add_argument("--bound", type=int, required=True)
-    sp.set_defaults(handler=_cmd_artin)
-
-    sp = sub.add_parser("verify", parents=[common], help="verify the limit-point construction")
-    sp.add_argument("--q", type=int, required=True, help="prime distinct from p")
-    sp.add_argument("--nj", type=int, required=True, help="Artin prime for p, > q")
-    sp.add_argument(
-        "--mark-t-minus-1",
-        action="store_true",
-        help="also invert the fixed place t - 1 (offset exponent 0 instead of 1)",
-    )
-    sp.set_defaults(handler=_cmd_verify)
-
-    sp = sub.add_parser("example85", parents=[common], help="reference limit rate set")
-    sp.add_argument("--q-bound", type=int, required=True)
-    sp.set_defaults(handler=_cmd_example85)
-
+    for command, (help_text, handler, flags) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for flag, spec in flags.items():
+            sp.add_argument(flag, **spec)
+        sp.set_defaults(handler=handler)
     return parser
 
 
@@ -415,8 +468,9 @@ def _emit(args, text: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         document, status = args.handler(args)
     except ConstructionRejected as exc:

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -10,7 +13,7 @@ import pytest
 
 import sintdyn
 from sintdyn import SCHEMA_VERSION, __version__, limitset
-from sintdyn.cli import main
+from sintdyn.cli import COMMANDS, _read, build_parser, main
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -387,6 +390,10 @@ class TestPinnedDocuments:
              "2df9ffe5ad2d5e0154e4b64a62f99afdf15874d638107a5e871e33435a98eec7"),
             (("factor", "--p", "2", "--n", "1023"), "text",
              "64daa64cc0fe6346f4241728c21950017e1e5d504d62afab12b58672c54a1f7d"),
+            # a label that json.dumps escapes: a quote and a non-ASCII letter
+            (("growth", "--p", "3", "--system", "example85", "--max-n", "12",
+              "--label", 'q"é'), "json",
+             "a9f9d6d644b45966b70f6d7857ddb5dc2c389ae187b842b92079a3289465d544"),
         ),
     )
     def test_stdout_digest(self, capsys, argv, fmt, digest):
@@ -628,6 +635,13 @@ class TestOneParserPerProcess:
             fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()
         )
 
+    def test_strict_calls_share_no_place_list(self):
+        argv = ["count", "--p", "2", "--system", "explicit", "--n", "12"]
+        with_place = _read(argv + ["--place", "t^2+t+1"])
+        without, again = _read(argv), _read(argv)
+        assert (with_place.place, without.place, again.place) == (["t^2+t+1"], [], [])
+        assert without.place is not again.place
+
     def test_invalid_call_after_valid_one(self, capsys):
         argv = ("places", "--p", "2", "--max-degree", "two")
         fresh = run_child(*argv)
@@ -719,14 +733,79 @@ PARSER_PINS = {
         "f7e25d3557e96893cbcf8949c6d2e3720b08557ad318cda1ea079d4aa256afff",
         EMPTY,
     ),
+    # command lines that only argparse reads: unknown flags, extra
+    # arguments, abbreviations, joined or dash-led values, --version after a
+    # command, -h after flags, a repeated store flag; and two --place flags,
+    # whose order decides which one an error names
+    "growth --p 2 --system full --max-n 3 --bogus 1": (
+        2,
+        EMPTY,
+        "cd3d0ea5096c8ab7e4387c0e84c528597ccbfafe65310accb7ec79f14bbd464c",
+    ),
+    "growth --p 2 --system full --max-n 3 extra": (
+        2,
+        EMPTY,
+        "45584fcffd394d3f2339a9bc005f8243442e1eabce58e0637c3e3fc909dca146",
+    ),
+    "zeta --p 2 --system full --terms 3 --orbits yes": (
+        2,
+        EMPTY,
+        "a3ae93fe5e45c3ac93cc3df127ce168d64afcc2ed02343ac8a0e55e55cf11a8a",
+    ),
+    "growth --p 2 --sys full --max 3": (
+        0,
+        "0ee38eaa0d7550763488fde232e1bede422345fd00604e7dd20bedbb22ed91a2",
+        EMPTY,
+    ),
+    "growth --p=2 --system full --max-n 3": (
+        0,
+        "0ee38eaa0d7550763488fde232e1bede422345fd00604e7dd20bedbb22ed91a2",
+        EMPTY,
+    ),
+    "growth --p 2 --system random --rho 1/2 --seed -1 --max-n 3": (
+        2,
+        EMPTY,
+        "71f3f49725396c72c74a1a948351ea04e85c366fbb3d6072dd6cd000c64c09e3",
+    ),
+    "growth --p 2 --system full --max-n 3 --output -": (
+        0,
+        "0ee38eaa0d7550763488fde232e1bede422345fd00604e7dd20bedbb22ed91a2",
+        EMPTY,
+    ),
+    "growth --version": (
+        2,
+        EMPTY,
+        "e75411ffb77ae621258c54822d3c73af88cc146d8ce1b7f0a127bfb652cb5a25",
+    ),
+    "growth --p 2 --system full -h": (
+        0,
+        "a403e0cf2989db850275690dd0660037d73b3a9339a22b003ad7e8ffb7813b2e",
+        EMPTY,
+    ),
+    "growth --p 2 --p 3 --system full --max-n 3": (
+        0,
+        "49274086caa5f8d2673fb34888e203bd3398096fc6fae9689b563ea26f5a634c",
+        EMPTY,
+    ),
+    "count --p 2 --system explicit --place x --place y --n 3": (
+        2,
+        EMPTY,
+        "abcff44a4391df01a427605897bd90e810d55197e4721dd15832aa32d7e9f7d5",
+    ),
+    "count --p 2 --system explicit --place y --place x --n 3": (
+        2,
+        EMPTY,
+        "b8e4a0fdfc6eea58bea31d447499c9c9d68474adaef96022fbcb1775cda63258",
+    ),
 }
 
 
 class TestParserBytes:
     """Help, usage errors and --version print the same bytes as when each
-    subcommand added the shared flags itself; they now come from two parent
-    parsers.  sha256 of stdout and stderr at COLUMNS=80, recorded with
-    Python 3.11's argparse."""
+    subcommand added its flags by hand, and the command lines that _read
+    leaves to argparse give the same status and bytes as when argparse read
+    every command line.  sha256 of stdout and stderr at COLUMNS=80, recorded
+    with Python 3.11's argparse."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
@@ -736,12 +815,116 @@ class TestParserBytes:
     @pytest.mark.parametrize("command", PARSER_PINS, ids=lambda command: command or "no-args")
     def test_same_bytes(self, capsys, command):
         status, out, err = PARSER_PINS[command]
-        with pytest.raises(SystemExit) as info:
-            main(command.split())
+        try:
+            code = main(command.split())
+        except SystemExit as exc:  # argparse's exits; the bytes tell them apart
+            code = exc.code
         captured = capsys.readouterr()
-        assert info.value.code == status
+        assert code == status
         assert hashlib.sha256(captured.out.encode()).hexdigest() == out
         assert hashlib.sha256(captured.err.encode()).hexdigest() == err
+
+
+def _argparse_namespace(argv):
+    """vars of build_parser().parse_args(argv), or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# values that pass some flag's type or choices and values that fail them,
+# empty ones and ones that start with -
+VALUES = (
+    "2", "3", "10", "0", " 7", "1_000", "-1", "-", "--", "", "x", "0x10", "1/2", "2/3",
+    "t^2+t+1", "1,1,1", "json", "csv", "text", "xml", "full", "example85", "explicit",
+    "random", "bogus", "-h", "--p",
+)
+
+
+class TestStrictReader:
+    """_read returns None or exactly the namespace argparse returns, and
+    None wherever argparse exits, so that argparse's help, errors and
+    abbreviations stay its own."""
+
+    @pytest.fixture(scope="class")
+    def hypothesis(self):
+        return pytest.importorskip("hypothesis")
+
+    def test_agrees_with_argparse(self, hypothesis):
+        st = hypothesis.strategies
+        value = st.one_of(st.sampled_from(VALUES), st.integers(-3, 10**6).map(str))
+
+        @st.composite
+        def command_lines(draw):
+            """A command line drawn from the command table: a valid one,
+            then up to three edits."""
+            command = draw(st.sampled_from(sorted(COMMANDS)))
+            flags = COMMANDS[command][2]
+            pairs = []
+            for flag, spec in flags.items():
+                if spec.get("required") or draw(st.booleans()):
+                    if spec.get("action") == "store_true":
+                        pairs.append([flag])
+                    elif "choices" in spec:
+                        pairs.append([flag, draw(st.sampled_from(spec["choices"]))])
+                    elif spec.get("type") is int:
+                        pairs.append([flag, str(draw(st.integers(0, 10**6)))])
+                    else:
+                        pairs.append([flag, draw(st.sampled_from(("t^2+t+1", "1/2", "", "x y")))])
+            argv = [command] + [token for pair in draw(st.permutations(pairs)) for token in pair]
+            other = sorted({flag for _, _, fs in COMMANDS.values() for flag in fs} - set(flags))
+            token = st.one_of(
+                value,
+                st.sampled_from(sorted(flags)),  # a repeat
+                st.sampled_from(sorted(flags)).flatmap(  # an abbreviation
+                    lambda flag: st.integers(2, len(flag) - 1).map(lambda k: flag[:k])
+                ),
+                st.tuples(st.sampled_from(sorted(flags)), value).map("=".join),
+                st.sampled_from(other + ["-h", "--help", "--version", "--bogus", "extra"]),
+            )
+            for _ in range(draw(st.integers(0, 3))):
+                edit = draw(st.sampled_from(("insert", "delete", "replace")))
+                at = draw(st.integers(0, len(argv) - (edit != "insert")))
+                if edit == "delete":
+                    del argv[at]
+                else:
+                    argv[at:at + (edit == "replace")] = [draw(token)]
+            return argv
+
+        @hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+        @hypothesis.example(argv=["growth", "--p", "2", "--s", "full", "--max-n", "3"])
+        @hypothesis.example(argv=["zeta", "--p", "2", "--system", "full", "--terms", "3", "--o"])
+        @hypothesis.example(
+            argv=["growth", "--p", "2", "--system", "random", "--rho", "-1/2", "--seed", "1",
+                  "--max-n", "3"]
+        )
+        @hypothesis.example(argv=["growth", "--p", "2", "--system", "full", "--max-n", "3",
+                                  "--label", "-h"])
+        @hypothesis.example(argv=["growth", "--p", "2", "--system", "full", "--max-n", "3",
+                                  "--format", "xml"])
+        @hypothesis.example(argv=["growth", "--p", "2", "--system", "full"])
+        @hypothesis.given(argv=command_lines())
+        def check(argv):
+            expected = _argparse_namespace(argv)
+            read = _read(argv)
+            outcomes.append(read is not None)
+            assert read is None or vars(read) == expected
+
+        outcomes = []
+        check()
+        assert 0.1 < sum(outcomes) / len(outcomes) < 0.9  # both paths are drawn
+
+    def test_benchmark_jobs_take_the_strict_path(self):
+        clibench = Path(__file__).resolve().parents[1] / "clibench"
+        jobs = runpy.run_path(str(clibench / "jobs.py"))
+        for workload in jobs["WORKLOADS"]:
+            for seed in (1, 7):
+                for argv in jobs["workload_jobs"](workload, seed):
+                    read = _read(argv)
+                    assert read is not None, argv
+                    assert vars(read) == _argparse_namespace(argv)
 
 
 class TestPlacesRefusedUpFront:
@@ -1021,6 +1204,19 @@ class TestStartup:
         ), timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.decode().split() == []
+
+    def test_valid_call_leaves_out_argparse(self):
+        # _read takes a valid command line, so argparse and gettext load
+        # only for help, errors and abbreviations
+        code = (
+            "import sys; from sintdyn.cli import main; status = main({}); "
+            "print(*sorted({{'argparse', 'gettext'}} & set(sys.modules)))"
+        )
+        for max_flag, loaded in (("--max-n", []), ("--max", ["argparse", "gettext"])):
+            argv = ["growth", "--p", "2", "--system", "full", max_flag, "3", "--output", os.devnull]
+            result = run_python("-c", code.format(argv), timeout=60)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.decode().split() == loaded
 
     def test_import_leaves_out_hashlib(self):
         # random marks use _blake2.blake2b, the function hashlib.blake2b
