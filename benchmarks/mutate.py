@@ -87,29 +87,38 @@ MUTANTS = (
     # the lift of pi_{d/q} to pi_d
     ("lift_condition", "cyclofactor.py",
      "if d % (q * q) == 0]", "if d % q == 0]", ("test_cyclofactor.py",)),
-    ("lifted_pieces_irreducible", "cyclofactor.py",
-     "if m == r else", "if m >= r else", ("test_cyclofactor.py",)),
     ("lift_choice", "cyclofactor.py",
-     "return min(lifts,", "return max(lifts,", ("test_cyclofactor.py",)),
+     "= min(lifts,", "= max(lifts,", ("test_cyclofactor.py",)),
     ("lift_coset_skip", "cyclofactor.py",
      "coset[0] % q != 0)", "coset[0] % q != 1)", ("test_cyclofactor.py",)),
-    # the coset-sum split on kernel values: packed ints at p = 2, lists at odd p
-    ("split_quotient_f2", "cyclofactor.py",
-     "parts = [h, _f2.div_rem(u, h)[0]]", "parts = [h, h]", ("test_cyclofactor.py",)),
+    # the route of pi_d, read by the split and by its charge: the pieces are
+    # the factors, one factor and Berlekamp-Massey (p = 2 only), or coset sums
+    ("lifted_pieces_irreducible", "cyclofactor.py",
+     '"lift" if m == r else', '"lift" if m >= r else', ("test_cyclofactor.py",)),
+    ("unsplit_lift_charged", "cyclofactor.py",
+     '"lift" if m == r else', '"lift" if m == r and k == 1 else', ("test_cyclofactor.py",)),
+    ("odd_p_lift_charged", "cyclofactor.py",
+     '"lift" if m == r else', '"lift" if m == r and p == 2 else', ("test_cyclofactor.py",)),
+    ("bm_threshold", "cyclofactor.py",
+     "and k >= _BM_MIN_FACTORS", "and k > _BM_MIN_FACTORS", ("test_cyclofactor.py",)),
+    ("one_factor_at_odd_p", "cyclofactor.py",
+     '"one factor" if p == 2 and', '"one factor" if', ("test_cyclofactor.py",)),
+    # the coset-sum split, one loop on kernel values: packed ints on _f2 at
+    # p = 2, lists on _kernel at odd p
     ("split_quotient", "cyclofactor.py",
-     "parts = [h, _kernel.div_rem(u, h, p)[0]]", "parts = [h, h]", ("test_cyclofactor.py",)),
+     "parts = [h, kernel.div_rem(u, h, p)[0]]", "parts = [h, h]", ("test_cyclofactor.py",)),
+    ("split_factor_size", "cyclofactor.py",
+     "size(v) == r + 1", "size(v) == r", ("test_cyclofactor.py",)),
     ("split_shift", "cyclofactor.py",
      "_plus_constant(g, rng.randrange(p), p)", "_plus_constant(g, rng.randrange(p) * 0, p)",
      ("test_cyclofactor.py",)),
     ("split_minus_one", "cyclofactor.py",
      "_plus_constant(w, p - 1, p)", "_plus_constant(w, 0, p)", ("test_cyclofactor.py",)),
-    ("coset_sum_digits", "cyclofactor.py",
-     "digits[-1 - i] = 49", "digits[-2 - i] = 49", ("test_cyclofactor.py",)),
+    ("coset_sum_coefficients", "cyclofactor.py",
+     "e[i] = 1", "e[i - 1] = 1", ("test_cyclofactor.py",)),
     # the p = 2 route: every factor of pi_d from one, by Berlekamp-Massey
     ("bm_sequence_length", "cyclofactor.py",
      "for n in range(2 * r):", "for n in range(2 * r - 1):", ("test_cyclofactor.py",)),
-    ("bm_threshold", "cyclofactor.py",
-     "count >= _BM_MIN_FACTORS:", "count > _BM_MIN_FACTORS:", ("test_cyclofactor.py",)),
     # the Artin-prime sieve: ell = 2 by q mod 8 at p = 2 and by Euler's
     # test at odd p, then every odd ell
     ("artin_residue_7", "limitset.py",
@@ -147,12 +156,7 @@ MUTANTS = (
      "k.bit_length() ** 2 * (k * r) ** 2", "k.bit_length() * (k * r) ** 2", ("test_cli.py",)),
     ("route_charge", "cyclofactor.py",
      "else 2 * d * d", "else d * d", ("test_cli.py",)),
-    # the lift in the charge: no split where the pieces are the factors,
-    # and a descent from a small lifted piece by squarings
-    ("unsplit_lift_charged", "cyclofactor.py",
-     "if m == r:", "if m == r and k == 1:", ("test_cyclofactor.py",)),
-    ("odd_p_lift_charged", "cyclofactor.py",
-     "if m == r:", "if m == r and p == 2:", ("test_cyclofactor.py",)),
+    # a descent from a small lifted piece by squarings
     ("descent_regime", "cyclofactor.py",
      "if r * m < d else", "if r * m < 0 else", ("test_cyclofactor.py",)),
     ("verify_charged", "limitset.py",
@@ -160,6 +164,15 @@ MUTANTS = (
      '_check_work("verify: verify_work(p, q, nj)", factor_work(p, q * nj))', ("test_cli.py",)),
     ("count_charged", "system.py",
      'if spec.omega.mode == "random":', 'if spec.omega.mode == "explicit":', ("test_cli.py",)),
+    # an explicit place is charged by its stated degree, every --place flag
+    # summed, before any coefficient list is built
+    ("place_first_only_charged", "cli.py",
+     "sum(place_work(field.p, _stated_degree(s)) for s in args.place)",
+     "place_work(field.p, _stated_degree(args.place[0]))", ("test_cli.py",)),
+    ("place_degree_last_term", "cli.py",
+     "degree = max(degree, int(", "degree = (int(", ("test_cli.py",)),
+    ("place_work_linear_at_p2", "system.py",
+     "return m * m * (4096 + m)", "return m * (4096 + m)", ("test_cli.py",)),
     # the strict command-line reader takes only what argparse reads the same
     # way, and the growth document writes its points by hand
     ("reader_flag_prefix", "cli.py",
@@ -219,6 +232,10 @@ EQUIVALENT = (
      "if seen[d - j]:  # -C = C", "if True:", ("test_cyclofactor.py",),
      "without the pairing every coset C gets the factor of -C; as C runs over the cosets "
      "so does -C, and the factor set of pi_d is closed under reverse"),
+    ("split_f2_shifted", "cyclofactor.py",
+     "x = g\n", "x = g ^ 1 if p == 2 else g\n", ("test_cyclofactor.py",),
+     "at p = 2 the shift a = 1 gives e_C + 1, which is 1 at the factors where e_C is 0 and "
+     "0 where it is 1, so gcd(u, e_C + 1) is u / gcd(u, e_C): the same two parts, swapped"),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", "build", "*.egg-info", ".pytest_cache")

@@ -6,7 +6,9 @@ in C (Brent, Gaudry, Thome & Zimmermann, "Faster multiplication in
 GF(2)[x]", ANTS 2008).  ``mul``, ``div_rem``, ``rem``, ``pow_mod`` and
 ``gcd`` work on packed ints with the semantics of the tests' list kernel
 ``tests/_pypoly.py`` at p = 2 (the same errors, in the same order), and
-``square(x)`` is ``mul(x, x)`` in one pass through C.
+``square(x)`` is ``mul(x, x)`` in one pass through C.  These five take the
+trailing ``p`` of the ``_kernel`` ops, which is 2 by default and unused, so
+that a caller can run one loop on either kernel.
 ``ffpoly`` holds every polynomial over F_2 packed and calls these directly.
 ``pack`` and ``unpack`` convert from and to canonical coefficient lists, in
 C through ``bytes.translate``, where a polynomial is built from
@@ -27,7 +29,7 @@ def unpack(x: int) -> list:
     return list(bin(x)[:1:-1].encode().translate(_FROM_DIGITS)) if x else []
 
 
-def mul(x: int, y: int) -> int:
+def mul(x: int, y: int, p: int = 2) -> int:
     if x.bit_length() > y.bit_length():
         x, y = y, x
     r = 0
@@ -43,7 +45,7 @@ def square(x: int) -> int:
     return int(format(x, "b"), 4)
 
 
-def rem(x: int, m: int) -> int:
+def rem(x: int, m: int, p: int = 2) -> int:
     dm = m.bit_length()
     if not dm:
         raise ZeroDivisionError("division by zero polynomial")
@@ -54,7 +56,7 @@ def rem(x: int, m: int) -> int:
     return x
 
 
-def div_rem(x: int, m: int) -> tuple[int, int]:
+def div_rem(x: int, m: int, p: int = 2) -> tuple[int, int]:
     dm = m.bit_length()
     if not dm:
         raise ZeroDivisionError("division by zero polynomial")
@@ -67,13 +69,13 @@ def div_rem(x: int, m: int) -> tuple[int, int]:
     return q, x
 
 
-def gcd(x: int, y: int) -> int:
+def gcd(x: int, y: int, p: int = 2) -> int:
     while y:
         x, y = y, rem(x, y)
     return x
 
 
-def pow_mod(x: int, exp: int, m: int) -> int:
+def pow_mod(x: int, exp: int, m: int, p: int = 2) -> int:
     if not m:
         raise ZeroDivisionError("division by zero polynomial")
     if exp < 0:

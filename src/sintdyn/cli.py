@@ -32,7 +32,7 @@ from math import log2
 from types import SimpleNamespace
 
 from . import SCHEMA_VERSION, __version__, intmath
-from .cyclofactor import factor_tn_minus_1
+from .cyclofactor import _check_work, factor_tn_minus_1
 from .ffpoly import PrimeField, Poly
 from .limitset import (
     ConstructionRejected,
@@ -49,6 +49,7 @@ from .system import (
     SystemSpec,
     periodic_exponent,
     periodic_exponents,
+    place_work,
     preset_system,
     random_system,
 )
@@ -77,6 +78,21 @@ MAX_LIMITS_N = 3 * 10**6
 def _require_max_n(command: str, max_n: int, limit: int):
     intmath.require_positive("--max-n", max_n)
     intmath.require_at_most(f"{command}: max_n", max_n, limit)
+
+
+def _stated_degree(text: str) -> int:
+    # a bound on the degree of a --place text, read before any coefficient
+    # list is built: the comma count of a list, else the largest exponent
+    # of t in a term, and at least 1
+    if not any(ch in text for ch in "t^*"):
+        return text.count(",")
+    degree = 1
+    for term in "".join(text.split()).replace("-", "+").split("+"):
+        try:
+            degree = max(degree, int(term.partition("t")[2][1:]))
+        except ValueError:  # no exponent, or one that _parse_poly refuses
+            pass
+    return degree
 
 
 def _parse_poly(field: PrimeField, text: str) -> Poly:
@@ -115,6 +131,8 @@ def _system(field: PrimeField, args) -> SystemSpec:
     elif name == "explicit":
         if not args.place:
             raise ValueError("--system explicit requires at least one --place")
+        work = sum(place_work(field.p, _stated_degree(s)) for s in args.place)
+        _check_work("--place: place_work(p, degree)", work)  # before any place is built
         places = [_parse_poly(field, s) for s in args.place]  # its errors name --place
         try:
             omega = OmegaSource.explicit(places)

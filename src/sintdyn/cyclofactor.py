@@ -19,8 +19,7 @@ coset C = {j, jp, jp**2, ...} of p on Z/d (Berlekamp, Math. Comp. 24,
 1970).  Every e_C is fixed by Frobenius mod t**d - 1, so it takes a value
 in F_p at each irreducible factor of pi_d, and together the e_C separate
 any two factors.  For p = 2 a piece u is split by gcd(u, e_C), with no
-randomness, e_C formed as the int with bit i set for each i in C.  For odd
-p it is split by gcd(u, (g + a)**((p-1)/2) - 1), g a
+randomness.  For odd p it is split by gcd(u, (g + a)**((p-1)/2) - 1), g a
 coset sum or, once every coset sum has been used, a combination of them;
 the coefficients and the shift a come from the fixed seed of ffpoly, so
 the split is deterministic and its exponent has only log2(p) bits.  Coset
@@ -29,7 +28,9 @@ factors are found.  ffpoly.factorize stays the general factorization.
 The split holds kernel values from pi_d to its factors, as ffpoly's own
 operations do inside a Poly: packed ints passed to _kernel._f2 at p = 2,
 canonical coefficient lists passed to _kernel at odd p (so the compiled
-kernel serves them when it is built).  A lifted factor is read as a
+kernel serves them when it is built).  Both kernels take the same
+arguments (..., p), so one loop runs the split at every p on the kernel
+picked once, looking each op up at its call.  A lifted factor is read as a
 kernel value by Poly._value, and a Poly is made by PrimeField._wrap only
 for each factor returned, where the final check reads its degree.
 
@@ -63,7 +64,10 @@ product of q factors, are what the split starts from in place of pi_d, and
 pi_d is formed only to reduce the coset sums.  A q with r = q * r' is
 taken when there is one: from another q's pieces the descent tries in vain
 the coset sums that vanish at every root of pi_d (pi_220825, 220825 =
-5**2 * 11**2 * 73, took 60 and 6 s from its lifts to t**5).
+5**2 * 11**2 * 73, took 60 and 6 s from its lifts to t**5).  _route
+picks the pieces and names the route of pi_d once, for the split and for
+its charge: "lift" (the pieces are the factors), "one factor" or "coset
+sums".
 """
 
 import functools
@@ -195,20 +199,13 @@ def _splitting_cosets(p: int, d: int, q: int | None):
 
 def _frobenius_fixed(p: int, d: int, q: int | None, pi, rng: random.Random | None):
     # the elements g that split pi_d, as kernel values, lazily: e_C mod
-    # pi_d for each coset C of _splitting_cosets, then, for odd p only,
-    # seeded combinations of them
-    if p == 2:
-        for coset in _splitting_cosets(2, d, q):
-            yield _f2.rem(_coset_sum_f2(coset), pi)
-        return
-    sums = []
+    # pi_d for each coset C of _splitting_cosets, then, when there is an
+    # rng (odd p), seeded combinations of them
+    kernel, sums = _f2 if p == 2 else _kernel, []
     for coset in _splitting_cosets(p, d, q):
-        e = [0] * (max(coset) + 1)
-        for i in coset:
-            e[i] = 1
-        sums.append(_kernel.rem(e, pi, p))
+        sums.append(kernel.rem(_coset_sum(p, coset), pi, p))
         yield sums[-1]
-    for _ in range(_COMBINATION_ROUNDS):
+    for _ in range(_COMBINATION_ROUNDS if rng else 0):
         g = [0] * (len(pi) - 1)
         for e in sums:
             c = rng.randrange(p)
@@ -217,16 +214,16 @@ def _frobenius_fixed(p: int, d: int, q: int | None, pi, rng: random.Random | Non
         yield _plus_constant(g, 0, p)  # g reduced mod p
 
 
-def _coset_sum_f2(coset: list) -> int:
-    # e_C as a packed int: a sum of powers of t while C is short, else one
-    # parse of its binary digits, as each 1 << i costs i bits (a coset of
-    # pi_239379 took 0.25 s as a sum, 4 ms as digits)
-    if len(coset) < 64:
+def _coset_sum(p: int, coset: list):
+    # e_C as a kernel value: at p = 2 a sum of powers of t while C is short,
+    # else one pass over its coefficients, as each 1 << i costs i bits (a
+    # coset of pi_239379 took 0.25 s as a sum, 4 ms packed from its digits)
+    if p == 2 and len(coset) < 64:
         return sum(1 << i for i in coset)
-    digits = bytearray(b"0") * (max(coset) + 1)
+    e = bytearray(max(coset) + 1)
     for i in coset:
-        digits[-1 - i] = 49  # the digit 1
-    return int(digits, 2)
+        e[i] = 1
+    return _f2.pack(e) if p == 2 else list(e)
 
 
 def _plus_constant(g: list, a: int, p: int) -> list:
@@ -240,35 +237,24 @@ def _plus_constant(g: list, a: int, p: int) -> list:
 
 def _coset_split(p: int, d: int, q: int | None, pi, pending: list, r: int):
     # (factors of degree r, pieces left unsplit) of the pieces pending,
-    # lifted to t**q when q is not None, by gcds with the elements of
-    # _frobenius_fixed; pi and the pieces are kernel values
+    # lifted to t**q when q is not None, by gcds with the elements g of
+    # _frobenius_fixed, at odd p with (g + a)**((p-1)/2) - 1, a drawn from
+    # rng; pi and the pieces are kernel values, of size degree + 1
+    kernel, size = (_f2, int.bit_length) if p == 2 else (_kernel, len)
     rng = random.Random(_CZ_SEED) if p != 2 else None  # p = 2 draws nothing
     elements = _frobenius_fixed(p, d, q, pi, rng)
-    half = (p - 1) // 2
     factors = []
-    while pending:
-        g = next(elements, None)
-        if g is None:
-            break
+    while pending and (g := next(elements, None)) is not None:
         pieces, pending = pending, []
         for u in pieces:
-            if p == 2:
-                h = _f2.gcd(u, g)
-                if 1 < h.bit_length() < u.bit_length():
-                    parts = [h, _f2.div_rem(u, h)[0]]  # h is a gcd with u, so it divides u
-                else:
-                    parts = [u]
-                for v in parts:
-                    (factors if v.bit_length() == r + 1 else pending).append(v)
-            else:
-                w = _kernel.pow_mod(_plus_constant(g, rng.randrange(p), p), half, u, p)
-                h = _kernel.gcd(u, _plus_constant(w, p - 1, p), p)
-                if 1 < len(h) < len(u):
-                    parts = [h, _kernel.div_rem(u, h, p)[0]]
-                else:
-                    parts = [u]
-                for v in parts:
-                    (factors if len(v) == r + 1 else pending).append(v)
+            x = g
+            if rng:
+                w = kernel.pow_mod(_plus_constant(g, rng.randrange(p), p), (p - 1) // 2, u, p)
+                x = _plus_constant(w, p - 1, p)
+            h = kernel.gcd(u, x, p)
+            parts = [h, kernel.div_rem(u, h, p)[0]] if 1 < size(h) < size(u) else [u]
+            for v in parts:  # h is a gcd with u, so it divides u
+                (factors if size(v) == r + 1 else pending).append(v)
     return factors, pending
 
 
@@ -285,7 +271,7 @@ def _one_factor_f2(d: int, q: int | None, u: int, r: int) -> int:
                 g ^= x
                 x = _f2.rem(_f2.square(x), u)
         else:
-            g = _f2.rem(_coset_sum_f2(coset), u)
+            g = _f2.rem(_coset_sum(2, coset), u)
         h = _f2.gcd(u, g)
         if 0 < (k := h.bit_length() - 1) < m:
             u = h if 2 * k <= m else _f2.div_rem(u, h)[0]
@@ -346,14 +332,19 @@ def _lift(p: int, x, q: int):
     return c
 
 
-def _split_start(p: int, d: int, r: int) -> tuple[int, int | None]:
-    # (m, q): pi_d (d >= 2, r = ord_d(p)) is split from pieces of degree m,
-    # the lifts f(t**q) for the prime q with q**2 | d whose pieces are
-    # smallest, so a q with m = r, where the pieces are the factors, when
-    # there is one (module docstring); (phi(d), None) for a squarefree d
+def _route(field: PrimeField, d: int) -> tuple[int, int, int, int | None, str]:
+    # (k, r, m, q, route) for pi_d, d >= 2 coprime to p: k factors of
+    # degree r from pieces of degree m, the lifts f(t**q) for the prime q
+    # with q**2 | d whose pieces are smallest (module docstring), else pi_d
+    # itself (q None); "lift" also names an irreducible pi_d
+    p = field.p
+    k, r = splitting_count(field, d)
     lifts = [(q * multiplicative_order(p, d // q), q)
              for q in intmath.factorint(d) if d % (q * q) == 0]
-    return min(lifts, default=(intmath.euler_phi(d), None))
+    m, q = min(lifts, default=(k * r, None))
+    route = ("lift" if m == r else "one factor" if p == 2 and k >= _BM_MIN_FACTORS
+             else "coset sums")
+    return k, r, m, q, route
 
 
 @functools.lru_cache(maxsize=None)
@@ -361,21 +352,20 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
     field = PrimeField(p)
     if d == 1:
         return (cyclotomic_poly(field, 1),)
-    count, r = splitting_count(field, d)
-    m, q = _split_start(p, d, r)
+    count, r, _, q, route = _route(field, d)
     if q:  # pi_d(t) = pi_{d/q}(t**q) (module docstring)
         small = _cyclotomic_factors(p, d // q)
         pieces = [_lift(p, f._value, q) for f in small]
     else:
         pieces = [_cyclotomic_value(p, d)]
-    factors, pending = (pieces, []) if m == r else ([], pieces)
-    if pending and p == 2 and count >= _BM_MIN_FACTORS:  # every factor from one
-        f = _one_factor_f2(d, q, pending[0], r)
+    factors, pending = (pieces, []) if route == "lift" else ([], pieces)
+    if route == "one factor":  # every factor from one
+        f = _one_factor_f2(d, q, pieces[0], r)
         if f.bit_length() == r + 1:
             factors, pending = _berlekamp_massey_f2(d, f, r), []
-    elif pending:
+    elif route == "coset sums":
         pi = _cyclotomic_value(p, d) if q else pieces[0]
-        factors, pending = _coset_split(p, d, q, pi, pending, r)
+        factors, pending = _coset_split(p, d, q, pi, pieces, r)
     factors = [field._wrap(x) for x in factors]
     if pending or len(factors) != count or not all(
         v.is_monic and v.degree == r for v in factors
@@ -391,7 +381,7 @@ def factor_work(p: int, n: int) -> int:
 
     Each d | n' (n' the p-coprime part of n) costs 16384 * d to form pi_d
     and write out its factors, and no more when the pieces it is split from
-    are its factors (_split_start).
+    are its factors (the route "lift" of _route).
     When pi_d splits into k > 1 factors, each gcd at degree up to phi(d)
     costs phi(d)**2.  At p = 2 a coset sum may split off a single factor,
     so the split reduces up to k coset sums of d bits modulo pi_d, each
@@ -424,11 +414,10 @@ def factor_work(p: int, n: int) -> int:
     field, work = PrimeField(p), 16384  # d = 1: pi_1 = t - 1
     for d in intmath.divisors(n_coprime)[1:]:
         work += 16384 * d
-        k, r = splitting_count(field, d)
-        m = _split_start(p, d, r)[0]
-        if m == r:
+        k, r, m, _, route = _route(field, d)
+        if route == "lift":
             continue
-        if p == 2 and k >= _BM_MIN_FACTORS:
+        if route == "one factor":
             descent = 8 * r * m * m if r * m < d else 2 * d * d
             work += descent + 16384 * d + 12 * k * r * (r + 1024)
         elif p == 2:  # k = 2: one coset sum, else up to k of d bits

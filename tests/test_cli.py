@@ -1179,6 +1179,93 @@ class TestWorkBoundsRefusedUpFront:
             main(list(argv))
 
 
+class TestPlaceDegreeRefusedUpFront:
+    """An explicit place is charged place_work(p, degree) on the degree its
+    text states (the largest exponent of t, or the comma count of a list),
+    summed over the --place flags, before any coefficient list is built or
+    any Rabin test runs."""
+
+    @staticmethod
+    def argv(p, places):
+        argv = ["count", "--p", p, "--system", "explicit", "--n", "4"]
+        for place in places:
+            argv += ["--place", place]
+        return argv
+
+    @pytest.mark.parametrize(
+        "p, places, work",
+        (
+            # built and tested, these ran 44 s (then refused as reducible),
+            # 3.9 s and 1.3 s
+            ("2", ("t^16000+t^3+1",), 5144576000000),
+            ("3", ("t^1000+t+2",), 321536000000),
+            ("2147483647", ("t^200+t+5",), 570163200000),
+            # one past the largest degree admitted, the exponent in any term,
+            # and a list of 4098 coefficients
+            ("2", ("1+t^4097",), 137522855937),
+            ("3", ("t^736-1",), 137564782592),
+            ("2", (",".join(["1"] * 4098),), 137522855937),
+            # each place is admitted alone, not both
+            ("2", ("t^3217+t^67+1", "t^2+t+1", "t^3217+t^67+1"), 2 * 75682887857 + 16392),
+        ),
+    )
+    def test_refused_before_the_place_is_built(self, capsys, monkeypatch, p, places, work):
+        def built(*args):
+            raise AssertionError("a place was built")
+
+        monkeypatch.setattr("sintdyn.cli._parse_poly", built)
+        start = time.perf_counter()
+        result = run_cli(capsys, *self.argv(p, places))
+        assert time.perf_counter() - start < 1
+        assert result == (
+            2, "", f"error: --place: place_work(p, degree) must be at most {2**37}: got {work}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "p, place",
+        (
+            # exactly the limit at p = 2, and just below it at p = 3
+            ("2", "t^4096+1"),
+            ("3", "2*t^735+1"),
+            # the places of the README, the benchmarks and the baseline table
+            ("2", "t^3217+t^67+1"),
+            ("2", ",".join(["1"] * 653)),
+            ("2", "t^2+t+1"),
+            ("3", "t^2+1"),
+        ),
+    )
+    def test_admitted(self, monkeypatch, p, place):
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr("sintdyn.cli._parse_poly", admitted)
+        with pytest.raises(Admitted):
+            main(self.argv(p, [place]))
+
+    def test_degree_of_a_billion_refused_in_a_capped_child(self):
+        # from_string built a list of 10**9 + 1 coefficients (8 GB) for this
+        # place; under a 1 GiB address-space cap a return to that fails fast
+        code = (
+            "import resource, sys, time; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from sintdyn.cli import main; start = time.perf_counter(); "
+            "status = main(['count', '--p', '2', '--system', 'explicit', "
+            "'--place', 't^1000000000+1', '--n', '4']); "
+            "print(status, time.perf_counter() - start)"
+        )
+        result = run_python("-c", code, timeout=60)
+        assert result.returncode == 0, result.stderr
+        status, elapsed = result.stdout.decode().split()
+        assert status == "2" and float(elapsed) < 1
+        assert result.stderr.decode() == (
+            f"error: --place: place_work(p, degree) must be at most {2**37}: "
+            f"got {10**9 * 10**9 * (4096 + 10**9)}\n"
+        )
+
+
 class TestEndToEndProcess:
     def test_module_invocation_byte_identical(self):
         argv = ["zeta", "--p", "2", "--system", "random", "--rho", "1/3", "--seed", "11",

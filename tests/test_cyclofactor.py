@@ -205,9 +205,9 @@ class TestLift:
         calls = []
         gcd = _f2.gcd
 
-        def counted(a, b):
+        def counted(a, b, p=2):
             calls.append(a)
-            return gcd(a, b)
+            return gcd(a, b, p)
 
         monkeypatch.setattr(_f2, "gcd", counted)
         return calls
@@ -236,7 +236,7 @@ class TestLift:
         # 441 = 3**2 * 7**2 and ord_441(2) = 42 = ord_147(2) = 7 * ord_63(2):
         # the lift from pi_147 (t**3) would leave pieces of 3 factors, the
         # lift from pi_63 (t**7) gives the factors, and it is the one taken
-        assert cyclofactor._split_start(2, 441, 42) == (42, 7)
+        assert cyclofactor._route(PrimeField(2), 441) == (6, 42, 42, 7, "lift")
         _cyclotomic_factors(2, 63)
         calls = self._gcd_args(monkeypatch)
         factors = _cyclotomic_factors(2, 441)
@@ -513,7 +513,7 @@ class TestFactorWork:
         # 16384 * d alone.  t^2956 - 1 (4.9 s) stays refused by the charge
         # of its unlifted pi_739 and pi_1478 (k = 2, r = 369)
         P = 2**31 - 1
-        assert cyclofactor._split_start(P, 2956, 738) == (738, 2)
+        assert cyclofactor._route(PrimeField(P), 2956) == (2, 738, 738, 2, "lift")
         assert cyclofactor.factor_work(P, 2956) - cyclofactor.factor_work(P, 1478) == (
             16384 * (4 + 2956)
         )
@@ -536,3 +536,71 @@ class TestFactorWork:
             + 2 * 6**2 + 2 * 12**2 + 2 * 24**2 + 6 * 72 * 91
             + 2 * 273**2 + 16384 * 273 + 12 * 12 * 12 * (12 + 1024)
         )
+
+    def test_charges_pinned(self):
+        # factor_work for n <= 5000 at five p and verify_work on a grid of
+        # triples, one line "p:n:work" or "p:q:nj:work" each, so that a
+        # change to a route or a charge that moves any value fails
+        from sintdyn.limitset import verify_work
+
+        from oracles import primes_upto
+
+        ps = (2, 3, 5, 7, MERSENNE_31)
+        factor, verify = hashlib.sha256(), hashlib.sha256()
+        for p in ps:
+            for n in range(1, 5001):
+                factor.update(f"{p}:{n}:{cyclofactor.factor_work(p, n)}\n".encode())
+            for q in (2, 3, 5, 7):
+                for nj in primes_upto(700):
+                    if q != p and nj != p and nj > q:
+                        verify.update(f"{p}:{q}:{nj}:{verify_work(p, q, nj)}\n".encode())
+        assert factor.hexdigest() == (
+            "9cc2ecde51e80e413d9dc8512acf1b0619dbe20a0b8392b1a7aa0446937c074e"
+        )
+        assert verify.hexdigest() == (
+            "97dd3acca2f5526d82c7763b2029a79085561ed9ee7fdff8e329938d803cca31"
+        )
+
+    @pytest.mark.parametrize("p", (2, 3, MERSENNE_31))
+    def test_lift_is_exactly_the_uncharged_route(self, p):
+        # factor_work(p, n) is 16384 for pi_1 plus one term per d | n, d > 1,
+        # so each term is read off by subtracting those of the divisors;
+        # the term is 16384 * d alone exactly when _route says "lift"
+        field, terms = PrimeField(p), {}
+        for d in range(2, 1201):
+            if d % p:
+                terms[d] = cyclofactor.factor_work(p, d) - 16384 - sum(
+                    terms[e] for e in intmath.divisors(d)[1:-1]
+                )
+                route = cyclofactor._route(field, d)[4]
+                assert (terms[d] == 16384 * d) == (route == "lift"), (d, route)
+
+
+class TestRoute:
+    def test_table_pinned(self):
+        # (k, r, m, q, route) of every d <= 3000 coprime to p at p = 2, 3, 5,
+        # one line "p:d:k:r:m:q:route" each: splitting_count, the lift whose
+        # pieces are smallest, and the one-factor threshold at p = 2
+        digest = hashlib.sha256()
+        for p in (2, 3, 5):
+            field = PrimeField(p)
+            for d in range(2, 3001):
+                if d % p:
+                    row = cyclofactor._route(field, d)
+                    digest.update((":".join(map(str, (p, d, *row))) + "\n").encode())
+        assert digest.hexdigest() == (
+            "ac5c0d02d86b7f3affe1a4af403a4a988b187ac5050de3eaa8afe6c7e97e0bb6"
+        )
+
+    def test_routes(self, F2, F3):
+        # pi_7 mod 2 is split by coset sums; pi_1023 (60 factors) from one
+        # factor; pi_45 lifts from pi_15 with the degree jump and pi_5 mod 2
+        # is irreducible, both "lift"; at odd p no pi_d takes the one-factor
+        # route, also with 12 factors (pi_91 mod 3) or 22 (pi_121 mod 3, from
+        # pieces lifted to t**11)
+        assert cyclofactor._route(F2, 7) == (2, 3, 6, None, "coset sums")
+        assert cyclofactor._route(F2, 1023) == (60, 10, 600, None, "one factor")
+        assert cyclofactor._route(F2, 45) == (2, 12, 12, 3, "lift")
+        assert cyclofactor._route(F2, 5) == (1, 4, 4, None, "lift")
+        assert cyclofactor._route(F3, 91) == (12, 6, 72, None, "coset sums")
+        assert cyclofactor._route(F3, 121) == (22, 5, 55, 11, "coset sums")

@@ -7,6 +7,7 @@ edges of a machine word."""
 import pytest
 
 import _pypoly
+from sintdyn._kernel import _f2
 from sintdyn.ffpoly import Poly, PrimeField, poly_divmod, poly_gcd, poly_powmod
 
 F2 = PrimeField(2)
@@ -98,6 +99,33 @@ def test_arithmetic_matches_list_kernel(hypothesis):
     degrees = set()
     check()
     assert max(degrees) > 1024 and {-1, 62, 63, 64} <= degrees
+
+
+def test_kernel_ops_take_the_trailing_p(hypothesis):
+    # mul, rem, div_rem, gcd and pow_mod take _kernel's trailing p, always 2
+    # and unused: each returns the same, or raises the same, with and without it
+    st = hypothesis.strategies
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (ZeroDivisionError, ValueError) as exc:
+            return type(exc)
+
+    @hypothesis.settings(max_examples=50, **SETTINGS)
+    @hypothesis.example(x=0, y=0, exp=0)
+    @hypothesis.example(x=5, y=1, exp=3)
+    @hypothesis.given(
+        x=st.integers(0, 2**2049 - 1), y=st.integers(0, 2**65 - 1),
+        exp=st.one_of(st.integers(0, 70), st.integers(0, 2**130)),
+    )
+    def check(x, y, exp):
+        for op, args in (("mul", (x, y)), ("rem", (x, y)), ("div_rem", (x, y)),
+                         ("gcd", (x, y)), ("pow_mod", (x, exp, y))):
+            fn = getattr(_f2, op)
+            assert outcome(fn, *args, 2) == outcome(fn, *args), op
+
+    check()
 
 
 def test_unary_operations_and_codes(hypothesis):

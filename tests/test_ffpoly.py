@@ -5,7 +5,7 @@ import random
 import pytest
 
 import _pypoly
-from sintdyn import _kernel, ffpoly
+from sintdyn import _kernel, cyclofactor, ffpoly
 from sintdyn.ffpoly import (
     FieldMismatchError,
     PrimeField,
@@ -344,9 +344,10 @@ class TestOddPOracle:
 
 
 class TestKernelLookup:
-    """Poly operations look the kernel entry points up at call time, in
-    sintdyn._kernel at odd p and in sintdyn._kernel._f2 at p = 2, so a name
-    rebound after import (as clibench/tracer.py does) sees every call."""
+    """Poly operations and the split of cyclofactor look the kernel entry
+    points up at call time, in sintdyn._kernel at odd p and in
+    sintdyn._kernel._f2 at p = 2, so a name rebound after import (as
+    clibench/tracer.py does) sees every call."""
 
     @pytest.mark.parametrize("p, module", ((3, _kernel), (2, _kernel._f2)))
     def test_rebound_names_are_reached(self, monkeypatch, p, module):
@@ -366,6 +367,25 @@ class TestKernelLookup:
             before = calls.get(op, 0)
             run()
             assert calls.get(op, 0) > before, op
+
+    # pi_21 mod 2 and pi_13 mod 3 (2 and 4 factors) take the coset-sum split
+    @pytest.mark.parametrize("p, d, module, ops", (
+        (2, 21, _kernel._f2, ("gcd",)), (3, 13, _kernel, ("gcd", "pow_mod")),
+    ))
+    def test_cold_split_reaches_rebound_names(self, monkeypatch, p, d, module, ops):
+        calls = dict.fromkeys(ops, 0)
+        for op in ops:
+            def counted(*args, op=op, original=getattr(module, op)):
+                calls[op] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, op, counted)
+        cyclofactor._cyclotomic_factors.cache_clear()
+        try:
+            assert len(cyclofactor._cyclotomic_factors(p, d)) > 1
+        finally:
+            cyclofactor._cyclotomic_factors.cache_clear()
+        assert all(calls.values()), calls
 
 
 class TestIrreducible:
