@@ -44,8 +44,9 @@ p = 2 (the factors of their proper divisors cached) on the one-factor
 route and on the coset-sum split, "kernel" column only.  The cold split
 rows split every pi_d up to a bound from a cold cache: at the sizes of the
 random-sweep growth jobs, (p, N) = (2, 120), (3, 80) and (5, 60), then at
-p = 3 up to 400 and every odd d <= 3000 at p = 2, in the "kernel" column
-and, at odd p, the compiled one.  The series rows
+(p, N) = (3, 400), (5, 400), (7, 300) and (2**31 - 1, 60) and every odd
+d <= 3000 at p = 2, in the "kernel" column and, at odd p, the compiled
+one.  The series rows
 time Berlekamp-Massey
 (find_linear_recurrence) alone on prebuilt zeta series: two without a
 short recurrence and one that has one.  The zeta rows time
@@ -379,10 +380,12 @@ def bench_split_paths(repeats):
 
 def bench_cold_splits(repeats):
     # every pi_d up to a bound from a cold cache: the random-sweep growth
-    # jobs' (p, N) = (2, 120), (3, 80) and (5, 60), then (3, 400) and every
-    # odd d <= 3000 at p = 2; odd p also on the compiled kernel when built
+    # jobs' (p, N) = (2, 120), (3, 80) and (5, 60), then (3, 400), (5, 400),
+    # (7, 300), (2**31 - 1, 60) and every odd d <= 3000 at p = 2; odd p also
+    # on the compiled kernel when built
     rows = []
-    for p, bound in ((2, 120), (3, 80), (5, 60), (3, 400), (2, 3000)):
+    for p, bound in ((2, 120), (3, 80), (5, 60), (3, 400), (5, 400), (7, 300),
+                     (2**31 - 1, 60), (2, 3000)):
         def split(p=p, bound=bound):
             _split_all(p, bound)
 

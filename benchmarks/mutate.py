@@ -86,7 +86,8 @@ MUTANTS = (
      "return _F2Poly(self, value)", "return _F2Poly(self, value >> 1)", ("test_ffpoly.py",)),
     # the lift of pi_{d/q} to pi_d
     ("lift_condition", "cyclofactor.py",
-     "if d % (q * q) == 0]", "if d % q == 0]", ("test_cyclofactor.py",)),
+     "for q, v in primes.items() if v > 1]", "for q, v in primes.items() if v > 0]",
+     ("test_cyclofactor.py",)),
     ("lift_choice", "cyclofactor.py",
      "= min(lifts,", "= max(lifts,", ("test_cyclofactor.py",)),
     ("lift_coset_skip", "cyclofactor.py",
@@ -94,15 +95,34 @@ MUTANTS = (
     # the route of pi_d, read by the split and by its charge: the pieces are
     # the factors, one factor and Berlekamp-Massey (p = 2 only), or coset sums
     ("lifted_pieces_irreducible", "cyclofactor.py",
-     '"lift" if m == r else', '"lift" if m >= r else', ("test_cyclofactor.py",)),
+     "    if m == r:\n", "    if m >= r:\n", ("test_cyclofactor.py",)),
     ("unsplit_lift_charged", "cyclofactor.py",
-     '"lift" if m == r else', '"lift" if m == r and k == 1 else', ("test_cyclofactor.py",)),
+     "    if m == r:\n", "    if m == r and k == 1:\n", ("test_cyclofactor.py",)),
     ("odd_p_lift_charged", "cyclofactor.py",
-     '"lift" if m == r else', '"lift" if m == r and p == 2 else', ("test_cyclofactor.py",)),
+     "    if m == r:\n", "    if m == r and p == 2:\n", ("test_cyclofactor.py",)),
     ("bm_threshold", "cyclofactor.py",
-     "and k >= _BM_MIN_FACTORS", "and k > _BM_MIN_FACTORS", ("test_cyclofactor.py",)),
+     "if k >= _BM_MIN_FACTORS", "if k > _BM_MIN_FACTORS", ("test_cyclofactor.py",)),
     ("one_factor_at_odd_p", "cyclofactor.py",
-     '"one factor" if p == 2 and', '"one factor" if', ("test_cyclofactor.py",)),
+     '    return k, r, m, q, "coset sums"\n',
+     '    return k, r, m, q, "one factor" if k >= _BM_MIN_FACTORS else "coset sums"\n',
+     ("test_cyclofactor.py",)),
+    # the odd-p routes from a smaller pi_m: the twists x**(-r) * f(x t) by
+    # the primitive e-th roots of unity x, e the product of the prime powers
+    # of d that divide p - 1, and the quotient pieces f(t**q) / f_s(t)
+    ("twist_exponent_sign", "cyclofactor.py",
+     "pow(x, 1 - len(f), p)", "pow(x, len(f) - 1, p)", ("test_cyclofactor.py",)),
+    ("twist_root_order", "cyclofactor.py",
+     "if all(pow(w, e // q, p) != 1 for q in intmath.factorint(e)):", "if True:",
+     ("test_cyclofactor.py",)),
+    ("twist_prime_power_not_dividing", "cyclofactor.py",
+     "if (p - 1) % q**v == 0)", "if (p - 1) % q == 0)", ("test_cyclofactor.py",)),
+    ("quotient_first_factor", "cyclofactor.py",
+     "            if not rest:\n", "            if True:\n", ("test_cyclofactor.py",)),
+    ("quotient_not_smaller", "cyclofactor.py",
+     "(quotient := min(quotients))[0] < m:", "(quotient := min(quotients))[0] <= m:",
+     ("test_cyclofactor.py",)),
+    ("quotient_at_p2", "cyclofactor.py",
+     "    if p == 2:\n", "    if p == 2 and k >= _BM_MIN_FACTORS:\n", ("test_cyclofactor.py",)),
     # the coset-sum split, one loop on kernel values: packed ints on _f2 at
     # p = 2, lists on _kernel at odd p
     ("split_quotient", "cyclofactor.py",

@@ -64,13 +64,39 @@ product of q factors, are what the split starts from in place of pi_d, and
 pi_d is formed only to reduce the coset sums.  A q with r = q * r' is
 taken when there is one: from another q's pieces the descent tries in vain
 the coset sums that vanish at every root of pi_d (pi_220825, 220825 =
-5**2 * 11**2 * 73, took 60 and 6 s from its lifts to t**5).  _route
-picks the pieces and names the route of pi_d once, for the split and for
-its charge: "lift" (the pieces are the factors), "one factor" or "coset
-sums".
+5**2 * 11**2 * 73, took 60 and 6 s from its lifts to t**5).
+
+At odd p two more identities (Lidl & Niederreiter, ch. 2) give pi_d from
+the cached factors of a smaller pi_m.  The twist: let e > 1 be the product
+of the prime powers q**v || d that divide p - 1, and m = d/e.  F_p holds a
+primitive e-th root of unity w, the primitive d-th roots of unity are the
+products of those of orders m and e (gcd(m, e) = 1), and ord_d(p) =
+ord_m(p) = r as p = 1 mod e.  So the factors of pi_d are
+w**(-i*r) * f(w**i * t) for each factor f of pi_m and each i in (Z/e)*,
+with no gcd: every d = 2 mod 4 (w = -1) and every d | p - 1 (m = 1,
+linear factors) is one.  The quotient pieces: for a prime q || d and
+m = d/q, pi_m(t**q) = pi_d(t) * pi_m(t).  Of the q-th roots of a root of a
+factor f of pi_m one has order m and the others order d, so
+f(t**q) = f_s(t) * P(t), f_s the factor of pi_m that divides f(t**q)
+(found by exact division), and the pieces P, one per f and of degree
+(q - 1) * ord_m(p), part the factors of pi_d.  A piece of degree r is a
+factor; the others are split by coset sums as lifted pieces are, without
+the cosets of multiples of q (e_C(t) = E(t**q) takes one value on every
+root of f(t**q)).  The q with the smallest pieces is taken, and only when
+they are smaller than the pieces of the next route.
+
+_route picks the pieces and names the route of pi_d once, for the split
+and for its charge, in this order: "lift" when the lifted pieces are the
+factors (also an irreducible pi_d), as neither it nor the twist takes a
+gcd and the lift is not charged; "twist"; "quotient"; else, from the
+lifted pieces or pi_d, "one factor" or "coset sums".  At p = 2, p - 1 = 1
+leaves no twist, and the quotient pieces stay out: in a prototype they
+made the split of every odd d <= 120 8-11% slower, and of every odd
+d <= 3000 about 45% slower.
 """
 
 import functools
+import math
 import random
 from typing import NamedTuple
 
@@ -334,17 +360,66 @@ def _lift(p: int, x, q: int):
 
 def _route(field: PrimeField, d: int) -> tuple[int, int, int, int | None, str]:
     # (k, r, m, q, route) for pi_d, d >= 2 coprime to p: k factors of
-    # degree r from pieces of degree m, the lifts f(t**q) for the prime q
-    # with q**2 | d whose pieces are smallest (module docstring), else pi_d
-    # itself (q None); "lift" also names an irreducible pi_d
+    # degree r from pieces of degree m, by the first route that applies
+    # (module docstring); q is the prime of a lift or of the quotient
+    # pieces, e for a twist, and None when the pieces are pi_d itself
     p = field.p
     k, r = splitting_count(field, d)
-    lifts = [(q * multiplicative_order(p, d // q), q)
-             for q in intmath.factorint(d) if d % (q * q) == 0]
+    primes = intmath.factorint(d)
+    lifts = [(q * multiplicative_order(p, d // q), q) for q, v in primes.items() if v > 1]
     m, q = min(lifts, default=(k * r, None))
-    route = ("lift" if m == r else "one factor" if p == 2 and k >= _BM_MIN_FACTORS
-             else "coset sums")
-    return k, r, m, q, route
+    if m == r:
+        return k, r, m, q, "lift"
+    if p == 2:
+        return k, r, m, q, "one factor" if k >= _BM_MIN_FACTORS else "coset sums"
+    e = math.prod(q**v for q, v in primes.items() if (p - 1) % q**v == 0)
+    if e > 1:
+        return k, r, r, e, "twist"
+    quotients = [((q - 1) * multiplicative_order(p, d // q), q)
+                 for q, v in primes.items() if v == 1 and q < d]
+    if quotients and (quotient := min(quotients))[0] < m:
+        return k, r, *quotient, "quotient"
+    return k, r, m, q, "coset sums"
+
+
+def _root_of_unity(p: int, e: int) -> int:
+    # a primitive e-th root of unity in F_p, e | p - 1: a**((p - 1)/e) for
+    # the least a >= 2 whose power has order e
+    for a in range(2, p):
+        w = pow(a, (p - 1) // e, p)
+        if all(pow(w, e // q, p) != 1 for q in intmath.factorint(e)):
+            return w
+
+
+def _twist(p: int, f: list, x: int) -> list:
+    # x**(-r) * f(x t) for a kernel value f of degree r and x in F_p*
+    s, out = pow(x, 1 - len(f), p), []
+    for c in f:
+        out.append(c * s % p)
+        s = s * x % p
+    return out
+
+
+def _twists(p: int, m: int, e: int) -> list:
+    # the factors of pi_{m e} (module docstring): the twists of each factor
+    # of pi_m by w**i, i in (Z/e)*, w a primitive e-th root of unity
+    w, small = _root_of_unity(p, e), [f._value for f in _cyclotomic_factors(p, m)]
+    return [_twist(p, f, pow(w, i, p)) for i in range(1, e) if math.gcd(i, e) == 1
+            for f in small]
+
+
+def _quotient_pieces(p: int, m: int, q: int) -> list:
+    # the pieces f(t**q) / f_s(t) of pi_{m q}, one for each factor f of
+    # pi_m (module docstring), f_s the factor of pi_m that divides f(t**q)
+    small, pieces = [f._value for f in _cyclotomic_factors(p, m)], []
+    for f in small:
+        lifted = _lift(p, f, q)
+        for g in small:
+            piece, rest = _kernel.div_rem(lifted, g, p)
+            if not rest:
+                break
+        pieces.append(piece)
+    return pieces
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,18 +427,21 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
     field = PrimeField(p)
     if d == 1:
         return (cyclotomic_poly(field, 1),)
-    count, r, _, q, route = _route(field, d)
-    if q:  # pi_d(t) = pi_{d/q}(t**q) (module docstring)
-        small = _cyclotomic_factors(p, d // q)
-        pieces = [_lift(p, f._value, q) for f in small]
+    count, r, m, q, route = _route(field, d)
+    if route == "twist":
+        pieces = _twists(p, d // q, q)
+    elif route == "quotient":
+        pieces = _quotient_pieces(p, d // q, q)
+    elif q:  # pi_d(t) = pi_{d/q}(t**q) (module docstring)
+        pieces = [_lift(p, f._value, q) for f in _cyclotomic_factors(p, d // q)]
     else:
         pieces = [_cyclotomic_value(p, d)]
-    factors, pending = (pieces, []) if route == "lift" else ([], pieces)
+    factors, pending = (pieces, []) if m == r else ([], pieces)
     if route == "one factor":  # every factor from one
         f = _one_factor_f2(d, q, pieces[0], r)
         if f.bit_length() == r + 1:
             factors, pending = _berlekamp_massey_f2(d, f, r), []
-    elif route == "coset sums":
+    elif pending:  # coset sums, from pi_d, lifts or quotient pieces
         pi = _cyclotomic_value(p, d) if q else pieces[0]
         factors, pending = _coset_split(p, d, q, pi, pieces, r)
     factors = [field._wrap(x) for x in factors]
@@ -407,7 +485,11 @@ def factor_work(p: int, n: int) -> int:
     bit_length(p)**2 and, measured, with k.bit_length()**2: 0.2-0.8 ns per
     bit_length(p)**2 * k.bit_length()**2 * phi(d)**2 at p = 3 to 13, up to
     1.6 ns at p = 2**31 - 1, k = 2; charged 64 times that (1.3 ns).  With
-    k.bit_length() it admitted t**1478 - 1 at p = 2**31 - 1 (5.5-8 s)."""
+    k.bit_length() it admitted t**1478 - 1 at p = 2**31 - 1 (5.5-8 s).
+    The odd-p routes "twist" and "quotient" are charged as this coset-sum
+    split, by k and r alone, although a twist takes no gcd: t**279 - 1 at
+    p = 2**31 - 1 (279 | p - 1, so pi_279 splits into linear factors) is
+    charged 0.996 of the budget and runs in 0.11-0.18 s with start-up."""
     n_coprime, _ = intmath.coprime_part(n, p)
     if 16384 * n_coprime > MAX_FACTOR_WORK:  # d = n' alone: not worth factoring n'
         return 16384 * n_coprime

@@ -180,18 +180,32 @@ class TestCyclotomicSplit:
             _cyclotomic_factors(2, 21)
 
     def test_shift_splits_where_coset_sums_cannot(self, F5, monkeypatch, cold_split_cache):
-        # pi_4 mod 5 = (t - 2)(t - 3): each of its coset sums t, t^2 and t^3
-        # has g^2 - 1 zero at both roots or at neither, so only the seeded
-        # shift a of (g + a)^2 - 1 splits it without the combinations
+        # pi_24 mod 5 (four quadratics, split from its lifted pieces pi_12(t^2)):
+        # at the fixed seed the unshifted powers g^2 - 1 of its coset sums
+        # leave a piece whole, so only the seeded shift a of (g + a)^2 - 1
+        # splits it without the combinations
         monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
-        assert _cyclotomic_factors(5, 4) == (F5.from_string("t+2"), F5.from_string("t+3"))
+        assert cyclofactor._route(F5, 24) == (4, 2, 4, 2, "coset sums")
+        assert _cyclotomic_factors(5, 24) == tuple(
+            v for v, _ in factorize(cyclotomic_poly(F5, 24))
+        )
 
     def test_coset_sums_alone_can_run_out(self, monkeypatch, cold_split_cache):
-        # at the fixed seed the shifted powers of the coset sums t and t^2
-        # leave pi_3 = t^2 + t + 1 mod 7 whole; the combinations would split it
+        # pi_51 mod 5 (two factors of degree 16) takes neither the twist nor
+        # the quotient pieces, and at the fixed seed the shifted powers of its
+        # coset sums leave it whole; the combinations would split it
         monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
-        with pytest.raises(ArithmeticError, match="pi_3 mod 7 did not split into 2 "):
-            _cyclotomic_factors(7, 3)
+        with pytest.raises(ArithmeticError, match="pi_51 mod 5 did not split into 2 "):
+            _cyclotomic_factors(5, 51)
+
+    def test_twist_needs_no_combinations(self, monkeypatch, cold_split_cache):
+        # pi_3 mod 7 (3 | p - 1), which the coset sums alone leave whole at
+        # the fixed seed, is the twists of pi_1 = t - 1 by the cube roots of
+        # unity, with no coset sum
+        monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
+        F7 = PrimeField(7)
+        assert cyclofactor._route(F7, 3) == (2, 1, 1, 3, "twist")
+        assert _cyclotomic_factors(7, 3) == (F7.from_string("t+3"), F7.from_string("t+5"))
 
 
 class TestLift:
@@ -580,27 +594,109 @@ class TestRoute:
     def test_table_pinned(self):
         # (k, r, m, q, route) of every d <= 3000 coprime to p at p = 2, 3, 5,
         # one line "p:d:k:r:m:q:route" each: splitting_count, the lift whose
-        # pieces are smallest, and the one-factor threshold at p = 2
-        digest = hashlib.sha256()
+        # pieces are smallest, the one-factor threshold at p = 2, and at odd
+        # p the twist and the quotient pieces.  The second digest, of the
+        # lines whose route is neither "twist" nor "quotient" (every p = 2
+        # line among them), was recorded before those routes were added:
+        # they take no row but their own
+        full, kept, taken = hashlib.sha256(), hashlib.sha256(), {}
         for p in (2, 3, 5):
             field = PrimeField(p)
             for d in range(2, 3001):
                 if d % p:
                     row = cyclofactor._route(field, d)
-                    digest.update((":".join(map(str, (p, d, *row))) + "\n").encode())
-        assert digest.hexdigest() == (
-            "ac5c0d02d86b7f3affe1a4af403a4a988b187ac5050de3eaa8afe6c7e97e0bb6"
+                    line = (":".join(map(str, (p, d, *row))) + "\n").encode()
+                    full.update(line)
+                    if row[4] in ("twist", "quotient"):
+                        taken[p] = taken.get(p, 0) + 1
+                    else:
+                        kept.update(line)
+        assert full.hexdigest() == (
+            "477f9a9c71e1cbe1c64d74f4cdfa342acfbc89eb34ed5095ba7f2b9d2c69e811"
+        )
+        assert taken == {3: 742, 5: 1152}
+        assert kept.hexdigest() == (
+            "cae3b3d4a73f5a35c47ea7ba8db5252cffec0274b01c508a6708ae03c6d50265"
         )
 
-    def test_routes(self, F2, F3):
+    def test_routes(self, F2, F3, F5):
         # pi_7 mod 2 is split by coset sums; pi_1023 (60 factors) from one
         # factor; pi_45 lifts from pi_15 with the degree jump and pi_5 mod 2
         # is irreducible, both "lift"; at odd p no pi_d takes the one-factor
-        # route, also with 12 factors (pi_91 mod 3) or 22 (pi_121 mod 3, from
-        # pieces lifted to t**11)
+        # route, also with 12 factors (pi_91 mod 3, from the quotient pieces
+        # of pi_13(t^7), each of degree 6 * 3 = 18) or 22 (pi_121 mod 3, from
+        # pieces lifted to t**11); pi_242 mod 3 is the twist of pi_121 by -1,
+        # and pi_12 mod 5 the twists of pi_3 by the fourth roots of unity
         assert cyclofactor._route(F2, 7) == (2, 3, 6, None, "coset sums")
         assert cyclofactor._route(F2, 1023) == (60, 10, 600, None, "one factor")
         assert cyclofactor._route(F2, 45) == (2, 12, 12, 3, "lift")
         assert cyclofactor._route(F2, 5) == (1, 4, 4, None, "lift")
-        assert cyclofactor._route(F3, 91) == (12, 6, 72, None, "coset sums")
+        assert cyclofactor._route(F3, 91) == (12, 6, 18, 7, "quotient")
         assert cyclofactor._route(F3, 121) == (22, 5, 55, 11, "coset sums")
+        assert cyclofactor._route(F3, 242) == (22, 5, 5, 2, "twist")
+        assert cyclofactor._route(F5, 12) == (2, 2, 2, 4, "twist")
+
+
+class TestTwistAndQuotient:
+    """At odd p, pi_d is built from the cached factors of a smaller pi_m: by
+    twists x**(-r) * f(x t), x a primitive e-th root of unity in F_p, when
+    the prime powers of d that divide p - 1 multiply to e > 1, and by the
+    pieces f(t**q) / f_s(t) of pi_m(t**q) = pi_d(t) * pi_m(t), q || d prime.
+    Both are checked against the general factorization and against sympy."""
+
+    BOUNDS = ((3, 300), (5, 300), (7, 300), (13, 300), (MERSENNE_31, 60))
+
+    @staticmethod
+    def _taken(p, bound):
+        field = PrimeField(p)
+        rows = {d: cyclofactor._route(field, d) for d in range(2, bound + 1) if d % p}
+        return {d: row for d, row in rows.items() if row[4] in ("twist", "quotient")}
+
+    @pytest.mark.parametrize("p, bound", BOUNDS)
+    def test_equals_factorize(self, p, bound, cold_split_cache):
+        field = PrimeField(p)
+        for d in self._taken(p, bound):
+            pairs = factorize(cyclotomic_poly(field, d))
+            assert _cyclotomic_factors(p, d) == tuple(sorted(v for v, _ in pairs)), (p, d)
+
+    @pytest.mark.parametrize("p", (3, 5, 7, 13))
+    def test_matches_sympy(self, p):
+        # sympy took 77 s for every d <= 300 at these four p, so it checks
+        # d <= 100 and the two named cases of test_cases below
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        field = PrimeField(p)
+        for d in self._taken(p, 100).keys() | ({242} if p == 3 else {39} if p == 5 else set()):
+            pi = cyclotomic_poly(field, d)
+            expr = sum(c * t**i for i, c in enumerate(pi.coeffs))
+            _, pairs = sympy.Poly(expr, t, modulus=p).factor_list()
+            expected = sorted(
+                field.poly(reversed([int(c) for c in v.all_coeffs()])).monic() for v, _ in pairs
+            )
+            assert list(_cyclotomic_factors(p, d)) == expected, (p, d)
+
+    def test_cases(self):
+        # every d | p - 1 (linear factors), d = 2m, d = 4m at p = 5 and
+        # d = 6m at p = 7 are twists; pi_242 mod 3 twists pi_121, itself split
+        # from lifted pieces; pi_39 mod 5 has quotient pieces of two factors
+        taken = {p: self._taken(p, bound) for p, bound in self.BOUNDS}
+        for p, bound in self.BOUNDS:
+            for d in intmath.divisors(p - 1)[2:]:  # pi_2 = t + 1 is irreducible
+                if d <= bound:
+                    assert taken[p][d] == (intmath.euler_phi(d), 1, 1, d, "twist"), (p, d)
+        assert taken[3][2 * 35][4] == taken[5][2 * 21][4] == "twist"
+        assert taken[5][4 * 7][3] == 4 and taken[7][6 * 5][3] == 6
+        assert cyclofactor._route(PrimeField(3), 121)[4] == "coset sums"
+        assert taken[3][242] == (22, 5, 5, 2, "twist")
+        assert taken[5][39] == (6, 4, 8, 3, "quotient")
+
+    def test_twist_takes_no_gcd(self, cold_split_cache, monkeypatch):
+        # pi_126 mod 2**31 - 1 splits into 36 linear factors (126 | p - 1),
+        # and pi_30 into 2 quartics, twists of pi_5 (e = 6), each with no
+        # gcd, no modular power and no division
+        _cyclotomic_factors(MERSENNE_31, 5)
+        for op in ("gcd", "pow_mod", "div_rem", "rem"):
+            monkeypatch.setattr(cyclofactor._kernel, op, None)
+        for d, count, degree in ((126, 36, 1), (30, 2, 4)):
+            factors = _cyclotomic_factors(MERSENNE_31, d)
+            assert len(factors) == count and all(v.degree == degree for v in factors)
