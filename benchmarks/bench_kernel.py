@@ -44,10 +44,12 @@ p = 2 (the factors of their proper divisors cached) on the one-factor
 route and on the coset-sum split, "kernel" column only.  The cold split
 rows split every pi_d up to a bound from a cold cache: at the sizes of the
 random-sweep growth jobs, (p, N) = (2, 120), (3, 80) and (5, 60), then at
-(p, N) = (3, 400), (5, 400), (7, 300) and (2**31 - 1, 60) and every odd
-d <= 3000 at p = 2, in the "kernel" column and, at odd p, the compiled
-one.  The series rows
-time Berlekamp-Massey
+(p, N) = (3, 400), (5, 400), (7, 300), (3, 1000) and (2**31 - 1, 60) and
+every odd d <= 3000 at p = 2, in the "kernel" column and, at odd p, the
+compiled one.  The gcd rows time gcd at p = 3, 5, 7 and 11 and degree 12,
+36, 72 and 200, the sizes of the coset-sum split, on the list backends and
+the "packed" column (_fp), each timing the mean of a batch of calls.  The
+series rows time Berlekamp-Massey
 (find_linear_recurrence) alone on prebuilt zeta series: two without a
 short recurrence and one that has one.  The zeta rows time
 zeta_coefficients alone on precomputed counts: the full shift at p = 2,
@@ -78,7 +80,11 @@ from the end of `import sintdyn.cli` to the entry of the growth handler,
 for a valid argv, which the strict reader takes, and for one that falls
 back to argparse (the abbreviation --max): median and quartiles of
 FRONT_END_RUNS processes each.  With --rev it also times a git revision,
-exported with pairs.export_revision, alternating the two trees.
+exported with pairs.export_revision: the front-end rows alternating the two
+trees, and the gcd and cold split rows in the "rev" column, on the
+revision's sintdyn imported under another name (its _fp for gcd, its
+_kernel for the splits), alternating with the working tree's "packed" or
+"kernel" cell repetition by repetition; "new/rev" is their ratio.
 
     python benchmarks/bench_kernel.py [--repeats N] [--rev REV]
 """
@@ -170,15 +176,46 @@ def _random_poly(rng, p, degree):
 
 
 def _time(fn, repeats, setup=lambda: None):
-    best = float("inf")
-    for _ in range(repeats):
-        setup()
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-        if best > 1.0:
+    return _time_alternating({None: (fn, setup)}, repeats)[None]
+
+
+def _time_alternating(cells, repeats):
+    """{name: best time} of repeats repetitions for cells {name: (fn,
+    setup)}, each repetition running every cell once, in an order that
+    rotates from one repetition to the next, until every best exceeds a
+    second."""
+    best = dict.fromkeys(cells, float("inf"))
+    names = list(cells)
+    for i in range(repeats):
+        for name in names[i % len(names):] + names[:i % len(names)]:
+            fn, setup = cells[name]
+            setup()
+            start = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - start)
+        if min(best.values()) > 1.0:
             break
     return best
+
+
+# the name under which main imports the sintdyn package of --rev
+REVISION_NAME = "sintdyn_rev"
+
+
+def _import_revision(src: Path):
+    """The sintdyn package under src imported as REVISION_NAME, with the
+    modules the "rev" cells call (the package imports its own modules
+    relatively, so the two trees share nothing)."""
+    spec = importlib.util.spec_from_file_location(
+        REVISION_NAME, src / "sintdyn" / "__init__.py",
+        submodule_search_locations=[str(src / "sintdyn")],
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[REVISION_NAME] = package
+    spec.loader.exec_module(package)
+    for name in ("cyclofactor", "orders", "ffpoly", "_kernel._fp"):
+        importlib.import_module(f"{REVISION_NAME}.{name}")
+    return package
 
 
 def _f2_cases(a, b, m, ab):
@@ -258,16 +295,17 @@ def _kernel_from(module):
             setattr(_kernel, op, fn)
 
 
-def _clear_caches():
-    _cyclotomic_factors.cache_clear()
-    _irreducible_order.cache_clear()
-    is_irreducible.cache_clear()
+def _clear_caches(package=sintdyn):
+    package.cyclofactor._cyclotomic_factors.cache_clear()
+    package.orders._irreducible_order.cache_clear()
+    package.ffpoly.is_irreducible.cache_clear()
 
 
-def _split_all(p, bound):
+def _split_all(p, bound, package=sintdyn):
+    split = package.cyclofactor._cyclotomic_factors
     for d in range(1, bound + 1):
         if d % p:
-            _cyclotomic_factors(p, d)
+            split(p, d)
 
 
 def bench_end_to_end(repeats):
@@ -378,22 +416,50 @@ def bench_split_paths(repeats):
     return rows
 
 
-def bench_cold_splits(repeats):
+def bench_cold_splits(repeats, revision=None):
     # every pi_d up to a bound from a cold cache: the random-sweep growth
     # jobs' (p, N) = (2, 120), (3, 80) and (5, 60), then (3, 400), (5, 400),
-    # (7, 300), (2**31 - 1, 60) and every odd d <= 3000 at p = 2; odd p also
-    # on the compiled kernel when built
+    # (7, 300), (3, 1000), (2**31 - 1, 60) and every odd d <= 3000 at p = 2;
+    # odd p also on the compiled kernel when built, and every row on the
+    # revision, alternating with the "kernel" cell
     rows = []
-    for p, bound in ((2, 120), (3, 80), (5, 60), (3, 400), (5, 400), (7, 300),
+    for p, bound in ((2, 120), (3, 80), (5, 60), (3, 400), (5, 400), (7, 300), (3, 1000),
                      (2**31 - 1, 60), (2, 3000)):
-        def split(p=p, bound=bound):
-            _split_all(p, bound)
-
-        timings = {"kernel": _time(split, repeats, _clear_caches)}
+        cells = {"kernel": (lambda p=p, bound=bound: _split_all(p, bound), _clear_caches)}
+        if revision:
+            cells["rev"] = (lambda p=p, bound=bound: _split_all(p, bound, revision),
+                            lambda: _clear_caches(revision))
+        timings = _time_alternating(cells, repeats)
         if p != 2 and "cython" in BACKENDS:
             with _kernel_from(BACKENDS["cython"]):
-                timings["cython"] = _time(split, repeats, _clear_caches)
+                timings["cython"] = _time(cells["kernel"][0], repeats, _clear_caches)
         rows.append((f"cold split p={p}, every d<={bound}", "", "", timings))
+    return rows
+
+
+def bench_gcd(repeats, revision=None):
+    # gcd at the sizes of the coset-sum split, on the list backends, _fp
+    # ("packed") and the revision's _fp ("rev"), alternating; each timing is
+    # the mean of a batch of calls
+    impls = {**BACKENDS, "packed": _fp}
+    if revision:
+        impls["rev"] = revision._kernel._fp
+    rows = []
+    for p in (3, 5, 7, 11):
+        for degree in (12, 36, 72, 200):
+            rng = random.Random(degree * p % 100003)
+            a, b = _random_poly(rng, p, degree), _random_poly(rng, p, degree)
+            batch = max(1, 2000 // degree)
+
+            def calls(impl, a=a, b=b, p=p, batch=batch):
+                for _ in range(batch):
+                    impl.gcd(a, b, p)
+
+            cells = {name: (lambda impl=impl: calls(impl), lambda: None)
+                     for name, impl in impls.items()}
+            timings = _time_alternating(cells, repeats)
+            rows.append((f"p={p}", f"deg={degree}", "gcd",
+                         {name: t / batch for name, t in timings.items()}))
     return rows
 
 
@@ -591,7 +657,8 @@ def bench_front_end(src_dirs):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3, help="best-of-N timing")
-    parser.add_argument("--rev", help="also time the front-end row on this git revision")
+    parser.add_argument("--rev", help="also time the front-end, gcd and cold split rows on "
+                        "this git revision")
     args = parser.parse_args()
 
     print(f"src/ size: {src_lines(ROOT)} lines of Python")
@@ -603,11 +670,13 @@ def main():
           f"{lower * 1e3:.1f}-{upper * 1e3:.1f} ms, {STARTUP_PAIRS} alternating pairs) to a "
           f"bare interpreter's {bare * 1e3:.1f} ms; peak RSS after it (VmHWM, median of "
           f"{PEAK_RUNS}) {peak_kb} KB; stdlib modules: {', '.join(modules)}")
+    revision = None
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"working tree": Path(sintdyn.__file__).parents[1]}
         if args.rev:
             export_revision(ROOT, args.rev, Path(tmp))
             trees[args.rev] = Path(tmp) / "src"
+            revision = _import_revision(trees[args.rev])
         front_end = bench_front_end(list(trees.values()))
     for name, src in trees.items():
         cells = ", ".join(
@@ -618,32 +687,41 @@ def main():
               f"median (quartiles) of {FRONT_END_RUNS} fresh processes: {cells}")
 
     rows = bench_kernel_ops(args.repeats) + bench_packed_ops(args.repeats)
+    rows += bench_gcd(args.repeats, revision)
     rows += bench_end_to_end(args.repeats) + bench_construction(args.repeats)
     rows += bench_verify(args.repeats)
     rows += bench_cyclotomic(args.repeats) + bench_split_paths(args.repeats)
-    rows += bench_cold_splits(args.repeats)
+    rows += bench_cold_splits(args.repeats, revision)
     rows += bench_series(args.repeats) + bench_zeta(args.repeats) + bench_orbits(args.repeats)
     rows += bench_system(args.repeats)
     rows += bench_limits(args.repeats)
-    header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in COLUMNS)
+    columns = COLUMNS + ("rev",) * bool(revision)
+    header = f"{'case':48s} {'op':8s}" + "".join(f" {name:>12s}" for name in columns)
     if "cython" in BACKENDS:
         header += f" {'py/cy':>9s} {'packed/cy':>10s}"
     header += f" {'list/kernel':>12s}"
+    if revision:
+        header += f" {'new/rev':>9s}"
     print(header)
     print("-" * len(header))
     for case, size, op, timings in rows:
         label = f"{case} {size}".strip()
         line = f"{label:48s} {op:8s}"
-        for name in COLUMNS:
+        for name in columns:
             line += f" {timings[name] * 1e3:10.3f}ms" if name in timings else f" {'-':>12s}"
         if "cython" in BACKENDS:
             ratio = timings["python"] / timings["cython"] if "python" in timings else None
             line += f" {ratio:8.1f}x" if ratio else f" {'-':>9s}"
-            packed = timings["packed"] / timings["cython"] if "packed" in timings else None
+            both = {"packed", "cython"} <= timings.keys()  # not the p = 2 rows
+            packed = timings["packed"] / timings["cython"] if both else None
             line += f" {packed:9.2f}x" if packed else f" {'-':>10s}"
         fastest_list = min((timings[name] for name in BACKENDS if name in timings), default=None)
         if fastest_list and "kernel" in timings:
             line += f" {fastest_list / timings['kernel']:11.1f}x"
+        elif revision:
+            line += f" {'-':>12s}"
+        if "rev" in timings:  # the packed gcd or the kernel split against the revision's
+            line += f" {timings['packed' if op == 'gcd' else 'kernel'] / timings['rev']:8.3f}x"
         print(line)
 
 

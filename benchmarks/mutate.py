@@ -126,19 +126,39 @@ MUTANTS = (
     # the coset-sum split, one loop on kernel values: packed ints on _f2 at
     # p = 2, lists on _kernel at odd p
     ("split_quotient", "cyclofactor.py",
-     "parts = [h, kernel.div_rem(u, h, p)[0]]", "parts = [h, h]", ("test_cyclofactor.py",)),
+     "rest = kernel.div_rem(rest, h, p)[0]", "rest = h", ("test_cyclofactor.py",)),
     ("split_factor_size", "cyclofactor.py",
-     "size(v) == r + 1", "size(v) == r", ("test_cyclofactor.py",)),
+     "(factors if size(rest) == r + 1 else pending)", "(factors if size(rest) == r else pending)",
+     ("test_cyclofactor.py",)),
     ("split_shift", "cyclofactor.py",
      "_plus_constant(g, rng.randrange(p), p)", "_plus_constant(g, rng.randrange(p) * 0, p)",
      ("test_cyclofactor.py",)),
     ("split_minus_one", "cyclofactor.py",
      "_plus_constant(w, p - 1, p)", "_plus_constant(w, 0, p)", ("test_cyclofactor.py",)),
+    # the class split at p <= _CLASS_SPLIT_MAX_P: gcd(rest, g - c) for
+    # c = 0, ..., p - 2, then the rest as the class of p - 1
+    ("class_split_value_dropped", "cyclofactor.py",
+     "range(1 if rng else p - 1)", "range(1 if rng else p - 2)", ("test_cyclofactor.py",)),
+    ("class_split_last_class_dropped", "cyclofactor.py",
+     "            (factors if size(rest) == r + 1 else pending).append(rest)\n",
+     "            pass\n", ("test_cyclofactor.py",)),
+    ("class_split_threshold", "cyclofactor.py",
+     "if p > _CLASS_SPLIT_MAX_P else None", "if p >= _CLASS_SPLIT_MAX_P else None",
+     ("test_cyclofactor.py",)),
     ("coset_sum_coefficients", "cyclofactor.py",
      "e[i] = 1", "e[i - 1] = 1", ("test_cyclofactor.py",)),
     # the p = 2 route: every factor of pi_d from one, by Berlekamp-Massey
     ("bm_sequence_length", "cyclofactor.py",
      "for n in range(2 * r):", "for n in range(2 * r - 1):", ("test_cyclofactor.py",)),
+    # the gcd of _fp on byte slots: reduced by a translate table, in runs
+    # that fit in a byte
+    ("residue_table", "_kernel/_fp.py",
+     "bytes(v % p for v in range(256))", "bytes(v % (p + 1) for v in range(256))",
+     ("test_kernel_backends.py",)),
+    ("byte_run_one_step_long", "_kernel/_fp.py",
+     "(run := (mask - bx) // ((p - 1) * by)) < nq",
+     "(run := (mask - bx) // ((p - 1) * by) + 1) < nq",
+     ("test_kernel_backends.py",)),
     # the Artin-prime sieve: ell = 2 by q mod 8 at p = 2 and by Euler's
     # test at odd p, then every odd ell
     ("artin_residue_7", "limitset.py",
@@ -253,7 +273,7 @@ EQUIVALENT = (
      "without the pairing every coset C gets the factor of -C; as C runs over the cosets "
      "so does -C, and the factor set of pi_d is closed under reverse"),
     ("split_f2_shifted", "cyclofactor.py",
-     "x = g\n", "x = g ^ 1 if p == 2 else g\n", ("test_cyclofactor.py",),
+     "x = g if p == 2 else", "x = g ^ 1 if p == 2 else", ("test_cyclofactor.py",),
      "at p = 2 the shift a = 1 gives e_C + 1, which is 1 at the factors where e_C is 0 and "
      "0 where it is 1, so gcd(u, e_C + 1) is u / gcd(u, e_C): the same two parts, swapped"),
 )

@@ -1,7 +1,7 @@
 """Paired end-to-end comparison of a git revision and the working tree on
 the CLI benchmark (clibench).
 
-    python3 benchmarks/pairs.py --output BENCH.json [--rev HEAD]
+    python3 benchmarks/pairs.py --output BENCH.json [--rev HEAD] [--seed 1]
 
 Run from anywhere inside the checkout.  The revision (default HEAD) is
 exported with ``git archive`` and the working tree (tracked and untracked
@@ -9,9 +9,10 @@ files that git does not ignore, no ``__pycache__``) is copied, into two
 temporary directories of equal path length.  For every workload that the
 revision's clibench/jobs.py defines, each of PAIRS = 10 pairs then runs
 
-    python3 clibench/run.py --workload W --seconds 5 --trace 0
+    python3 clibench/run.py --workload W --seed N --seconds 5 --trace 0
 
-once in each tree, the revision first in even pairs and the working tree
+once in each tree (N is --seed, the workload seed, 1 by default, which the
+record keeps), the revision first in even pairs and the working tree
 first in odd ones, with PYTHONDONTWRITEBYTECODE=1 so that no run reads
 bytecode another one wrote.  Any run that is not correct or has a failed
 job stops the comparison with exit status 1.  For each workload and
@@ -78,8 +79,8 @@ def workload_names(tree: Path) -> list[str]:
     return list(runpy.run_path(str(tree / "clibench" / "jobs.py"))["WORKLOADS"])
 
 
-def run_once(tree: Path, workload: str) -> dict:
-    argv = [sys.executable, "clibench/run.py", "--workload", workload,
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    argv = [sys.executable, "clibench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
@@ -158,6 +159,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--output", required=True, help="path of the JSON record")
     parser.add_argument("--rev", default="HEAD", help="git revision to compare against")
+    parser.add_argument("--seed", type=int, default=1, help="workload seed of clibench/run.py")
     args = parser.parse_args(argv)
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
@@ -174,7 +176,7 @@ def main(argv=None) -> int:
             runs = {side: [] for side in SIDES}
             for i in range(PAIRS):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    runs[side].append(run_once(trees[side], workload))
+                    runs[side].append(run_once(trees[side], workload, args.seed))
             results[workload] = compare(runs, bound)
             backends = {side: sorted({r["backend"] for r in runs[side]}) for side in SIDES}
             results[workload]["backend"] = backends
@@ -203,8 +205,9 @@ def main(argv=None) -> int:
         "within_bounds": all(w[name]["within_bound"] for w in results.values() for name in METRICS),
         "src_lines": lines,
         "clibench": {
+            "seed": args.seed,
             "command": (f"PYTHONDONTWRITEBYTECODE=1 python3 clibench/run.py --workload W "
-                        f"--seconds {SECONDS} --trace 0; {PAIRS} pairs per "
+                        f"--seed {args.seed} --seconds {SECONDS} --trace 0; {PAIRS} pairs per "
                         "workload, alternating which side runs "
                         "first; the parent exported with git archive and the change copied "
                         "without __pycache__ to directories of equal path length"),

@@ -16,11 +16,17 @@ reads slot 0 mod p, adds (p - c)*b, which clears that slot mod p and keeps
 every slot non-negative, and shifts the slot out; only the remainder is
 unpacked.  ``pow_mod`` squares and multiplies packed residues and reduces
 their slots mod p once per step.  ``gcd`` runs Euclid on unreduced slots
-and tracks a bound on them as a Python int: both operands are reduced mod
-p only when the next division could overflow a slot.  The code works at
-any p; ``_kernel`` sends it the odd p when the compiled kernel is not built.
+and tracks a bound on them as a Python int, reducing them mod p only when
+the next division could overflow a slot.  Where a division of two quotient
+steps fits in a byte (p <= 11) the slots are bytes, reduced in C by
+``bytes.translate`` through the table v -> v mod p of ``_residues`` (as
+``_unpack`` reduces byte slots), and a division too long for a byte runs
+in parts with the dividend reduced in between; at larger p the slots are
+wide enough for a whole division.  The code works at any p; ``_kernel``
+sends it the odd p when the compiled kernel is not built.
 """
 
+import functools
 import struct
 
 BACKEND = "python"
@@ -49,11 +55,18 @@ def _pack(a: list, w: int) -> int:
     return int.from_bytes(struct.pack(f"<{len(a)}{_CODES[min(w, 64)]}", *a), "little")
 
 
+@functools.cache
+def _residues(p: int) -> bytes:
+    """The table v -> v mod p, v < 256, through which bytes.translate
+    reduces byte slots mod p in C."""
+    return bytes(v % p for v in range(256))
+
+
 def _unpack(x: int, w: int, n: int, p: int) -> list:
     """The n slots of x reduced mod p; x has no higher slot."""
-    raw = x.to_bytes(w * n // 8, "little")
     if w == 8:
-        return [s % p for s in raw]
+        return list(x.to_bytes(n, "little").translate(_residues(p)))
+    raw = x.to_bytes(w * n // 8, "little")
     k = w // 64
     words = struct.unpack(f"<{n * max(k, 1)}{_CODES[min(w, 64)]}", raw)
     slots = words[k - 1 :: k] if k > 1 else words
@@ -164,18 +177,36 @@ def gcd(a: list, b: list, p: int) -> list:
         # Euclid on unreduced slots, leading coefficients first.  The slots
         # of x stay at most bx and those of y at most by; dividing x by y
         # adds at most nq*(p-1)*by to a slot, and when that could overflow
-        # both are reduced mod p first.  Reduced, one division needs half
-        # of w at most, as nq <= len(a)
-        w = max(64, 2 * _width(p - 1 + len(a) * (p - 1) ** 2))
+        # the slots are reduced mod p first.  Where a division of two
+        # quotient steps, Euclid's usual one, fits in a byte (p <= 11), the
+        # slots are bytes, reduced in C and so only as far as the next
+        # division needs: y, then x between runs of a division too long
+        # for a byte.  Else a reduction is a pass over the slots in
+        # Python, so both are reduced at once, and w is wide enough for a
+        # whole division in half of it, as nq <= len(a)
+        if (p - 1) * (2 * p - 1) <= 255:
+            w, table = 8, _residues(p)
+        else:
+            w, table = max(64, 2 * _width(p - 1 + len(a) * (p - 1) ** 2)), None
         mask = (1 << w) - 1
         x, nx, bx = _pack(a[::-1], w), len(a), p - 1
         y, ny, by = _pack(b[::-1], w), len(b), p - 1
         while ny > 1:
             nq = nx - ny + 1
+            inv = pow((y & mask) % p, -1, p)
             if bx + nq * (p - 1) * by > mask:
-                x, y = _pack(_unpack(x, w, nx, p), w), _pack(_unpack(y, w, ny, p), w)
-                bx = by = p - 1
-            x = _divide(x, y, nq, w, p, pow((y & mask) % p, -1, p))
+                if table:
+                    y = int.from_bytes(y.to_bytes(ny, "little").translate(table), "little")
+                    by = p - 1
+                else:
+                    x, y = _pack(_unpack(x, w, nx, p), w), _pack(_unpack(y, w, ny, p), w)
+                    bx = by = p - 1
+                while (run := (mask - bx) // ((p - 1) * by)) < nq:
+                    x = _divide(x, y, run, w, p, inv)
+                    nx, nq = nx - run, nq - run
+                    x = int.from_bytes(x.to_bytes(nx, "little").translate(table), "little")
+                    bx = p - 1
+            x = _divide(x, y, nq, w, p, inv)
             bx += nq * (p - 1) * by
             nx = ny - 1
             while nx and not (x & mask) % p:

@@ -18,11 +18,17 @@ pi_d is split from the coset sums e_C(t) = sum of t**i over a cyclotomic
 coset C = {j, jp, jp**2, ...} of p on Z/d (Berlekamp, Math. Comp. 24,
 1970).  Every e_C is fixed by Frobenius mod t**d - 1, so it takes a value
 in F_p at each irreducible factor of pi_d, and together the e_C separate
-any two factors.  For p = 2 a piece u is split by gcd(u, e_C), with no
-randomness.  For odd p it is split by gcd(u, (g + a)**((p-1)/2) - 1), g a
-coset sum or, once every coset sum has been used, a combination of them;
-the coefficients and the shift a come from the fixed seed of ffpoly, so
-the split is deterministic and its exponent has only log2(p) bits.  Coset
+any two factors.  For p <= _CLASS_SPLIT_MAX_P = 5 a coset sum g cuts a
+piece u into the classes of its values, gcd(u, g - c) for c in F_p
+(Berlekamp, Bell Syst. Tech. J. 46, 1967): p - 1 gcds, the last class
+being what is left, with no randomness and no modular power; at p = 2
+that is the one gcd(u, e_C).  As the coset sums separate any two
+factors, their classes are the factors.  For larger p, where p - 1 gcds
+cost more than a modular power, u is split by
+gcd(u, (g + a)**((p-1)/2) - 1) (Cantor-Zassenhaus), g a coset sum or,
+once every coset sum has been used, a combination of them; the
+coefficients and the shift a come from the fixed seed of ffpoly, so the
+split is deterministic and its exponent has only log2(p) bits.  Coset
 sums are formed one at a time, and the walk stops once all phi(d)/r
 factors are found.  ffpoly.factorize stays the general factorization.
 The split holds kernel values from pi_d to its factors, as ffpoly's own
@@ -114,9 +120,20 @@ from .orders import multiplicative_order
 # most costly admitted nj took 0.6-3.7 s with start-up)
 MAX_FACTOR_WORK = 2**37
 
-# seeded combinations of coset sums tried for odd p after each coset sum has
-# been used once; a round splits a given pair of factors with probability at
-# least 4/9, so running out means pi_d is not the squarefree product expected
+# the largest p at which a coset sum cuts a piece into the classes of its
+# values, by p - 1 gcds and no modular power; above it Cantor-Zassenhaus
+# takes one gcd after a modular power.  Against Cantor-Zassenhaus, cold
+# splits of every d up to a bound (pure kernel, 2-vCPU x86-64 host) were
+# 17% faster at p = 3 (d <= 80) and 28% at p = 5 (d <= 60), and neutral at
+# p = 7 (d <= 300) with 64-bit gcd slots; with the byte slots of _fp's gcd
+# under both, 13-34% faster at p = 7, 12% faster to 5% slower at p = 11
+# and 6% faster to 30% slower at p = 13 (d <= 60 to 300)
+_CLASS_SPLIT_MAX_P = 5
+
+# seeded combinations of coset sums tried for p > _CLASS_SPLIT_MAX_P after
+# each coset sum has been used once; a round splits a given pair of factors
+# with probability at least 4/9, so running out means pi_d is not the
+# squarefree product expected
 _COMBINATION_ROUNDS = 200
 
 # a pi_d at p = 2 with at least this many factors is split from one factor
@@ -226,7 +243,7 @@ def _splitting_cosets(p: int, d: int, q: int | None):
 def _frobenius_fixed(p: int, d: int, q: int | None, pi, rng: random.Random | None):
     # the elements g that split pi_d, as kernel values, lazily: e_C mod
     # pi_d for each coset C of _splitting_cosets, then, when there is an
-    # rng (odd p), seeded combinations of them
+    # rng (p > _CLASS_SPLIT_MAX_P), seeded combinations of them
     kernel, sums = _f2 if p == 2 else _kernel, []
     for coset in _splitting_cosets(p, d, q):
         sums.append(kernel.rem(_coset_sum(p, coset), pi, p))
@@ -264,23 +281,34 @@ def _plus_constant(g: list, a: int, p: int) -> list:
 def _coset_split(p: int, d: int, q: int | None, pi, pending: list, r: int):
     # (factors of degree r, pieces left unsplit) of the pieces pending,
     # lifted to t**q when q is not None, by gcds with the elements g of
-    # _frobenius_fixed, at odd p with (g + a)**((p-1)/2) - 1, a drawn from
-    # rng; pi and the pieces are kernel values, of size degree + 1
+    # _frobenius_fixed (module docstring): at p <= _CLASS_SPLIT_MAX_P
+    # gcd(rest, g - c) for c = 0, ..., p - 2, g reduced mod the piece u
+    # once, leaves the class of p - 1 in rest; above it one gcd with
+    # (g + a)**((p-1)/2) - 1, a drawn from rng.  pi and the pieces are
+    # kernel values, of size degree + 1
     kernel, size = (_f2, int.bit_length) if p == 2 else (_kernel, len)
-    rng = random.Random(_CZ_SEED) if p != 2 else None  # p = 2 draws nothing
+    rng = random.Random(_CZ_SEED) if p > _CLASS_SPLIT_MAX_P else None
     elements = _frobenius_fixed(p, d, q, pi, rng)
     factors = []
     while pending and (g := next(elements, None)) is not None:
         pieces, pending = pending, []
         for u in pieces:
-            x = g
             if rng:
                 w = kernel.pow_mod(_plus_constant(g, rng.randrange(p), p), (p - 1) // 2, u, p)
                 x = _plus_constant(w, p - 1, p)
-            h = kernel.gcd(u, x, p)
-            parts = [h, kernel.div_rem(u, h, p)[0]] if 1 < size(h) < size(u) else [u]
-            for v in parts:  # h is a gcd with u, so it divides u
-                (factors if size(v) == r + 1 else pending).append(v)
+            else:
+                x = g if p == 2 else kernel.rem(g, u, p)
+            rest = u
+            for c in range(1 if rng else p - 1):
+                h = kernel.gcd(rest, _plus_constant(x, p - c, p) if c else x, p)
+                if 1 < (m := size(h)) < size(rest):
+                    (factors if m == r + 1 else pending).append(h)
+                    rest = kernel.div_rem(rest, h, p)[0]
+                    if size(rest) == r + 1:
+                        break
+                elif m > 1:  # rest lies in one class
+                    break
+            (factors if size(rest) == r + 1 else pending).append(rest)
     return factors, pending
 
 
@@ -480,12 +508,17 @@ def factor_work(p: int, n: int) -> int:
     16384 * d plus 10-23 * k * r**2 for r > 4000, and plus at most
     52000 * k * r at smaller r, and charged 16384 * d + 12 * k * r *
     (r + 1024), which admits pi_200689 (k = 12, r = 16724; 2.5-3.2 s).
-    At odd p each coset sum, then each seeded draw, takes a modular power
+    At p > 5 each coset sum, then each seeded draw, takes a modular power
     and a gcd with every pending piece, at a cost that grows with
     bit_length(p)**2 and, measured, with k.bit_length()**2: 0.2-0.8 ns per
     bit_length(p)**2 * k.bit_length()**2 * phi(d)**2 at p = 3 to 13, up to
     1.6 ns at p = 2**31 - 1, k = 2; charged 64 times that (1.3 ns).  With
     k.bit_length() it admitted t**1478 - 1 at p = 2**31 - 1 (5.5-8 s).
+    At p = 3 and 5 the class split, which takes up to p - 1 gcds with each
+    piece per coset sum and no modular power, is charged as the
+    Cantor-Zassenhaus split it replaced, so the charges are unchanged;
+    re-fitting them to what runs is left to the probe of ROADMAP.md
+    (item 15).
     The odd-p routes "twist" and "quotient" are charged as this coset-sum
     split, by k and r alone, although a twist takes no gcd: t**279 - 1 at
     p = 2**31 - 1 (279 | p - 1, so pi_279 splits into linear factors) is

@@ -179,24 +179,36 @@ class TestCyclotomicSplit:
         with pytest.raises(ArithmeticError, match="pi_21 mod 2 did not split into 2 "):
             _cyclotomic_factors(2, 21)
 
-    def test_shift_splits_where_coset_sums_cannot(self, F5, monkeypatch, cold_split_cache):
-        # pi_24 mod 5 (four quadratics, split from its lifted pieces pi_12(t^2)):
-        # at the fixed seed the unshifted powers g^2 - 1 of its coset sums
-        # leave a piece whole, so only the seeded shift a of (g + a)^2 - 1
+    def test_shift_splits_where_coset_sums_cannot(self, monkeypatch, cold_split_cache):
+        # pi_17 mod 13 (four factors of degree 4, split from pi_17 itself):
+        # at the fixed seed the unshifted powers g^6 - 1 of its coset sums
+        # leave a piece whole, so only the seeded shift a of (g + a)^6 - 1
         # splits it without the combinations
         monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
-        assert cyclofactor._route(F5, 24) == (4, 2, 4, 2, "coset sums")
-        assert _cyclotomic_factors(5, 24) == tuple(
-            v for v, _ in factorize(cyclotomic_poly(F5, 24))
+        F13 = PrimeField(13)
+        assert cyclofactor._route(F13, 17) == (4, 4, 16, None, "coset sums")
+        assert _cyclotomic_factors(13, 17) == tuple(
+            v for v, _ in factorize(cyclotomic_poly(F13, 17))
         )
 
     def test_coset_sums_alone_can_run_out(self, monkeypatch, cold_split_cache):
-        # pi_51 mod 5 (two factors of degree 16) takes neither the twist nor
+        # pi_31 mod 7 (two factors of degree 15) takes neither the twist nor
         # the quotient pieces, and at the fixed seed the shifted powers of its
         # coset sums leave it whole; the combinations would split it
         monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
-        with pytest.raises(ArithmeticError, match="pi_51 mod 5 did not split into 2 "):
-            _cyclotomic_factors(5, 51)
+        assert cyclofactor._route(PrimeField(7), 31) == (2, 15, 30, None, "coset sums")
+        with pytest.raises(ArithmeticError, match="pi_31 mod 7 did not split into 2 "):
+            _cyclotomic_factors(7, 31)
+
+    def test_class_split_needs_no_combinations(self, F5, monkeypatch, cold_split_cache):
+        # pi_51 mod 5 (two factors of degree 16), which Cantor-Zassenhaus on
+        # its coset sums alone left whole at the fixed seed: a coset sum
+        # that takes two values at the two factors separates them
+        monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
+        assert cyclofactor._route(F5, 51) == (2, 16, 32, None, "coset sums")
+        assert _cyclotomic_factors(5, 51) == tuple(
+            v for v, _ in factorize(cyclotomic_poly(F5, 51))
+        )
 
     def test_twist_needs_no_combinations(self, monkeypatch, cold_split_cache):
         # pi_3 mod 7 (3 | p - 1), which the coset sums alone leave whole at
@@ -206,6 +218,38 @@ class TestCyclotomicSplit:
         F7 = PrimeField(7)
         assert cyclofactor._route(F7, 3) == (2, 1, 1, 3, "twist")
         assert _cyclotomic_factors(7, 3) == (F7.from_string("t+3"), F7.from_string("t+5"))
+
+
+class TestClassSplit:
+    """At p <= 5 a coset sum g cuts a piece u into the classes of its
+    values: gcd(rest, g - c) for c = 0, ..., p - 2 and the rest, with no
+    randomness, no modular power and no combination of coset sums."""
+
+    ROUTES = {2: {"lift", "coset sums", "one factor"},
+              3: {"lift", "coset sums", "twist", "quotient"},
+              5: {"lift", "coset sums", "twist", "quotient"}}
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_equals_factorize_upto_300(self, p, cold_split_cache):
+        field, routes = PrimeField(p), set()
+        for d in range(2, 301):
+            if d % p:
+                routes.add(cyclofactor._route(field, d)[4])
+                pairs = factorize(cyclotomic_poly(field, d))
+                assert _cyclotomic_factors(p, d) == tuple(v for v, _ in pairs), (p, d)
+        assert routes == self.ROUTES[p]
+
+    @pytest.mark.parametrize("p", (2, 3, 5))
+    def test_no_rng_and_no_pow_mod(self, p, monkeypatch, cold_split_cache):
+        def refused(*args):
+            raise AssertionError("the class split drew a random number or took a power")
+
+        monkeypatch.setattr(cyclofactor.random, "Random", refused)
+        monkeypatch.setattr(cyclofactor._kernel, "pow_mod", refused)
+        monkeypatch.setattr(_f2, "pow_mod", refused)
+        for d in range(2, 201):
+            if d % p:
+                _cyclotomic_factors(p, d)
 
 
 class TestLift:

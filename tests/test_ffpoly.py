@@ -368,9 +368,12 @@ class TestKernelLookup:
             run()
             assert calls.get(op, 0) > before, op
 
-    # pi_21 mod 2 and pi_13 mod 3 (2 and 4 factors) take the coset-sum split
+    # pi_21 mod 2, pi_13 mod 3 and pi_19 mod 7 (2, 4 and 6 factors) take the
+    # coset-sum split, by the classes of the coset sums' values at p <= 5 and
+    # by Cantor-Zassenhaus above
     @pytest.mark.parametrize("p, d, module, ops", (
-        (2, 21, _kernel._f2, ("gcd",)), (3, 13, _kernel, ("gcd", "pow_mod")),
+        (2, 21, _kernel._f2, ("gcd",)), (3, 13, _kernel, ("gcd",)),
+        (7, 19, _kernel, ("gcd", "pow_mod")),
     ))
     def test_cold_split_reaches_rebound_names(self, monkeypatch, p, d, module, ops):
         calls = dict.fromkeys(ops, 0)

@@ -308,23 +308,72 @@ def test_fp_matches_pure_kernel(p):
         _fp_matches_pure(op, a, b, p)
 
 
+def _divisions(monkeypatch):
+    # the (divisor, steps) of every run of _fp._divide
+    runs = []
+    divide = _fp._divide
+    monkeypatch.setattr(_fp, "_divide", lambda x, y, nq, *args: runs.append((y, nq))
+                        or divide(x, y, nq, *args))
+    return runs
+
+
 def test_fp_gcd_crosses_slot_reduction(monkeypatch):
-    # at p = 7 a division grows the slot bound by about 3.6 bits, so Euclid
-    # on degree 300 reduces its 64-bit slots mod p every 16 or so divisions
-    p = 7
+    # at p = 7 the slots are bytes, and a division of two quotient steps
+    # leaves remainder slots of up to 6 + 2 * 36 = 78, so Euclid on degree
+    # 300 reduces the divisor's slots mod p before most divisions: the
+    # divisor then has every slot below p.  At p = 13 the slots are 64 bits
+    # wide, and both operands are unpacked and reduced every 14 or so
+    # divisions
     rng = random.Random(300)
+    runs = _divisions(monkeypatch)
     unpacked = []
     unpack = _fp._unpack
     monkeypatch.setattr(_fp, "_unpack", lambda *args: unpacked.append(args) or unpack(*args))
-    for degree in (300, 301, 320):
-        g = _random_poly(rng, p, 6, nonzero=True) + [1]
-        a = _pypoly.mul([rng.randrange(p) for _ in range(degree)] + [1], g, p)
-        b = _pypoly.mul([rng.randrange(p) for _ in range(degree - 1)] + [2], g, p)
-        unpacked.clear()
+    for p in (7, 13):
+        for degree in (300, 301, 320):
+            g = _random_poly(rng, p, 6, nonzero=True) + [1]
+            a = _pypoly.mul([rng.randrange(p) for _ in range(degree)] + [1], g, p)
+            b = _pypoly.mul([rng.randrange(p) for _ in range(degree - 1)] + [2], g, p)
+            runs.clear()
+            unpacked.clear()
+            result = _fp.gcd(a, b, p)
+            assert result == _pypoly.gcd(a, b, p) and len(result) > 1
+            if p == 7:
+                reduced = sum(max(y.to_bytes(-(-y.bit_length() // 8), "little")) < p
+                              for y, _ in runs[1:])
+                assert reduced >= degree // 2
+            else:  # two unpacks per reduction, and the result is one more
+                assert 2 * 5 + 1 <= len(unpacked) <= 2 * degree // 8 + 1
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+def test_fp_gcd_long_quotients(p, monkeypatch):
+    # x = q * y + r with y = (p - 1)(1 + t + ... + t**(n-1)) and the quotient
+    # q = 1 + t + ... + t**(m-1): every quotient step adds (p - 1) * y, the
+    # most a step can add, so a division of m steps overflows a byte slot
+    # unless it runs in parts of at most (255 - (p - 1)) // (p - 1)**2
+    # steps with x reduced in between (p <= 11, where the slots are bytes)
+    rng = random.Random(p)
+    runs = _divisions(monkeypatch)
+    longest = (255 - (p - 1)) // (p - 1) ** 2 if p <= 11 else None
+    for n, m in ((70, 200), (66, 65), (150, 70), (5, 300), (260, 2)):
+        y = [p - 1] * n
+        r = [rng.randrange(p) for _ in range(n - 1)]
+        x = _pypoly.mul([1] * m, y, p)
+        x = [(c + (r[i] if i < len(r) else 0)) % p for i, c in enumerate(x)]
+        runs.clear()
+        assert _fp.gcd(x, y, p) == _pypoly.gcd(x, y, p), (n, m)
+        steps = [nq for _, nq in runs]
+        if longest:
+            assert max(steps) <= longest and sum(steps) >= m, (n, m)
+        else:  # a whole division at a time
+            assert steps[0] == m, (n, m)
+        assert _fp.gcd(y, x, p) == _pypoly.gcd(y, x, p), (n, m)
+    for _ in range(40):  # and random operands with a common factor
+        g = _random_poly(rng, p, 20, nonzero=True) + [1]
+        a = _pypoly.mul(_random_poly(rng, p, 300, nonzero=True), g, p)
+        b = _pypoly.mul(_random_poly(rng, p, 40, nonzero=True), g, p)
         assert _fp.gcd(a, b, p) == _pypoly.gcd(a, b, p)
-        assert len(_fp.gcd(a, b, p)) > 1
-        # each reduction unpacks both operands; the result is one more unpack
-        assert 2 * 5 + 1 <= len(unpacked) <= 2 * degree // 8 + 1
 
 
 def _failure(fn, *args):
