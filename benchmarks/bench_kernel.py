@@ -297,6 +297,8 @@ def _kernel_from(module):
 
 def _clear_caches(package=sintdyn):
     package.cyclofactor._cyclotomic_factors.cache_clear()
+    if hasattr(package.cyclofactor._route, "cache_clear"):  # a revision may not cache it
+        package.cyclofactor._route.cache_clear()
     package.orders._irreducible_order.cache_clear()
     package.ffpoly.is_irreducible.cache_clear()
 
@@ -397,9 +399,11 @@ def bench_split_paths(repeats):
     # pi_d alone at p = 2 on each path, the factors of every proper divisor
     # of d cached first (pi_4095 starts from the lifted factors of pi_1365):
     # the one-factor route at its cut-off, and the coset-sum split with the
-    # cut-off above every k
+    # cut-off above every k; the route cache is cleared with the factor
+    # cache, as the cut-off it read moves between the paths
     def warm(d):
         _cyclotomic_factors.cache_clear()
+        cyclofactor._route.cache_clear()
         for e in intmath.divisors(d)[:-1]:
             _cyclotomic_factors(2, e)
 
@@ -413,6 +417,7 @@ def bench_split_paths(repeats):
                 rows.append((f"split pi_{d} p=2, {path}", "", "", {"kernel": timing}))
     finally:
         cyclofactor._BM_MIN_FACTORS = cut_off
+        cyclofactor._route.cache_clear()
     return rows
 
 

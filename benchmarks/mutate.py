@@ -103,8 +103,22 @@ MUTANTS = (
     ("bm_threshold", "cyclofactor.py",
      "if k >= _BM_MIN_FACTORS", "if k > _BM_MIN_FACTORS", ("test_cyclofactor.py",)),
     ("one_factor_at_odd_p", "cyclofactor.py",
-     '    return k, r, m, q, "coset sums"\n',
-     '    return k, r, m, q, "one factor" if k >= _BM_MIN_FACTORS else "coset sums"\n',
+     '    return Route(k, r, m, q, "coset sums")\n',
+     '    return Route(k, r, m, q, "one factor" if k >= _BM_MIN_FACTORS else "coset sums")\n',
+     ("test_cyclofactor.py",)),
+    # the route cache, shared by the charge and the split, keyed by d alone:
+    # each p reads the route of the first p asked for that d
+    ("route_cache_without_p", "cyclofactor.py",
+     "@functools.lru_cache(maxsize=None)\ndef _route(",
+     "class _AnyP(int):\n"
+     "    __eq__ = lambda self, other: True\n"
+     "    __hash__ = lambda self: 0\n\n\n"
+     "def _keyed_by_d(route):\n"
+     "    cached = functools.lru_cache(maxsize=None)(lambda p, d: route(int(p), d))\n"
+     "    wrapper = lambda p, d: cached(_AnyP(p), d)\n"
+     "    wrapper.cache_clear, wrapper.cache_info = cached.cache_clear, cached.cache_info\n"
+     "    return wrapper\n\n\n"
+     "@_keyed_by_d\ndef _route(",
      ("test_cyclofactor.py",)),
     # the odd-p routes from a smaller pi_m: the twists x**(-r) * f(x t) by
     # the primitive e-th roots of unity x, e the product of the prime powers
@@ -196,6 +210,8 @@ MUTANTS = (
      "k.bit_length() ** 2 * (k * r) ** 2", "k.bit_length() * (k * r) ** 2", ("test_cli.py",)),
     ("route_charge", "cyclofactor.py",
      "else 2 * d * d", "else d * d", ("test_cli.py",)),
+    ("quotient_charged_as_lift", "cyclofactor.py",
+     'elif name != "lift":', 'elif name not in ("lift", "quotient"):', ("test_cyclofactor.py",)),
     # a descent from a small lifted piece by squarings
     ("descent_regime", "cyclofactor.py",
      "if r * m < d else", "if r * m < 0 else", ("test_cyclofactor.py",)),

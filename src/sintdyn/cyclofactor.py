@@ -91,11 +91,12 @@ the cosets of multiples of q (e_C(t) = E(t**q) takes one value on every
 root of f(t**q)).  The q with the smallest pieces is taken, and only when
 they are smaller than the pieces of the next route.
 
-_route picks the pieces and names the route of pi_d once, for the split
-and for its charge, in this order: "lift" when the lifted pieces are the
-factors (also an irreducible pi_d), as neither it nor the twist takes a
-gcd and the lift is not charged; "twist"; "quotient"; else, from the
-lifted pieces or pi_d, "one factor" or "coset sums".  At p = 2, p - 1 = 1
+_route names the route of pi_d and picks its pieces, the first of these
+that applies: "lift" when the lifted pieces are the factors (also an
+irreducible pi_d), as neither it nor the twist takes a gcd and the lift
+is not charged; "twist"; "quotient"; else, from the lifted pieces or
+pi_d, "one factor" or "coset sums".  It is cached per (p, d), so the
+charge of factor_work and the split read one Route.  At p = 2, p - 1 = 1
 leaves no twist, and the quotient pieces stay out: in a prototype they
 made the split of every odd d <= 120 8-11% slower, and of every odd
 d <= 3000 about 45% slower.
@@ -211,8 +212,7 @@ def splitting_count(field: PrimeField, n: int) -> tuple[int, int]:
         raise ValueError(f"n must be >= 2: got {n}")
     if n % field.p == 0:
         raise ValueError(f"n must be coprime to p: got n={n}, p={field.p}")
-    degree = multiplicative_order(field.p, n)
-    return intmath.euler_phi(n) // degree, degree
+    return _route(field.p, n)[:2]
 
 
 def _cosets(p: int, d: int, seen: bytearray | None = None):
@@ -386,28 +386,37 @@ def _lift(p: int, x, q: int):
     return c
 
 
-def _route(field: PrimeField, d: int) -> tuple[int, int, int, int | None, str]:
-    # (k, r, m, q, route) for pi_d, d >= 2 coprime to p: k factors of
-    # degree r from pieces of degree m, by the first route that applies
-    # (module docstring); q is the prime of a lift or of the quotient
-    # pieces, e for a twist, and None when the pieces are pi_d itself
-    p = field.p
-    k, r = splitting_count(field, d)
+class Route(NamedTuple):
+    """How pi_d is split: k factors of degree r from pieces of degree m."""
+
+    k: int
+    r: int
+    m: int
+    q: int | None  # prime of a lift or of the quotient pieces, e for a twist, None for pi_d itself
+    name: str
+
+
+@functools.lru_cache(maxsize=None)
+def _route(p: int, d: int) -> Route:
+    # the route of pi_d, d >= 2 coprime to p: the first that applies
+    # (module docstring)
+    r = multiplicative_order(p, d)
+    k = intmath.euler_phi(d) // r
     primes = intmath.factorint(d)
     lifts = [(q * multiplicative_order(p, d // q), q) for q, v in primes.items() if v > 1]
     m, q = min(lifts, default=(k * r, None))
     if m == r:
-        return k, r, m, q, "lift"
+        return Route(k, r, m, q, "lift")
     if p == 2:
-        return k, r, m, q, "one factor" if k >= _BM_MIN_FACTORS else "coset sums"
+        return Route(k, r, m, q, "one factor" if k >= _BM_MIN_FACTORS else "coset sums")
     e = math.prod(q**v for q, v in primes.items() if (p - 1) % q**v == 0)
     if e > 1:
-        return k, r, r, e, "twist"
+        return Route(k, r, r, e, "twist")
     quotients = [((q - 1) * multiplicative_order(p, d // q), q)
                  for q, v in primes.items() if v == 1 and q < d]
     if quotients and (quotient := min(quotients))[0] < m:
-        return k, r, *quotient, "quotient"
-    return k, r, m, q, "coset sums"
+        return Route(k, r, *quotient, "quotient")
+    return Route(k, r, m, q, "coset sums")
 
 
 def _root_of_unity(p: int, e: int) -> int:
@@ -455,17 +464,17 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
     field = PrimeField(p)
     if d == 1:
         return (cyclotomic_poly(field, 1),)
-    count, r, m, q, route = _route(field, d)
-    if route == "twist":
+    k, r, m, q, name = _route(p, d)
+    if name == "twist":
         pieces = _twists(p, d // q, q)
-    elif route == "quotient":
+    elif name == "quotient":
         pieces = _quotient_pieces(p, d // q, q)
     elif q:  # pi_d(t) = pi_{d/q}(t**q) (module docstring)
         pieces = [_lift(p, f._value, q) for f in _cyclotomic_factors(p, d // q)]
     else:
         pieces = [_cyclotomic_value(p, d)]
     factors, pending = (pieces, []) if m == r else ([], pieces)
-    if route == "one factor":  # every factor from one
+    if name == "one factor":  # every factor from one
         f = _one_factor_f2(d, q, pieces[0], r)
         if f.bit_length() == r + 1:
             factors, pending = _berlekamp_massey_f2(d, f, r), []
@@ -473,71 +482,50 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
         pi = _cyclotomic_value(p, d) if q else pieces[0]
         factors, pending = _coset_split(p, d, q, pi, pieces, r)
     factors = [field._wrap(x) for x in factors]
-    if pending or len(factors) != count or not all(
+    # the count and degree that splitting_count reports
+    if pending or (len(factors), r) != splitting_count(field, d) or not all(
         v.is_monic and v.degree == r for v in factors
     ):
         raise ArithmeticError(
-            f"pi_{d} mod {p} did not split into {count} monic factors of degree {r}"
+            f"pi_{d} mod {p} did not split into {k} monic factors of degree {r}"
         )
     return tuple(sorted(factors))
 
 
 def factor_work(p: int, n: int) -> int:
-    """The cost of factoring t**n - 1 mod p in the units of MAX_FACTOR_WORK.
-
-    Each d | n' (n' the p-coprime part of n) costs 16384 * d to form pi_d
-    and write out its factors, and no more when the pieces it is split from
-    are its factors (the route "lift" of _route).
-    When pi_d splits into k > 1 factors, each gcd at degree up to phi(d)
-    costs phi(d)**2.  At p = 2 a coset sum may split off a single factor,
-    so the split reduces up to k coset sums of d bits modulo pi_d, each
-    (d - phi(d)) * phi(d), and takes a gcd with each: k * phi(d) * d (as
-    k * phi(d)**2 it admitted t**239379 - 1, 239379 = 3 * 7 * 11399, k = 4,
-    at 0.73 of the budget: 3.5-7 s).  At k = 2 the first coset sum splits
-    a squarefree d (its values at the two factors add up to mu(d) = 1):
-    2 * phi(d)**2.  The one-factor route
-    (k >= _BM_MIN_FACTORS) descends from a piece of degree m to a factor
-    by d-bit coset sums reduced modulo the current piece and gcds with it,
-    measured at 0.7-3.3 * d**2 (median 2.0) from pi_d and 0.08-2.9 * d**2
-    (median 0.26) from 47 lifted pieces, d from 8191 to 4 * 10**5, and
-    charged 2 * d**2; when r * m < d each coset sum is taken by r squarings
-    modulo the piece, measured at 0.7-8 * r * m**2 where the descent took
-    over 1 ms, and charged 8 * r * m**2.  Then the Berlekamp-Massey runs,
-    k/2 runs of 2r steps on 2r-bit ints, each step a fixed cost plus one
-    that grows with r, and the walk over the cosets, measured at
-    16384 * d plus 10-23 * k * r**2 for r > 4000, and plus at most
-    52000 * k * r at smaller r, and charged 16384 * d + 12 * k * r *
-    (r + 1024), which admits pi_200689 (k = 12, r = 16724; 2.5-3.2 s).
-    At p > 5 each coset sum, then each seeded draw, takes a modular power
-    and a gcd with every pending piece, at a cost that grows with
-    bit_length(p)**2 and, measured, with k.bit_length()**2: 0.2-0.8 ns per
-    bit_length(p)**2 * k.bit_length()**2 * phi(d)**2 at p = 3 to 13, up to
-    1.6 ns at p = 2**31 - 1, k = 2; charged 64 times that (1.3 ns).  With
-    k.bit_length() it admitted t**1478 - 1 at p = 2**31 - 1 (5.5-8 s).
-    At p = 3 and 5 the class split, which takes up to p - 1 gcds with each
-    piece per coset sum and no modular power, is charged as the
-    Cantor-Zassenhaus split it replaced, so the charges are unchanged;
-    re-fitting them to what runs is left to the probe of ROADMAP.md
-    (item 15).
-    The odd-p routes "twist" and "quotient" are charged as this coset-sum
-    split, by k and r alone, although a twist takes no gcd: t**279 - 1 at
-    p = 2**31 - 1 (279 | p - 1, so pi_279 splits into linear factors) is
-    charged 0.996 of the budget and runs in 0.11-0.18 s with start-up."""
+    """The cost of factoring t**n - 1 mod p in the units of MAX_FACTOR_WORK:
+    16384 for pi_1, and for each d | n' (n' the p-coprime part of n)
+    16384 * d to form pi_d and write out its factors, plus the charge of the
+    split by the route of pi_d (_route).  A lift takes no gcd and is charged
+    nothing more."""
     n_coprime, _ = intmath.coprime_part(n, p)
     if 16384 * n_coprime > MAX_FACTOR_WORK:  # d = n' alone: not worth factoring n'
         return 16384 * n_coprime
-    field, work = PrimeField(p), 16384  # d = 1: pi_1 = t - 1
+    work = 16384  # d = 1: pi_1 = t - 1
     for d in intmath.divisors(n_coprime)[1:]:
         work += 16384 * d
-        k, r, m, _, route = _route(field, d)
-        if route == "lift":
-            continue
-        if route == "one factor":
+        k, r, m, _, name = _route(p, d)
+        if name == "one factor":
+            # the descent's gcds and d-bit coset sums, 2 * d**2 (8 * r * m**2 by
+            # squarings when r * m < d), then k/2 Berlekamp-Massey runs of 2r
+            # steps; probed on d from 8191 to 4 * 10**5; admits t**200689 - 1
+            # (k = 12, r = 16724): 2.1-3.2 s with start-up
             descent = 8 * r * m * m if r * m < d else 2 * d * d
             work += descent + 16384 * d + 12 * k * r * (r + 1024)
-        elif p == 2:  # k = 2: one coset sum, else up to k of d bits
+        elif p == 2 and name == "coset sums":
+            # up to k coset sums of d bits, each reduced modulo pi_d and taken
+            # in a gcd, k * phi(d) * d (2 * phi(d)**2 at k = 2, split by the
+            # first); probed on n <= 2 * 10**6 with 3 <= k <= 11; admits
+            # t**1110585 - 1, charged mostly for pi_158655 (k = 8): 3.3-3.4 s
+            # with start-up
             work += k * k * r * (k * r if k == 2 else d)
-        else:
+        elif name != "lift":
+            # odd p, every route charged as Cantor-Zassenhaus: a modular power
+            # and a gcd per element and piece, 64 * bit_length(p)**2 *
+            # bit_length(k)**2 * phi(d)**2; probed on n < 30000 at p = 3 to 13
+            # and 2**31 - 1; admits t**739 - 1 at p = 2**31 - 1 (k = 2): 3.1 s
+            # with start-up.  A twist takes no gcd: t**279 - 1 there is charged
+            # 0.996 of the budget and runs in 0.11-0.18 s
             work += 64 * p.bit_length() ** 2 * k.bit_length() ** 2 * (k * r) ** 2
     return work
 

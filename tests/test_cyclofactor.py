@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,9 @@ from sintdyn.cyclofactor import (
     splitting_count,
 )
 from sintdyn.ffpoly import PrimeField, factorize, is_irreducible, poly_divmod
+from sintdyn.limitset import verify_construction
 from sintdyn.orders import multiplicative_order
+from sintdyn.system import periodic_exponent, random_system
 
 from oracles import cyclotomic_by_division, factorization_product
 
@@ -21,8 +24,25 @@ MERSENNE_31 = 2**31 - 1
 @pytest.fixture
 def cold_split_cache():
     _cyclotomic_factors.cache_clear()
+    cyclofactor._route.cache_clear()
     yield
     _cyclotomic_factors.cache_clear()
+    cyclofactor._route.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def factorizations():
+    # (p, d) -> the factors of pi_d mod p by ffpoly.factorize, for every
+    # (p, d) that a split is compared with it below.  The table is filled
+    # once, when a test first asks for it: session fixtures are set up before
+    # a test's monkeypatch and body, so the kernel is never patched here, and
+    # _cyclotomic_factors is never called
+    cases = {(p, d) for p in (2, 3) for d in range(1, 101) if d % p}
+    cases |= {(p, d) for p in (2, 3, 5) for d in range(2, 301) if d % p}
+    for p, bound in TestTwistAndQuotient.BOUNDS:
+        cases |= {(p, d) for d in TestTwistAndQuotient._taken(p, bound)}
+    return {(p, d): tuple(v for v, _ in factorize(cyclotomic_poly(PrimeField(p), d)))
+            for p, d in sorted(cases)}
 
 
 class TestCyclotomicPoly:
@@ -137,13 +157,11 @@ class TestCyclotomicSplit:
             assert product == cyclotomic_poly(field, d), (p, d)
 
     @pytest.mark.parametrize("p", (2, 3))
-    def test_equals_factorize_upto_100(self, p):
-        field = PrimeField(p)
+    def test_equals_factorize_upto_100(self, p, factorizations):
         for d in range(1, 101):
             if d % p == 0:
                 continue
-            pairs = factorize(cyclotomic_poly(field, d))
-            assert _cyclotomic_factors(p, d) == tuple(v for v, _ in pairs), (p, d)
+            assert _cyclotomic_factors(p, d) == factorizations[p, d], (p, d)
 
     @pytest.mark.parametrize("d", (7, 9, 13, 16, 27, 29, 35, 41))
     def test_equals_factorize_large_p(self, d):
@@ -186,7 +204,7 @@ class TestCyclotomicSplit:
         # splits it without the combinations
         monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
         F13 = PrimeField(13)
-        assert cyclofactor._route(F13, 17) == (4, 4, 16, None, "coset sums")
+        assert cyclofactor._route(13, 17) == (4, 4, 16, None, "coset sums")
         assert _cyclotomic_factors(13, 17) == tuple(
             v for v, _ in factorize(cyclotomic_poly(F13, 17))
         )
@@ -196,7 +214,7 @@ class TestCyclotomicSplit:
         # the quotient pieces, and at the fixed seed the shifted powers of its
         # coset sums leave it whole; the combinations would split it
         monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
-        assert cyclofactor._route(PrimeField(7), 31) == (2, 15, 30, None, "coset sums")
+        assert cyclofactor._route(7, 31) == (2, 15, 30, None, "coset sums")
         with pytest.raises(ArithmeticError, match="pi_31 mod 7 did not split into 2 "):
             _cyclotomic_factors(7, 31)
 
@@ -205,7 +223,7 @@ class TestCyclotomicSplit:
         # its coset sums alone left whole at the fixed seed: a coset sum
         # that takes two values at the two factors separates them
         monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
-        assert cyclofactor._route(F5, 51) == (2, 16, 32, None, "coset sums")
+        assert cyclofactor._route(5, 51) == (2, 16, 32, None, "coset sums")
         assert _cyclotomic_factors(5, 51) == tuple(
             v for v, _ in factorize(cyclotomic_poly(F5, 51))
         )
@@ -216,7 +234,7 @@ class TestCyclotomicSplit:
         # unity, with no coset sum
         monkeypatch.setattr(cyclofactor, "_COMBINATION_ROUNDS", 0)
         F7 = PrimeField(7)
-        assert cyclofactor._route(F7, 3) == (2, 1, 1, 3, "twist")
+        assert cyclofactor._route(7, 3) == (2, 1, 1, 3, "twist")
         assert _cyclotomic_factors(7, 3) == (F7.from_string("t+3"), F7.from_string("t+5"))
 
 
@@ -230,13 +248,12 @@ class TestClassSplit:
               5: {"lift", "coset sums", "twist", "quotient"}}
 
     @pytest.mark.parametrize("p", (2, 3, 5))
-    def test_equals_factorize_upto_300(self, p, cold_split_cache):
-        field, routes = PrimeField(p), set()
+    def test_equals_factorize_upto_300(self, p, factorizations, cold_split_cache):
+        routes = set()
         for d in range(2, 301):
             if d % p:
-                routes.add(cyclofactor._route(field, d)[4])
-                pairs = factorize(cyclotomic_poly(field, d))
-                assert _cyclotomic_factors(p, d) == tuple(v for v, _ in pairs), (p, d)
+                routes.add(cyclofactor._route(p, d).name)
+                assert _cyclotomic_factors(p, d) == factorizations[p, d], (p, d)
         assert routes == self.ROUTES[p]
 
     @pytest.mark.parametrize("p", (2, 3, 5))
@@ -294,7 +311,7 @@ class TestLift:
         # 441 = 3**2 * 7**2 and ord_441(2) = 42 = ord_147(2) = 7 * ord_63(2):
         # the lift from pi_147 (t**3) would leave pieces of 3 factors, the
         # lift from pi_63 (t**7) gives the factors, and it is the one taken
-        assert cyclofactor._route(PrimeField(2), 441) == (6, 42, 42, 7, "lift")
+        assert cyclofactor._route(2, 441) == (6, 42, 42, 7, "lift")
         _cyclotomic_factors(2, 63)
         calls = self._gcd_args(monkeypatch)
         factors = _cyclotomic_factors(2, 441)
@@ -436,9 +453,11 @@ class TestOneFactorRoute:
         for threshold, out in ((2, routed), (10**9, split)):
             monkeypatch.setattr(cyclofactor, "_BM_MIN_FACTORS", threshold)
             _cyclotomic_factors.cache_clear()
+            cyclofactor._route.cache_clear()
             for d in range(1, 1501, 2):
                 out[d] = _cyclotomic_factors(2, d)
         _cyclotomic_factors.cache_clear()
+        cyclofactor._route.cache_clear()
         assert routed == split
 
     def test_threshold_is_inclusive(self, F2, cold_split_cache, monkeypatch):
@@ -450,6 +469,7 @@ class TestOneFactorRoute:
         assert calls == [273]
         monkeypatch.setattr(cyclofactor, "_BM_MIN_FACTORS", count + 1)
         _cyclotomic_factors.cache_clear()
+        cyclofactor._route.cache_clear()
         assert _cyclotomic_factors(2, 273) == factors
         assert calls == [273]
 
@@ -571,7 +591,7 @@ class TestFactorWork:
         # 16384 * d alone.  t^2956 - 1 (4.9 s) stays refused by the charge
         # of its unlifted pi_739 and pi_1478 (k = 2, r = 369)
         P = 2**31 - 1
-        assert cyclofactor._route(PrimeField(P), 2956) == (2, 738, 738, 2, "lift")
+        assert cyclofactor._route(P, 2956) == (2, 738, 738, 2, "lift")
         assert cyclofactor.factor_work(P, 2956) - cyclofactor.factor_work(P, 1478) == (
             16384 * (4 + 2956)
         )
@@ -595,7 +615,7 @@ class TestFactorWork:
             + 2 * 273**2 + 16384 * 273 + 12 * 12 * 12 * (12 + 1024)
         )
 
-    def test_charges_pinned(self):
+    def test_charges_pinned(self, cold_split_cache):
         # factor_work for n <= 5000 at five p and verify_work on a grid of
         # triples, one line "p:n:work" or "p:q:nj:work" each, so that a
         # change to a route or a charge that moves any value fails
@@ -624,18 +644,18 @@ class TestFactorWork:
         # factor_work(p, n) is 16384 for pi_1 plus one term per d | n, d > 1,
         # so each term is read off by subtracting those of the divisors;
         # the term is 16384 * d alone exactly when _route says "lift"
-        field, terms = PrimeField(p), {}
+        terms = {}
         for d in range(2, 1201):
             if d % p:
                 terms[d] = cyclofactor.factor_work(p, d) - 16384 - sum(
                     terms[e] for e in intmath.divisors(d)[1:-1]
                 )
-                route = cyclofactor._route(field, d)[4]
+                route = cyclofactor._route(p, d).name
                 assert (terms[d] == 16384 * d) == (route == "lift"), (d, route)
 
 
 class TestRoute:
-    def test_table_pinned(self):
+    def test_table_pinned(self, cold_split_cache):
         # (k, r, m, q, route) of every d <= 3000 coprime to p at p = 2, 3, 5,
         # one line "p:d:k:r:m:q:route" each: splitting_count, the lift whose
         # pieces are smallest, the one-factor threshold at p = 2, and at odd
@@ -645,13 +665,12 @@ class TestRoute:
         # they take no row but their own
         full, kept, taken = hashlib.sha256(), hashlib.sha256(), {}
         for p in (2, 3, 5):
-            field = PrimeField(p)
             for d in range(2, 3001):
                 if d % p:
-                    row = cyclofactor._route(field, d)
+                    row = cyclofactor._route(p, d)
                     line = (":".join(map(str, (p, d, *row))) + "\n").encode()
                     full.update(line)
-                    if row[4] in ("twist", "quotient"):
+                    if row.name in ("twist", "quotient"):
                         taken[p] = taken.get(p, 0) + 1
                     else:
                         kept.update(line)
@@ -663,7 +682,7 @@ class TestRoute:
             "cae3b3d4a73f5a35c47ea7ba8db5252cffec0274b01c508a6708ae03c6d50265"
         )
 
-    def test_routes(self, F2, F3, F5):
+    def test_routes(self):
         # pi_7 mod 2 is split by coset sums; pi_1023 (60 factors) from one
         # factor; pi_45 lifts from pi_15 with the degree jump and pi_5 mod 2
         # is irreducible, both "lift"; at odd p no pi_d takes the one-factor
@@ -671,14 +690,39 @@ class TestRoute:
         # of pi_13(t^7), each of degree 6 * 3 = 18) or 22 (pi_121 mod 3, from
         # pieces lifted to t**11); pi_242 mod 3 is the twist of pi_121 by -1,
         # and pi_12 mod 5 the twists of pi_3 by the fourth roots of unity
-        assert cyclofactor._route(F2, 7) == (2, 3, 6, None, "coset sums")
-        assert cyclofactor._route(F2, 1023) == (60, 10, 600, None, "one factor")
-        assert cyclofactor._route(F2, 45) == (2, 12, 12, 3, "lift")
-        assert cyclofactor._route(F2, 5) == (1, 4, 4, None, "lift")
-        assert cyclofactor._route(F3, 91) == (12, 6, 18, 7, "quotient")
-        assert cyclofactor._route(F3, 121) == (22, 5, 55, 11, "coset sums")
-        assert cyclofactor._route(F3, 242) == (22, 5, 5, 2, "twist")
-        assert cyclofactor._route(F5, 12) == (2, 2, 2, 4, "twist")
+        assert cyclofactor._route(2, 7) == (2, 3, 6, None, "coset sums")
+        assert cyclofactor._route(2, 1023) == (60, 10, 600, None, "one factor")
+        assert cyclofactor._route(2, 45) == (2, 12, 12, 3, "lift")
+        assert cyclofactor._route(2, 5) == (1, 4, 4, None, "lift")
+        assert cyclofactor._route(3, 91) == (12, 6, 18, 7, "quotient")
+        assert cyclofactor._route(3, 121) == (22, 5, 55, 11, "coset sums")
+        assert cyclofactor._route(3, 242) == (22, 5, 5, 2, "twist")
+        assert cyclofactor._route(5, 12) == (2, 2, 2, 4, "twist")
+
+    def test_cache_is_keyed_by_p(self, cold_split_cache):
+        # pi_7 splits into two cubics mod 2 and is irreducible mod 3
+        assert cyclofactor._route(2, 7) == (2, 3, 6, None, "coset sums")
+        assert cyclofactor._route(3, 7) == (1, 6, 6, None, "lift")
+
+    # (p, n, request): t^80 - 1 at p = 3, the construction check at time
+    # q * nj = 155 at p = 3, and e_630 of a random system at p = 2 (n' = 315)
+    REQUESTS = {
+        "factor": (3, 80, lambda: factor_tn_minus_1(PrimeField(3), 80)),
+        "verify": (3, 155, lambda: verify_construction(3, 5, 31)),
+        "random": (2, 630, lambda: periodic_exponent(
+            random_system(PrimeField(2), Fraction(1, 2), 1), 630)),
+    }
+
+    @pytest.mark.parametrize("kind", REQUESTS)
+    def test_each_route_is_computed_once(self, cold_split_cache, kind):
+        # the charge computes the route of every pi_d, d | n', d > 1, and the
+        # split reads the routes it takes back from the cache
+        p, n, request = self.REQUESTS[kind]
+        request()
+        count = len(intmath.divisors(intmath.coprime_part(n, p)[0])) - 1
+        info = cyclofactor._route.cache_info()
+        assert info.misses == info.currsize == count
+        assert info.hits > 0
 
 
 class TestTwistAndQuotient:
@@ -692,16 +736,13 @@ class TestTwistAndQuotient:
 
     @staticmethod
     def _taken(p, bound):
-        field = PrimeField(p)
-        rows = {d: cyclofactor._route(field, d) for d in range(2, bound + 1) if d % p}
-        return {d: row for d, row in rows.items() if row[4] in ("twist", "quotient")}
+        rows = {d: cyclofactor._route(p, d) for d in range(2, bound + 1) if d % p}
+        return {d: row for d, row in rows.items() if row.name in ("twist", "quotient")}
 
     @pytest.mark.parametrize("p, bound", BOUNDS)
-    def test_equals_factorize(self, p, bound, cold_split_cache):
-        field = PrimeField(p)
+    def test_equals_factorize(self, p, bound, factorizations, cold_split_cache):
         for d in self._taken(p, bound):
-            pairs = factorize(cyclotomic_poly(field, d))
-            assert _cyclotomic_factors(p, d) == tuple(sorted(v for v, _ in pairs)), (p, d)
+            assert _cyclotomic_factors(p, d) == tuple(sorted(factorizations[p, d])), (p, d)
 
     @pytest.mark.parametrize("p", (3, 5, 7, 13))
     def test_matches_sympy(self, p):
@@ -728,9 +769,9 @@ class TestTwistAndQuotient:
             for d in intmath.divisors(p - 1)[2:]:  # pi_2 = t + 1 is irreducible
                 if d <= bound:
                     assert taken[p][d] == (intmath.euler_phi(d), 1, 1, d, "twist"), (p, d)
-        assert taken[3][2 * 35][4] == taken[5][2 * 21][4] == "twist"
+        assert taken[3][2 * 35].name == taken[5][2 * 21].name == "twist"
         assert taken[5][4 * 7][3] == 4 and taken[7][6 * 5][3] == 6
-        assert cyclofactor._route(PrimeField(3), 121)[4] == "coset sums"
+        assert cyclofactor._route(3, 121).name == "coset sums"
         assert taken[3][242] == (22, 5, 5, 2, "twist")
         assert taken[5][39] == (6, 4, 8, 3, "quotient")
 
