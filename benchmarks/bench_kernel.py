@@ -3,9 +3,10 @@ reference tests/_pypoly.py) against each other and against the packed
 kernels, _f2 at p = 2 and _fp at odd p.  The library runs every
 polynomial over F_2 on _f2, so the list kernels are timed at odd p only.
 
-The compiled kernel is built into a temporary directory and loaded from
-there, as the tests do, so its column is present wherever setup.py can
-compile the committed C, whichever kernel the package itself imports.
+The compiled kernel is built by tests/_cybuild.py, once per source and
+interpreter under the system temp dir, and loaded from there, as the tests
+do, so its column is present wherever setup.py can compile the committed
+C, whichever kernel the package itself imports.
 Prints the size of src/ (lines of Python), then times the hot kernel
 primitives at several degrees and characteristics (rem and div_rem of one
 precomputed product, pow_mod with one fixed 64-bit exponent, so no cell
@@ -104,9 +105,10 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))  # the list kernel _pypoly lives with the tests
+sys.path.insert(0, str(ROOT / "tests"))  # _pypoly and _cybuild live with the tests
 
 import _pypoly
+from _cybuild import compiled_kernel  # one build per source, shared with the tests
 from pairs import export_revision, src_lines  # benchmarks/pairs.py, this script's directory
 import sintdyn
 from sintdyn import _kernel, cyclofactor, intmath
@@ -142,25 +144,7 @@ from sintdyn.zeta import (
 )
 
 
-def _compiled_kernel():
-    """The compiled kernel, built by setup.py into a temporary directory and
-    loaded from there; None when it does not compile."""
-    with tempfile.TemporaryDirectory() as build:
-        done = subprocess.run(
-            [sys.executable, "setup.py", "build_ext", "--build-lib", build,
-             "--build-temp", str(Path(build) / "t")],
-            cwd=ROOT, capture_output=True,
-        )
-        paths = list(Path(build, "sintdyn", "_kernel").glob("_cypoly.*"))
-        if done.returncode or not paths:
-            return None
-        spec = importlib.util.spec_from_file_location("sintdyn._kernel._cypoly", paths[0])
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)  # the loaded library outlives the directory
-        return module
-
-
-_cypoly = _compiled_kernel()
+_cypoly = compiled_kernel()  # None when the C does not compile
 BACKENDS = {"python": _pypoly} if _cypoly is None else {"cython": _cypoly, "python": _pypoly}
 KERNEL_OPS = ("mul", "div_rem", "rem", "mul_mod", "pow_mod", "gcd")
 # the fixed 64-bit pow_mod exponent of the primitive rows (2**64 / golden

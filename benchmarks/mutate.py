@@ -131,7 +131,17 @@ MUTANTS = (
     ("twist_prime_power_not_dividing", "cyclofactor.py",
      "if (p - 1) % q**v == 0)", "if (p - 1) % q == 0)", ("test_cyclofactor.py",)),
     ("quotient_first_factor", "cyclofactor.py",
-     "            if not rest:\n", "            if True:\n", ("test_cyclofactor.py",)),
+     "                if not rest:\n", "                if True:\n", ("test_cyclofactor.py",)),
+    # the one builder of the pieces of pi_d from the factors of pi_{d/q}:
+    # f(t**q), divided by a factor of pi_{d/q} only when q does not divide
+    # d/q, and the orders r' = ord_{d/q}(p) read from the routes of pi_{d/q}
+    ("pieces_divided_when_q_divides", "cyclofactor.py",
+     "        if m % q:\n", "        if True:\n", ("test_cyclofactor.py",)),
+    ("lift_order_wrong_index", "cyclofactor.py",
+     "(q * _route(p, d // q).r, q)", "(q * _route(p, q).r, q)", ("test_cyclofactor.py",)),
+    ("quotient_order_wrong_index", "cyclofactor.py",
+     "((q - 1) * _route(p, d // q).r, q)", "((q - 1) * _route(p, q).r, q)",
+     ("test_cyclofactor.py",)),
     ("quotient_not_smaller", "cyclofactor.py",
      "(quotient := min(quotients))[0] < m:", "(quotient := min(quotients))[0] <= m:",
      ("test_cyclofactor.py",)),
@@ -189,6 +199,9 @@ MUTANTS = (
     ("mark_t_excluded", "system.py",
      "if v.degree == 1 and v.constant_term == 0:", "if v.degree == 1 and v.constant_term == 1:",
      ("test_system.py",)),
+    # the one record base: equal only within one class
+    ("record_eq_any_class", "system.py",
+     "if other.__class__ is not self.__class__:", "if False:", ("test_system.py",)),
     # the mark threshold floor((1 - rho) * 2**64)
     ("mark_threshold", "system.py",
      "(self.rho.denominator - self.rho.numerator)", "self.rho.numerator", ("test_system.py",)),
@@ -220,13 +233,17 @@ MUTANTS = (
      '_check_work("verify: verify_work(p, q, nj)", factor_work(p, q * nj))', ("test_cli.py",)),
     ("count_charged", "system.py",
      'if spec.omega.mode == "random":', 'if spec.omega.mode == "explicit":', ("test_cli.py",)),
-    # an explicit place is charged by its stated degree, every --place flag
-    # summed, before any coefficient list is built
+    # an explicit place is charged by the largest exponent of its terms,
+    # every --place flag summed, before any coefficient list is built
     ("place_first_only_charged", "cli.py",
-     "sum(place_work(field.p, _stated_degree(s)) for s in args.place)",
-     "place_work(field.p, _stated_degree(args.place[0]))", ("test_cli.py",)),
-    ("place_degree_last_term", "cli.py",
-     "degree = max(degree, int(", "degree = (int(", ("test_cli.py",)),
+     "sum(place_work(field.p, max(place)) for place in terms)",
+     "place_work(field.p, max(terms[0]))", ("test_cli.py",)),
+    ("place_degree_smallest_exponent", "cli.py",
+     "place_work(field.p, max(place))", "place_work(field.p, min(place))", ("test_cli.py",)),
+    # a flag's errors are named by the flag, through one helper
+    ("named_drops_flag", "cli.py",
+     'raise ValueError(f"{flag}: {exc}") from None', 'raise ValueError(f"{exc}") from None',
+     ("test_cli.py",)),
     ("place_work_linear_at_p2", "system.py",
      "return m * m * (4096 + m)", "return m * (4096 + m)", ("test_cli.py",)),
     # the strict command-line reader takes only what argparse reads the same

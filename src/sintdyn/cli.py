@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 from . import SCHEMA_VERSION, __version__, intmath
 from .cyclofactor import _check_work, factor_tn_minus_1
-from .ffpoly import PrimeField, Poly
+from .ffpoly import PrimeField, _read_terms
 from .limitset import (
     ConstructionRejected,
     artin_primes,
@@ -80,28 +80,21 @@ def _require_max_n(command: str, max_n: int, limit: int):
     intmath.require_at_most(f"{command}: max_n", max_n, limit)
 
 
-def _stated_degree(text: str) -> int:
-    # a bound on the degree of a --place text, read before any coefficient
-    # list is built: the comma count of a list, else the largest exponent
-    # of t in a term, and at least 1
-    if not any(ch in text for ch in "t^*"):
-        return text.count(",")
-    degree = 1
-    for term in "".join(text.split()).replace("-", "+").split("+"):
-        try:
-            degree = max(degree, int(term.partition("t")[2][1:]))
-        except ValueError:  # no exponent, or one that _parse_poly refuses
-            pass
-    return degree
-
-
-def _parse_poly(field: PrimeField, text: str) -> Poly:
+def _named(flag: str, fn, *args):
+    # fn(*args); a ValueError it raises is raised again as "flag: message",
+    # flag naming the flag whose value fn read
     try:
-        if any(ch in text for ch in "t^*"):
-            return field.from_string(text)
-        return field.poly(int(part) for part in text.split(","))
+        return fn(*args)
     except ValueError as exc:
-        raise ValueError(f"--place: cannot parse polynomial {text!r}: {exc}") from None
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _place_terms(text: str) -> dict[int, int]:
+    # {exponent: coefficient} of a --place text, t^3+t+1 or comma-separated
+    # coefficients from t**0 up, read before any coefficient list is built
+    if any(ch in text for ch in "t^*"):
+        return _read_terms(text)
+    return dict(enumerate(int(part) for part in text.split(",")))
 
 
 def _parse_fraction(flag: str, text: str) -> Fraction:
@@ -116,10 +109,7 @@ def _frac_json(x: Fraction) -> dict:
 
 
 def _field(args) -> PrimeField:
-    try:
-        return PrimeField(args.p)
-    except ValueError as exc:
-        raise ValueError(f"--p: {exc}") from None
+    return _named("--p", PrimeField, args.p)
 
 
 def _system(field: PrimeField, args) -> SystemSpec:
@@ -131,22 +121,18 @@ def _system(field: PrimeField, args) -> SystemSpec:
     elif name == "explicit":
         if not args.place:
             raise ValueError("--system explicit requires at least one --place")
-        work = sum(place_work(field.p, _stated_degree(s)) for s in args.place)
-        _check_work("--place: place_work(p, degree)", work)  # before any place is built
-        places = [_parse_poly(field, s) for s in args.place]  # its errors name --place
-        try:
-            omega = OmegaSource.explicit(places)
-        except ValueError as exc:
-            raise ValueError(f"--place: {exc}") from None
-        spec = SystemSpec(field, omega, "explicit")
+        terms = [_named(f"--place: cannot parse polynomial {s!r}", _place_terms, s)
+                 for s in args.place]
+        # charged by the largest exponent of each place, before any is built
+        work = sum(place_work(field.p, max(place)) for place in terms)
+        _check_work("--place: place_work(p, degree)", work)
+        places = [field._from_terms(place) for place in terms]
+        spec = SystemSpec(field, _named("--place", OmegaSource.explicit, places), "explicit")
     else:  # random: the choices of --system refuse any other
         if args.rho is None or args.seed is None:
             raise ValueError("--system random requires both --rho and --seed")
         rho = _parse_fraction("--rho", args.rho)  # its errors name --rho
-        try:
-            spec = random_system(field, rho, args.seed)
-        except ValueError as exc:
-            raise ValueError(f"--rho/--seed: {exc}") from None
+        spec = _named("--rho/--seed", random_system, field, rho, args.seed)
     if args.label:
         spec = spec._replace(label=args.label)
     return spec
@@ -238,10 +224,7 @@ def _cmd_zeta(args):
     if args.max_order is not None:
         # refused before the series is built: its cost grows with --terms
         intmath.require_positive("--max-order", args.max_order)
-        try:
-            check_max_order(args.max_order, args.terms + 1)
-        except ValueError as exc:
-            raise ValueError(f"--max-order: {exc}") from None
+        _named("--max-order", check_max_order, args.max_order, args.terms + 1)
     series = zeta_for_system(spec, args.terms)
     doc = series.to_json()
     if args.max_order is not None:

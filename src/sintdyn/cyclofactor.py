@@ -60,36 +60,33 @@ d <= 3000), and at odd p a Berlekamp-Massey on coefficient lists was
 slower in a prototype, so both stay on it.  The two paths give the same
 sorted factors.
 
-When a prime q has q**2 | d, pi_d(t) = pi_{d/q}(t**q), so every factor f of
-pi_{d/q} (cached, and needed by every caller that asks for all d | n)
-lifts to a factor f(t**q) of pi_d of degree q * r', r' = ord_{d/q}(p).  The
-kernel of (Z/d)* -> (Z/(d/q))* has order q, so r is r' or q * r'.  When
-r = q * r', each f(t**q) has the degree r of every irreducible factor of
-pi_d and is one, with no gcd taken.  When r = r', the lifted pieces, each a
-product of q factors, are what the split starts from in place of pi_d, and
-pi_d is formed only to reduce the coset sums.  A q with r = q * r' is
-taken when there is one: from another q's pieces the descent tries in vain
-the coset sums that vanish at every root of pi_d (pi_220825, 220825 =
-5**2 * 11**2 * 73, took 60 and 6 s from its lifts to t**5).
+pi_d is also built from the cached factors of pi_m, m = d/q, q a prime
+factor of d, by one identity (Lidl & Niederreiter, ch. 2): pi_m(t**q) is
+pi_d(t) * pi_m(t) when q does not divide m, else pi_d(t).  So each factor
+f of pi_m gives one piece f(t**q), divided in the first case by the
+factor f_s of pi_m that divides it (one q-th root of a root of f has
+order m, the others order d), and the pieces part the factors of pi_d.
+With r' = ord_m(p), read from the route of pi_m, a piece has degree
+q * r' when q**2 | d (a lift) and (q - 1) * r' when q || d (a quotient
+piece).  A piece of degree r is a factor, with no gcd taken; for a lift r
+is r' or q * r', as the kernel of (Z/d)* -> (Z/m)* has order q.  Larger
+pieces are what the split starts from in place of pi_d, which is formed
+only to reduce the coset sums, skipping the cosets of multiples of q
+(e_C(t) = E(t**q) takes one value on every root of f(t**q)).  A lift
+with r = q * r' is taken when there is one: from another q's pieces the
+descent tries in vain the coset sums that vanish at every root of pi_d
+(pi_220825, 220825 = 5**2 * 11**2 * 73, took 60 and 6 s from its lifts
+to t**5).  Quotient pieces are taken, for the q whose pieces are
+smallest, only when they are smaller than the pieces of the next route.
 
-At odd p two more identities (Lidl & Niederreiter, ch. 2) give pi_d from
-the cached factors of a smaller pi_m.  The twist: let e > 1 be the product
-of the prime powers q**v || d that divide p - 1, and m = d/e.  F_p holds a
-primitive e-th root of unity w, the primitive d-th roots of unity are the
-products of those of orders m and e (gcd(m, e) = 1), and ord_d(p) =
-ord_m(p) = r as p = 1 mod e.  So the factors of pi_d are
-w**(-i*r) * f(w**i * t) for each factor f of pi_m and each i in (Z/e)*,
-with no gcd: every d = 2 mod 4 (w = -1) and every d | p - 1 (m = 1,
-linear factors) is one.  The quotient pieces: for a prime q || d and
-m = d/q, pi_m(t**q) = pi_d(t) * pi_m(t).  Of the q-th roots of a root of a
-factor f of pi_m one has order m and the others order d, so
-f(t**q) = f_s(t) * P(t), f_s the factor of pi_m that divides f(t**q)
-(found by exact division), and the pieces P, one per f and of degree
-(q - 1) * ord_m(p), part the factors of pi_d.  A piece of degree r is a
-factor; the others are split by coset sums as lifted pieces are, without
-the cosets of multiples of q (e_C(t) = E(t**q) takes one value on every
-root of f(t**q)).  The q with the smallest pieces is taken, and only when
-they are smaller than the pieces of the next route.
+At odd p a twist gives pi_d from the factors of a smaller pi_m as well.
+Let e > 1 be the product of the prime powers q**v || d that divide p - 1,
+and m = d/e.  F_p holds a primitive e-th root of unity w, the primitive
+d-th roots of unity are the products of those of orders m and e
+(gcd(m, e) = 1), and ord_d(p) = ord_m(p) = r as p = 1 mod e.  So the
+factors of pi_d are w**(-i*r) * f(w**i * t) for each factor f of pi_m and
+each i in (Z/e)*, with no gcd: every d = 2 mod 4 (w = -1) and every
+d | p - 1 (m = 1, linear factors) is one.
 
 _route names the route of pi_d and picks its pieces, the first of these
 that applies: "lift" when the lifted pieces are the factors (also an
@@ -392,7 +389,7 @@ class Route(NamedTuple):
     k: int
     r: int
     m: int
-    q: int | None  # prime of a lift or of the quotient pieces, e for a twist, None for pi_d itself
+    q: int | None  # the pieces come from pi_{d/q} (lift, twist or quotient), None: from pi_d
     name: str
 
 
@@ -403,7 +400,7 @@ def _route(p: int, d: int) -> Route:
     r = multiplicative_order(p, d)
     k = intmath.euler_phi(d) // r
     primes = intmath.factorint(d)
-    lifts = [(q * multiplicative_order(p, d // q), q) for q, v in primes.items() if v > 1]
+    lifts = [(q * _route(p, d // q).r, q) for q, v in primes.items() if v > 1]
     m, q = min(lifts, default=(k * r, None))
     if m == r:
         return Route(k, r, m, q, "lift")
@@ -412,7 +409,7 @@ def _route(p: int, d: int) -> Route:
     e = math.prod(q**v for q, v in primes.items() if (p - 1) % q**v == 0)
     if e > 1:
         return Route(k, r, r, e, "twist")
-    quotients = [((q - 1) * multiplicative_order(p, d // q), q)
+    quotients = [((q - 1) * _route(p, d // q).r, q)
                  for q, v in primes.items() if v == 1 and q < d]
     if quotients and (quotient := min(quotients))[0] < m:
         return Route(k, r, *quotient, "quotient")
@@ -437,24 +434,27 @@ def _twist(p: int, f: list, x: int) -> list:
     return out
 
 
-def _twists(p: int, m: int, e: int) -> list:
+def _twists(p: int, small: list, e: int) -> list:
     # the factors of pi_{m e} (module docstring): the twists of each factor
-    # of pi_m by w**i, i in (Z/e)*, w a primitive e-th root of unity
-    w, small = _root_of_unity(p, e), [f._value for f in _cyclotomic_factors(p, m)]
+    # of pi_m, in small, by w**i, i in (Z/e)*, w a primitive e-th root of 1
+    w = _root_of_unity(p, e)
     return [_twist(p, f, pow(w, i, p)) for i in range(1, e) if math.gcd(i, e) == 1
             for f in small]
 
 
-def _quotient_pieces(p: int, m: int, q: int) -> list:
-    # the pieces f(t**q) / f_s(t) of pi_{m q}, one for each factor f of
-    # pi_m (module docstring), f_s the factor of pi_m that divides f(t**q)
-    small, pieces = [f._value for f in _cyclotomic_factors(p, m)], []
+def _pieces(p: int, small: list, m: int, q: int) -> list:
+    # the pieces of pi_{m q} from the factors of pi_m (module docstring):
+    # f(t**q) for each factor f, divided, when q does not divide m, by the
+    # factor f_s of pi_m that divides it
+    pieces = []
     for f in small:
-        lifted = _lift(p, f, q)
-        for g in small:
-            piece, rest = _kernel.div_rem(lifted, g, p)
-            if not rest:
-                break
+        piece = _lift(p, f, q)
+        if m % q:
+            lifted = piece
+            for g in small:
+                piece, rest = _kernel.div_rem(lifted, g, p)
+                if not rest:
+                    break
         pieces.append(piece)
     return pieces
 
@@ -465,12 +465,9 @@ def _cyclotomic_factors(p: int, d: int) -> tuple[Poly, ...]:
     if d == 1:
         return (cyclotomic_poly(field, 1),)
     k, r, m, q, name = _route(p, d)
-    if name == "twist":
-        pieces = _twists(p, d // q, q)
-    elif name == "quotient":
-        pieces = _quotient_pieces(p, d // q, q)
-    elif q:  # pi_d(t) = pi_{d/q}(t**q) (module docstring)
-        pieces = [_lift(p, f._value, q) for f in _cyclotomic_factors(p, d // q)]
+    if q:  # from the factors of pi_{d/q} (module docstring)
+        small = [f._value for f in _cyclotomic_factors(p, d // q)]
+        pieces = _twists(p, small, q) if name == "twist" else _pieces(p, small, d // q, q)
     else:
         pieces = [_cyclotomic_value(p, d)]
     factors, pending = (pieces, []) if m == r else ([], pieces)

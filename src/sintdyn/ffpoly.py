@@ -39,6 +39,44 @@ class FieldMismatchError(ValueError):
     """Operands belong to different prime fields."""
 
 
+def _read_terms(text: str) -> dict[int, int]:
+    # {exponent: integer coefficient} of the text form that from_string
+    # reads, before any coefficient list is built
+    s = "".join(text.split())
+    if not s:
+        raise ValueError("empty polynomial string")
+    s = s.replace("-", "+-")
+    if s.startswith("+"):
+        s = s[1:]
+    terms: dict[int, int] = {}
+    for term in s.split("+"):
+        if not term:
+            raise ValueError(f"ill-formed polynomial string {text!r}")
+        sign = 1
+        if term.startswith("-"):
+            sign = -1
+            term = term[1:]
+        coeff_part, sep, exp_part = term.partition("t")
+        try:
+            if not sep:
+                coeff, exp = int(coeff_part), 0
+            else:
+                coeff_part = coeff_part.rstrip("*")
+                coeff = int(coeff_part) if coeff_part else 1
+                if exp_part:
+                    if not exp_part.startswith("^"):
+                        raise ValueError
+                    exp = int(exp_part[1:])
+                    if exp < 0:
+                        raise ValueError
+                else:
+                    exp = 1
+        except ValueError:
+            raise ValueError(f"ill-formed polynomial string {text!r}") from None
+        terms[exp] = terms.get(exp, 0) + sign * coeff
+    return terms
+
+
 class PrimeField:
     """The prime field F_p with 2 <= p < 2**31; factory for Poly values."""
 
@@ -85,38 +123,10 @@ class PrimeField:
 
         Minus signs are accepted for convenience ("t-1" means t + (p-1)).
         """
-        s = "".join(text.split())
-        if not s:
-            raise ValueError("empty polynomial string")
-        s = s.replace("-", "+-")
-        if s.startswith("+"):
-            s = s[1:]
-        terms: dict[int, int] = {}
-        for term in s.split("+"):
-            if not term:
-                raise ValueError(f"ill-formed polynomial string {text!r}")
-            sign = 1
-            if term.startswith("-"):
-                sign = -1
-                term = term[1:]
-            coeff_part, sep, exp_part = term.partition("t")
-            try:
-                if not sep:
-                    coeff, exp = int(coeff_part), 0
-                else:
-                    coeff_part = coeff_part.rstrip("*")
-                    coeff = int(coeff_part) if coeff_part else 1
-                    if exp_part:
-                        if not exp_part.startswith("^"):
-                            raise ValueError
-                        exp = int(exp_part[1:])
-                        if exp < 0:
-                            raise ValueError
-                    else:
-                        exp = 1
-            except ValueError:
-                raise ValueError(f"ill-formed polynomial string {text!r}") from None
-            terms[exp] = terms.get(exp, 0) + sign * coeff
+        return self._from_terms(_read_terms(text))
+
+    def _from_terms(self, terms: dict) -> "Poly":
+        # the Poly of {exponent: integer coefficient}, built dense
         coeffs = [0] * (max(terms) + 1)
         for exp, coeff in terms.items():
             coeffs[exp] = coeff

@@ -90,7 +90,31 @@ def _place_key(v: Poly) -> bytes:
     return v.field.p.to_bytes(4, "big") + code.to_bytes((code.bit_length() + 7) // 8, "big")
 
 
-class OmegaSource:
+class _Record:
+    """An immutable record, its fields set through __dict__ in __init__:
+    equal within its class and hashed by the tuple of its class's _key(),
+    and shown with the fields whose names do not start with _."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):  # cached properties, named _..., are not fields
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items() if k[0] != "_")
+        return f"{self.__class__.__name__}({fields})"
+
+
+class OmegaSource(_Record):
     """Assignment of 0/1 marks to the finite places other than t; immutable,
     equal and hashed by (mode, places, rho, seed)."""
 
@@ -113,26 +137,8 @@ class OmegaSource:
             if self.seed is None or not 0 <= self.seed < 2**64:
                 raise ValueError(f"seed must be a 64-bit integer: got {self.seed}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
+    def _key(self) -> tuple:
         return self.mode, self.places, self.rho, self.seed
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return (f"OmegaSource(mode={self.mode!r}, places={self.places!r}, "
-                f"rho={self.rho!r}, seed={self.seed!r})")
 
     @classmethod
     def all_zero(cls) -> "OmegaSource":
@@ -161,7 +167,7 @@ class OmegaSource:
         if self.mode == "all_one":
             return 1
         if self.mode == "random":
-            digest = blake2b(_place_key(v), digest_size=8, key=self._key).digest()
+            digest = blake2b(_place_key(v), digest_size=8, key=self._seed_bytes).digest()
             return 1 if int.from_bytes(digest, "big") < self._threshold else 0
         return 1 if v in self.places else 0  # all-zero has no places
 
@@ -171,7 +177,7 @@ class OmegaSource:
         return (_MARK_SCALE * (self.rho.denominator - self.rho.numerator)) // self.rho.denominator
 
     @functools.cached_property
-    def _key(self) -> bytes:
+    def _seed_bytes(self) -> bytes:
         return self.seed.to_bytes(8, "big")
 
 

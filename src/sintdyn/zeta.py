@@ -35,14 +35,14 @@ from operator import mul, sub
 
 from . import intmath
 from .orders import _validate_n
-from .system import SystemSpec, periodic_exponents
+from .system import SystemSpec, _Record, periodic_exponents
 
 
 class InvalidCountsError(ValueError):
     """The input sequence cannot be a periodic-point count sequence."""
 
 
-class ZetaSeries:
+class ZetaSeries(_Record):
     """Exact coefficients a_0..a_N of the zeta series, with the counts
     c_1..c_N they were built from (None when built from terms alone);
     immutable, equal and hashed by (terms, source)."""
@@ -52,22 +52,8 @@ class ZetaSeries:
         # counts are determined by the terms, so left out of equality
         self.__dict__.update(terms=terms, source=source, counts=counts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.terms, self.source) == (other.terms, other.source)
-
-    def __hash__(self):
-        return hash((self.terms, self.source))
-
-    def __repr__(self):
-        return f"ZetaSeries(terms={self.terms!r}, source={self.source!r}, counts={self.counts!r})"
+    def _key(self) -> tuple:
+        return self.terms, self.source
 
     @property
     def truncation_order(self) -> int:

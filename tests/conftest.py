@@ -1,5 +1,3 @@
-import importlib.util
-import subprocess
 import sys
 from pathlib import Path
 
@@ -8,9 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import _pypoly
+from _cybuild import compiled_kernel
 from sintdyn.ffpoly import PrimeField
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -29,23 +26,9 @@ def F5():
 
 
 @pytest.fixture(scope="session")
-def kernel_modules(tmp_path_factory):
+def kernel_modules():
     """The kernel modules by backend name.  "cython" is present when the real
-    setup.py compiles the extension; it builds into a temporary directory and
-    the module is loaded from there, so neither the tree nor the active
-    sintdyn._kernel changes."""
-    build = tmp_path_factory.mktemp("cypoly")
-    subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(build),
-         "--build-temp", str(build / "t")],
-        cwd=ROOT, check=True, capture_output=True,
-    )
-    modules = {"python": _pypoly}
-    for path in (build / "sintdyn" / "_kernel").glob("_cypoly.*"):
-        spec = importlib.util.spec_from_file_location("sintdyn._kernel._cypoly", path)
-        modules["cython"] = importlib.util.module_from_spec(spec)
-        registered = spec.name in sys.modules
-        spec.loader.exec_module(modules["cython"])
-        if not registered:  # the compiled module adds itself to sys.modules
-            del sys.modules[spec.name]
-    return modules
+    setup.py compiles the extension (_cybuild: built once per source and
+    interpreter, loaded without changing the tree or sintdyn._kernel)."""
+    cypoly = compiled_kernel()
+    return {"python": _pypoly} if cypoly is None else {"python": _pypoly, "cython": cypoly}

@@ -8,12 +8,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import sintdyn
-from sintdyn import SCHEMA_VERSION, __version__, limitset
+from sintdyn import SCHEMA_VERSION, __version__, cli, limitset
 from sintdyn.cli import COMMANDS, _read, build_parser, main
+from sintdyn.ffpoly import PrimeField
+from sintdyn.system import place_work
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -1213,7 +1216,7 @@ class TestPlaceDegreeRefusedUpFront:
         def built(*args):
             raise AssertionError("a place was built")
 
-        monkeypatch.setattr("sintdyn.cli._parse_poly", built)
+        monkeypatch.setattr("sintdyn.ffpoly.PrimeField._from_terms", built)
         start = time.perf_counter()
         result = run_cli(capsys, *self.argv(p, places))
         assert time.perf_counter() - start < 1
@@ -1241,7 +1244,7 @@ class TestPlaceDegreeRefusedUpFront:
         def admitted(*args):
             raise Admitted
 
-        monkeypatch.setattr("sintdyn.cli._parse_poly", admitted)
+        monkeypatch.setattr("sintdyn.ffpoly.PrimeField._from_terms", admitted)
         with pytest.raises(Admitted):
             main(self.argv(p, [place]))
 
@@ -1264,6 +1267,62 @@ class TestPlaceDegreeRefusedUpFront:
             f"error: --place: place_work(p, degree) must be at most {2**37}: "
             f"got {10**9 * 10**9 * (4096 + 10**9)}\n"
         )
+
+    def test_charged_degree_bounds_the_built_degree(self):
+        # the charge and the build read one set of terms: for every --place
+        # that is parsed and admitted, the degree charged is at least the
+        # built place's degree, and equal to it when the top coefficient is
+        # non-zero mod p (a zero place has no degree)
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        text = st.one_of(
+            st.text(alphabet="t^*+- 0123456789", max_size=16),
+            st.lists(st.integers(-12, 12), min_size=1, max_size=9).map(
+                lambda coeffs: ",".join(map(str, coeffs))
+            ),
+        )
+
+        class Built(Exception):
+            pass
+
+        @hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+        @hypothesis.example(text="5*t^0", p=3)
+        @hypothesis.example(text="t^2-t^2+1", p=2)
+        @hypothesis.example(text="3*t^4+t", p=3)
+        @hypothesis.example(text="0,1,0", p=2)
+        @hypothesis.given(text=text, p=st.sampled_from((2, 3, 7)))
+        def check(text, p):
+            charged, built = [], []
+            build = PrimeField._from_terms
+
+            def charge(p, m):
+                charged.append(m)
+                return place_work(p, m)
+
+            def spy(field, terms):
+                built.append((terms, build(field, terms)))
+                raise Built
+
+            args = SimpleNamespace(system="explicit", place=[text], rho=None, seed=None,
+                                   label=None)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "place_work", charge)
+                patch.setattr(PrimeField, "_from_terms", spy)
+                try:
+                    cli._system(PrimeField(p), args)
+                except (Built, ValueError):
+                    pass
+            outcomes.append(bool(built))
+            if built:
+                (terms, place), = built
+                (degree,) = charged
+                assert place.is_zero or degree >= place.degree
+                if terms[degree] % p:
+                    assert degree == place.degree
+
+        outcomes = []
+        check()
+        assert 0.1 < sum(outcomes) / len(outcomes) < 0.9  # built and refused are both drawn
 
 
 class TestEndToEndProcess:

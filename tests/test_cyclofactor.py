@@ -724,6 +724,20 @@ class TestRoute:
         assert info.misses == info.currsize == count
         assert info.hits > 0
 
+    def test_one_order_per_route(self, cold_split_cache, monkeypatch):
+        # a route takes the order of p mod d once, and the orders mod d/q of
+        # its lifts and quotient pieces from the routes of pi_{d/q}: 1540 =
+        # 2**2 * 5 * 7 * 11 has a lift at q = 2 and quotients at q = 5, 7, 11
+        calls = []
+
+        def order(p, d):
+            calls.append((p, d))
+            return multiplicative_order(p, d)
+
+        monkeypatch.setattr(cyclofactor, "multiplicative_order", order)
+        factor_tn_minus_1(PrimeField(3), 1540)
+        assert len(calls) == cyclofactor._route.cache_info().misses == len(set(calls))
+
 
 class TestTwistAndQuotient:
     """At odd p, pi_d is built from the cached factors of a smaller pi_m: by

@@ -512,3 +512,49 @@ def test_records_are_immutable(name):
         setattr(record, field, None)
     assert getattr(record, field) == before
     assert record == make() and hash(record) == hash(make())
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_refuse_delete(name):
+    make, field = RECORDS[name]
+    record = make()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) == before
+
+
+def test_record_reprs_pinned():
+    # recorded before OmegaSource and ZetaSeries shared one record base; a
+    # random source shows no cached field after it has marked a place
+    F3 = PrimeField(3)
+    random_marks = OmegaSource.random_marks("1/3", 7)
+    random_marks.mark(F3.poly([1, 1]))
+    assert [repr(omega) for omega in (
+        OmegaSource.all_zero(),
+        OmegaSource.all_one(),
+        OmegaSource.explicit([F3.poly([1, 1]), F3.poly([1, 0, 1])]),
+        random_marks,
+    )] == [
+        "OmegaSource(mode='all_zero', places=frozenset(), rho=None, seed=None)",
+        "OmegaSource(mode='all_one', places=frozenset(), rho=None, seed=None)",
+        "OmegaSource(mode='explicit', places=frozenset({Poly(F_3, t+1), Poly(F_3, t^2+1)}), "
+        "rho=None, seed=None)",
+        "OmegaSource(mode='random', places=frozenset(), rho=Fraction(1, 3), seed=7)",
+    ]
+    assert repr(zeta_for_system(full_shift(PrimeField(2)), 3)) == (
+        "ZetaSeries(terms=(1, 2, 4, 8), source=SystemSpec(field=PrimeField(2), "
+        "omega=OmegaSource(mode='all_zero', places=frozenset(), rho=None, seed=None), "
+        "label='full'), counts=(2, 4, 8))"
+    )
+
+
+def test_records_equal_only_their_own_class():
+    # equality reads the fields of two records of one class; a tuple of the
+    # same fields, or a record of another class, is not equal
+    omega = OmegaSource.all_zero()
+    series = zeta_for_system(full_shift(PrimeField(2)), 3)
+    assert omega != ("all_zero", frozenset(), None, None)
+    assert series != (series.terms, series.source)
+    assert omega != series and series != omega
+    assert series == zeta_for_system(full_shift(PrimeField(2)), 3)
