@@ -283,6 +283,8 @@ def _clear_caches(package=sintdyn):
     package.cyclofactor._cyclotomic_factors.cache_clear()
     if hasattr(package.cyclofactor._route, "cache_clear"):  # a revision may not cache it
         package.cyclofactor._route.cache_clear()
+    if hasattr(package.cyclofactor, "_order"):  # nor keep an order cache
+        package.cyclofactor._order.cache_clear()
     package.orders._irreducible_order.cache_clear()
     package.ffpoly.is_irreducible.cache_clear()
 

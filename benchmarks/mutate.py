@@ -134,13 +134,13 @@ MUTANTS = (
      "                if not rest:\n", "                if True:\n", ("test_cyclofactor.py",)),
     # the one builder of the pieces of pi_d from the factors of pi_{d/q}:
     # f(t**q), divided by a factor of pi_{d/q} only when q does not divide
-    # d/q, and the orders r' = ord_{d/q}(p) read from the routes of pi_{d/q}
+    # d/q, and the orders r' = ord_{d/q}(p) read from the order cache
     ("pieces_divided_when_q_divides", "cyclofactor.py",
      "        if m % q:\n", "        if True:\n", ("test_cyclofactor.py",)),
     ("lift_order_wrong_index", "cyclofactor.py",
-     "(q * _route(p, d // q).r, q)", "(q * _route(p, q).r, q)", ("test_cyclofactor.py",)),
+     "(q * _order(p, d // q), q)", "(q * _order(p, q), q)", ("test_cyclofactor.py",)),
     ("quotient_order_wrong_index", "cyclofactor.py",
-     "((q - 1) * _route(p, d // q).r, q)", "((q - 1) * _route(p, q).r, q)",
+     "((q - 1) * _order(p, d // q), q)", "((q - 1) * _order(p, q), q)",
      ("test_cyclofactor.py",)),
     ("quotient_not_smaller", "cyclofactor.py",
      "(quotient := min(quotients))[0] < m:", "(quotient := min(quotients))[0] <= m:",

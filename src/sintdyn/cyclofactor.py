@@ -66,7 +66,7 @@ pi_d(t) * pi_m(t) when q does not divide m, else pi_d(t).  So each factor
 f of pi_m gives one piece f(t**q), divided in the first case by the
 factor f_s of pi_m that divides it (one q-th root of a root of f has
 order m, the others order d), and the pieces part the factors of pi_d.
-With r' = ord_m(p), read from the route of pi_m, a piece has degree
+With r' = ord_m(p) (_order, cached per (p, m)), a piece has degree
 q * r' when q**2 | d (a lift) and (q - 1) * r' when q || d (a quotient
 piece).  A piece of degree r is a factor, with no gcd taken; for a lift r
 is r' or q * r', as the kernel of (Z/d)* -> (Z/m)* has order q.  Larger
@@ -394,13 +394,21 @@ class Route(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
+def _order(p: int, d: int) -> int:
+    # ord_d(p), read by the route of pi_d and by the routes that take
+    # pieces from pi_d, so each (p, d) is ordered once without building
+    # the route of every divisor
+    return multiplicative_order(p, d)
+
+
+@functools.lru_cache(maxsize=None)
 def _route(p: int, d: int) -> Route:
     # the route of pi_d, d >= 2 coprime to p: the first that applies
     # (module docstring)
-    r = multiplicative_order(p, d)
+    r = _order(p, d)
     k = intmath.euler_phi(d) // r
     primes = intmath.factorint(d)
-    lifts = [(q * _route(p, d // q).r, q) for q, v in primes.items() if v > 1]
+    lifts = [(q * _order(p, d // q), q) for q, v in primes.items() if v > 1]
     m, q = min(lifts, default=(k * r, None))
     if m == r:
         return Route(k, r, m, q, "lift")
@@ -409,7 +417,7 @@ def _route(p: int, d: int) -> Route:
     e = math.prod(q**v for q, v in primes.items() if (p - 1) % q**v == 0)
     if e > 1:
         return Route(k, r, r, e, "twist")
-    quotients = [((q - 1) * _route(p, d // q).r, q)
+    quotients = [((q - 1) * _order(p, d // q), q)
                  for q, v in primes.items() if v == 1 and q < d]
     if quotients and (quotient := min(quotients))[0] < m:
         return Route(k, r, *quotient, "quotient")

@@ -29,6 +29,7 @@ def F5():
 def kernel_modules():
     """The kernel modules by backend name.  "cython" is present when the real
     setup.py compiles the extension (_cybuild: built once per source and
-    interpreter, loaded without changing the tree or sintdyn._kernel)."""
+    interpreter, loaded without changing the tree or sintdyn._kernel); a
+    setup.py that exits non-zero raises."""
     cypoly = compiled_kernel()
     return {"python": _pypoly} if cypoly is None else {"python": _pypoly, "cython": cypoly}

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,9 +26,11 @@ MERSENNE_31 = 2**31 - 1
 def cold_split_cache():
     _cyclotomic_factors.cache_clear()
     cyclofactor._route.cache_clear()
+    cyclofactor._order.cache_clear()
     yield
     _cyclotomic_factors.cache_clear()
     cyclofactor._route.cache_clear()
+    cyclofactor._order.cache_clear()
 
 
 @pytest.fixture(scope="session")
@@ -724,10 +727,8 @@ class TestRoute:
         assert info.misses == info.currsize == count
         assert info.hits > 0
 
-    def test_one_order_per_route(self, cold_split_cache, monkeypatch):
-        # a route takes the order of p mod d once, and the orders mod d/q of
-        # its lifts and quotient pieces from the routes of pi_{d/q}: 1540 =
-        # 2**2 * 5 * 7 * 11 has a lift at q = 2 and quotients at q = 5, 7, 11
+    @staticmethod
+    def _order_calls(monkeypatch):
         calls = []
 
         def order(p, d):
@@ -735,8 +736,26 @@ class TestRoute:
             return multiplicative_order(p, d)
 
         monkeypatch.setattr(cyclofactor, "multiplicative_order", order)
+        return calls
+
+    def test_one_order_per_route(self, cold_split_cache, monkeypatch):
+        # the orders mod d and mod each d/q are cached per (p, d), so a walk
+        # over every divisor orders each once: 1540 = 2**2 * 5 * 7 * 11 has a
+        # lift at q = 2 and quotients at q = 5, 7, 11
+        calls = self._order_calls(monkeypatch)
         factor_tn_minus_1(PrimeField(3), 1540)
         assert len(calls) == cyclofactor._route.cache_info().misses == len(set(calls))
+
+    def test_one_route_for_many_primes(self, cold_split_cache, monkeypatch):
+        # the route of pi_n reads the orders mod n/q, not the routes of
+        # pi_{n/q}: at p = 3 and n the product of the 19 primes 5..73, one
+        # route and 1 + 19 orders, where routes of the divisors would recurse
+        # into 2**19 of them
+        calls = self._order_calls(monkeypatch)
+        n = math.prod(q for q in range(5, 74) if intmath.factorint(q) == {q: 1})
+        assert splitting_count(PrimeField(3), n) == cyclofactor._route(3, n)[:2]
+        assert cyclofactor._route.cache_info().misses == 1
+        assert sorted(calls) == sorted([(3, n)] + [(3, n // q) for q in intmath.factorint(n)])
 
 
 class TestTwistAndQuotient:
